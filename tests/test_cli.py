@@ -38,15 +38,40 @@ def test_table_check_verifies_all_combinations(capsys):
     assert out.count("psi_minus") + out.count("psi_plus") >= 8
 
 
-def test_table_check_golden_csv(capsys, tmp_path, request):
+@pytest.mark.parametrize(
+    "name, code_expected, argv",
+    [
+        pytest.param("table_check", 0, ["--mode", "table-check"], id="table_check"),
+        pytest.param("roundtrip", 0, [
+            "--mode", "roundtrip", "--pairs", "16", "--check-fraction", "0.25", "--decoys", "2",
+            "--seed", "1", "--alice-msg", "a5", "--bob-msg", "5a3c",
+        ], id="roundtrip"),
+        pytest.param("roundtrip_abort", 3, [
+            "--mode", "roundtrip", "--pairs", "16", "--check-fraction", "0.5", "--decoys", "0",
+            "--eve", "intercept-z", "--seed", "0",
+        ], id="roundtrip_abort"),
+        pytest.param("security_sweep", 0, [
+            "--mode", "security-sweep", "--pairs", "16", "--check-fraction", "0.5", "--decoys", "0",
+            "--eve", "intercept-rand", "--eve-prob", "0.5", "--trials", "20", "--seed", "5",
+        ], id="security_sweep"),
+        pytest.param("info_estimate", 0, [
+            "--mode", "info-estimate", "--pairs", "32", "--check-fraction", "0.125", "--decoys", "2",
+            "--eve", "intercept-z", "--eve-prob", "0.1", "--trials", "8", "--seed", "3",
+        ], id="info_estimate"),
+    ],
+)
+def test_table_check_golden_csv(capsys, tmp_path, request, name, code_expected, argv):
+    """Every mode's CSV and sidecar are pinned byte for byte, wherever --out points."""
     out_path = tmp_path / "table.csv"
-    code, _, _ = run_cli(capsys, "--mode", "table-check", "--out", str(out_path))
-    assert code == 0
-    golden = request.path.parent / "golden" / "table_check.csv"
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == code_expected
+    golden = request.path.parent / "golden" / f"{name}.csv"
     assert out_path.read_bytes() == golden.read_bytes()
-    meta = json.loads((tmp_path / "table.csv.meta.json").read_text())
+    sidecar = tmp_path / "table.csv.meta.json"
+    assert sidecar.read_bytes() == golden.with_name(f"{name}.csv.meta.json").read_bytes()
+    meta = json.loads(sidecar.read_text())
     assert meta["tool"] == "qduplex"
-    assert meta["mode"] == "table-check"
+    assert meta["mode"] == argv[1]
     assert meta["config_hash"] in out_path.read_text()
 
 

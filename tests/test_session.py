@@ -605,16 +605,36 @@ def test_aborted_phase_is_aborted_for_both_parties():
 # golden transcript
 
 
-def test_golden_transcript_still_reproduces(request):
+@pytest.mark.parametrize(
+    "name, config, completed",
+    [
+        pytest.param(
+            "transcript_n8_seed7",
+            ProtocolConfig(n_pairs=8, check_fraction_1=0.25, check_count_2=1, seed=7),
+            True,
+            id="transcript_n8_seed7",
+        ),
+        pytest.param(
+            "transcript_n8_seed0_intercept_rand",
+            ProtocolConfig(
+                n_pairs=8, check_fraction_1=0.5, check_count_2=0, seed=0,
+                eve=EveStrategy.from_name("intercept-rand"),
+            ),
+            False,
+            id="transcript_n8_seed0_intercept_rand",
+        ),
+    ],
+)
+def test_golden_transcript_still_reproduces(request, name, config, completed):
     """A frozen full transcript pins the wire format and the RNG layout.
 
     Any change to event payloads, stream splitting, or sampling order
-    shows up here as a byte-level diff.
+    shows up here as a byte-level diff.  The intercept-rand run pins Eve's
+    touches and an abort at the first check.
     """
-    golden = request.path.parent / "golden" / "transcript_n8_seed7.jsonl"
-    config = ProtocolConfig(n_pairs=8, check_fraction_1=0.25, check_count_2=1, seed=7)
+    golden = request.path.parent / "golden" / f"{name}.jsonl"
     transcript = run_protocol(config, pack_bits(b"\xbe"), pack_bits(b"\xef"))
     assert transcript.to_jsonl() == golden.read_text(encoding="utf-8")
     parsed = Transcript.from_jsonl(golden.read_text(encoding="utf-8"))
-    assert parsed.completed
+    assert parsed.completed is completed
     assert audit_custody(parsed) == []
