@@ -52,26 +52,19 @@ from .qsim import (
     project_qubit,
 )
 from .session import (
-    Abort,
     Aborted,
-    BasisAnnounce,
-    BellResults,
     CapacityExceeded,
-    CheckIndices,
-    CheckVerdict,
     Completed,
     ConfigInvalid,
     Event,
-    OutcomeAnnounce,
     PartyState,
     Phase,
     ProtocolConfig,
     ProtocolError,
     Role,
-    SecondCheckIndices,
-    SecondCheckReveal,
     Session,
     Transcript,
+    TranscriptInvalid,
     audit_custody,
     run_protocol,
 )

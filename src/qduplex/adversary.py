@@ -13,7 +13,7 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .qsim import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .session import ProtocolConfig, Transcript
+    from .session import ProtocolConfig, Session, Transcript
 
 
 class Leg(enum.Enum):
@@ -246,6 +246,26 @@ class DetectionStats:
     abort_ci: tuple[float, float]
 
 
+def _trials(
+    strategy: EveStrategy, config: "ProtocolConfig", trials: int, rng: RandomStream
+) -> Iterator[tuple["Session", "Transcript"]]:
+    """Run config under strategy `trials` times; yield each session and its transcript.
+
+    Per trial the stream gives, in this order, the run's 64-bit seed, then
+    Alice's and Bob's random full-capacity messages.
+    """
+    from .session import Session  # deferred: session imports this module
+
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    for _ in range(trials):
+        cfg = replace(config, seed=int(rng.integers(1 << 63)), eve=strategy)
+        alice_msg = random_message(cfg.alice_capacity_bits, rng)
+        bob_msg = random_message(cfg.bob_capacity_bits, rng)
+        session = Session(cfg, alice_msg, bob_msg)
+        yield session, session.run()
+
+
 def estimate_detection(
     strategy: EveStrategy,
     config: "ProtocolConfig",
@@ -258,18 +278,10 @@ def estimate_detection(
     messages drawn from the injected stream, and runs with the given
     strategy in place of config.eve.
     """
-    from .session import run_protocol  # deferred: session imports this module
-
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     checked = 0
     violations = 0
     aborted = 0
-    for _ in range(trials):
-        cfg = replace(config, seed=int(rng.integers(1 << 63)), eve=strategy)
-        alice_msg = random_message(cfg.alice_capacity_bits, rng)
-        bob_msg = random_message(cfg.bob_capacity_bits, rng)
-        transcript = run_protocol(cfg, alice_msg, bob_msg)
+    for _, transcript in _trials(strategy, config, trials, rng):
         first = transcript.stats["first_check"]
         checked += first["sampled"]
         violations += first["violations"]
@@ -293,13 +305,19 @@ class InsufficientSamples(Exception):
 
 
 def mutual_information_bits(samples: Sequence[tuple[int, int]]) -> float:
-    """Plug-in empirical mutual information over a finite alphabet, in bits."""
+    """Plug-in empirical mutual information over a finite alphabet, in bits.
+
+    A constant column carries no information, so it gives exactly 0.0
+    rather than the rounding residue of the plug-in sum.
+    """
     if not samples:
         raise InsufficientSamples("no samples")
     n = len(samples)
     joint = Counter(samples)
     left = Counter(x for x, _ in samples)
     right = Counter(y for _, y in samples)
+    if len(left) == 1 or len(right) == 1:
+        return 0.0
     info = 0.0
     for (x, y), c in joint.items():
         pxy = c / n
@@ -307,32 +325,37 @@ def mutual_information_bits(samples: Sequence[tuple[int, int]]) -> float:
     return max(0.0, info)
 
 
-def _bell_index_by_wire_name() -> dict[str, int]:
-    return {bell.name.lower(): bell.index for bell in BellState}
+_BELL_INDEX = {bell.name.lower(): bell.index for bell in BellState}
 
 
-def _announced_results(transcript: "Transcript") -> dict[int, int]:
-    """Publicly announced Bell indices by pair, from the event log."""
-    names = _bell_index_by_wire_name()
-    out: dict[int, int] = {}
+def _run_samples(
+    record: EveRecord, transcript: "Transcript"
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
+    """One completed run's MI samples, read in one pass over its event log.
+
+    Returns (Eve's guess, Alice's op) and (announced Bell index, Alice's
+    op) for every message pair, then (announced Bell index, Bob's op) for
+    every announced pair, decoys included; each in pair order.
+    """
+    announced: dict[int, int] = {}
+    ops: dict[str, dict[int, int]] = {"alice": {}, "bob": {}}
+    decoys: set[int] = set()
     for event in transcript.events:
-        if event.kind == "bell_measure":
-            out[event.payload["pair"]] = names[event.payload["result"]]
-    return out
-
-
-def _party_op_codes(transcript: "Transcript", actor: str) -> dict[int, int]:
-    """True encoding codes one party applied, from the event log."""
-    out: dict[int, int] = {}
-    for event in transcript.events:
-        if event.kind == "pauli" and event.actor == actor:
-            out[event.payload["pair"]] = int(event.payload["op"][1])
-    return out
-
-
-def _message_positions(transcript: "Transcript") -> list[int]:
-    decoys = set(transcript.stats.get("second_check", {}).get("decoy_indices", ()))
-    return [i for i in sorted(_announced_results(transcript)) if i not in decoys]
+        kind, payload = event.kind, event.payload
+        if kind == "pauli" and event.actor in ops:
+            ops[event.actor][payload["pair"]] = int(payload["op"][1])
+        elif kind == "bell_measure":
+            announced[payload["pair"]] = _BELL_INDEX[payload["result"]]
+        elif kind == "stats":
+            decoys = set(payload.get("second_check", {}).get("decoy_indices", ()))
+    guesses = record.alice_op_guesses()
+    pairs = sorted(announced)
+    message = [i for i in pairs if i not in decoys]
+    return (
+        [(guesses.get(i, 0), ops["alice"][i]) for i in message],
+        [(announced[i], ops["alice"][i]) for i in message],
+        [(announced[i], ops["bob"][i]) for i in pairs],
+    )
 
 
 def eve_information(
@@ -346,9 +369,7 @@ def eve_information(
     """
     if not transcript.completed:
         raise ValueError("eve_information needs a completed (non-aborted) run")
-    guesses = record.alice_op_guesses()
-    true_ops = _party_op_codes(transcript, "alice")
-    samples = [(guesses.get(i, 0), true_ops[i]) for i in _message_positions(transcript)]
+    samples, _, _ = _run_samples(record, transcript)
     if len(samples) < min_pairs:
         raise InsufficientSamples(
             f"{len(samples)} message pairs available, need at least {min_pairs}"
@@ -388,34 +409,18 @@ def estimate_information(
     Raises InsufficientSamples when fewer than min_completed runs survive
     their own checks, the common case for aggressive strategies.
     """
-    from .session import Session
-
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     eve_samples: list[tuple[int, int]] = []
     alice_samples: list[tuple[int, int]] = []
     bob_samples: list[tuple[int, int]] = []
     completed = 0
-    for _ in range(trials):
-        cfg = replace(config, seed=int(rng.integers(1 << 63)), eve=strategy)
-        session = Session(
-            cfg,
-            random_message(cfg.alice_capacity_bits, rng),
-            random_message(cfg.bob_capacity_bits, rng),
-        )
-        transcript = session.run()
+    for session, transcript in _trials(strategy, config, trials, rng):
         if not transcript.completed:
             continue
         completed += 1
-        guesses = session.eve_record.alice_op_guesses()
-        announced = _announced_results(transcript)
-        alice_ops = _party_op_codes(transcript, "alice")
-        bob_ops = _party_op_codes(transcript, "bob")
-        for i in _message_positions(transcript):
-            eve_samples.append((guesses.get(i, 0), alice_ops[i]))
-            alice_samples.append((announced[i], alice_ops[i]))
-        for i in sorted(announced):
-            bob_samples.append((announced[i], bob_ops[i]))
+        eve, alice, bob = _run_samples(session.eve_record, transcript)
+        eve_samples += eve
+        alice_samples += alice
+        bob_samples += bob
     if completed < min_completed:
         raise InsufficientSamples(
             f"{completed} completed runs out of {trials}, need {min_completed}"
@@ -430,27 +435,3 @@ def estimate_information(
         eve_guess_vs_alice_bits=mutual_information_bits(eve_samples),
     )
 
-
-def classical_information_sides(
-    transcripts: Iterable["Transcript"],
-) -> tuple[float, float, int]:
-    """(announcement vs Alice pairs MI, announcement vs Bob pairs MI, samples)."""
-    alice_samples: list[tuple[int, int]] = []
-    bob_samples: list[tuple[int, int]] = []
-    for transcript in transcripts:
-        if not transcript.completed:
-            continue
-        announced = _announced_results(transcript)
-        alice_ops = _party_op_codes(transcript, "alice")
-        bob_ops = _party_op_codes(transcript, "bob")
-        for i in _message_positions(transcript):
-            alice_samples.append((announced[i], alice_ops[i]))
-        for i in sorted(announced):
-            bob_samples.append((announced[i], bob_ops[i]))
-    if not alice_samples:
-        raise InsufficientSamples("no completed runs with message pairs")
-    return (
-        mutual_information_bits(alice_samples),
-        mutual_information_bits(bob_samples),
-        len(alice_samples),
-    )

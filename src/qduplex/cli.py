@@ -43,8 +43,6 @@ from .session import (
     run_protocol,
 )
 
-_MODES = ("roundtrip", "table-check", "security-sweep", "info-estimate")
-
 _DEFAULTS: dict[str, object] = {
     "mode": None,
     "pairs": 64,
@@ -73,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qduplex",
         description="Simulate two-way direct messaging over EPR pair blocks.",
     )
-    parser.add_argument("--mode", choices=_MODES, help="what to run")
+    parser.add_argument("--mode", choices=list(_DISPATCH), help="what to run")
     parser.add_argument("--config", help="key=value file; flags override its entries")
     parser.add_argument("--pairs", type=int, help="EPR pairs per run (default 64)")
     parser.add_argument(
@@ -131,15 +129,9 @@ def _resolve(ns: argparse.Namespace) -> dict[str, object]:
         flag_value = getattr(ns, key)
         if flag_value is not None:
             spec[key] = flag_value
-    if spec["mode"] not in _MODES:
-        raise CliError(f"mode must be one of {', '.join(_MODES)}; got {spec['mode']!r}")
+    if spec["mode"] not in _DISPATCH:
+        raise CliError(f"mode must be one of {', '.join(_DISPATCH)}; got {spec['mode']!r}")
     return spec
-
-
-def _config_hash(spec: dict[str, object]) -> str:
-    hashed = {k: v for k, v in spec.items() if k not in ("out", "transcript")}
-    blob = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
 
 
 def _protocol_config(spec: dict[str, object]) -> ProtocolConfig:
@@ -180,35 +172,44 @@ def _bits_text(message: MessageBits) -> str:
     return "".join(str(b) for b in message.bits[: message.payload_bits])
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[object]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def _write_outputs(spec: dict[str, object], rows: list[dict[str, object]]) -> None:
+    """Write rows to the --out CSV, stamped with seed, config_hash and version, plus its sidecar.
+
+    Each row is a dict in FORMAT.md column order; values are stringified.
+    Without --out nothing is written.
+    """
+    out = spec["out"]
+    if not out:
+        return
+    recorded = {k: v for k, v in spec.items() if k not in ("out", "transcript")}
+    blob = json.dumps(recorded, sort_keys=True, separators=(",", ":"))
+    config_hash = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:12]
+    stamp = {"seed": spec["seed"], "config_hash": config_hash, "version": __version__}
+    rows = [{**row, **stamp} for row in rows]
+    with open(str(out), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([str(v) for v in row])
-
-
-def _write_sidecar(out: str, spec: dict[str, object], config_hash: str) -> None:
-    meta = {
-        "tool": "qduplex",
-        "version": __version__,
-        "mode": spec["mode"],
-        "seed": spec["seed"],
-        "config_hash": config_hash,
-        "spec": {k: v for k, v in spec.items() if k not in ("out", "transcript")},
-    }
+        writer.writerow(rows[0])
+        writer.writerows([str(v) for v in row.values()] for row in rows)
+    meta = {"tool": "qduplex", "mode": spec["mode"], **stamp, "spec": recorded}
     Path(f"{out}.meta.json").write_text(
         json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
 
-def _stamp(spec: dict[str, object], config_hash: str) -> list[object]:
-    return [spec["seed"], config_hash, __version__]
+def _estimator_columns(spec: dict[str, object], config: ProtocolConfig) -> dict[str, object]:
+    """The leading columns shared by the security-sweep and info-estimate rows."""
+    return {
+        "mode": spec["mode"],
+        "eve": config.eve.kind.value,
+        "eve_prob": config.eve.attack_prob,
+        "pairs": config.n_pairs,
+        "check_fraction": config.check_fraction_1,
+        "decoys": config.check_count_2,
+        "trials": spec["trials"],
+    }
 
 
 def _mode_table_check(spec: dict[str, object]) -> int:
-    config_hash = _config_hash(spec)
-    all_ok = True
     rows = []
     print("      " + "  ".join(f"{op.name}({op.code >> 1}{op.code & 1})" for op in PauliOp))
     for alice_op in PauliOp:
@@ -221,20 +222,18 @@ def _mode_table_check(spec: dict[str, object]) -> int:
                 state = apply_pauli(state, bob_op, slot)
                 prob = bell_probabilities(state)[expect.index]
                 ok = ok and abs(prob - 1.0) < 1e-9
-            all_ok = all_ok and ok
             cells.append(expect.name.lower())
             rows.append(
-                [alice_op.name, bob_op.name, expect.name.lower(), ok] + _stamp(spec, config_hash)
+                {
+                    "alice_op": alice_op.name,
+                    "bob_op": bob_op.name,
+                    "bell_state": expect.name.lower(),
+                    "verified": ok,
+                }
             )
         print(f"{alice_op.name}({alice_op.code >> 1}{alice_op.code & 1})  " + "  ".join(f"{c:<9}" for c in cells))
-    if spec["out"]:
-        _write_csv(
-            str(spec["out"]),
-            ["alice_op", "bob_op", "bell_state", "verified", "seed", "config_hash", "version"],
-            rows,
-        )
-        _write_sidecar(str(spec["out"]), spec, config_hash)
-    if not all_ok:
+    _write_outputs(spec, rows)
+    if not all(row["verified"] for row in rows):
         print("simulator disagreed with the encoding table", file=sys.stderr)
         return 1
     print("operation table verified against the simulator: 16/16 combinations, both slots")
@@ -242,7 +241,6 @@ def _mode_table_check(spec: dict[str, object]) -> int:
 
 
 def _mode_roundtrip(spec: dict[str, object]) -> int:
-    config_hash = _config_hash(spec)
     config = _protocol_config(spec)
     alice_msg = _parse_message(spec["alice_msg"], config.alice_capacity_bits, config.seed, 1)
     bob_msg = _parse_message(spec["bob_msg"], config.bob_capacity_bits, config.seed, 2)
@@ -265,26 +263,26 @@ def _mode_roundtrip(spec: dict[str, object]) -> int:
         abort_phase = verdict.phase.value
         abort_reason = verdict.reason
         print(f"run aborted in {abort_phase}: {abort_reason}")
-    if spec["out"]:
-        header = [
-            "mode", "pairs", "check_fraction", "decoys", "eve", "eve_prob",
-            "completed", "abort_phase", "abort_reason",
-            "alice_payload_bits", "bob_payload_bits", "alice_decoded_ok", "bob_decoded_ok",
-            "seed", "config_hash", "version",
-        ]
-        row = [
-            spec["mode"], config.n_pairs, config.check_fraction_1, config.check_count_2,
-            config.eve.kind.value, config.eve.attack_prob,
-            completed, abort_phase, abort_reason,
-            alice_msg.payload_bits, bob_msg.payload_bits, alice_ok, bob_ok,
-        ] + _stamp(spec, config_hash)
-        _write_csv(str(spec["out"]), header, [row])
-        _write_sidecar(str(spec["out"]), spec, config_hash)
+    row = {
+        "mode": spec["mode"],
+        "pairs": config.n_pairs,
+        "check_fraction": config.check_fraction_1,
+        "decoys": config.check_count_2,
+        "eve": config.eve.kind.value,
+        "eve_prob": config.eve.attack_prob,
+        "completed": completed,
+        "abort_phase": abort_phase,
+        "abort_reason": abort_reason,
+        "alice_payload_bits": alice_msg.payload_bits,
+        "bob_payload_bits": bob_msg.payload_bits,
+        "alice_decoded_ok": alice_ok,
+        "bob_decoded_ok": bob_ok,
+    }
+    _write_outputs(spec, [row])
     return 0 if completed else 3
 
 
 def _mode_security_sweep(spec: dict[str, object]) -> int:
-    config_hash = _config_hash(spec)
     config = _protocol_config(spec)
     strategy = config.eve
     trials = int(spec["trials"])
@@ -303,29 +301,25 @@ def _mode_security_sweep(spec: dict[str, object]) -> int:
         f"[{stats.abort_ci[0]:.4f}, {stats.abort_ci[1]:.4f}] "
         f"(predicted {abort_pred:.4f}, {trials} runs, {config.first_check_count} check photons)"
     )
-    if spec["out"]:
-        header = [
-            "mode", "eve", "eve_prob", "pairs", "check_fraction", "decoys", "trials",
-            "checked_photons", "violations", "per_photon_rate",
-            "per_photon_ci_low", "per_photon_ci_high", "predicted_per_photon_rate",
-            "aborted_runs", "abort_rate", "abort_ci_low", "abort_ci_high",
-            "predicted_abort_rate", "seed", "config_hash", "version",
-        ]
-        row = [
-            spec["mode"], strategy.kind.value, strategy.attack_prob,
-            config.n_pairs, config.check_fraction_1, config.check_count_2, trials,
-            stats.checked_photons, stats.violations, stats.per_photon_rate,
-            stats.per_photon_ci[0], stats.per_photon_ci[1], photon_pred,
-            stats.aborted_runs, stats.abort_rate, stats.abort_ci[0], stats.abort_ci[1],
-            abort_pred,
-        ] + _stamp(spec, config_hash)
-        _write_csv(str(spec["out"]), header, [row])
-        _write_sidecar(str(spec["out"]), spec, config_hash)
+    row = {
+        **_estimator_columns(spec, config),
+        "checked_photons": stats.checked_photons,
+        "violations": stats.violations,
+        "per_photon_rate": stats.per_photon_rate,
+        "per_photon_ci_low": stats.per_photon_ci[0],
+        "per_photon_ci_high": stats.per_photon_ci[1],
+        "predicted_per_photon_rate": photon_pred,
+        "aborted_runs": stats.aborted_runs,
+        "abort_rate": stats.abort_rate,
+        "abort_ci_low": stats.abort_ci[0],
+        "abort_ci_high": stats.abort_ci[1],
+        "predicted_abort_rate": abort_pred,
+    }
+    _write_outputs(spec, [row])
     return 0
 
 
 def _mode_info_estimate(spec: dict[str, object]) -> int:
-    config_hash = _config_hash(spec)
     config = _protocol_config(spec)
     strategy = config.eve
     trials = int(spec["trials"])
@@ -338,28 +332,21 @@ def _mode_info_estimate(spec: dict[str, object]) -> int:
     print(f"announced results vs alice bits: {stats.announced_vs_alice_bits:.6f} bits/pair")
     print(f"announced results vs bob bits:   {stats.announced_vs_bob_bits:.6f} bits/pair")
     print(f"eve's guesses vs alice bits:     {stats.eve_guess_vs_alice_bits:.6f} bits/pair")
-    if spec["out"]:
-        header = [
-            "mode", "eve", "eve_prob", "pairs", "check_fraction", "decoys", "trials",
-            "completed_runs", "message_pairs",
-            "announced_vs_alice_bits", "announced_vs_bob_bits", "eve_guess_vs_alice_bits",
-            "seed", "config_hash", "version",
-        ]
-        row = [
-            spec["mode"], strategy.kind.value, strategy.attack_prob,
-            config.n_pairs, config.check_fraction_1, config.check_count_2, trials,
-            stats.completed_runs, stats.message_pairs,
-            stats.announced_vs_alice_bits, stats.announced_vs_bob_bits,
-            stats.eve_guess_vs_alice_bits,
-        ] + _stamp(spec, config_hash)
-        _write_csv(str(spec["out"]), header, [row])
-        _write_sidecar(str(spec["out"]), spec, config_hash)
+    row = {
+        **_estimator_columns(spec, config),
+        "completed_runs": stats.completed_runs,
+        "message_pairs": stats.message_pairs,
+        "announced_vs_alice_bits": stats.announced_vs_alice_bits,
+        "announced_vs_bob_bits": stats.announced_vs_bob_bits,
+        "eve_guess_vs_alice_bits": stats.eve_guess_vs_alice_bits,
+    }
+    _write_outputs(spec, [row])
     return 0
 
 
 _DISPATCH = {
-    "table-check": _mode_table_check,
     "roundtrip": _mode_roundtrip,
+    "table-check": _mode_table_check,
     "security-sweep": _mode_security_sweep,
     "info-estimate": _mode_info_estimate,
 }

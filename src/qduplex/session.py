@@ -48,6 +48,10 @@ class CapacityExceeded(ProtocolError):
     pass
 
 
+class TranscriptInvalid(ValueError):
+    """A transcript file that does not follow FORMAT.md."""
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     """Everything that determines one run, including the RNG seed.
@@ -119,91 +123,19 @@ class ProtocolConfig:
 # Classical wire
 
 
-@dataclass(frozen=True)
-class CheckIndices:
-    indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class BasisAnnounce:
-    bases: tuple[tuple[int, Basis], ...]
-
-
-@dataclass(frozen=True)
-class OutcomeAnnounce:
-    outcomes: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class CheckVerdict:
-    passed: bool
-    violations: int
-
-
-@dataclass(frozen=True)
-class SecondCheckIndices:
-    indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SecondCheckReveal:
-    ops: tuple[tuple[int, PauliOp], ...]
-
-
-@dataclass(frozen=True)
-class BellResults:
-    results: tuple[tuple[int, BellState], ...]
-
-
-@dataclass(frozen=True)
-class Abort:
-    reason: str
-
-
-ClassicalMessage = Union[
-    CheckIndices,
-    BasisAnnounce,
-    OutcomeAnnounce,
-    CheckVerdict,
-    SecondCheckIndices,
-    SecondCheckReveal,
-    BellResults,
-    Abort,
-]
-
-
-def _message_indices(message: ClassicalMessage) -> tuple[int, ...]:
-    if isinstance(message, (CheckIndices, SecondCheckIndices)):
-        return message.indices
-    if isinstance(message, BasisAnnounce):
-        return tuple(i for i, _ in message.bases)
-    if isinstance(message, OutcomeAnnounce):
-        return tuple(i for i, _ in message.outcomes)
-    if isinstance(message, SecondCheckReveal):
-        return tuple(i for i, _ in message.ops)
-    if isinstance(message, BellResults):
-        return tuple(i for i, _ in message.results)
-    return ()
-
-
-def _message_payload(message: ClassicalMessage) -> dict:
-    if isinstance(message, CheckIndices):
-        return {"type": "check_indices", "indices": list(message.indices)}
-    if isinstance(message, BasisAnnounce):
-        return {"type": "basis_announce", "bases": [[i, b.value] for i, b in message.bases]}
-    if isinstance(message, OutcomeAnnounce):
-        return {"type": "outcome_announce", "outcomes": [[i, o] for i, o in message.outcomes]}
-    if isinstance(message, CheckVerdict):
-        return {"type": "check_verdict", "passed": message.passed, "violations": message.violations}
-    if isinstance(message, SecondCheckIndices):
-        return {"type": "second_check_indices", "indices": list(message.indices)}
-    if isinstance(message, SecondCheckReveal):
-        return {"type": "second_check_reveal", "ops": [[i, op.name] for i, op in message.ops]}
-    if isinstance(message, BellResults):
-        return {"type": "bell_results", "results": [[i, r.name.lower()] for i, r in message.results]}
-    if isinstance(message, Abort):
-        return {"type": "abort", "reason": message.reason}
-    raise InternalFault(f"unknown message type {type(message).__name__}")
+# Each FORMAT.md message `type` and the payload field that lists pair
+# indices, or None.  This table is the only definition of the wire; an
+# indexed field holds bare indices or [index, value] entries.
+_MESSAGE_INDEX_FIELD: dict[str, str | None] = {
+    "check_indices": "indices",
+    "basis_announce": "bases",
+    "outcome_announce": "outcomes",
+    "check_verdict": None,
+    "second_check_indices": "indices",
+    "second_check_reveal": "ops",
+    "bell_results": "results",
+    "abort": None,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -352,19 +284,28 @@ class Transcript:
         events: list[Event] = []
         for lineno, line in enumerate(text.splitlines()):
             if not line.strip():
-                raise ValueError(f"blank record at line {lineno}")
-            raw = json.loads(line)
-            event = Event(
-                seq=raw["seq"], actor=raw["actor"], kind=raw["kind"], payload=raw["payload"]
-            )
+                raise TranscriptInvalid(f"blank record at line {lineno}")
+            try:
+                raw = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise TranscriptInvalid(f"line {lineno}: {exc}") from exc
+            if not isinstance(raw, dict) or raw.keys() != {"seq", "actor", "kind", "payload"}:
+                raise TranscriptInvalid(
+                    f"line {lineno}: expected an object with exactly seq, actor, kind and payload"
+                )
+            event = Event(**raw)
             if event.seq != lineno:
-                raise ValueError(
+                raise TranscriptInvalid(
                     f"sequence numbers must be dense from 0: expected {lineno}, got {event.seq}"
                 )
             events.append(event)
         if not events or events[-1].kind != "verdict":
-            raise ValueError("transcript is truncated: no verdict record")
-        return cls(events=events, verdict=_verdict_from_payload(events[-1].payload))
+            raise TranscriptInvalid("transcript is truncated: no verdict record")
+        try:
+            verdict = _verdict_from_payload(events[-1].payload)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TranscriptInvalid(f"malformed verdict payload: {exc!r}") from exc
+        return cls(events=events, verdict=verdict)
 
     @classmethod
     def read_jsonl(cls, path: str | Path) -> "Transcript":
@@ -401,19 +342,22 @@ class _Recorder:
     def emit(self, actor: str, kind: str, payload: dict) -> None:
         self.events.append(Event(seq=len(self.events), actor=actor, kind=kind, payload=payload))
 
-    def send(self, sender: Role, message: ClassicalMessage) -> ClassicalMessage:
-        indices = _message_indices(message)
+    def send(self, sender: Role, type: str, **fields: object) -> None:
+        """Put one classical message on the wire; fields are already in wire form."""
+        if type not in _MESSAGE_INDEX_FIELD:
+            raise InternalFault(f"unknown message type {type!r}")
+        index_field = _MESSAGE_INDEX_FIELD[type]
+        entries = fields[index_field] if index_field else []
+        indices = [e if index_field == "indices" else e[0] for e in entries]
         for prev, cur in zip(indices, indices[1:]):
             if cur <= prev:
                 raise InternalFault("message indices must be strictly increasing")
         for i in indices:
             if not 0 <= i < self._n_pairs:
                 raise InternalFault(f"message index {i} outside pair range")
-        payload = {"msg_seq": self._msg_seq, "sender": sender.value}
-        payload.update(_message_payload(message))
+        payload = {"msg_seq": self._msg_seq, "sender": sender.value, "type": type, **fields}
         self._msg_seq += 1
         self.emit(sender.value, "message", payload)
-        return message
 
 
 def audit_custody(transcript: Transcript) -> list[str]:
@@ -481,16 +425,14 @@ class Session:
         self, config: ProtocolConfig, alice_msg: MessageBits, bob_msg: MessageBits
     ) -> None:
         config.validate()
-        if len(alice_msg.bits) > config.alice_capacity_bits:
-            raise CapacityExceeded(
-                f"alice message of {len(alice_msg.bits)} bits exceeds capacity "
-                f"{config.alice_capacity_bits}"
-            )
-        if len(bob_msg.bits) > config.bob_capacity_bits:
-            raise CapacityExceeded(
-                f"bob message of {len(bob_msg.bits)} bits exceeds capacity "
-                f"{config.bob_capacity_bits}"
-            )
+        for name, message, capacity in (
+            ("alice", alice_msg, config.alice_capacity_bits),
+            ("bob", bob_msg, config.bob_capacity_bits),
+        ):
+            if len(message.bits) > capacity:
+                raise CapacityExceeded(
+                    f"{name} message of {len(message.bits)} bits exceeds capacity {capacity}"
+                )
         self.config = config
         alice_ss, bob_ss, eve_ss = np.random.SeedSequence(config.seed).spawn(3)
         self._alice_rng: RandomStream = np.random.default_rng(alice_ss)
@@ -562,44 +504,28 @@ class Session:
         chosen = sorted(
             int(i) for i in self._bob_rng.choice(cfg.n_pairs, size=count, replace=False)
         )
-        self._rec.send(Role.BOB, CheckIndices(indices=tuple(chosen)))
+        self._rec.send(Role.BOB, "check_indices", indices=chosen)
         bases: dict[int, Basis] = {
             i: (Basis.Z if self._bob_rng.integers(2) == 0 else Basis.X) for i in chosen
         }
-        bob_outcomes: dict[int, int] = {}
-        for i in chosen:
-            self.bob.require(i, QubitSlot.C)
-            outcome, state = measure_qubit(self._states[i], QubitSlot.C, bases[i], self._bob_rng)
-            self._states[i] = state
-            bob_outcomes[i] = outcome
-            self._rec.emit(
-                "bob",
-                "measure",
-                {"pair": i, "slot": "C", "basis": bases[i].value, "outcome": outcome},
-            )
-        self._rec.send(Role.BOB, BasisAnnounce(bases=tuple((i, bases[i]) for i in chosen)))
+        bob_outcomes = {
+            i: self._measure(self.bob, self._bob_rng, i, QubitSlot.C, bases[i]) for i in chosen
+        }
+        self._rec.send(Role.BOB, "basis_announce", bases=[[i, bases[i].value] for i in chosen])
         self._rec.send(
-            Role.BOB, OutcomeAnnounce(outcomes=tuple((i, bob_outcomes[i]) for i in chosen))
+            Role.BOB, "outcome_announce", outcomes=[[i, bob_outcomes[i]] for i in chosen]
         )
-        violations = 0
-        for i in chosen:
-            self.alice.require(i, QubitSlot.M)
-            outcome, state = measure_qubit(self._states[i], QubitSlot.M, bases[i], self._alice_rng)
-            self._states[i] = state
-            self._rec.emit(
-                "alice",
-                "measure",
-                {"pair": i, "slot": "M", "basis": bases[i].value, "outcome": outcome},
-            )
-            if outcome == bob_outcomes[i]:
-                violations += 1
+        violations = sum(
+            self._measure(self.alice, self._alice_rng, i, QubitSlot.M, bases[i]) == bob_outcomes[i]
+            for i in chosen
+        )
         passed = violations <= cfg.abort_threshold
         self._stats["first_check"] = {
             "sampled": count,
             "violations": violations,
             "passed": passed,
         }
-        self._rec.send(Role.ALICE, CheckVerdict(passed=passed, violations=violations))
+        self._rec.send(Role.ALICE, "check_verdict", passed=passed, violations=violations)
         if not passed:
             self._abort("anticorrelation check failed")
             return False
@@ -627,9 +553,8 @@ class Session:
         else:
             decoy_positions = frozenset()
         self.alice.decoy_positions = decoy_positions
-        message_positions = [i for i in self.survivors if i not in decoy_positions]
-        message_pairs = _padded_pairs(self.alice.message, len(message_positions))
-        next_pair = iter(message_pairs)
+        message_count = len(self.survivors) - len(decoy_positions)
+        next_pair = iter(_padded_pairs(self.alice.message, message_count))
         for i in self.survivors:
             if i in decoy_positions:
                 op = PauliOp(int(self._alice_rng.integers(4)))
@@ -664,7 +589,8 @@ class Session:
             self._rec.emit("bob", "bell_measure", {"pair": i, "result": result.name.lower()})
         self._rec.send(
             Role.BOB,
-            BellResults(results=tuple((i, self.announced[i]) for i in self.survivors)),
+            "bell_results",
+            results=[[i, self.announced[i].name.lower()] for i in self.survivors],
         )
 
     def second_check(self) -> bool:
@@ -673,26 +599,27 @@ class Session:
         Alice reveals which pairs were decoys, Bob reveals his ops there,
         and Alice checks each announcement against the deterministic
         expected outcome; then she reveals her decoy ops with the verdict.
-        Any mismatch aborts.  With zero decoys the check passes vacuously.
+        Any mismatch aborts.  With zero decoys the check passes vacuously
+        and nothing goes on the wire.
         """
         self._advance_both(Phase.SECOND_CHECK)
         decoys = sorted(self.alice.decoy_positions)
-        if not decoys:
-            self._stats["second_check"] = {
-                "decoys": 0,
-                "decoy_indices": [],
-                "mismatches": 0,
-                "passed": True,
-            }
-            return True
-        self._rec.send(Role.ALICE, SecondCheckIndices(indices=tuple(decoys)))
-        bob_reveal = tuple((i, self.bob.applied_ops[i]) for i in decoys)
-        self._rec.send(Role.BOB, SecondCheckReveal(ops=bob_reveal))
+        alice_ops, bob_ops = self.alice.applied_ops, self.bob.applied_ops
         mismatches = 0
-        for i, bob_op in bob_reveal:
-            expected = expected_bell(self.alice.applied_ops[i], bob_op)
-            if self.announced[i] is not expected:
-                mismatches += 1
+        if decoys:
+            self._rec.send(Role.ALICE, "second_check_indices", indices=decoys)
+            self._rec.send(
+                Role.BOB, "second_check_reveal", ops=[[i, bob_ops[i].name] for i in decoys]
+            )
+            mismatches = sum(
+                self.announced[i] is not expected_bell(alice_ops[i], bob_ops[i]) for i in decoys
+            )
+            self._rec.send(
+                Role.ALICE, "second_check_reveal", ops=[[i, alice_ops[i].name] for i in decoys]
+            )
+            self._rec.send(
+                Role.ALICE, "check_verdict", passed=mismatches == 0, violations=mismatches
+            )
         passed = mismatches == 0
         self._stats["second_check"] = {
             "decoys": len(decoys),
@@ -700,15 +627,9 @@ class Session:
             "mismatches": mismatches,
             "passed": passed,
         }
-        self._rec.send(
-            Role.ALICE,
-            SecondCheckReveal(ops=tuple((i, self.alice.applied_ops[i]) for i in decoys)),
-        )
-        self._rec.send(Role.ALICE, CheckVerdict(passed=passed, violations=mismatches))
         if not passed:
             self._abort("decoy results diverged from announcements")
-            return False
-        return True
+        return passed
 
     def decode_both(self) -> None:
         """Each side recovers the other's message from the announcements.
@@ -755,10 +676,22 @@ class Session:
         self.alice.advance(phase)
         self.bob.advance(phase)
 
+    def _measure(
+        self, party: PartyState, rng: RandomStream, pair: int, slot: QubitSlot, basis: Basis
+    ) -> int:
+        """One party measures its photon of a pair in a basis and logs the outcome."""
+        party.require(pair, slot)
+        outcome, self._states[pair] = measure_qubit(self._states[pair], slot, basis, rng)
+        self._rec.emit(
+            party.role.value,
+            "measure",
+            {"pair": pair, "slot": slot.value, "basis": basis.value, "outcome": outcome},
+        )
+        return outcome
+
     def _abort(self, reason: str) -> None:
-        self._rec.send(Role.ALICE, Abort(reason=reason))
-        self.alice.advance(Phase.ABORTED)
-        self.bob.advance(Phase.ABORTED)
+        self._rec.send(Role.ALICE, "abort", reason=reason)
+        self._advance_both(Phase.ABORTED)
 
     def _finish(self, verdict: Verdict) -> Transcript:
         self._finished = True

@@ -264,6 +264,8 @@ def test_mutual_information_exact_small_cases():
     assert mutual_information_bits([(x, y) for x in range(4) for y in range(4)]) == pytest.approx(
         0.0, abs=1e-12
     )
+    # a constant column is exactly 0, not the plug-in sum's rounding residue (8.97e-17)
+    assert mutual_information_bits([(0, 0)] * 7 + [(0, 1)] * 18) == 0.0
     with pytest.raises(InsufficientSamples):
         mutual_information_bits([])
 

@@ -55,8 +55,9 @@ def test_table_check_verifies_all_combinations(capsys):
             "--eve", "intercept-rand", "--eve-prob", "0.5", "--trials", "20", "--seed", "5",
         ], id="security_sweep"),
         pytest.param("info_estimate", 0, [
-            "--mode", "info-estimate", "--pairs", "32", "--check-fraction", "0.125", "--decoys", "2",
-            "--eve", "intercept-z", "--eve-prob", "0.1", "--trials", "8", "--seed", "3",
+            "--mode", "info-estimate", "--pairs", "32", "--check-fraction", "0.125",
+            "--decoys", "2", "--eve", "intercept-z", "--eve-prob", "0.1", "--trials", "8",
+            "--seed", "3",
         ], id="info_estimate"),
     ],
 )

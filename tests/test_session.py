@@ -25,6 +25,7 @@ from qduplex.session import (
     Role,
     Session,
     Transcript,
+    TranscriptInvalid,
     audit_custody,
     run_protocol,
 )
@@ -253,6 +254,46 @@ def test_from_jsonl_rejects_blank_interior_line():
     lines = run_protocol(config, *fixed_messages(config)).to_jsonl().splitlines()
     with pytest.raises(ValueError, match="blank"):
         Transcript.from_jsonl(lines[0] + "\n\n" + "\n".join(lines[1:]) + "\n")
+
+
+_VALID_HEAD = '{"actor":"session","kind":"config","payload":{},"seq":0}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param("[]\n", id="non-object line"),
+        pytest.param('"record"\n', id="string line"),
+        pytest.param("{not json\n", id="not json"),
+        pytest.param('{"kind":"verdict","payload":{},"seq":0}\n', id="no actor"),
+        pytest.param('{"actor":"session","kind":"verdict","payload":{}}\n', id="no seq"),
+        pytest.param('{"actor":"session","payload":{},"seq":0}\n', id="no kind"),
+        pytest.param('{"actor":"session","kind":"verdict","seq":0}\n', id="no payload"),
+        pytest.param(
+            _VALID_HEAD + '\n{"actor":"session","kind":"verdict",'
+            '"payload":{"outcome":"aborted","reason":"x"},"seq":1}\n',
+            id="verdict without phase",
+        ),
+        pytest.param(
+            _VALID_HEAD + '\n{"actor":"session","kind":"verdict",'
+            '"payload":{"outcome":"aborted","phase":"nowhere","reason":"x"},"seq":1}\n',
+            id="verdict with unknown phase",
+        ),
+        pytest.param(
+            _VALID_HEAD + '\n{"actor":"session","kind":"verdict","payload":[],"seq":1}\n',
+            id="verdict payload not an object",
+        ),
+        pytest.param(
+            _VALID_HEAD + '\n{"actor":"session","kind":"verdict","payload":{"outcome":'
+            '"completed","alice_decoded":{"bits":"0x","pad_bits":0}},"seq":1}\n',
+            id="completed verdict with bad bits",
+        ),
+    ],
+)
+def test_from_jsonl_raises_transcript_invalid(text):
+    with pytest.raises(TranscriptInvalid) as info:
+        Transcript.from_jsonl(text)
+    assert isinstance(info.value, ValueError)
 
 
 def test_config_and_stats_accessors_validate():
