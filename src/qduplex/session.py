@@ -1,4 +1,4 @@
-"""Two-party protocol engine: state machines, classical wire, transcripts.
+"""Two-party protocol engine: state machine, classical wire, transcripts, custody.
 
 One Session runs the whole exchange between an in-process Alice and Bob:
 pair preparation, the travelling-photon leg with Eve on the channel, the
@@ -164,38 +164,13 @@ class Role(enum.Enum):
 
 @dataclass
 class PartyState:
-    """One party's protocol view: phase, photon custody, and bookkeeping."""
+    """One party's protocol bookkeeping: its message, ops, decoys, and decode."""
 
     role: Role
     message: MessageBits
-    phase: Phase = Phase.INIT
-    custody: dict[int, set[QubitSlot]] = field(default_factory=dict)
     applied_ops: dict[int, PauliOp] = field(default_factory=dict)
     decoy_positions: frozenset[int] = frozenset()
     decoded: MessageBits | None = None
-
-    def advance(self, phase: Phase) -> None:
-        if phase is not Phase.ABORTED and _PHASE_RANK[phase] <= _PHASE_RANK[self.phase]:
-            raise InternalFault(
-                f"{self.role.value} cannot move from {self.phase.value} to {phase.value}"
-            )
-        self.phase = phase
-
-    def grant(self, pair: int, slot: QubitSlot) -> None:
-        self.custody.setdefault(pair, set()).add(slot)
-
-    def release(self, pair: int, slot: QubitSlot) -> None:
-        self.require(pair, slot)
-        self.custody[pair].discard(slot)
-
-    def holds(self, pair: int, slot: QubitSlot) -> bool:
-        return slot in self.custody.get(pair, set())
-
-    def require(self, pair: int, slot: QubitSlot) -> None:
-        if not self.holds(pair, slot):
-            raise InternalFault(
-                f"{self.role.value} does not hold pair {pair} slot {slot.value}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +269,16 @@ class Transcript:
                     f"line {lineno}: expected an object with exactly seq, actor, kind and payload"
                 )
             event = Event(**raw)
-            if event.seq != lineno:
+            if type(event.seq) is not int or event.seq != lineno:
                 raise TranscriptInvalid(
-                    f"sequence numbers must be dense from 0: expected {lineno}, got {event.seq}"
+                    f"sequence numbers must be dense from 0: expected {lineno}, got {event.seq!r}"
                 )
             events.append(event)
         if not events or events[-1].kind != "verdict":
             raise TranscriptInvalid("transcript is truncated: no verdict record")
         try:
             verdict = _verdict_from_payload(events[-1].payload)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TranscriptInvalid(f"malformed verdict payload: {exc!r}") from exc
         return cls(events=events, verdict=verdict)
 
@@ -323,24 +298,90 @@ def _verdict_payload(verdict: Verdict) -> dict:
 
 
 def _verdict_from_payload(payload: dict) -> Verdict:
-    if payload["outcome"] == "completed":
+    outcome = payload["outcome"]
+    if outcome == "completed":
         return Completed(
             alice_decoded=_message_bits_from_payload(payload["alice_decoded"]),
             bob_decoded=_message_bits_from_payload(payload["bob_decoded"]),
         )
+    if outcome != "aborted":
+        raise ValueError(f"unknown outcome {outcome!r}")
     return Aborted(phase=Phase(payload["phase"]), reason=payload["reason"])
 
 
+class _CustodyLedger:
+    """Who holds each photon, under the custody rules of FORMAT.md.
+
+    Maps (pair, slot) to "alice", "bob", "channel" or "consumed".  A
+    Session applies every event as it records it and audit_custody replays
+    a saved log through a fresh ledger, so both enforce the same rules.
+    """
+
+    def __init__(self) -> None:
+        self._holder: dict[tuple[int, str], object] = {}
+
+    def apply(self, event: Event) -> list[str]:
+        """Apply one event and return its violations; a photon whose rule breaks does not move.
+
+        Raises TranscriptInvalid on a custody event without a valid pair or slot.
+        """
+        kind, actor = event.kind, event.actor
+        # who must hold each photon the event names, and who holds it after (None: unchanged)
+        if kind == "send":
+            expect, to = actor, "channel"
+        elif kind == "receive":
+            expect, to = "channel", actor
+        elif kind == "pauli" or kind == "measure":
+            expect, to = actor, None
+        elif kind == "eve_touch":
+            expect, to = "channel", None
+        elif kind == "bell_measure":
+            expect, to = actor, "consumed"
+        elif kind != "prepare":
+            return []
+        payload = event.payload
+        pair = payload.get("pair") if type(payload) is dict else None
+        if type(pair) is not int:
+            raise TranscriptInvalid(f"seq {event.seq}: {kind} record without an integer pair")
+        if kind == "prepare":
+            self._holder[pair, "C"] = self._holder[pair, "M"] = actor
+            return [] if actor == "alice" else [f"seq {event.seq}: pair {pair} prepared by {actor}"]
+        if kind == "bell_measure":
+            slots = ("C", "M")
+        else:
+            slot = payload.get("slot")
+            if slot != "C" and slot != "M":
+                raise TranscriptInvalid(f"seq {event.seq}: {kind} record without a slot C or M")
+            slots = (slot,)
+        violations = []
+        for slot in slots:
+            actual = self._holder.get((pair, slot))
+            if actual != expect:
+                violations.append(
+                    f"seq {event.seq}: {kind} on pair {pair} slot {slot} "
+                    f"held by {actual}, expected {expect}"
+                )
+            elif to is not None:
+                self._holder[pair, slot] = to
+        return violations
+
+
 class _Recorder:
-    """Appends events with dense sequence numbers and numbers the wire."""
+    """Appends events with dense sequence numbers, numbers the wire, keeps custody."""
 
     def __init__(self, n_pairs: int) -> None:
         self.events: list[Event] = []
         self._n_pairs = n_pairs
         self._msg_seq = 0
+        self._custody = _CustodyLedger()
 
     def emit(self, actor: str, kind: str, payload: dict) -> None:
-        self.events.append(Event(seq=len(self.events), actor=actor, kind=kind, payload=payload))
+        """Append one event; a custody violation raises before it enters the log."""
+        event = Event(seq=len(self.events), actor=actor, kind=kind, payload=payload)
+        violations = self._custody.apply(event)
+        if violations:
+            raise InternalFault(violations[0])
+        self.events.append(event)
 
     def send(self, sender: Role, type: str, **fields: object) -> None:
         """Put one classical message on the wire; fields are already in wire form."""
@@ -364,48 +405,13 @@ def audit_custody(transcript: Transcript) -> list[str]:
     """Replay the event log and flag any op on a photon outside custody.
 
     Tracks each (pair, slot) through prepare, send, channel, receive, and
-    consumption by Bell measurement.  Returns human-readable violations;
-    an empty list means the transcript respects custody everywhere.
+    consumption by Bell measurement, with the rules a Session enforces as
+    it records.  Returns human-readable violations; an empty list means the
+    transcript respects custody everywhere.  Raises TranscriptInvalid on a
+    custody record without a valid pair or slot.
     """
-    holder: dict[tuple[int, str], str] = {}
-    violations: list[str] = []
-
-    def check(event: Event, pair: int, slot: str, expect: str) -> bool:
-        actual = holder.get((pair, slot))
-        if actual != expect:
-            violations.append(
-                f"seq {event.seq}: {event.kind} on pair {pair} slot {slot} "
-                f"held by {actual}, expected {expect}"
-            )
-            return False
-        return True
-
-    for event in transcript.events:
-        kind, payload = event.kind, event.payload
-        if kind == "prepare":
-            pair = payload["pair"]
-            if event.actor != "alice":
-                violations.append(f"seq {event.seq}: pair {pair} prepared by {event.actor}")
-            holder[(pair, "C")] = event.actor
-            holder[(pair, "M")] = event.actor
-        elif kind == "send":
-            pair, slot = payload["pair"], payload["slot"]
-            if check(event, pair, slot, event.actor):
-                holder[(pair, slot)] = "channel"
-        elif kind == "eve_touch":
-            check(event, payload["pair"], payload["slot"], "channel")
-        elif kind == "receive":
-            pair, slot = payload["pair"], payload["slot"]
-            if check(event, pair, slot, "channel"):
-                holder[(pair, slot)] = event.actor
-        elif kind in ("pauli", "measure"):
-            check(event, payload["pair"], payload["slot"], event.actor)
-        elif kind == "bell_measure":
-            pair = payload["pair"]
-            for slot in ("C", "M"):
-                if check(event, pair, slot, event.actor):
-                    holder[(pair, slot)] = "consumed"
-    return violations
+    ledger = _CustodyLedger()
+    return [v for event in transcript.events for v in ledger.apply(event)]
 
 
 # ---------------------------------------------------------------------------
@@ -440,35 +446,32 @@ class Session:
         self._eve_rng: RandomStream = np.random.default_rng(eve_ss)
         self.alice = PartyState(role=Role.ALICE, message=alice_msg)
         self.bob = PartyState(role=Role.BOB, message=bob_msg)
+        self.phase = Phase.INIT
         self.eve_record = EveRecord()
         self.survivors: list[int] = []
         self.announced: dict[int, BellState] = {}
         self._states: dict[int, TwoQubitState] = {}
         self._stats: dict = {}
         self._rec = _Recorder(config.n_pairs)
-        self._finished = False
         self._rec.emit("session", "config", config.to_payload())
 
     # -- phase steps, in protocol order
 
     def prepare_pairs(self) -> None:
-        self._advance_both(Phase.FIRST_TRANSMISSION)
+        self._advance(Phase.FIRST_TRANSMISSION)
         for i in range(self.config.n_pairs):
             self._states[i] = make_singlet()
-            self.alice.grant(i, QubitSlot.C)
-            self.alice.grant(i, QubitSlot.M)
             self._rec.emit("alice", "prepare", {"pair": i})
 
     def transmit(self, leg: Leg) -> None:
         """Send one leg's photons from Alice to Bob through Eve's channel."""
         slot = leg_slot(leg)
         if leg is Leg.SECOND:
-            self._advance_both(Phase.SECOND_TRANSMISSION)
+            self._advance(Phase.SECOND_TRANSMISSION)
             indices = list(self.survivors)
         else:
             indices = list(range(self.config.n_pairs))
         for i in indices:
-            self.alice.release(i, slot)
             self._rec.emit("alice", "send", {"pair": i, "slot": slot.value, "to": "bob"})
         in_transit = {i: self._states[i] for i in indices}
         disturbed, record = transit(in_transit, leg, self.config.eve, self._eve_rng)
@@ -487,7 +490,6 @@ class Session:
             )
         self.eve_record.extend(record)
         for i in indices:
-            self.bob.grant(i, slot)
             self._rec.emit("bob", "receive", {"pair": i, "slot": slot.value})
 
     def first_check(self) -> bool:
@@ -498,7 +500,7 @@ class Session:
         Any equal pair of outcomes is a violation.  Sampled pairs are
         consumed either way.
         """
-        self._advance_both(Phase.FIRST_CHECK)
+        self._advance(Phase.FIRST_CHECK)
         cfg = self.config
         count = cfg.first_check_count
         chosen = sorted(
@@ -540,7 +542,7 @@ class Session:
         uniformly random recorded op instead of message bits; everything
         else consumes message pairs in photon-sequence order.
         """
-        self._advance_both(Phase.ENCODING)
+        self._advance(Phase.ENCODING)
         cfg = self.config
         if cfg.check_count_2 > 0:
             decoys = frozenset(
@@ -560,7 +562,6 @@ class Session:
                 op = PauliOp(int(self._alice_rng.integers(4)))
             else:
                 op = op_for_bits(next(next_pair))
-            self.alice.require(i, QubitSlot.M)
             self._states[i] = apply_pauli(self._states[i], op, QubitSlot.M)
             self.alice.applied_ops[i] = op
             self._rec.emit("alice", "pauli", {"pair": i, "slot": "M", "op": op.name})
@@ -572,20 +573,16 @@ class Session:
         (never announced), then a Bell measurement that consumes the pair.
         Results are announced for all survivors at once, in index order.
         """
-        self._advance_both(Phase.BELL_ANNOUNCE)
+        self._advance(Phase.BELL_ANNOUNCE)
         message_pairs = _padded_pairs(self.bob.message, len(self.survivors))
         for i, pair_bits in zip(self.survivors, message_pairs):
             op = op_for_bits(pair_bits)
             slot = QubitSlot.C if self._bob_rng.integers(2) == 0 else QubitSlot.M
-            self.bob.require(i, QubitSlot.C)
-            self.bob.require(i, QubitSlot.M)
             self._states[i] = apply_pauli(self._states[i], op, slot)
             self.bob.applied_ops[i] = op
             self._rec.emit("bob", "pauli", {"pair": i, "slot": slot.value, "op": op.name})
             result = bell_measure(self._states.pop(i), self._bob_rng)
             self.announced[i] = result
-            self.bob.release(i, QubitSlot.C)
-            self.bob.release(i, QubitSlot.M)
             self._rec.emit("bob", "bell_measure", {"pair": i, "result": result.name.lower()})
         self._rec.send(
             Role.BOB,
@@ -602,7 +599,7 @@ class Session:
         Any mismatch aborts.  With zero decoys the check passes vacuously
         and nothing goes on the wire.
         """
-        self._advance_both(Phase.SECOND_CHECK)
+        self._advance(Phase.SECOND_CHECK)
         decoys = sorted(self.alice.decoy_positions)
         alice_ops, bob_ops = self.alice.applied_ops, self.bob.applied_ops
         mismatches = 0
@@ -653,11 +650,9 @@ class Session:
         self.alice.decoded = MessageBits.from_pairs(
             bob_sent_pairs, self.bob.message.payload_bits
         )
-        self._advance_both(Phase.DONE)
+        self._advance(Phase.DONE)
 
     def run(self) -> Transcript:
-        if self._finished:
-            raise InternalFault("a Session runs exactly once")
         self.prepare_pairs()
         self.transmit(Leg.FIRST)
         if not self.first_check():
@@ -672,15 +667,16 @@ class Session:
 
     # -- internals
 
-    def _advance_both(self, phase: Phase) -> None:
-        self.alice.advance(phase)
-        self.bob.advance(phase)
+    def _advance(self, phase: Phase) -> None:
+        """Move strictly forward through the phases; ABORTED is reachable from any."""
+        if phase is not Phase.ABORTED and _PHASE_RANK[phase] <= _PHASE_RANK[self.phase]:
+            raise InternalFault(f"session cannot move from {self.phase.value} to {phase.value}")
+        self.phase = phase
 
     def _measure(
         self, party: PartyState, rng: RandomStream, pair: int, slot: QubitSlot, basis: Basis
     ) -> int:
         """One party measures its photon of a pair in a basis and logs the outcome."""
-        party.require(pair, slot)
         outcome, self._states[pair] = measure_qubit(self._states[pair], slot, basis, rng)
         self._rec.emit(
             party.role.value,
@@ -691,10 +687,9 @@ class Session:
 
     def _abort(self, reason: str) -> None:
         self._rec.send(Role.ALICE, "abort", reason=reason)
-        self._advance_both(Phase.ABORTED)
+        self._advance(Phase.ABORTED)
 
     def _finish(self, verdict: Verdict) -> Transcript:
-        self._finished = True
         self._rec.emit("session", "stats", dict(self._stats))
         self._rec.emit("session", "verdict", _verdict_payload(verdict))
         return Transcript(events=self._rec.events, verdict=verdict)

@@ -4,28 +4,28 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qduplex.adversary import EveStrategy
+from qduplex.adversary import EveStrategy, Leg
 from qduplex.codec import MessageBits, decode_alice, decode_bob, pack_bits, random_message
-from qduplex.qsim import BellState, InternalFault, PauliOp, QubitSlot
+from qduplex.qsim import BellState, InternalFault, PauliOp
 from qduplex.session import (
     Aborted,
     CapacityExceeded,
     Completed,
     ConfigInvalid,
     Event,
-    PartyState,
     Phase,
     ProtocolConfig,
-    Role,
     Session,
     Transcript,
     TranscriptInvalid,
+    _Recorder,
     audit_custody,
     run_protocol,
 )
@@ -288,12 +288,74 @@ _VALID_HEAD = '{"actor":"session","kind":"config","payload":{},"seq":0}'
             '"completed","alice_decoded":{"bits":"0x","pad_bits":0}},"seq":1}\n',
             id="completed verdict with bad bits",
         ),
+        pytest.param(
+            _VALID_HEAD + '\n{"actor":"session","kind":"verdict",'
+            '"payload":{"outcome":"bogus","phase":"done","reason":"x"},"seq":1}\n',
+            id="verdict with unknown outcome",
+        ),
+        pytest.param(
+            _VALID_HEAD + '\n{"actor":"session","kind":"verdict",'
+            '"payload":{"outcome":"aborted","phase":"done","reason":"x"},"seq":true}\n',
+            id="boolean seq",
+        ),
+        pytest.param(
+            '{"actor":"session","kind":"verdict",'
+            '"payload":{"outcome":"aborted","phase":"done","reason":"x"},"seq":0.0}\n',
+            id="float seq",
+        ),
+        pytest.param(
+            _VALID_HEAD + '\n{"actor":"session","kind":"verdict","payload":{"outcome":"completed",'
+            '"alice_decoded":{"bits":"00","pad_bits":1e999},'
+            '"bob_decoded":{"bits":"00","pad_bits":0}},"seq":1}\n',
+            id="completed verdict with infinite pad_bits",
+        ),
     ],
 )
 def test_from_jsonl_raises_transcript_invalid(text):
     with pytest.raises(TranscriptInvalid) as info:
         Transcript.from_jsonl(text)
     assert isinstance(info.value, ValueError)
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_TRANSCRIPTS = ["transcript_n8_seed7.jsonl", "transcript_n8_seed0_intercept_rand.jsonl"]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def damaged_golden_transcripts(draw) -> str:
+    """A golden transcript with one payload field of one record deleted or replaced."""
+    text = (GOLDEN_DIR / draw(st.sampled_from(GOLDEN_TRANSCRIPTS))).read_text(encoding="utf-8")
+    records = [json.loads(line) for line in text.splitlines()]
+    index = draw(st.sampled_from([i for i, r in enumerate(records) if r["payload"]]))
+    payload = dict(records[index]["payload"])
+    key = draw(st.sampled_from(sorted(payload)))
+    if draw(st.booleans()):
+        del payload[key]
+    else:
+        payload[key] = draw(json_values)
+    damaged = [*records[:index], {**records[index], "payload": payload}, *records[index + 1 :]]
+    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in damaged)
+
+
+@settings(max_examples=150, deadline=None)
+@given(damaged_golden_transcripts())
+def test_damaged_transcripts_parse_and_audit_or_raise_transcript_invalid(text):
+    try:
+        transcript = Transcript.from_jsonl(text)
+    except TranscriptInvalid:
+        return
+    try:
+        problems = audit_custody(transcript)
+    except TranscriptInvalid:
+        return
+    assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
 
 
 def test_config_and_stats_accessors_validate():
@@ -444,25 +506,40 @@ def test_audit_passes_attacked_and_aborted_runs():
     assert audit_custody(run_protocol(ABORT_SECOND_CONFIG, *fixed_messages(ABORT_SECOND_CONFIG))) == []
 
 
-def synthetic_transcript(events) -> Transcript:
+def audit_synthetic(events) -> list[str]:
+    """Audit an event list, and check that a run recording it would stop.
+
+    A recorder applies the audit's own rules, so emitting the same events
+    must raise InternalFault with the audit's first message, at the first
+    flagged event and before that event enters the log.
+    """
     numbered = [Event(i, *e) for i, e in enumerate(events)]
-    return Transcript(events=numbered, verdict=Aborted(Phase.ABORTED, "synthetic"))
+    problems = audit_custody(
+        Transcript(events=numbered, verdict=Aborted(Phase.ABORTED, "synthetic"))
+    )
+    recorder = _Recorder(n_pairs=1)
+    with pytest.raises(InternalFault) as info:
+        for event in numbered:
+            recorder.emit(event.actor, event.kind, event.payload)
+    assert str(info.value) == problems[0]
+    assert problems[0].startswith(f"seq {len(recorder.events)}:")
+    assert recorder.events == numbered[: len(recorder.events)]
+    return problems
 
 
 def test_audit_flags_an_op_outside_custody():
-    transcript = synthetic_transcript(
+    problems = audit_synthetic(
         [
             ("alice", "prepare", {"pair": 0}),
             ("bob", "pauli", {"pair": 0, "slot": "C", "op": "U2"}),
         ]
     )
-    problems = audit_custody(transcript)
     assert len(problems) == 1
     assert "pauli" in problems[0] and "bob" in problems[0]
 
 
 def test_audit_flags_channel_violations():
-    transcript = synthetic_transcript(
+    problems = audit_synthetic(
         [
             ("alice", "prepare", {"pair": 0}),
             ("eve", "eve_touch", {"pair": 0, "slot": "C", "leg": "first", "basis": "Z", "outcome": 0}),
@@ -471,7 +548,6 @@ def test_audit_flags_channel_violations():
             ("alice", "send", {"pair": 0, "slot": "C", "to": "bob"}),
         ]
     )
-    problems = audit_custody(transcript)
     # touch and receive precede any send; invalid ops do not move custody,
     # so alice's first send is legitimate and only her second is not
     assert len(problems) == 3
@@ -481,19 +557,50 @@ def test_audit_flags_channel_violations():
 
 
 def test_audit_flags_double_consumption():
-    transcript = synthetic_transcript(
+    problems = audit_synthetic(
         [
             ("alice", "prepare", {"pair": 0}),
             ("alice", "bell_measure", {"pair": 0, "result": "psi_minus"}),
             ("alice", "bell_measure", {"pair": 0, "result": "psi_minus"}),
         ]
     )
-    assert len(audit_custody(transcript)) == 2  # both slots already consumed
+    assert len(problems) == 2  # both slots already consumed
 
 
 def test_audit_flags_preparation_by_the_wrong_party():
-    transcript = synthetic_transcript([("bob", "prepare", {"pair": 0})])
-    assert len(audit_custody(transcript)) == 1
+    assert len(audit_synthetic([("bob", "prepare", {"pair": 0})])) == 1
+
+
+def transcript_text(records) -> str:
+    """JSONL for a config record, the given (actor, kind, payload) records, and a verdict."""
+    verdict = ("session", "verdict", {"outcome": "aborted", "phase": "aborted", "reason": "x"})
+    rows = [("session", "config", {}), *records, verdict]
+    return "".join(
+        json.dumps({"seq": i, "actor": a, "kind": k, "payload": p}) + "\n"
+        for i, (a, k, p) in enumerate(rows)
+    )
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        pytest.param(
+            [("alice", "prepare", {"pair": 0}), ("alice", "pauli", {"pair": 0, "op": "U1"})],
+            id="pauli without slot",
+        ),
+        pytest.param([("alice", "prepare", {})], id="prepare without pair"),
+        pytest.param([("alice", "prepare", [])], id="prepare payload not an object"),
+        pytest.param([("alice", "prepare", {"pair": [1]})], id="list pair"),
+        pytest.param(
+            [("alice", "prepare", {"pair": 0}), ("alice", "send", {"pair": 0, "slot": ["C"]})],
+            id="list slot",
+        ),
+    ],
+)
+def test_audit_raises_transcript_invalid_on_malformed_custody_records(records):
+    transcript = Transcript.from_jsonl(transcript_text(records))
+    with pytest.raises(TranscriptInvalid):
+        audit_custody(transcript)
 
 
 def test_decodes_are_recomputable_from_the_log_in_any_event_order():
@@ -603,43 +710,33 @@ def test_session_runs_exactly_once():
         session.run()
 
 
-def test_party_phase_only_moves_forward():
-    party = PartyState(role=Role.ALICE, message=MessageBits.from_bits([]))
-    party.advance(Phase.FIRST_TRANSMISSION)
-    party.advance(Phase.FIRST_CHECK)
+def test_session_phase_only_moves_forward():
+    config = ProtocolConfig(n_pairs=8, check_fraction_1=0.25, check_count_2=1, seed=12)
+    session = Session(config, *fixed_messages(config))
+    session.prepare_pairs()
+    session.transmit(Leg.FIRST)
+    assert session.first_check()
+    assert session.phase is Phase.FIRST_CHECK
     with pytest.raises(InternalFault):
-        party.advance(Phase.FIRST_TRANSMISSION)
+        session.prepare_pairs()
     with pytest.raises(InternalFault):
-        party.advance(Phase.FIRST_CHECK)  # re-entry counts as a step back
-    party.advance(Phase.ABORTED)  # allowed from anywhere
-    assert party.phase is Phase.ABORTED
-
-
-def test_custody_helpers_guard_ownership():
-    party = PartyState(role=Role.BOB, message=MessageBits.from_bits([]))
-    with pytest.raises(InternalFault):
-        party.require(0, QubitSlot.C)
-    party.grant(0, QubitSlot.C)
-    party.require(0, QubitSlot.C)
-    party.release(0, QubitSlot.C)
-    assert not party.holds(0, QubitSlot.C)
-    with pytest.raises(InternalFault):
-        party.release(0, QubitSlot.C)
+        session.first_check()  # re-entry counts as a step back
+    aborting = Session(ABORT_FIRST_CONFIG, *fixed_messages(ABORT_FIRST_CONFIG))
+    assert not aborting.run().completed
+    assert aborting.phase is Phase.ABORTED
 
 
 def test_completed_phase_is_done_for_both_parties():
     config = ProtocolConfig(n_pairs=8, check_fraction_1=0.25, check_count_2=1, seed=12)
     session = Session(config, *fixed_messages(config))
     session.run()
-    assert session.alice.phase is Phase.DONE
-    assert session.bob.phase is Phase.DONE
+    assert session.phase is Phase.DONE
 
 
 def test_aborted_phase_is_aborted_for_both_parties():
     session = Session(ABORT_FIRST_CONFIG, *fixed_messages(ABORT_FIRST_CONFIG))
     session.run()
-    assert session.alice.phase is Phase.ABORTED
-    assert session.bob.phase is Phase.ABORTED
+    assert session.phase is Phase.ABORTED
 
 
 # ---------------------------------------------------------------------------
