@@ -6,12 +6,19 @@ complex amplitudes over the ordered computational basis |00>, |01>, |10>,
 Operations are plain linear algebra on that 4-vector; measurement sampling
 is Born-rule exact and driven by an injected random stream so that any run
 replays bit for bit.
+
+The protocol's ops reach only a few hundred distinct states, so every op
+result is memoized, keyed on the exact bytes of its input amplitudes.  Each
+op is a deterministic function of those bytes, so a remembered result is
+the result a fresh computation would give, byte for byte.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import functools
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +26,9 @@ RandomStream = np.random.Generator
 """Injected randomness contract: seedable, and splittable via SeedSequence."""
 
 NORM_TOL = 1e-12
+
+MEMO_LIMIT = 4096
+"""Most op results the memo keeps; a protocol run reaches a few hundred."""
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -119,25 +129,45 @@ _BASIS_VECTORS: dict[Basis, tuple[np.ndarray, np.ndarray]] = {
 class TwoQubitState:
     """Pure state of one pair: four complex amplitudes, C photon first.
 
-    States are immutable; every operation returns a new instance.  Global
-    phase is physically meaningless and never compared.
+    States are immutable and may be shared: operations return memoized
+    instances.  ``key`` holds the exact amplitude bytes and ``amplitudes``
+    is a read-only view of them.  Global phase is physically meaningless
+    and never compared.
     """
 
     amplitudes: np.ndarray
+    key: bytes = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(4)
         norm_err = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
         if norm_err > NORM_TOL:
             raise ValueError(f"state not normalized: |norm^2 - 1| = {norm_err:.3e}")
-        amps = amps.copy()
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        key = amps.tobytes()
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "amplitudes", _amplitudes(key))
+
+
+def _amplitudes(key: bytes) -> np.ndarray:
+    return np.frombuffer(key, dtype=np.complex128)
+
+
+@functools.lru_cache(maxsize=MEMO_LIMIT)
+def _exact(arithmetic, key: bytes, *args):
+    """The memo: arithmetic's result on the amplitudes whose bytes are key.
+
+    A miss runs the arithmetic once; results are immutable, so every
+    caller may share them.
+    """
+    return arithmetic(_amplitudes(key), *args)
+
+
+_SINGLET = TwoQubitState(_BELL_VECTORS[BellState.PSI_MINUS])
 
 
 def make_singlet() -> TwoQubitState:
     """Return the shared pair (|01> - |10>)/sqrt(2)."""
-    return TwoQubitState(_BELL_VECTORS[BellState.PSI_MINUS])
+    return _SINGLET
 
 
 def product_state(c_bit: int, m_bit: int) -> TwoQubitState:
@@ -151,7 +181,11 @@ def product_state(c_bit: int, m_bit: int) -> TwoQubitState:
 
 def apply_pauli(state: TwoQubitState, op: PauliOp, slot: QubitSlot) -> TwoQubitState:
     """Apply one encoding operation to the chosen photon of a pair."""
-    m = state.amplitudes.reshape(2, 2)  # m[c_bit, m_bit]
+    return _exact(_pauli, state.key, op, slot)
+
+
+def _pauli(amps: np.ndarray, op: PauliOp, slot: QubitSlot) -> TwoQubitState:
+    m = amps.reshape(2, 2)  # m[c_bit, m_bit]
     if slot is QubitSlot.C:
         out = op.matrix @ m
     else:
@@ -169,10 +203,16 @@ def project_qubit(
     Born-rule arithmetic that measure_qubit samples from, exposed so checks
     can enumerate branches instead of drawing them.
     """
+    return _exact(_project, state.key, slot, basis, outcome)
+
+
+def _project(
+    amps: np.ndarray, slot: QubitSlot, basis: Basis, outcome: int
+) -> tuple[float, TwoQubitState | None]:
     if outcome not in (0, 1):
         raise ValueError("outcome must be 0 or 1")
     e = _BASIS_VECTORS[basis][outcome]
-    m = state.amplitudes.reshape(2, 2)
+    m = amps.reshape(2, 2)
     if slot is QubitSlot.C:
         w = e.conj() @ m  # residual M-photon amplitudes
     else:
@@ -218,11 +258,20 @@ def measure_qubit(
 
 def bell_probabilities(state: TwoQubitState) -> np.ndarray:
     """Probabilities of the four Bell outcomes, ordered by canonical index."""
+    return _exact(_bell, state.key)[0].copy()
+
+
+def _bell(amps: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Bell probabilities (read-only) and their running sums in BellState order."""
     probs = np.empty(4, dtype=np.float64)
     for bell in BellState:
-        amp = np.vdot(bell.vector, state.amplitudes)
+        amp = np.vdot(bell.vector, amps)
         probs[bell.index] = float(np.abs(amp) ** 2)
-    return probs
+    probs.setflags(write=False)
+    return probs, tuple(itertools.accumulate(probs.tolist()))
+
+
+_BELL_ORDER = tuple(BellState)
 
 
 def bell_measure(state: TwoQubitState, rng: RandomStream) -> BellState:
@@ -231,11 +280,9 @@ def bell_measure(state: TwoQubitState, rng: RandomStream) -> BellState:
     The pair is consumed: both photons end up in the reported Bell state
     and carry no further message content.
     """
-    probs = bell_probabilities(state)
+    masses = _exact(_bell, state.key)[1]
     draw = rng.random()
-    acc = 0.0
-    for bell in BellState:
-        acc += probs[bell.index]
+    for bell, acc in zip(_BELL_ORDER, masses):
         if draw < acc:
             return bell
     return BellState.PHI_PLUS  # draw landed on accumulated rounding slack

@@ -1,7 +1,8 @@
 """Unit tests for the two-qubit substrate.
 
 Expected values here are frozen from independent hand derivations on the
-4-amplitude vectors; nothing is asserted against the code's own output.
+4-amplitude vectors.  The one exception is the op memo, whose tests compare
+each memoized result with the same arithmetic run fresh.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qduplex import qsim
 from qduplex.qsim import (
     Basis,
     BellState,
@@ -267,3 +269,109 @@ def test_vanishing_branch_is_an_internal_fault():
 def test_project_rejects_bad_outcome():
     with pytest.raises(ValueError):
         project_qubit(make_singlet(), QubitSlot.C, Basis.Z, 2)
+
+
+# ---------------------------------------------------------------------------
+# the op memo: a remembered result is the result a fresh computation gives
+
+fresh = qsim._exact.__wrapped__  # the same arithmetic, bypassing the memo
+
+
+def test_memoized_ops_equal_fresh_computation_on_random_walks():
+    walks = np.random.default_rng(606)
+    stream, twin = np.random.default_rng(17), np.random.default_rng(17)
+    for _ in range(400):
+        state = make_singlet()
+        for _ in range(8):
+            step = int(walks.integers(4))
+            slot = QubitSlot.C if walks.integers(2) == 0 else QubitSlot.M
+            basis = Basis.Z if walks.integers(2) == 0 else Basis.X
+            if step == 0:
+                op = PauliOp(int(walks.integers(4)))
+                got = apply_pauli(state, op, slot)
+                assert got.key == fresh(qsim._pauli, state.key, op, slot).key
+                state = got
+            elif step == 1:
+                branches = []
+                for outcome in (0, 1):
+                    prob, post = project_qubit(state, slot, basis, outcome)
+                    want_prob, want_post = fresh(qsim._project, state.key, slot, basis, outcome)
+                    assert prob == want_prob
+                    assert (post is None) == (want_post is None)
+                    if post is not None:
+                        assert post.key == want_post.key
+                        branches.append(post)
+                state = branches[int(walks.integers(len(branches)))]
+            elif step == 2:
+                outcome, collapsed = measure_qubit(state, slot, basis, stream)
+                p0, want = fresh(qsim._project, state.key, slot, basis, 0)
+                want_outcome = 0 if twin.random() < p0 else 1
+                if want_outcome == 1:
+                    _, want = fresh(qsim._project, state.key, slot, basis, 1)
+                assert outcome == want_outcome
+                assert collapsed.key == want.key
+                state = collapsed
+            else:
+                probs = bell_probabilities(state)
+                want_probs, _ = fresh(qsim._bell, state.key)
+                assert probs.tobytes() == want_probs.tobytes()
+                result = bell_measure(state, stream)
+                # the unmemoized sampling loop: accumulate in BellState order
+                draw, acc, want_bell = twin.random(), 0.0, None
+                for bell in BellState:
+                    acc += want_probs[bell.index]
+                    if draw < acc:
+                        want_bell = bell
+                        break
+                assert result is want_bell
+                state = make_singlet()  # the pair is consumed
+
+
+def test_memo_stays_bounded_and_correct_past_its_limit():
+    rng = np.random.default_rng(11)
+    op, slot = PauliOp.U3, QubitSlot.C
+    states = []
+    for _ in range(qsim.MEMO_LIMIT + 256):
+        vec = rng.normal(size=4) + 1j * rng.normal(size=4)
+        state = TwoQubitState(vec / np.linalg.norm(vec))
+        assert apply_pauli(state, op, slot).key == fresh(qsim._pauli, state.key, op, slot).key
+        assert qsim._exact.cache_info().currsize <= qsim.MEMO_LIMIT
+        states.append(state)
+    for state in states[:64] + states[-64:]:  # long evicted, and still held
+        assert apply_pauli(state, op, slot).key == fresh(qsim._pauli, state.key, op, slot).key
+        p0, _ = project_qubit(state, slot, Basis.X, 0)
+        assert p0 == fresh(qsim._project, state.key, slot, Basis.X, 0)[0]
+    assert qsim._exact.cache_info().currsize <= qsim.MEMO_LIMIT
+
+
+def test_mutating_returned_bell_probabilities_changes_no_later_call():
+    state = product_state(0, 1)
+    first = bell_probabilities(state)
+    expected = first.copy()
+    first[:] = [0.0, 0.0, 0.0, 1.0]
+    assert np.array_equal(bell_probabilities(state), expected)
+    stream = np.random.default_rng(5)
+    assert all(bell_measure(state, stream) in (BellState.PSI_MINUS, BellState.PSI_PLUS) for _ in range(50))
+
+
+def test_byte_equal_states_give_byte_equal_results():
+    vec = np.array([0.6, 0.0, 0.0, 0.8j])
+    a, b = TwoQubitState(vec), TwoQubitState(vec.copy())
+    assert a is not b and a.key == b.key
+    for slot in QubitSlot:
+        for op in PauliOp:
+            assert apply_pauli(a, op, slot).key == apply_pauli(b, op, slot).key
+        for basis in Basis:
+            for outcome in (0, 1):
+                pa, sa = project_qubit(a, slot, basis, outcome)
+                pb, sb = project_qubit(b, slot, basis, outcome)
+                assert pa == pb and sa.key == sb.key
+    assert bell_probabilities(a).tobytes() == bell_probabilities(b).tobytes()
+    twin_a, twin_b = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(20):
+        assert bell_measure(a, twin_a) is bell_measure(b, twin_b)
+
+
+def test_singlet_is_one_shared_immutable_state():
+    assert make_singlet() is make_singlet()
+    assert make_singlet().key == make_singlet().amplitudes.tobytes()
