@@ -285,4 +285,8 @@ def bell_measure(state: TwoQubitState, rng: RandomStream) -> BellState:
     for bell, acc in zip(_BELL_ORDER, masses):
         if draw < acc:
             return bell
-    return BellState.PHI_PLUS  # draw landed on accumulated rounding slack
+    # The draw landed on rounding slack: the masses can sum to just under 1
+    # (a singlet's sum to 0.9999999999999996).  Give the last outcome that
+    # added mass, never one of probability zero.
+    last = max(i for i in range(4) if masses[i] > (masses[i - 1] if i else 0.0))
+    return _BELL_ORDER[last]

@@ -257,6 +257,37 @@ def test_measure_replays_bit_exact_with_equal_seeds():
     assert run(9) != run(10)
 
 
+class FixedDraws:
+    """A stream stub whose random() returns the given draws in order."""
+
+    def __init__(self, *draws: float) -> None:
+        self._draws = iter(draws)
+
+    def random(self) -> float:
+        return next(self._draws)
+
+
+def test_bell_measure_gives_a_draw_on_rounding_slack_to_an_outcome_with_mass():
+    # the Bell masses of these states sum to just under 1 (a singlet's to
+    # 0.9999999999999996, a |01>'s to 0.9999999999999998), and the singlet's
+    # psi_plus mass is a rounding residue of ~5e-34 that adds nothing
+    slack = (0.9999999999999996, 0.9999999999999997, 0.9999999999999999)
+    cases = [
+        (make_singlet(), BellState.PSI_MINUS),
+        (apply_pauli(make_singlet(), PauliOp.U2, QubitSlot.M), BellState.PHI_MINUS),
+        (product_state(0, 1), BellState.PSI_PLUS),
+    ]
+    for state, last_with_mass in cases:
+        total = 0.0
+        for p in bell_probabilities(state):
+            total += p
+        draws = [d for d in slack if d >= total]
+        assert draws  # each state has a slack band, and these draws land in it
+        stream = FixedDraws(*draws)
+        for _ in draws:
+            assert bell_measure(state, stream) is last_with_mass
+
+
 def test_vanishing_branch_is_an_internal_fault():
     class AlwaysOne:
         def random(self):
