@@ -344,8 +344,15 @@ class _CustodyLedger:
         if type(pair) is not int:
             raise TranscriptInvalid(f"seq {event.seq}: {kind} record without an integer pair")
         if kind == "prepare":
-            self._holder[pair, "C"] = self._holder[pair, "M"] = actor
-            return [] if actor == "alice" else [f"seq {event.seq}: pair {pair} prepared by {actor}"]
+            violations = [] if actor == "alice" else [f"seq {event.seq}: pair {pair} prepared by {actor}"]
+            held = self._holder.get((pair, "C")), self._holder.get((pair, "M"))
+            if held != (None, None):
+                violations.append(
+                    f"seq {event.seq}: pair {pair} prepared again, held by {held[0]} and {held[1]}"
+                )
+            else:
+                self._holder[pair, "C"] = self._holder[pair, "M"] = actor
+            return violations
         if kind == "bell_measure":
             slots = ("C", "M")
         else:

@@ -571,6 +571,28 @@ def test_audit_flags_preparation_by_the_wrong_party():
     assert len(audit_synthetic([("bob", "prepare", {"pair": 0})])) == 1
 
 
+def test_audit_flags_a_pair_prepared_again():
+    problems = audit_synthetic(
+        [
+            ("alice", "prepare", {"pair": 0}),
+            ("alice", "send", {"pair": 0, "slot": "C", "to": "bob"}),
+            ("bob", "receive", {"pair": 0, "slot": "C"}),
+            ("alice", "prepare", {"pair": 0}),
+            ("alice", "bell_measure", {"pair": 0, "result": "psi_minus"}),
+            ("alice", "prepare", {"pair": 0}),
+            ("alice", "bell_measure", {"pair": 0, "result": "psi_minus"}),
+        ]
+    )
+    # a refused prepare moves nothing, so bob keeps C and alice consumes only M
+    assert problems == [
+        "seq 3: pair 0 prepared again, held by bob and alice",
+        "seq 4: bell_measure on pair 0 slot C held by bob, expected alice",
+        "seq 5: pair 0 prepared again, held by bob and consumed",
+        "seq 6: bell_measure on pair 0 slot C held by bob, expected alice",
+        "seq 6: bell_measure on pair 0 slot M held by consumed, expected alice",
+    ]
+
+
 def transcript_text(records) -> str:
     """JSONL for a config record, the given (actor, kind, payload) records, and a verdict."""
     verdict = ("session", "verdict", {"outcome": "aborted", "phase": "aborted", "reason": "x"})
