@@ -306,7 +306,13 @@ def _verdict_from_payload(payload: dict) -> Verdict:
         )
     if outcome != "aborted":
         raise ValueError(f"unknown outcome {outcome!r}")
-    return Aborted(phase=Phase(payload["phase"]), reason=payload["reason"])
+    phase, reason = Phase(payload["phase"]), payload["reason"]
+    if phase not in (Phase.FIRST_CHECK, Phase.SECOND_CHECK) or type(reason) is not str:
+        raise TranscriptInvalid(
+            f"an aborted verdict needs phase first_check or second_check and a string reason, "
+            f"not {phase.value!r} and a {type(reason).__name__}"
+        )
+    return Aborted(phase=phase, reason=reason)
 
 
 class _CustodyLedger:

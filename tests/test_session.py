@@ -309,6 +309,21 @@ _VALID_HEAD = '{"actor":"session","kind":"config","payload":{},"seq":0}'
             '"bob_decoded":{"bits":"00","pad_bits":0}},"seq":1}\n',
             id="completed verdict with infinite pad_bits",
         ),
+        pytest.param(
+            _VALID_HEAD + '\n{"actor":"session","kind":"verdict",'
+            '"payload":{"outcome":"aborted","phase":"done","reason":"x"},"seq":1}\n',
+            id="aborted verdict in a phase that cannot abort",
+        ),
+        pytest.param(
+            _VALID_HEAD + '\n{"actor":"session","kind":"verdict",'
+            '"payload":{"outcome":"aborted","phase":"first_check","reason":[1]},"seq":1}\n',
+            id="aborted verdict with a non-string reason",
+        ),
+        pytest.param(
+            _VALID_HEAD + '\n{"actor":"session","kind":"verdict",'
+            '"payload":{"outcome":"aborted","phase":"done","reason":[1]},"seq":1}\n',
+            id="aborted verdict with both",
+        ),
     ],
 )
 def test_from_jsonl_raises_transcript_invalid(text):
@@ -595,7 +610,7 @@ def test_audit_flags_a_pair_prepared_again():
 
 def transcript_text(records) -> str:
     """JSONL for a config record, the given (actor, kind, payload) records, and a verdict."""
-    verdict = ("session", "verdict", {"outcome": "aborted", "phase": "aborted", "reason": "x"})
+    verdict = ("session", "verdict", {"outcome": "aborted", "phase": "first_check", "reason": "x"})
     rows = [("session", "config", {}), *records, verdict]
     return "".join(
         json.dumps({"seq": i, "actor": a, "kind": k, "payload": p}) + "\n"
