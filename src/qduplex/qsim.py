@@ -7,10 +7,11 @@ Operations are plain linear algebra on that 4-vector; measurement sampling
 is Born-rule exact and driven by an injected random stream so that any run
 replays bit for bit.
 
-The protocol's ops reach only a few hundred distinct states, so every op
-result is memoized, keyed on the exact bytes of its input amplitudes.  Each
-op is a deterministic function of those bytes, so a remembered result is
-the result a fresh computation would give, byte for byte.
+The protocol's ops reach only a few hundred distinct states, so Pauli,
+projection and Bell-mass results are memoized, keyed on the exact bytes of
+the input amplitudes.  Each is a deterministic function of those bytes, so
+a remembered result is the result a fresh computation would give, byte for
+byte.  Sampling is not memoized: each measurement still draws once.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ class TwoQubitState:
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(4)
         norm_err = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
-        if norm_err > NORM_TOL:
+        if not norm_err <= NORM_TOL:  # NaN amplitudes fail this too
             raise ValueError(f"state not normalized: |norm^2 - 1| = {norm_err:.3e}")
         key = amps.tobytes()
         object.__setattr__(self, "key", key)

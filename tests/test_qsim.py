@@ -95,6 +95,8 @@ def test_state_must_be_normalized():
         TwoQubitState(np.array([1, 1, 0, 0], dtype=complex))
     with pytest.raises(ValueError):
         TwoQubitState(np.array([0.5, 0.5, 0.5, 0.5 + 1e-6], dtype=complex))
+    with pytest.raises(ValueError, match="not normalized"):
+        TwoQubitState(np.array([np.nan, 0, 0, 0], dtype=complex))
 
 
 def test_state_requires_four_amplitudes():
