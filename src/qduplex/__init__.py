@@ -2,7 +2,8 @@
 
 The package splits along the protocol's own seams: qsim holds the exact
 two-qubit quantum substrate, codec the bit/operation coding rules, session
-the two-party protocol engine and transcripts, adversary the channel
+the two-party protocol engine and transcripts, records the transcript's
+records, their JSONL lines and the custody rules, adversary the channel
 attacks and their estimators, and cli the experiment runner.
 """
 
@@ -57,6 +58,8 @@ from .session import (
     Completed,
     ConfigInvalid,
     Event,
+    EventLog,
+    MAX_PAIRS,
     PartyState,
     Phase,
     ProtocolConfig,

@@ -15,16 +15,16 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-import numpy as np
-
 from .codec import random_message
 from .qsim import (
     Basis,
     BellState,
+    PauliOp,
     QubitSlot,
     RandomStream,
     TwoQubitState,
     measure_qubit,
+    substitute_fresh,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -143,13 +143,7 @@ def _substitute_fresh(
     fresh |0> and the partner's residual state.
     """
     outcome, collapsed = measure_qubit(state, slot, Basis.Z, rng)
-    m = collapsed.amplitudes.reshape(2, 2)
-    fresh = np.zeros((2, 2), dtype=np.complex128)
-    if slot is QubitSlot.C:
-        fresh[0, :] = m[outcome, :]
-    else:
-        fresh[:, 0] = m[:, outcome]
-    return outcome, TwoQubitState(fresh.reshape(4))
+    return outcome, substitute_fresh(collapsed, slot, outcome)
 
 
 def transit(
@@ -326,28 +320,26 @@ def mutual_information_bits(samples: Sequence[tuple[int, int]]) -> float:
 
 
 _BELL_INDEX = {bell.name.lower(): bell.index for bell in BellState}
+_OP_CODE = {op.name: op.code for op in PauliOp}
 
 
 def _run_samples(
     record: EveRecord, transcript: "Transcript"
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
-    """One completed run's MI samples, read in one pass over its event log.
+    """One completed run's MI samples, read from the pauli and bell_measure columns of its log.
 
     Returns (Eve's guess, Alice's op) and (announced Bell index, Alice's
     op) for every message pair, then (announced Bell index, Bob's op) for
     every announced pair, decoys included; each in pair order.
     """
-    announced: dict[int, int] = {}
+    pauli = transcript.events.columns("pauli")
+    bell = transcript.events.columns("bell_measure")
     ops: dict[str, dict[int, int]] = {"alice": {}, "bob": {}}
-    decoys: set[int] = set()
-    for event in transcript.events:
-        kind, payload = event.kind, event.payload
-        if kind == "pauli" and event.actor in ops:
-            ops[event.actor][payload["pair"]] = int(payload["op"][1])
-        elif kind == "bell_measure":
-            announced[payload["pair"]] = _BELL_INDEX[payload["result"]]
-        elif kind == "stats":
-            decoys = set(payload.get("second_check", {}).get("decoy_indices", ()))
+    for actor, pair, op in zip(pauli["actor"], pauli["pair"], pauli["op"]):
+        if actor in ops:
+            ops[actor][pair] = _OP_CODE[op]
+    announced = dict(zip(bell["pair"], map(_BELL_INDEX.__getitem__, bell["result"])))
+    decoys = set(transcript.stats.get("second_check", {}).get("decoy_indices", ()))
     guesses = record.alice_op_guesses()
     pairs = sorted(announced)
     message = [i for i in pairs if i not in decoys]

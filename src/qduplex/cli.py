@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parse_config_file(path: str) -> dict[str, object]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file: {exc}")
     entries: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -352,6 +352,10 @@ _DISPATCH = {
 }
 
 
+# What main reports as a usage error: one line on stderr and exit code 2.
+_USAGE_ERRORS = (CliError, ConfigInvalid, CapacityExceeded, InsufficientSamples, ValueError, OSError)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -361,14 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         spec = _resolve(ns)
         return _DISPATCH[str(spec["mode"])](spec)
-    except (
-        CliError,
-        ConfigInvalid,
-        CapacityExceeded,
-        InsufficientSamples,
-        ValueError,
-        OSError,
-    ) as exc:
+    except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,10 +8,10 @@ is Born-rule exact and driven by an injected random stream so that any run
 replays bit for bit.
 
 The protocol's ops reach only a few hundred distinct states, so Pauli,
-projection and Bell-mass results are memoized, keyed on the exact bytes of
-the input amplitudes.  Each is a deterministic function of those bytes, so
-a remembered result is the result a fresh computation would give, byte for
-byte.  Sampling is not memoized: each measurement still draws once.
+projection, substitution and Bell-mass results are memoized, keyed on the
+exact bytes of the input amplitudes.  Each is a deterministic function of
+those bytes, so a remembered result is the result a fresh computation would
+give, byte for byte.  Sampling is not memoized: each measurement still draws once.
 """
 
 from __future__ import annotations
@@ -227,6 +227,26 @@ def _project(
     else:
         amps = np.outer(w, e)
     return prob, TwoQubitState(amps.reshape(4))
+
+
+def substitute_fresh(state: TwoQubitState, slot: QubitSlot, outcome: int) -> TwoQubitState:
+    """Swap the photon in slot, already collapsed to Z outcome, for a fresh |0>.
+
+    The pair becomes the product of the fresh |0> and the partner's
+    residual state.  Memoized like the other ops, keyed on the collapsed
+    state's bytes, the slot and the outcome.
+    """
+    return _exact(_substitute, state.key, slot, outcome)
+
+
+def _substitute(amps: np.ndarray, slot: QubitSlot, outcome: int) -> TwoQubitState:
+    m = amps.reshape(2, 2)
+    fresh = np.zeros((2, 2), dtype=np.complex128)
+    if slot is QubitSlot.C:
+        fresh[0, :] = m[outcome, :]
+    else:
+        fresh[:, 0] = m[:, outcome]
+    return TwoQubitState(fresh.reshape(4))
 
 
 def outcome_probabilities(

@@ -11,8 +11,8 @@ byte under a fixed config, seed, and message pair.
 from __future__ import annotations
 
 import enum
-import json
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
@@ -34,6 +34,7 @@ from .qsim import (
     make_singlet,
     measure_qubit,
 )
+from .records import _SHAPE_ID, Event, EventLog, TranscriptInvalid, _CustodyLedger, _shape_of
 
 
 class ProtocolError(Exception):
@@ -48,8 +49,13 @@ class CapacityExceeded(ProtocolError):
     pass
 
 
-class TranscriptInvalid(ValueError):
-    """A transcript file that does not follow FORMAT.md."""
+LOG_BYTES_PER_PAIR = 1024
+"""Bound on the transcript bytes one pair adds, under any attack (about 700 without Eve)."""
+
+MAX_LOG_BYTES = 2**30
+
+MAX_PAIRS = MAX_LOG_BYTES // LOG_BYTES_PER_PAIR
+"""Largest block a config may ask for: its transcript stays under MAX_LOG_BYTES."""
 
 
 @dataclass(frozen=True)
@@ -72,6 +78,11 @@ class ProtocolConfig:
     def validate(self) -> None:
         if not isinstance(self.n_pairs, int) or self.n_pairs < 2:
             raise ConfigInvalid(f"n_pairs must be an integer >= 2, got {self.n_pairs!r}")
+        if self.n_pairs > MAX_PAIRS:
+            raise ConfigInvalid(
+                f"n_pairs must be at most {MAX_PAIRS}, whose transcript stays under "
+                f"{MAX_LOG_BYTES} bytes; got {self.n_pairs}"
+            )
         if not 0.0 < self.check_fraction_1 < 1.0:
             raise ConfigInvalid(
                 f"check_fraction_1 must lie strictly between 0 and 1, got {self.check_fraction_1!r}"
@@ -177,19 +188,6 @@ class PartyState:
 # Transcript
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
-    """One transcript record: dense sequence number, actor, kind, payload."""
-
-    seq: int
-    actor: str
-    kind: str
-    payload: dict
-
-    def to_record(self) -> dict:
-        return {"seq": self.seq, "actor": self.actor, "kind": self.kind, "payload": self.payload}
-
-
 @dataclass(frozen=True)
 class Completed:
     alice_decoded: MessageBits
@@ -215,17 +213,31 @@ def _message_bits_from_payload(payload: dict) -> MessageBits:
     )
 
 
-@dataclass
 class Transcript:
     """Complete record of one run: config echo, event log, verdict, stats.
 
     The serialized form is one JSON object per line with fields
     (seq, actor, kind, payload); a file is valid if and only if its
     sequence numbers are dense from 0.  See FORMAT.md for field tables.
+    `events` accepts any iterable of Events and is kept as an EventLog.
     """
 
-    events: list[Event]
-    verdict: Verdict
+    def __init__(self, events: Iterable[Event], verdict: Verdict) -> None:
+        self._events = events if isinstance(events, EventLog) else EventLog(events)
+        self.verdict = verdict
+
+    @property
+    def events(self) -> EventLog:
+        """The records in seq order, as a read-only sequence of Events."""
+        return self._events
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Transcript):
+            return NotImplemented
+        return self.verdict == other.verdict and self._events == other._events
+
+    def __repr__(self) -> str:
+        return f"Transcript(events={self._events!r}, verdict={self.verdict!r})"
 
     @property
     def completed(self) -> bool:
@@ -233,54 +245,33 @@ class Transcript:
 
     @property
     def config(self) -> dict:
-        if not self.events or self.events[0].kind != "config":
+        if not self._events or self._events[0].kind != "config":
             raise ValueError("transcript does not start with a config record")
-        return self.events[0].payload
+        return self._events[0].payload
 
     @property
     def stats(self) -> dict:
-        for event in reversed(self.events):
+        for event in reversed(self._events):
             if event.kind == "stats":
                 return event.payload
         raise ValueError("transcript has no stats record")
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(e.to_record(), sort_keys=True, separators=(",", ":"))
-            for e in self.events
-        ]
-        return "\n".join(lines) + "\n"
+        return "\n".join(self._events.lines()) + "\n"
 
     def write_jsonl(self, path: str | Path) -> None:
         Path(path).write_text(self.to_jsonl(), encoding="utf-8")
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
-        events: list[Event] = []
-        for lineno, line in enumerate(text.splitlines()):
-            if not line.strip():
-                raise TranscriptInvalid(f"blank record at line {lineno}")
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TranscriptInvalid(f"line {lineno}: {exc}") from exc
-            if not isinstance(raw, dict) or raw.keys() != {"seq", "actor", "kind", "payload"}:
-                raise TranscriptInvalid(
-                    f"line {lineno}: expected an object with exactly seq, actor, kind and payload"
-                )
-            event = Event(**raw)
-            if type(event.seq) is not int or event.seq != lineno:
-                raise TranscriptInvalid(
-                    f"sequence numbers must be dense from 0: expected {lineno}, got {event.seq!r}"
-                )
-            events.append(event)
-        if not events or events[-1].kind != "verdict":
+        log = EventLog.parse(text)
+        if not log or log[-1].kind != "verdict":
             raise TranscriptInvalid("transcript is truncated: no verdict record")
         try:
-            verdict = _verdict_from_payload(events[-1].payload)
+            verdict = _verdict_from_payload(log[-1].payload)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise TranscriptInvalid(f"malformed verdict payload: {exc!r}") from exc
-        return cls(events=events, verdict=verdict)
+        return cls(events=log, verdict=verdict)
 
     @classmethod
     def read_jsonl(cls, path: str | Path) -> "Transcript":
@@ -315,86 +306,40 @@ def _verdict_from_payload(payload: dict) -> Verdict:
     return Aborted(phase=phase, reason=reason)
 
 
-class _CustodyLedger:
-    """Who holds each photon, under the custody rules of FORMAT.md.
-
-    Maps (pair, slot) to "alice", "bob", "channel" or "consumed".  A
-    Session applies every event as it records it and audit_custody replays
-    a saved log through a fresh ledger, so both enforce the same rules.
-    """
-
-    def __init__(self) -> None:
-        self._holder: dict[tuple[int, str], object] = {}
-
-    def apply(self, event: Event) -> list[str]:
-        """Apply one event and return its violations; a photon whose rule breaks does not move.
-
-        Raises TranscriptInvalid on a custody event without a valid pair or slot.
-        """
-        kind, actor = event.kind, event.actor
-        # who must hold each photon the event names, and who holds it after (None: unchanged)
-        if kind == "send":
-            expect, to = actor, "channel"
-        elif kind == "receive":
-            expect, to = "channel", actor
-        elif kind == "pauli" or kind == "measure":
-            expect, to = actor, None
-        elif kind == "eve_touch":
-            expect, to = "channel", None
-        elif kind == "bell_measure":
-            expect, to = actor, "consumed"
-        elif kind != "prepare":
-            return []
-        payload = event.payload
-        pair = payload.get("pair") if type(payload) is dict else None
-        if type(pair) is not int:
-            raise TranscriptInvalid(f"seq {event.seq}: {kind} record without an integer pair")
-        if kind == "prepare":
-            violations = [] if actor == "alice" else [f"seq {event.seq}: pair {pair} prepared by {actor}"]
-            held = self._holder.get((pair, "C")), self._holder.get((pair, "M"))
-            if held != (None, None):
-                violations.append(
-                    f"seq {event.seq}: pair {pair} prepared again, held by {held[0]} and {held[1]}"
-                )
-            else:
-                self._holder[pair, "C"] = self._holder[pair, "M"] = actor
-            return violations
-        if kind == "bell_measure":
-            slots = ("C", "M")
-        else:
-            slot = payload.get("slot")
-            if slot != "C" and slot != "M":
-                raise TranscriptInvalid(f"seq {event.seq}: {kind} record without a slot C or M")
-            slots = (slot,)
-        violations = []
-        for slot in slots:
-            actual = self._holder.get((pair, slot))
-            if actual != expect:
-                violations.append(
-                    f"seq {event.seq}: {kind} on pair {pair} slot {slot} "
-                    f"held by {actual}, expected {expect}"
-                )
-            elif to is not None:
-                self._holder[pair, slot] = to
-        return violations
-
-
 class _Recorder:
-    """Appends events with dense sequence numbers, numbers the wire, keeps custody."""
+    """Appends records with dense sequence numbers, numbers the wire, keeps custody."""
 
     def __init__(self, n_pairs: int) -> None:
-        self.events: list[Event] = []
+        self.events = EventLog()
         self._n_pairs = n_pairs
         self._msg_seq = 0
         self._custody = _CustodyLedger()
 
     def emit(self, actor: str, kind: str, payload: dict) -> None:
-        """Append one event; a custody violation raises before it enters the log."""
-        event = Event(seq=len(self.events), actor=actor, kind=kind, payload=payload)
-        violations = self._custody.apply(event)
+        """Append one record; a custody violation raises before it enters the log."""
+        shape = _shape_of(actor, kind, payload)
+        if shape is not None:
+            self.record(bytes((shape,)), (payload["pair"],))
+            return
+        seq = len(self.events)
+        violations = self._custody.apply(seq, actor, kind, payload)
         if violations:
-            raise InternalFault(violations[0])
-        self.events.append(event)
+            raise InternalFault(violations[0][1])
+        self.events._add(Event(seq=seq, actor=actor, kind=kind, payload=payload))
+
+    def record(self, shapes: bytes, pairs: Sequence[int]) -> None:
+        """Append bulk records, given as shape codes and pairs, with the next seqs.
+
+        A custody violation raises before its record enters the log, once
+        the records before it have.
+        """
+        seq = len(self.events)
+        violations = self._custody.apply_bulk(seq, shapes, pairs)
+        if violations:
+            first, message = violations[0]
+            self.events._extend(shapes[: first - seq], pairs[: first - seq])
+            raise InternalFault(message)
+        self.events._extend(shapes, pairs)
 
     def send(self, sender: Role, type: str, **fields: object) -> None:
         """Put one classical message on the wire; fields are already in wire form."""
@@ -423,8 +368,7 @@ def audit_custody(transcript: Transcript) -> list[str]:
     transcript respects custody everywhere.  Raises TranscriptInvalid on a
     custody record without a valid pair or slot.
     """
-    ledger = _CustodyLedger()
-    return [v for event in transcript.events for v in ledger.apply(event)]
+    return _CustodyLedger().replay(transcript.events)
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +416,10 @@ class Session:
 
     def prepare_pairs(self) -> None:
         self._advance(Phase.FIRST_TRANSMISSION)
-        for i in range(self.config.n_pairs):
+        n = self.config.n_pairs
+        for i in range(n):
             self._states[i] = make_singlet()
-            self._rec.emit("alice", "prepare", {"pair": i})
+        self._rec.record(bytes((_SHAPE_ID["prepare", "alice"],)) * n, range(n))
 
     def transmit(self, leg: Leg) -> None:
         """Send one leg's photons from Alice to Bob through Eve's channel."""
@@ -484,26 +429,22 @@ class Session:
             indices = list(self.survivors)
         else:
             indices = list(range(self.config.n_pairs))
-        for i in indices:
-            self._rec.emit("alice", "send", {"pair": i, "slot": slot.value, "to": "bob"})
+        sent = bytes((_SHAPE_ID["send", "alice", slot.value, "bob"],)) * len(indices)
+        self._rec.record(sent, indices)
         in_transit = {i: self._states[i] for i in indices}
         disturbed, record = transit(in_transit, leg, self.config.eve, self._eve_rng)
         self._states.update(disturbed)
-        for touch in record.touches:
-            self._rec.emit(
-                "eve",
-                "eve_touch",
-                {
-                    "pair": touch.pair_index,
-                    "leg": touch.leg.value,
-                    "slot": slot.value,
-                    "basis": touch.basis.value,
-                    "outcome": touch.outcome,
-                },
-            )
+        touches = record.touches
+        self._rec.record(
+            bytes(
+                _SHAPE_ID["eve_touch", "eve", t.basis.value, t.leg.value, t.outcome, slot.value]
+                for t in touches
+            ),
+            [t.pair_index for t in touches],
+        )
         self.eve_record.extend(record)
-        for i in indices:
-            self._rec.emit("bob", "receive", {"pair": i, "slot": slot.value})
+        received = bytes((_SHAPE_ID["receive", "bob", slot.value],)) * len(indices)
+        self._rec.record(received, indices)
 
     def first_check(self) -> bool:
         """Anticorrelation test on a random sample of travelled photons.
@@ -523,17 +464,13 @@ class Session:
         bases: dict[int, Basis] = {
             i: (Basis.Z if self._bob_rng.integers(2) == 0 else Basis.X) for i in chosen
         }
-        bob_outcomes = {
-            i: self._measure(self.bob, self._bob_rng, i, QubitSlot.C, bases[i]) for i in chosen
-        }
+        bob_outcomes = self._measure(self.bob, self._bob_rng, chosen, QubitSlot.C, bases)
         self._rec.send(Role.BOB, "basis_announce", bases=[[i, bases[i].value] for i in chosen])
         self._rec.send(
-            Role.BOB, "outcome_announce", outcomes=[[i, bob_outcomes[i]] for i in chosen]
+            Role.BOB, "outcome_announce", outcomes=[list(e) for e in zip(chosen, bob_outcomes)]
         )
-        violations = sum(
-            self._measure(self.alice, self._alice_rng, i, QubitSlot.M, bases[i]) == bob_outcomes[i]
-            for i in chosen
-        )
+        alice_outcomes = self._measure(self.alice, self._alice_rng, chosen, QubitSlot.M, bases)
+        violations = sum(a == b for a, b in zip(alice_outcomes, bob_outcomes))
         passed = violations <= cfg.abort_threshold
         self._stats["first_check"] = {
             "sampled": count,
@@ -570,6 +507,7 @@ class Session:
         self.alice.decoy_positions = decoy_positions
         message_count = len(self.survivors) - len(decoy_positions)
         next_pair = iter(_padded_pairs(self.alice.message, message_count))
+        shapes = bytearray()
         for i in self.survivors:
             if i in decoy_positions:
                 op = PauliOp(int(self._alice_rng.integers(4)))
@@ -577,7 +515,8 @@ class Session:
                 op = op_for_bits(next(next_pair))
             self._states[i] = apply_pauli(self._states[i], op, QubitSlot.M)
             self.alice.applied_ops[i] = op
-            self._rec.emit("alice", "pauli", {"pair": i, "slot": "M", "op": op.name})
+            shapes.append(_SHAPE_ID["pauli", "alice", op.name, "M"])
+        self._rec.record(shapes, self.survivors)
 
     def bob_encode_measure_announce(self) -> None:
         """Bob's encoding, joint measurement, and public announcement.
@@ -588,19 +527,22 @@ class Session:
         """
         self._advance(Phase.BELL_ANNOUNCE)
         message_pairs = _padded_pairs(self.bob.message, len(self.survivors))
+        shapes, pairs = bytearray(), []
         for i, pair_bits in zip(self.survivors, message_pairs):
             op = op_for_bits(pair_bits)
             slot = QubitSlot.C if self._bob_rng.integers(2) == 0 else QubitSlot.M
             self._states[i] = apply_pauli(self._states[i], op, slot)
             self.bob.applied_ops[i] = op
-            self._rec.emit("bob", "pauli", {"pair": i, "slot": slot.value, "op": op.name})
             result = bell_measure(self._states.pop(i), self._bob_rng)
             self.announced[i] = result
-            self._rec.emit("bob", "bell_measure", {"pair": i, "result": result.name.lower()})
+            shapes.append(_SHAPE_ID["pauli", "bob", op.name, slot.value])
+            shapes.append(_SHAPE_ID["bell_measure", "bob", _BELL_NAME[result]])
+            pairs += (i, i)
+        self._rec.record(shapes, pairs)
         self._rec.send(
             Role.BOB,
             "bell_results",
-            results=[[i, self.announced[i].name.lower()] for i in self.survivors],
+            results=[[i, _BELL_NAME[self.announced[i]]] for i in self.survivors],
         )
 
     def second_check(self) -> bool:
@@ -687,16 +629,27 @@ class Session:
         self.phase = phase
 
     def _measure(
-        self, party: PartyState, rng: RandomStream, pair: int, slot: QubitSlot, basis: Basis
-    ) -> int:
-        """One party measures its photon of a pair in a basis and logs the outcome."""
-        outcome, self._states[pair] = measure_qubit(self._states[pair], slot, basis, rng)
-        self._rec.emit(
-            party.role.value,
-            "measure",
-            {"pair": pair, "slot": slot.value, "basis": basis.value, "outcome": outcome},
+        self,
+        party: PartyState,
+        rng: RandomStream,
+        pairs: list[int],
+        slot: QubitSlot,
+        bases: dict[int, Basis],
+    ) -> list[int]:
+        """One party measures its photon of each pair in that pair's basis and logs the outcomes."""
+        outcomes = []
+        for i in pairs:
+            outcome, self._states[i] = measure_qubit(self._states[i], slot, bases[i], rng)
+            outcomes.append(outcome)
+        actor = party.role.value
+        self._rec.record(
+            bytes(
+                _SHAPE_ID["measure", actor, bases[i].value, outcome, slot.value]
+                for i, outcome in zip(pairs, outcomes)
+            ),
+            pairs,
         )
-        return outcome
+        return outcomes
 
     def _abort(self, reason: str) -> None:
         self._rec.send(Role.ALICE, "abort", reason=reason)
@@ -706,6 +659,9 @@ class Session:
         self._rec.emit("session", "stats", dict(self._stats))
         self._rec.emit("session", "verdict", _verdict_payload(verdict))
         return Transcript(events=self._rec.events, verdict=verdict)
+
+
+_BELL_NAME = {bell: bell.name.lower() for bell in BellState}
 
 
 def _padded_pairs(message: MessageBits, needed: int) -> list[int]:

@@ -170,6 +170,21 @@ def test_substitute_forwards_fresh_zero_on_each_leg():
     )
 
 
+def test_substitution_measures_each_substituted_photon_exactly_once(monkeypatch):
+    from qduplex import adversary
+
+    calls = []
+    measure = adversary.measure_qubit
+    monkeypatch.setattr(
+        adversary, "measure_qubit", lambda *args: calls.append(args[1]) or measure(*args)
+    )
+    states = {i: make_singlet() for i in range(64)}
+    strategy = EveStrategy.from_name("substitute", attack_prob=0.5)
+    _, record = transit(states, Leg.SECOND, strategy, np.random.default_rng(8))
+    assert 0 < len(record.touches) < 64
+    assert calls == [QubitSlot.M] * len(record.touches)
+
+
 def test_attack_probability_thins_touches():
     states = {i: make_singlet() for i in range(400)}
     strategy = EveStrategy.from_name("intercept-z", attack_prob=0.25)

@@ -12,10 +12,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qduplex
-from qduplex.cli import main
-from qduplex.session import Transcript, audit_custody
+from qduplex.cli import _DEFAULTS, _USAGE_ERRORS, _build_parser, _protocol_config, _resolve, main
+from qduplex.session import MAX_PAIRS, Transcript, audit_custody
 
 GOLDEN = None  # resolved per test via request.path
 
@@ -257,6 +259,63 @@ def test_config_file_errors(capsys, tmp_path):
     assert "config file" in err
 
 
+config_keys = st.sampled_from(
+    [*sorted(_DEFAULTS), "check-fraction", "eve-prob", "alice-msg", "photon_count", "", " "]
+)
+config_values = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70).map(str),
+    st.integers(min_value=1, max_value=5000).map(lambda digits: "9" * digits),
+    st.floats().map(repr),
+    st.sampled_from(
+        ["nan", "-nan", "inf", "-inf", "1e999", "-0", "0x10", "1_000", "", "random", "none",
+         "roundtrip", "table-check", "intercept-rand", "substitute", "64", "0.25", "1e-300"]
+    ),
+    st.text(max_size=8),
+)
+config_lines = st.one_of(
+    st.tuples(config_keys, config_values).map(lambda kv: f"{kv[0]}={kv[1]}"),
+    st.tuples(config_keys, config_values).map(lambda kv: f"  {kv[0]} = {kv[1]}  # note"),
+    st.text(max_size=12),  # mostly no key at all
+    st.just("# comment"),
+)
+config_files = st.one_of(
+    st.lists(config_lines, max_size=10).map(lambda lines: "\n".join(lines).encode("utf-8")),
+    st.tuples(st.lists(config_lines, max_size=6), st.binary(max_size=16)).map(
+        lambda parts: "\n".join(parts[0]).encode("utf-8") + parts[1]
+    ),
+    st.binary(max_size=64),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=config_files, mode_flag=st.booleans())
+def test_any_config_file_resolves_to_a_valid_config_or_is_a_usage_error(
+    tmp_path_factory, data, mode_flag
+):
+    """Whatever a --config file holds, the CLI gets a validated config or exits 2.
+
+    Resolution goes through the same functions main calls; an exception of
+    a type in _USAGE_ERRORS is what main reports with exit code 2.
+    """
+    path = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    path.write_bytes(data)
+    argv = ["--config", str(path), *(["--mode", "roundtrip"] if mode_flag else [])]
+    try:
+        config = _protocol_config(_resolve(_build_parser().parse_args(argv)))
+    except _USAGE_ERRORS:
+        return
+    config.validate()
+    assert 2 <= config.n_pairs <= MAX_PAIRS
+
+
+def test_config_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes("mode=roundtrip\nalice-msg=caf\xe9\n".encode("latin-1"))
+    code, _, err = run_cli(capsys, "--config", str(cfg))
+    assert code == 2
+    assert "cannot read config file" in err
+
+
 # ---------------------------------------------------------------------------
 # error handling and exit codes
 
@@ -277,6 +336,13 @@ def test_config_file_errors(capsys, tmp_path):
 )
 def test_bad_invocations_exit_2(capsys, argv):
     assert run_cli(capsys, *argv)[0] == 2
+
+
+def test_oversized_block_exits_2_before_allocating(capsys):
+    code, out, err = run_cli(capsys, "--mode", "roundtrip", "--pairs", "3000000000", "--decoys", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: n_pairs must be at most {MAX_PAIRS}")
 
 
 def test_unwritable_output_path_exits_2(capsys, tmp_path):

@@ -28,6 +28,7 @@ from qduplex.qsim import (
     outcome_probabilities,
     product_state,
     project_qubit,
+    substitute_fresh,
 )
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -408,3 +409,33 @@ def test_byte_equal_states_give_byte_equal_results():
 def test_singlet_is_one_shared_immutable_state():
     assert make_singlet() is make_singlet()
     assert make_singlet().key == make_singlet().amplitudes.tobytes()
+
+
+def rebuilt_with_fresh_zero(state: TwoQubitState, slot: QubitSlot, outcome: int) -> bytes:
+    """The substitution arithmetic as it ran in the adversary before it became a qsim op."""
+    m = state.amplitudes.reshape(2, 2)
+    fresh = np.zeros((2, 2), dtype=np.complex128)
+    if slot is QubitSlot.C:
+        fresh[0, :] = m[outcome, :]
+    else:
+        fresh[:, 0] = m[:, outcome]
+    return TwoQubitState(fresh.reshape(4)).key
+
+
+def test_substitution_matches_its_old_arithmetic_and_is_a_memo_hit_on_repeat():
+    rng = np.random.default_rng(11)
+    starts = [make_singlet(), apply_pauli(make_singlet(), PauliOp.U3, QubitSlot.M)]
+    for _ in range(4):
+        vec = rng.normal(size=4) + 1j * rng.normal(size=4)
+        starts.append(TwoQubitState(vec / np.linalg.norm(vec)))
+    for start in starts:
+        for slot in QubitSlot:
+            for outcome in (0, 1):
+                _, collapsed = project_qubit(start, slot, Basis.Z, outcome)
+                if collapsed is None:
+                    continue
+                fresh = substitute_fresh(collapsed, slot, outcome)
+                assert fresh.key == rebuilt_with_fresh_zero(collapsed, slot, outcome)
+                hits = qsim._exact.cache_info().hits
+                assert substitute_fresh(collapsed, slot, outcome) is fresh
+                assert qsim._exact.cache_info().hits == hits + 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,20 +16,25 @@ from qduplex.adversary import EveStrategy, Leg
 from qduplex.codec import MessageBits, decode_alice, decode_bob, pack_bits, random_message
 from qduplex.qsim import BellState, InternalFault, PauliOp
 from qduplex.session import (
+    LOG_BYTES_PER_PAIR,
+    MAX_PAIRS,
     Aborted,
     CapacityExceeded,
     Completed,
     ConfigInvalid,
     Event,
+    EventLog,
     Phase,
     ProtocolConfig,
     Session,
     Transcript,
     TranscriptInvalid,
     _Recorder,
+    _verdict_from_payload,
     audit_custody,
     run_protocol,
 )
+from qduplex.records import _BULK_SCHEMA, _shape_of
 
 ABORT_FIRST_CONFIG = ProtocolConfig(
     n_pairs=16, check_fraction_1=0.5, check_count_2=0, seed=0,
@@ -345,18 +351,34 @@ json_values = st.recursive(
 
 @st.composite
 def damaged_golden_transcripts(draw) -> str:
-    """A golden transcript with one payload field of one record deleted or replaced."""
+    """A golden transcript, maybe with one payload field deleted or replaced, and one seq,
+    actor or kind replaced.
+
+    Each line is written canonically, or re-spaced with its keys sorted or
+    not, so both the reader's bulk path and its general path see damage.
+    """
     text = (GOLDEN_DIR / draw(st.sampled_from(GOLDEN_TRANSCRIPTS))).read_text(encoding="utf-8")
     records = [json.loads(line) for line in text.splitlines()]
-    index = draw(st.sampled_from([i for i, r in enumerate(records) if r["payload"]]))
-    payload = dict(records[index]["payload"])
-    key = draw(st.sampled_from(sorted(payload)))
     if draw(st.booleans()):
-        del payload[key]
-    else:
-        payload[key] = draw(json_values)
-    damaged = [*records[:index], {**records[index], "payload": payload}, *records[index + 1 :]]
-    return "".join(json.dumps(r, sort_keys=True) + "\n" for r in damaged)
+        index = draw(st.sampled_from([i for i, r in enumerate(records) if r["payload"]]))
+        payload = dict(records[index]["payload"])
+        key = draw(st.sampled_from(sorted(payload)))
+        if draw(st.booleans()):
+            del payload[key]
+        else:
+            payload[key] = draw(json_values)
+        records[index] = {**records[index], "payload": payload}
+    if draw(st.booleans()):
+        index = draw(st.sampled_from(range(len(records))))
+        field_ = draw(st.sampled_from(["seq", "actor", "kind"]))
+        records[index] = {**records[index], field_: draw(json_values | st.integers(-1, 40))}
+    spaced = draw(st.sets(st.sampled_from(range(len(records)))))
+    lines = [
+        json.dumps(r, sort_keys=draw(st.booleans())) if i in spaced
+        else json.dumps(r, sort_keys=True, separators=(",", ":"))
+        for i, r in enumerate(records)
+    ]
+    return "".join(line + "\n" for line in lines)
 
 
 @settings(max_examples=150, deadline=None)
@@ -813,3 +835,361 @@ def test_golden_transcript_still_reproduces(request, name, config, completed):
     parsed = Transcript.from_jsonl(golden.read_text(encoding="utf-8"))
     assert parsed.completed is completed
     assert audit_custody(parsed) == []
+
+
+# ---------------------------------------------------------------------------
+# block size cap
+
+
+def test_config_rejects_blocks_above_max_pairs():
+    ProtocolConfig(n_pairs=MAX_PAIRS, check_fraction_1=0.25, check_count_2=0).validate()
+    with pytest.raises(ConfigInvalid, match="at most"):
+        ProtocolConfig(n_pairs=MAX_PAIRS + 1, check_fraction_1=0.25, check_count_2=0).validate()
+    with pytest.raises(ConfigInvalid, match="at most"):
+        ProtocolConfig(n_pairs=10**400).validate()  # before any float arithmetic on it
+    assert MAX_PAIRS >= 2**20
+
+
+@pytest.mark.parametrize("attack", ["none", "intercept-z", "intercept-x", "intercept-rand", "substitute"])
+def test_transcript_bytes_per_pair_stay_under_the_cap_bound(attack):
+    """MAX_PAIRS is derived from LOG_BYTES_PER_PAIR, so no run may write more per pair.
+
+    A tolerant abort threshold lets an attack at probability 1 reach the
+    second leg, so Eve adds two eve_touch records to every pair.  At
+    MAX_PAIRS a pair index has up to 3 more digits, and a seq up to 3 more,
+    than at N=4096.
+    """
+    for prob, threshold in ((1.0, 0), (0.02, 0), (1.0, 4096)):
+        config = ProtocolConfig(
+            n_pairs=4096, check_fraction_1=1 / 64, check_count_2=8, seed=3,
+            abort_threshold=threshold, eve=EveStrategy.from_name(attack, attack_prob=prob),
+        )
+        transcript = run_protocol(config, *fixed_messages(config))
+        size = len(transcript.to_jsonl().encode("utf-8"))
+        at_max_pairs = size + 6 * len(transcript.events) + 3 * config.n_pairs
+        assert at_max_pairs <= LOG_BYTES_PER_PAIR * config.n_pairs
+
+
+# ---------------------------------------------------------------------------
+# event log: bulk records as columns
+
+
+ATTACKS = ["none", "intercept-z", "intercept-x", "intercept-rand", "substitute"]
+
+
+def attacked_runs() -> list[Transcript]:
+    """Runs under every attack setting, some aborting and some with touches on both legs."""
+    runs = []
+    for attack in ATTACKS:
+        for prob, seed in ((1.0, 1), (0.1, 2), (0.05, 3)):
+            config = ProtocolConfig(
+                n_pairs=48, check_fraction_1=0.125, check_count_2=3, seed=seed,
+                eve=EveStrategy.from_name(attack, attack_prob=prob),
+            )
+            runs.append(run_protocol(config, *fixed_messages(config)))
+    return runs
+
+
+def canonical_jsonl(events) -> str:
+    return "".join(
+        json.dumps(e.to_record(), sort_keys=True, separators=(",", ":")) + "\n" for e in events
+    )
+
+
+def test_writer_equals_per_record_json_dumps_under_every_attack():
+    runs = attacked_runs()
+    legs = {e.payload["leg"] for t in runs for e in t.events if e.kind == "eve_touch"}
+    assert legs == {"first", "second"}
+    assert {t.completed for t in runs} == {True, False}
+    for transcript in runs:
+        assert transcript.to_jsonl() == canonical_jsonl(transcript.events)
+
+
+def reference_read(text: str) -> list[Event] | None:
+    """Event(**json.loads(line)) for every line under FORMAT.md's file rules; None if rejected."""
+    events = []
+    for lineno, line in enumerate(text.splitlines()):
+        try:
+            raw = json.loads(line)
+        except ValueError:
+            return None
+        if not isinstance(raw, dict) or raw.keys() != {"seq", "actor", "kind", "payload"}:
+            return None
+        if type(raw["seq"]) is not int or raw["seq"] != lineno:
+            return None
+        events.append(Event(**raw))
+    if not events or events[-1].kind != "verdict":
+        return None
+    try:
+        _verdict_from_payload(events[-1].payload)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    return events
+
+
+def assert_reads_like_the_reference(text: str) -> None:
+    expected = reference_read(text)
+    if expected is None:
+        with pytest.raises(TranscriptInvalid):
+            Transcript.from_jsonl(text)
+        return
+    transcript = Transcript.from_jsonl(text)
+    assert len(transcript.events) == len(expected)
+    assert list(transcript.events) == expected
+    assert transcript.events == expected
+    assert [transcript.events[i] for i in range(-len(expected), len(expected))] == expected * 2
+    assert transcript.to_jsonl() == canonical_jsonl(expected)
+
+
+@pytest.mark.parametrize("name", GOLDEN_TRANSCRIPTS)
+def test_reader_equals_per_line_json_loads_on_golden_transcripts(name):
+    assert_reads_like_the_reference((GOLDEN_DIR / name).read_text(encoding="utf-8"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_golden_transcripts())
+def test_reader_equals_per_line_json_loads_on_variants(text):
+    assert_reads_like_the_reference(text)
+
+
+_BULK = '{"actor":"alice","kind":"send","payload":{"pair":%s,"slot":"C","to":"bob"},"seq":1}'
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        _BULK % "3",
+        _BULK % "-3",
+        _BULK % "-0",
+        _BULK % "007",
+        _BULK % "3.0",
+        _BULK % "true",
+        _BULK % "1e2",
+        _BULK % ("9" * 30),
+        _BULK % "3 ",
+        _BULK.replace('"seq":1', '"seq":01') % "3",
+        _BULK.replace('"seq":1', '"seq":1.0') % "3",
+        _BULK.replace('"to":"bob"', '"to":"mallory"') % "3",
+        _BULK.replace('"slot":"C"', '"slot":"c"') % "3",
+        _BULK.replace('"to":"bob"', '"to":"bob","via":"relay"') % "3",
+        _BULK.replace('"actor":"alice"', '"actor":"ALICE"') % "3",
+        _BULK.replace('"actor":"alice"', '"actor":"bob"') % "3",
+        _BULK.replace('"actor":"alice"', '"actor":"al\\u0069ce"') % "3",
+        '{"actor":"eve","kind":"eve_touch","payload":{"basis":"Z","leg":"first",'
+        '"outcome":1,"pair":2,"slot":"M"},"seq":1}',
+        '{"actor":"eve","kind":"eve_touch","payload":{"basis":"Z","leg":"first",'
+        '"outcome":2,"pair":2,"slot":"C"},"seq":1}',
+        '{"actor":"eve","kind":"eve_touch","payload":{"basis":"Z","leg":"first",'
+        '"outcome":true,"pair":2,"slot":"C"},"seq":1}',
+        '{"actor":"bob","kind":"bell_measure","payload":{"pair":5,"result":"psi_minus"},"seq":1}',
+        '{"actor":"bob","kind":"bell_measure","payload":{"pair":5,"result":"psi_minus"},"seq":2}',
+        '{"actor":"bob","kind":"bell_measure","payload":{"pair":5,"result":"psi_minus"},"seq":1}\r',
+        '{"actor":"bob","kind":"bell_measure","payload":{"result":"psi_minus","pair":5},"seq":1}',
+        '{"seq":1,"actor":"bob","kind":"bell_measure","payload":{"pair":5,"result":"psi_minus"}}',
+        '{"actor":"bob","kind":"prepare","payload":{"pair":5},"seq":1}',
+        '{"actor":"bob","kind":"prepare","payload":{},"seq":1}',
+        "",
+    ],
+)
+def test_reader_equals_per_line_json_loads_on_near_canonical_lines(line):
+    config = '{"actor":"session","kind":"config","payload":{},"seq":0}'
+    verdict = (
+        '{"actor":"session","kind":"verdict","payload":{"outcome":"aborted",'
+        '"phase":"first_check","reason":"x"},"seq":2}'
+    )
+    assert_reads_like_the_reference("\n".join([config, line, verdict]) + "\n")
+
+
+def reference_custody(events) -> list[str]:
+    """FORMAT.md's custody table, applied one record at a time, with the code's messages."""
+    holder: dict[tuple[int, str], object] = {}
+    out = []
+    for e in events:
+        kind, actor, payload, seq = e.kind, e.actor, e.payload, e.seq
+        if kind == "prepare":
+            pair = payload["pair"]
+            if actor != "alice":
+                out.append(f"seq {seq}: pair {pair} prepared by {actor}")
+            now = holder.get((pair, "C")), holder.get((pair, "M"))
+            if now != (None, None):
+                out.append(f"seq {seq}: pair {pair} prepared again, held by {now[0]} and {now[1]}")
+            else:
+                holder[pair, "C"] = holder[pair, "M"] = actor
+            continue
+        rule = {
+            "send": (actor, "channel"),
+            "eve_touch": ("channel", None),
+            "receive": ("channel", actor),
+            "pauli": (actor, None),
+            "measure": (actor, None),
+            "bell_measure": (actor, "consumed"),
+        }.get(kind)
+        if rule is None:
+            continue
+        expect, to = rule
+        slots = ("C", "M") if kind == "bell_measure" else (payload["slot"],)
+        for slot in slots:
+            actual = holder.get((payload["pair"], slot))
+            if actual != expect:
+                out.append(
+                    f"seq {seq}: {kind} on pair {payload['pair']} slot {slot} "
+                    f"held by {actual}, expected {expect}"
+                )
+            elif to is not None:
+                holder[payload["pair"], slot] = to
+    return out
+
+
+# The protocol's custody steps in order, each as (kind, actor, extra payload).
+CUSTODY_STEPS = [
+    ("prepare", "alice", {}),
+    ("send", "alice", {"slot": "C", "to": "bob"}),
+    ("eve_touch", "eve", {"basis": "X", "leg": "first", "outcome": 1, "slot": "C"}),
+    ("receive", "bob", {"slot": "C"}),
+    ("measure", "bob", {"basis": "Z", "outcome": 0, "slot": "C"}),
+    ("pauli", "alice", {"op": "U2", "slot": "M"}),
+    ("send", "alice", {"slot": "M", "to": "bob"}),
+    ("receive", "bob", {"slot": "M"}),
+    ("pauli", "bob", {"op": "U1", "slot": "C"}),
+    ("bell_measure", "bob", {"result": "phi_plus"}),
+]
+
+
+@st.composite
+def custody_batches(draw) -> list[list[tuple[str, str, dict]]]:
+    """Batches of custody records in protocol order, over pair lists that may repeat photons.
+
+    A batch runs one step over a list of pairs: often all of 0..n-1, so that
+    long runs of one rule over distinct photons occur, sometimes with pairs
+    repeated, dropped or shuffled, a step skipped or repeated, an actor
+    swapped, or a record that does not fit its shape.
+    """
+    n = draw(st.integers(1, 24))
+    every = list(range(n))
+    batches = []
+    for kind, actor, extra in CUSTODY_STEPS:
+        for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2]))):
+            pairs = draw(
+                st.sampled_from([every, every[::-1]])
+                | st.lists(st.integers(0, n), max_size=2 * n)
+                | st.permutations(every)
+            )
+            who = draw(st.sampled_from([actor] * 6 + ["alice", "bob", "eve", "mallory"]))
+            payload = dict(extra)
+            if draw(st.integers(0, 9)) == 0:
+                payload["note"] = "off-shape"
+            batches.append([(who, kind, {"pair": p, **payload}) for p in pairs])
+    return batches
+
+
+@settings(max_examples=300, deadline=None)
+@given(custody_batches())
+def test_batch_ledger_matches_a_per_record_reference(batches):
+    records = [r for batch in batches for r in batch]
+    numbered = [Event(i, *r) for i, r in enumerate(records)]
+    expected = reference_custody(numbered)
+    transcript = Transcript(events=numbered, verdict=Aborted(Phase.FIRST_CHECK, "synthetic"))
+    assert audit_custody(transcript) == expected
+    assert audit_custody(Transcript.from_jsonl(canonical_jsonl(numbered) + canonical_jsonl(
+        [Event(len(numbered), "session", "verdict",
+               {"outcome": "aborted", "phase": "first_check", "reason": "x"})]
+    ))) == expected
+    # a recorder taking the same records a batch at a time stops at the first violation
+    recorder = _Recorder(n_pairs=25)
+    try:
+        for batch in batches:
+            shapes = [_shape_of(*r) for r in batch]
+            if None in shapes:
+                for r in batch:
+                    recorder.emit(*r)
+            else:
+                recorder.record(bytes(shapes), [r[2]["pair"] for r in batch])
+    except InternalFault as fault:
+        assert str(fault) == expected[0]
+        assert expected[0].startswith(f"seq {len(recorder.events)}:")
+    else:
+        assert expected == []
+    assert recorder.events == numbered[: len(recorder.events)]
+
+
+def test_transcript_from_an_event_list_is_an_equal_event_log():
+    config = ProtocolConfig(n_pairs=8, check_fraction_1=0.25, check_count_2=1, seed=7)
+    run = run_protocol(config, *fixed_messages(config))
+    events = list(run.events)
+    rebuilt = Transcript(events=events, verdict=run.verdict)
+    assert isinstance(rebuilt.events, EventLog)
+    assert rebuilt.events == events == run.events
+    assert rebuilt == run
+    assert rebuilt.to_jsonl() == run.to_jsonl()
+    assert [e.seq for e in rebuilt.events] == list(range(len(events)))
+    assert rebuilt.events[2:5] == events[2:5]
+    assert rebuilt.events != events[:-1]
+    with pytest.raises(IndexError):
+        rebuilt.events[len(events)]
+    with pytest.raises(AttributeError):
+        rebuilt.events = []
+    # records with a seq other than their position, or off their kind's shape, stay as given
+    odd = [Event(5, "alice", "prepare", {"pair": 0}), Event(1, "bob", "prepare", {"pair": "0"})]
+    assert list(Transcript(events=odd, verdict=run.verdict).events) == odd
+
+
+def test_bulk_records_build_no_event_on_the_run_write_read_audit_and_estimator_paths(monkeypatch):
+    """Only config, message, stats and verdict records become Events or parsed dicts."""
+    import qduplex.records as records_module
+    import qduplex.session as session_module
+    from qduplex.adversary import estimate_information
+
+    built, parsed = [], []
+
+    def counting_event(*args, **kwargs):
+        event = Event(*args, **kwargs)
+        built.append(event.kind)
+        return event
+
+    def counting_loads(text):
+        parsed.append(text)
+        return loads(text)
+
+    loads = json.loads
+    for module in (session_module, records_module):
+        monkeypatch.setattr(module, "Event", counting_event)
+    monkeypatch.setattr(records_module.json, "loads", counting_loads)
+    config = ProtocolConfig(n_pairs=64, check_fraction_1=0.125, check_count_2=4, seed=1)
+    transcript = run_protocol(config, *fixed_messages(config))
+    text = transcript.to_jsonl()
+    back = Transcript.from_jsonl(text)
+    assert audit_custody(back) == []
+    assert (len(back.events), back.config["n_pairs"], back.completed) == (
+        text.count("\n"), 64, True
+    )
+    assert back.stats["second_check"]["passed"]
+    estimate_information(EveStrategy.none(), config, 2, np.random.default_rng(0))
+    generic = {"config", "message", "stats", "verdict"}
+    assert set(built) == generic
+    kinds = [loads(line)["kind"] for line in parsed]
+    assert set(kinds) == generic
+    assert len(kinds) == sum(loads(line)["kind"] in generic for line in text.splitlines())
+
+
+def test_format_md_record_kind_table_matches_the_bulk_schema():
+    """FORMAT.md's record-kind table and _BULK_SCHEMA name the same actors, fields in order, and values."""
+    text = (Path(__file__).parents[1] / "FORMAT.md").read_text(encoding="utf-8")
+    text = text.split("### Record kinds", 1)[1].split("###", 1)[0]
+    rows = {
+        kind: (actors.strip(), fields)
+        for kind, actors, fields in re.findall(
+            r"^\| `(\w+)` +\| ([^|]+)\| ([^|]+) \|$", text, re.MULTILINE
+        )
+    }
+    assert set(rows) - {"config", "message", "stats", "verdict"} == set(_BULK_SCHEMA)
+    for kind, (actors, fields) in _BULK_SCHEMA.items():
+        actor_cell, documented_fields = rows[kind]
+        documented_actors = (
+            ("alice", "bob") if actor_cell == "either" else tuple(re.findall(r"`(\w+)`", actor_cell))
+        )
+        assert documented_actors == actors, kind
+        documented = re.findall(r"`(\w+)`(?: \(([^)]*)\))?", documented_fields)
+        assert [name for name, _ in documented] == list(fields), kind
+        for name, values in documented:
+            expected = fields[name]
+            assert re.findall(r"`([^`]+)`", values) == [str(v) for v in expected or ()], (kind, name)
