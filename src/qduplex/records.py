@@ -16,7 +16,7 @@ import re
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import compress, product, repeat
+from itertools import compress, product
 
 
 class TranscriptInvalid(ValueError):
@@ -264,14 +264,21 @@ class EventLog(Sequence):
     def columns(self, kind: str) -> dict[str, list]:
         """Every record of one bulk kind, in seq order, as columns: actor, then its payload fields.
 
-        Raises TranscriptInvalid if a record of that kind does not fit its shape.
+        If a record of that kind does not fit its shape (a hand-built or
+        damaged one), every record of the kind is read from its Event
+        instead, and a field its payload lacks raises KeyError.
         """
+        fields = _BULK_SCHEMA[kind][1]
         if any(event.kind == kind for event in self._events):
-            raise TranscriptInvalid(f"a {kind} record does not fit the shape of its kind")
+            events = [event for event in self if event.kind == kind]
+            out = {"actor": [event.actor for event in events]}
+            for name in fields:
+                out[name] = [event.payload[name] for event in events]
+            return out
         keep = self._shapes.translate(_KIND_SELECT[kind])
         shapes = bytes(compress(self._shapes, keep))
         out = {"actor": list(map(_SHAPE_COLUMN["actor"].__getitem__, shapes))}
-        for name in _BULK_SCHEMA[kind][1]:
+        for name in fields:
             if name == "pair":
                 out[name] = list(compress(self._pairs, keep))
             else:
@@ -335,19 +342,12 @@ def _custody_move(kind: str, actor: object) -> tuple[object, object]:
     return actor, "consumed"  # bell_measure; prepare has its own rule
 
 
-# The custody rule of each shape: its kind, its actor and the slot indices
-# it names (both for prepare and bell_measure).  Shapes that differ only in
-# values such as op or outcome share a rule.
-_RULES: list[tuple[str, str, tuple[int, ...]]] = []
-_SHAPE_RULE = bytearray(256)  # translate table: shape code -> rule code
-for _code, (_kind, _actor, _payload) in enumerate(_SHAPE_RECORD):
-    _rule = (_kind, _actor, (_SLOTS.index(_payload["slot"]),) if "slot" in _payload else (0, 1))
-    if _rule not in _RULES:
-        _RULES.append(_rule)
-    _SHAPE_RULE[_code] = _RULES.index(_rule)
-_SHAPE_RULE = bytes(_SHAPE_RULE)
-
-_RUN = re.compile(rb"(.)\1{3,}", re.DOTALL)  # 4 or more bulk records under one rule
+# The custody rule of each shape, by code: its kind, its actor and the slot
+# indices it names (both for prepare and bell_measure).
+_SHAPE_CUSTODY: list[tuple[str, str, tuple[int, ...]]] = [
+    (kind, actor, (_SLOTS.index(payload["slot"]),) if "slot" in payload else (0, 1))
+    for kind, actor, payload in _SHAPE_RECORD
+]
 
 
 class _CustodyLedger:
@@ -394,50 +394,14 @@ class _CustodyLedger:
         return self._move(seq, kind, actor, slots, pair)
 
     def apply_bulk(self, seq: int, shapes: bytes, pairs: Sequence[int]) -> list[tuple[int, str]]:
-        """Apply the bulk records seq, seq + 1, ..., given as shape codes and pairs.
-
-        A run of four or more records under one rule, over distinct photons
-        that are all where the rule wants them, moves at once; every other
-        record goes through _move one at a time, so a photon a run names
-        twice is checked again on its second visit.
-        """
-        rules = shapes.translate(_SHAPE_RULE)
+        """Apply the bulk records seq, seq + 1, ..., given as shape codes and pairs, in order."""
         out: list[tuple[int, str]] = []
-        done = 0
-        for run in _RUN.finditer(rules):
-            start, end = run.span()
-            out += self._each(seq, rules, pairs, done, start)
-            if not self._move_run(_RULES[rules[start]], pairs[start:end]):
-                out += self._each(seq, rules, pairs, start, end)
-            done = end
-        out += self._each(seq, rules, pairs, done, len(rules))
+        move = self._move
+        for i, (shape, pair) in enumerate(zip(shapes, pairs)):
+            found = move(seq + i, *_SHAPE_CUSTODY[shape], pair)
+            if found:
+                out += found
         return out
-
-    def _each(self, seq: int, rules: bytes, pairs: Sequence[int], start: int, end: int) -> list:
-        out = []
-        for i in range(start, end):
-            out += self._move(seq + i, *_RULES[rules[i]], pairs[i])
-        return out
-
-    def _move_run(self, rule: tuple[str, str, tuple[int, ...]], pairs: Sequence[int]) -> bool:
-        """Move a run of one rule at once if no record of it breaks the rule; else change nothing."""
-        kind, actor, slots = rule
-        if len(set(pairs)) != len(pairs):
-            return False
-        if kind == "prepare":
-            if actor != "alice":
-                return False
-            expect, to = None, actor  # a pair no one holds yet
-        else:
-            expect, to = _custody_move(kind, actor)
-        held = self._holder
-        for s in slots:
-            if not all(map(operator.eq, map(held[s].get, pairs), repeat(expect))):
-                return False
-        if to is not None:
-            for s in slots:
-                held[s].update(zip(pairs, repeat(to)))
-        return True
 
     def _move(
         self, seq: int, kind: str, actor: object, slots: tuple[int, ...], pair: int

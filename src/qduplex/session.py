@@ -49,10 +49,11 @@ class CapacityExceeded(ProtocolError):
     pass
 
 
-LOG_BYTES_PER_PAIR = 1024
-"""Bound on the transcript bytes one pair adds, under any attack (about 700 without Eve)."""
+LOG_BYTES_PER_PAIR = 2048
+"""Bound on the transcript bytes one pair adds, under any attack and any number of decoys
+(about 700 without Eve, about 1070 with every surviving pair but one a decoy and Eve on both legs)."""
 
-MAX_LOG_BYTES = 2**30
+MAX_LOG_BYTES = 2**31
 
 MAX_PAIRS = MAX_LOG_BYTES // LOG_BYTES_PER_PAIR
 """Largest block a config may ask for: its transcript stays under MAX_LOG_BYTES."""

@@ -341,6 +341,39 @@ def test_eve_information_min_pairs_guard():
         eve_information(session.eve_record, transcript, min_pairs=10_000)
 
 
+def test_information_samples_read_records_off_their_shape_from_their_payloads():
+    from qduplex.adversary import _run_samples
+    from qduplex.records import Event
+    from qduplex.session import Transcript
+
+    config = ProtocolConfig(
+        n_pairs=64, check_fraction_1=1 / 64, check_count_2=0, seed=5, abort_threshold=64,
+        eve=EveStrategy.from_name("intercept-z"),
+    )
+    session = Session(
+        config,
+        random_message(config.alice_capacity_bits, np.random.default_rng(0)),
+        random_message(config.bob_capacity_bits, np.random.default_rng(1)),
+    )
+    transcript = session.run()
+    assert transcript.completed
+    # a hand-built copy whose first pauli and bell_measure records carry an extra field
+    events, marked = [], set()
+    for event in transcript.events:
+        if event.kind in ("pauli", "bell_measure") and event.kind not in marked:
+            marked.add(event.kind)
+            event = Event(event.seq, event.actor, event.kind, {**event.payload, "note": "x"})
+        events.append(event)
+    edited = Transcript(events=events, verdict=transcript.verdict)
+    assert edited.events != transcript.events
+    expected = _run_samples(session.eve_record, transcript)
+    assert expected[0]
+    assert _run_samples(session.eve_record, edited) == expected
+    assert eve_information(session.eve_record, edited) == eve_information(
+        session.eve_record, transcript
+    )
+
+
 def test_undetected_intercept_z_reports_positive_information():
     # one check photon keeps enough runs alive to pool a real estimate
     config = ProtocolConfig(n_pairs=8, check_fraction_1=0.125, check_count_2=0)

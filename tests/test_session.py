@@ -17,6 +17,7 @@ from qduplex.codec import MessageBits, decode_alice, decode_bob, pack_bits, rand
 from qduplex.qsim import BellState, InternalFault, PauliOp
 from qduplex.session import (
     LOG_BYTES_PER_PAIR,
+    MAX_LOG_BYTES,
     MAX_PAIRS,
     Aborted,
     CapacityExceeded,
@@ -350,16 +351,16 @@ json_values = st.recursive(
 
 
 @st.composite
-def damaged_golden_transcripts(draw) -> str:
-    """A golden transcript, maybe with one payload field deleted or replaced, and one seq,
-    actor or kind replaced.
+def golden_transcript_variants(draw, damage_payload=st.booleans()) -> str:
+    """A golden transcript, with one payload field of one record deleted or replaced
+    when damage_payload draws True, and maybe one seq, actor or kind replaced.
 
     Each line is written canonically, or re-spaced with its keys sorted or
     not, so both the reader's bulk path and its general path see damage.
     """
     text = (GOLDEN_DIR / draw(st.sampled_from(GOLDEN_TRANSCRIPTS))).read_text(encoding="utf-8")
     records = [json.loads(line) for line in text.splitlines()]
-    if draw(st.booleans()):
+    if draw(damage_payload):
         index = draw(st.sampled_from([i for i, r in enumerate(records) if r["payload"]]))
         payload = dict(records[index]["payload"])
         key = draw(st.sampled_from(sorted(payload)))
@@ -379,6 +380,11 @@ def damaged_golden_transcripts(draw) -> str:
         for i, r in enumerate(records)
     ]
     return "".join(line + "\n" for line in lines)
+
+
+def damaged_golden_transcripts():
+    """A golden transcript variant that always has one payload field deleted or replaced."""
+    return golden_transcript_variants(damage_payload=st.just(True))
 
 
 @settings(max_examples=150, deadline=None)
@@ -855,19 +861,25 @@ def test_transcript_bytes_per_pair_stay_under_the_cap_bound(attack):
     """MAX_PAIRS is derived from LOG_BYTES_PER_PAIR, so no run may write more per pair.
 
     A tolerant abort threshold lets an attack at probability 1 reach the
-    second leg, so Eve adds two eve_touch records to every pair.  At
-    MAX_PAIRS a pair index has up to 3 more digits, and a seq up to 3 more,
-    than at N=4096.
+    second leg, so Eve adds two eve_touch records to every pair.  Many
+    decoys write each decoy's index four more times (second_check_indices,
+    both reveals and the stats).  Every integer in a transcript (a pair,
+    a seq, a count) grows with n_pairs, so from N=4096 to MAX_PAIRS, 256
+    times as many pairs, each gains at most 3 digits.
     """
-    for prob, threshold in ((1.0, 0), (0.02, 0), (1.0, 4096)):
-        config = ProtocolConfig(
-            n_pairs=4096, check_fraction_1=1 / 64, check_count_2=8, seed=3,
-            abort_threshold=threshold, eve=EveStrategy.from_name(attack, attack_prob=prob),
-        )
-        transcript = run_protocol(config, *fixed_messages(config))
-        size = len(transcript.to_jsonl().encode("utf-8"))
-        at_max_pairs = size + 6 * len(transcript.events) + 3 * config.n_pairs
-        assert at_max_pairs <= LOG_BYTES_PER_PAIR * config.n_pairs
+    n = 4096
+    for check_fraction_1, check_count_2 in ((1 / 64, 8), (1 / n, n - 2), (1 / 2, n // 2 - 1)):
+        for prob, threshold in ((1.0, 0), (0.02, 0), (1.0, n)):
+            config = ProtocolConfig(
+                n_pairs=n, check_fraction_1=check_fraction_1, check_count_2=check_count_2,
+                seed=3, abort_threshold=threshold,
+                eve=EveStrategy.from_name(attack, attack_prob=prob),
+            )
+            config.validate()
+            text = run_protocol(config, *fixed_messages(config)).to_jsonl()
+            at_max_pairs = len(text.encode("utf-8")) + 3 * len(re.findall(r"[0-9]+", text))
+            assert at_max_pairs <= LOG_BYTES_PER_PAIR * n
+    assert MAX_PAIRS * LOG_BYTES_PER_PAIR <= MAX_LOG_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -947,7 +959,7 @@ def test_reader_equals_per_line_json_loads_on_golden_transcripts(name):
 
 
 @settings(max_examples=300, deadline=None)
-@given(damaged_golden_transcripts())
+@given(golden_transcript_variants())
 def test_reader_equals_per_line_json_loads_on_variants(text):
     assert_reads_like_the_reference(text)
 
