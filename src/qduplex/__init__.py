@@ -60,7 +60,6 @@ from .session import (
     Event,
     EventLog,
     MAX_PAIRS,
-    PartyState,
     Phase,
     ProtocolConfig,
     ProtocolError,

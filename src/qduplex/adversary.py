@@ -28,7 +28,7 @@ from .qsim import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .session import ProtocolConfig, Session, Transcript
+    from .session import ProtocolConfig, Transcript
 
 
 class Leg(enum.Enum):
@@ -95,41 +95,9 @@ class EveTouch:
 
 @dataclass
 class EveRecord:
-    """Everything Eve accumulated across both legs of one run."""
+    """Eve's touches on one leg, as transit returns them."""
 
     touches: list[EveTouch] = field(default_factory=list)
-
-    def extend(self, other: "EveRecord") -> None:
-        self.touches.extend(other.touches)
-
-    def by_pair(self) -> dict[int, dict[Leg, EveTouch]]:
-        out: dict[int, dict[Leg, EveTouch]] = {}
-        for t in self.touches:
-            out.setdefault(t.pair_index, {})[t.leg] = t
-        return out
-
-    def alice_op_guesses(self) -> dict[int, int]:
-        """Eve's best 2-bit guess of Alice's op per doubly-hit pair.
-
-        A pair measured in the same basis on both legs reveals one bit of
-        the op that was applied between the hits: Z-basis hits expose the
-        bit-flip (high) bit, X-basis hits expose the phase-flip (low) bit.
-        The shared pair anticorrelates, so the undisturbed XOR of the two
-        outcomes is 1, and a deviation attributes to Alice's encoding.
-        Unknown bits are guessed as 0.
-        """
-        guesses: dict[int, int] = {}
-        for pair_index, legs in self.by_pair().items():
-            first = legs.get(Leg.FIRST)
-            second = legs.get(Leg.SECOND)
-            if first is None or second is None or first.basis is not second.basis:
-                continue
-            learned = first.outcome ^ second.outcome ^ 1
-            if first.basis is Basis.Z:
-                guesses[pair_index] = learned << 1
-            else:
-                guesses[pair_index] = learned
-        return guesses
 
 
 def _substitute_fresh(
@@ -242,8 +210,8 @@ class DetectionStats:
 
 def _trials(
     strategy: EveStrategy, config: "ProtocolConfig", trials: int, rng: RandomStream
-) -> Iterator[tuple["Session", "Transcript"]]:
-    """Run config under strategy `trials` times; yield each session and its transcript.
+) -> Iterator["Transcript"]:
+    """Run config under strategy `trials` times; yield each run's transcript.
 
     Per trial the stream gives, in this order, the run's 64-bit seed, then
     Alice's and Bob's random full-capacity messages.
@@ -256,8 +224,7 @@ def _trials(
         cfg = replace(config, seed=int(rng.integers(1 << 63)), eve=strategy)
         alice_msg = random_message(cfg.alice_capacity_bits, rng)
         bob_msg = random_message(cfg.bob_capacity_bits, rng)
-        session = Session(cfg, alice_msg, bob_msg)
-        yield session, session.run()
+        yield Session(cfg, alice_msg, bob_msg).run()
 
 
 def estimate_detection(
@@ -275,7 +242,7 @@ def estimate_detection(
     checked = 0
     violations = 0
     aborted = 0
-    for _, transcript in _trials(strategy, config, trials, rng):
+    for transcript in _trials(strategy, config, trials, rng):
         first = transcript.stats["first_check"]
         checked += first["sampled"]
         violations += first["violations"]
@@ -323,14 +290,40 @@ _BELL_INDEX = {bell.name.lower(): bell.index for bell in BellState}
 _OP_CODE = {op.name: op.code for op in PauliOp}
 
 
+def _eve_guesses(touch: dict[str, list]) -> dict[int, int]:
+    """Eve's best 2-bit guess of Alice's op per doubly-hit pair, from the eve_touch columns.
+
+    A pair measured in the same basis on both legs reveals one bit of
+    the op that was applied between the hits: Z-basis hits expose the
+    bit-flip (high) bit, X-basis hits expose the phase-flip (low) bit.
+    The shared pair anticorrelates, so the undisturbed XOR of the two
+    outcomes is 1, and a deviation attributes to Alice's encoding.
+    Pairs without a guess are left out; the caller guesses 0 for them.
+    """
+    legs: dict[str, dict[int, tuple[str, int]]] = {Leg.FIRST.value: {}, Leg.SECOND.value: {}}
+    for pair, leg, basis, outcome in zip(
+        touch["pair"], touch["leg"], touch["basis"], touch["outcome"]
+    ):
+        legs[leg][pair] = basis, outcome
+    guesses: dict[int, int] = {}
+    for pair, (basis, first) in legs[Leg.FIRST.value].items():
+        second_basis, second = legs[Leg.SECOND.value].get(pair, (None, 0))
+        if second_basis != basis:
+            continue
+        learned = first ^ second ^ 1
+        guesses[pair] = learned << 1 if basis == Basis.Z.value else learned
+    return guesses
+
+
 def _run_samples(
-    record: EveRecord, transcript: "Transcript"
+    transcript: "Transcript",
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
-    """One completed run's MI samples, read from the pauli and bell_measure columns of its log.
+    """One completed run's MI samples, read from the eve_touch, pauli and bell_measure columns.
 
     Returns (Eve's guess, Alice's op) and (announced Bell index, Alice's
     op) for every message pair, then (announced Bell index, Bob's op) for
-    every announced pair, decoys included; each in pair order.
+    every announced pair, decoys included; each in pair order.  Only the
+    log is read, so a saved transcript gives the samples of its live run.
     """
     pauli = transcript.events.columns("pauli")
     bell = transcript.events.columns("bell_measure")
@@ -340,7 +333,7 @@ def _run_samples(
             ops[actor][pair] = _OP_CODE[op]
     announced = dict(zip(bell["pair"], map(_BELL_INDEX.__getitem__, bell["result"])))
     decoys = set(transcript.stats.get("second_check", {}).get("decoy_indices", ()))
-    guesses = record.alice_op_guesses()
+    guesses = _eve_guesses(transcript.events.columns("eve_touch"))
     pairs = sorted(announced)
     message = [i for i in pairs if i not in decoys]
     return (
@@ -350,9 +343,7 @@ def _run_samples(
     )
 
 
-def eve_information(
-    record: EveRecord, transcript: "Transcript", min_pairs: int = 2
-) -> float:
+def eve_information(transcript: "Transcript", min_pairs: int = 2) -> float:
     """Empirical MI between Eve's op guesses and Alice's true pairs, in bits.
 
     Only completed runs carry announcements to correlate against, and each
@@ -361,7 +352,7 @@ def eve_information(
     """
     if not transcript.completed:
         raise ValueError("eve_information needs a completed (non-aborted) run")
-    samples, _, _ = _run_samples(record, transcript)
+    samples, _, _ = _run_samples(transcript)
     if len(samples) < min_pairs:
         raise InsufficientSamples(
             f"{len(samples)} message pairs available, need at least {min_pairs}"
@@ -405,11 +396,11 @@ def estimate_information(
     alice_samples: list[tuple[int, int]] = []
     bob_samples: list[tuple[int, int]] = []
     completed = 0
-    for session, transcript in _trials(strategy, config, trials, rng):
+    for transcript in _trials(strategy, config, trials, rng):
         if not transcript.completed:
             continue
         completed += 1
-        eve, alice, bob = _run_samples(session.eve_record, transcript)
+        eve, alice, bob = _run_samples(transcript)
         eve_samples += eve
         alice_samples += alice
         bob_samples += bob

@@ -192,8 +192,9 @@ class EventLog(Sequence):
     def parse(cls, text: str) -> "EventLog":
         """Read one JSON record per line; seqs must be dense from 0.
 
-        Raises TranscriptInvalid on a blank or non-JSON line, a line that is
-        not an object with exactly seq, actor, kind and payload, or a seq
+        Raises TranscriptInvalid on a blank line, a line json.loads rejects
+        (including an over-long integer or over-deep nesting), a line that
+        is not an object with exactly seq, actor, kind and payload, or a seq
         other than its line number.
         """
         log = cls()
@@ -214,7 +215,8 @@ class EventLog(Sequence):
                 raise TranscriptInvalid(f"blank record at line {lineno}")
             try:
                 raw = json.loads(line)
-            except json.JSONDecodeError as exc:
+            # not JSON, an integer past int()'s digit limit, or nesting past the recursion limit
+            except (ValueError, RecursionError) as exc:
                 raise TranscriptInvalid(f"line {lineno}: {exc}") from exc
             if not isinstance(raw, dict) or raw.keys() != {"seq", "actor", "kind", "payload"}:
                 raise TranscriptInvalid(

@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .adversary import EveRecord, EveStrategy, Leg, leg_slot, transit
+from .adversary import EveStrategy, Leg, leg_slot, transit
 from .codec import MessageBits, decode_alice, decode_bob, expected_bell, op_for_bits
 from .qsim import (
     Basis,
@@ -172,17 +172,6 @@ _PHASE_RANK = {phase: rank for rank, phase in enumerate(Phase)}
 class Role(enum.Enum):
     ALICE = "alice"
     BOB = "bob"
-
-
-@dataclass
-class PartyState:
-    """One party's protocol bookkeeping: its message, ops, decoys, and decode."""
-
-    role: Role
-    message: MessageBits
-    applied_ops: dict[int, PauliOp] = field(default_factory=dict)
-    decoy_positions: frozenset[int] = frozenset()
-    decoded: MessageBits | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -402,11 +391,13 @@ class Session:
         self._alice_rng: RandomStream = np.random.default_rng(alice_ss)
         self._bob_rng: RandomStream = np.random.default_rng(bob_ss)
         self._eve_rng: RandomStream = np.random.default_rng(eve_ss)
-        self.alice = PartyState(role=Role.ALICE, message=alice_msg)
-        self.bob = PartyState(role=Role.BOB, message=bob_msg)
+        self._alice_msg = alice_msg
+        self._bob_msg = bob_msg
+        self._alice_ops: dict[int, PauliOp] = {}
+        self._bob_ops: dict[int, PauliOp] = {}
         self.phase = Phase.INIT
-        self.eve_record = EveRecord()
         self.survivors: list[int] = []
+        self.decoys: frozenset[int] = frozenset()
         self.announced: dict[int, BellState] = {}
         self._states: dict[int, TwoQubitState] = {}
         self._stats: dict = {}
@@ -443,7 +434,6 @@ class Session:
             ),
             [t.pair_index for t in touches],
         )
-        self.eve_record.extend(record)
         received = bytes((_SHAPE_ID["receive", "bob", slot.value],)) * len(indices)
         self._rec.record(received, indices)
 
@@ -465,12 +455,12 @@ class Session:
         bases: dict[int, Basis] = {
             i: (Basis.Z if self._bob_rng.integers(2) == 0 else Basis.X) for i in chosen
         }
-        bob_outcomes = self._measure(self.bob, self._bob_rng, chosen, QubitSlot.C, bases)
+        bob_outcomes = self._measure(Role.BOB, self._bob_rng, chosen, QubitSlot.C, bases)
         self._rec.send(Role.BOB, "basis_announce", bases=[[i, bases[i].value] for i in chosen])
         self._rec.send(
             Role.BOB, "outcome_announce", outcomes=[list(e) for e in zip(chosen, bob_outcomes)]
         )
-        alice_outcomes = self._measure(self.alice, self._alice_rng, chosen, QubitSlot.M, bases)
+        alice_outcomes = self._measure(Role.ALICE, self._alice_rng, chosen, QubitSlot.M, bases)
         violations = sum(a == b for a, b in zip(alice_outcomes, bob_outcomes))
         passed = violations <= cfg.abort_threshold
         self._stats["first_check"] = {
@@ -496,26 +486,20 @@ class Session:
         self._advance(Phase.ENCODING)
         cfg = self.config
         if cfg.check_count_2 > 0:
-            decoys = frozenset(
-                int(i)
-                for i in self._alice_rng.choice(
-                    len(self.survivors), size=cfg.check_count_2, replace=False
-                )
+            picked = self._alice_rng.choice(
+                len(self.survivors), size=cfg.check_count_2, replace=False
             )
-            decoy_positions = frozenset(self.survivors[i] for i in decoys)
-        else:
-            decoy_positions = frozenset()
-        self.alice.decoy_positions = decoy_positions
-        message_count = len(self.survivors) - len(decoy_positions)
-        next_pair = iter(_padded_pairs(self.alice.message, message_count))
+            self.decoys = frozenset(self.survivors[int(i)] for i in picked)
+        message_count = len(self.survivors) - len(self.decoys)
+        next_pair = iter(_padded_pairs(self._alice_msg, message_count))
         shapes = bytearray()
         for i in self.survivors:
-            if i in decoy_positions:
+            if i in self.decoys:
                 op = PauliOp(int(self._alice_rng.integers(4)))
             else:
                 op = op_for_bits(next(next_pair))
             self._states[i] = apply_pauli(self._states[i], op, QubitSlot.M)
-            self.alice.applied_ops[i] = op
+            self._alice_ops[i] = op
             shapes.append(_SHAPE_ID["pauli", "alice", op.name, "M"])
         self._rec.record(shapes, self.survivors)
 
@@ -527,13 +511,13 @@ class Session:
         Results are announced for all survivors at once, in index order.
         """
         self._advance(Phase.BELL_ANNOUNCE)
-        message_pairs = _padded_pairs(self.bob.message, len(self.survivors))
+        message_pairs = _padded_pairs(self._bob_msg, len(self.survivors))
         shapes, pairs = bytearray(), []
         for i, pair_bits in zip(self.survivors, message_pairs):
             op = op_for_bits(pair_bits)
             slot = QubitSlot.C if self._bob_rng.integers(2) == 0 else QubitSlot.M
             self._states[i] = apply_pauli(self._states[i], op, slot)
-            self.bob.applied_ops[i] = op
+            self._bob_ops[i] = op
             result = bell_measure(self._states.pop(i), self._bob_rng)
             self.announced[i] = result
             shapes.append(_SHAPE_ID["pauli", "bob", op.name, slot.value])
@@ -556,8 +540,8 @@ class Session:
         and nothing goes on the wire.
         """
         self._advance(Phase.SECOND_CHECK)
-        decoys = sorted(self.alice.decoy_positions)
-        alice_ops, bob_ops = self.alice.applied_ops, self.bob.applied_ops
+        decoys = sorted(self.decoys)
+        alice_ops, bob_ops = self._alice_ops, self._bob_ops
         mismatches = 0
         if decoys:
             self._rec.send(Role.ALICE, "second_check_indices", indices=decoys)
@@ -584,29 +568,26 @@ class Session:
             self._abort("decoy results diverged from announcements")
         return passed
 
-    def decode_both(self) -> None:
+    def decode_both(self) -> Completed:
         """Each side recovers the other's message from the announcements.
 
         Bob drops the revealed decoy positions; Alice decodes every
         survivor because decoys carry Bob's genuine bits.  Capacity fill
         beyond each sender's recorded payload length is stripped.
+        Returns the verdict that carries both decoded messages.
         """
-        decoys = self.alice.decoy_positions
         alice_sent_pairs = [
-            decode_alice(self.bob.applied_ops[i], self.announced[i])
+            decode_alice(self._bob_ops[i], self.announced[i])
             for i in self.survivors
-            if i not in decoys
+            if i not in self.decoys
         ]
-        self.bob.decoded = MessageBits.from_pairs(
-            alice_sent_pairs, self.alice.message.payload_bits
-        )
+        bob_decoded = MessageBits.from_pairs(alice_sent_pairs, self._alice_msg.payload_bits)
         bob_sent_pairs = [
-            decode_bob(self.alice.applied_ops[i], self.announced[i]) for i in self.survivors
+            decode_bob(self._alice_ops[i], self.announced[i]) for i in self.survivors
         ]
-        self.alice.decoded = MessageBits.from_pairs(
-            bob_sent_pairs, self.bob.message.payload_bits
-        )
+        alice_decoded = MessageBits.from_pairs(bob_sent_pairs, self._bob_msg.payload_bits)
         self._advance(Phase.DONE)
+        return Completed(alice_decoded, bob_decoded)
 
     def run(self) -> Transcript:
         self.prepare_pairs()
@@ -618,8 +599,7 @@ class Session:
         self.bob_encode_measure_announce()
         if not self.second_check():
             return self._finish(Aborted(Phase.SECOND_CHECK, "decoy check failed"))
-        self.decode_both()
-        return self._finish(Completed(self.alice.decoded, self.bob.decoded))
+        return self._finish(self.decode_both())
 
     # -- internals
 
@@ -631,7 +611,7 @@ class Session:
 
     def _measure(
         self,
-        party: PartyState,
+        actor: Role,
         rng: RandomStream,
         pairs: list[int],
         slot: QubitSlot,
@@ -642,10 +622,9 @@ class Session:
         for i in pairs:
             outcome, self._states[i] = measure_qubit(self._states[i], slot, bases[i], rng)
             outcomes.append(outcome)
-        actor = party.role.value
         self._rec.record(
             bytes(
-                _SHAPE_ID["measure", actor, bases[i].value, outcome, slot.value]
+                _SHAPE_ID["measure", actor.value, bases[i].value, outcome, slot.value]
                 for i, outcome in zip(pairs, outcomes)
             ),
             pairs,

@@ -12,14 +12,13 @@ import pytest
 
 from qduplex.adversary import (
     AttackKind,
-    EveRecord,
     EveStrategy,
-    EveTouch,
     InsufficientSamples,
     Leg,
     estimate_detection,
     estimate_information,
     eve_information,
+    leg_slot,
     mutual_information_bits,
     predicted_abort_rate,
     predicted_first_check_violation_rate,
@@ -35,7 +34,8 @@ from qduplex.qsim import (
     product_state,
     project_qubit,
 )
-from qduplex.session import ProtocolConfig, Session, run_protocol
+from qduplex.records import Event, EventLog
+from qduplex.session import ProtocolConfig, Transcript, run_protocol
 
 
 def overlap_mag(a: TwoQubitState, b: TwoQubitState) -> float:
@@ -285,32 +285,38 @@ def test_mutual_information_exact_small_cases():
         mutual_information_bits([])
 
 
-def test_eve_record_guess_logic():
-    record = EveRecord(
-        touches=[
-            EveTouch(0, Leg.FIRST, Basis.Z, 0),
-            EveTouch(0, Leg.SECOND, Basis.Z, 0),  # flip seen: high bit 1
-            EveTouch(1, Leg.FIRST, Basis.X, 1),
-            EveTouch(1, Leg.SECOND, Basis.X, 0),  # no flip in X: low bit 0
-            EveTouch(2, Leg.FIRST, Basis.Z, 1),
-            EveTouch(2, Leg.SECOND, Basis.X, 0),  # mixed bases: no inference
-            EveTouch(3, Leg.FIRST, Basis.Z, 1),  # single leg: no inference
-        ]
+def test_eve_guess_logic_over_eve_touch_records():
+    from qduplex.adversary import _eve_guesses
+
+    touches = [
+        (0, Leg.FIRST, Basis.Z, 0),
+        (0, Leg.SECOND, Basis.Z, 0),  # flip seen: high bit 1
+        (1, Leg.FIRST, Basis.X, 1),
+        (1, Leg.SECOND, Basis.X, 0),  # no flip in X: low bit 0
+        (2, Leg.FIRST, Basis.Z, 1),
+        (2, Leg.SECOND, Basis.X, 0),  # mixed bases: no inference
+        (3, Leg.FIRST, Basis.Z, 1),  # single leg: no inference
+    ]
+    log = EventLog(
+        Event(seq, "eve", "eve_touch", {
+            "basis": basis.value, "leg": leg.value, "outcome": outcome, "pair": pair,
+            "slot": leg_slot(leg).value,
+        })
+        for seq, (pair, leg, basis, outcome) in enumerate(touches)
     )
-    guesses = record.alice_op_guesses()
+    guesses = _eve_guesses(log.columns("eve_touch"))
     assert guesses == {0: 0b10, 1: 0b00}
 
 
 def test_eve_information_is_exactly_zero_without_an_attack():
     config = ProtocolConfig(n_pairs=32, check_fraction_1=0.25, check_count_2=2, seed=6)
-    session = Session(
+    transcript = run_protocol(
         config,
         random_message(config.alice_capacity_bits, np.random.default_rng(0)),
         random_message(config.bob_capacity_bits, np.random.default_rng(1)),
     )
-    transcript = session.run()
     assert transcript.completed
-    assert eve_information(session.eve_record, transcript) == 0.0
+    assert eve_information(transcript) == 0.0
 
 
 def test_eve_information_requires_a_completed_run():
@@ -318,45 +324,46 @@ def test_eve_information_requires_a_completed_run():
         n_pairs=64, check_fraction_1=0.5, check_count_2=0, seed=0,
         eve=EveStrategy.from_name("intercept-z"),
     )
-    session = Session(
+    transcript = run_protocol(
         config,
         random_message(config.alice_capacity_bits, np.random.default_rng(0)),
         random_message(config.bob_capacity_bits, np.random.default_rng(1)),
     )
-    transcript = session.run()
     assert not transcript.completed  # 32 check photons: abort is essentially certain
     with pytest.raises(ValueError):
-        eve_information(session.eve_record, transcript)
+        eve_information(transcript)
 
 
 def test_eve_information_min_pairs_guard():
     config = ProtocolConfig(n_pairs=8, check_fraction_1=0.25, check_count_2=1, seed=4)
-    session = Session(
+    transcript = run_protocol(
         config,
         random_message(config.alice_capacity_bits, np.random.default_rng(2)),
         random_message(config.bob_capacity_bits, np.random.default_rng(3)),
     )
-    transcript = session.run()
     with pytest.raises(InsufficientSamples):
-        eve_information(session.eve_record, transcript, min_pairs=10_000)
+        eve_information(transcript, min_pairs=10_000)
 
 
-def test_information_samples_read_records_off_their_shape_from_their_payloads():
-    from qduplex.adversary import _run_samples
-    from qduplex.records import Event
-    from qduplex.session import Transcript
-
+def completed_intercept_z_run() -> Transcript:
+    """A 64-pair run that intercept-z touches on both legs and that still completes."""
     config = ProtocolConfig(
         n_pairs=64, check_fraction_1=1 / 64, check_count_2=0, seed=5, abort_threshold=64,
         eve=EveStrategy.from_name("intercept-z"),
     )
-    session = Session(
+    transcript = run_protocol(
         config,
         random_message(config.alice_capacity_bits, np.random.default_rng(0)),
         random_message(config.bob_capacity_bits, np.random.default_rng(1)),
     )
-    transcript = session.run()
     assert transcript.completed
+    return transcript
+
+
+def test_information_samples_read_records_off_their_shape_from_their_payloads():
+    from qduplex.adversary import _run_samples
+
+    transcript = completed_intercept_z_run()
     # a hand-built copy whose first pauli and bell_measure records carry an extra field
     events, marked = [], set()
     for event in transcript.events:
@@ -366,12 +373,19 @@ def test_information_samples_read_records_off_their_shape_from_their_payloads():
         events.append(event)
     edited = Transcript(events=events, verdict=transcript.verdict)
     assert edited.events != transcript.events
-    expected = _run_samples(session.eve_record, transcript)
+    expected = _run_samples(transcript)
     assert expected[0]
-    assert _run_samples(session.eve_record, edited) == expected
-    assert eve_information(session.eve_record, edited) == eve_information(
-        session.eve_record, transcript
-    )
+    assert _run_samples(edited) == expected
+    assert eve_information(edited) == eve_information(transcript)
+
+
+def test_eve_information_from_a_saved_transcript_matches_the_live_run(tmp_path):
+    transcript = completed_intercept_z_run()
+    live = eve_information(transcript)
+    assert live > 0.0
+    path = tmp_path / "run.jsonl"
+    transcript.write_jsonl(path)
+    assert eve_information(Transcript.read_jsonl(path)) == live
 
 
 def test_undetected_intercept_z_reports_positive_information():

@@ -331,6 +331,8 @@ _VALID_HEAD = '{"actor":"session","kind":"config","payload":{},"seq":0}'
             '"payload":{"outcome":"aborted","phase":"done","reason":[1]},"seq":1}\n',
             id="aborted verdict with both",
         ),
+        pytest.param('{"seq":' + "1" * 5000 + "}\n", id="integer past the digit limit"),
+        pytest.param("[" * 100_000 + "]" * 100_000 + "\n", id="arrays nested 100000 deep"),
     ],
 )
 def test_from_jsonl_raises_transcript_invalid(text):
@@ -426,7 +428,7 @@ def test_survivor_and_decoy_bookkeeping():
     }
     assert len(checked) == config.first_check_count
     assert sorted(session.survivors) == [i for i in range(32) if i not in checked]
-    decoys = session.alice.decoy_positions
+    decoys = session.decoys
     assert len(decoys) == 5
     assert decoys <= set(session.survivors)
     stats = transcript.stats["second_check"]
