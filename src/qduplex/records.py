@@ -16,7 +16,7 @@ import re
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import compress, count, product
 
 
 class TranscriptInvalid(ValueError):
@@ -140,6 +140,23 @@ def _bulk_event(shape: int, pair: int, seq: int) -> Event:
     payload = dict(template)
     payload["pair"] = pair
     return Event(seq=seq, actor=actor, kind=kind, payload=payload)
+
+
+def _field_value(event: Event, name: str, values: tuple | None) -> object:
+    """One payload field of a custody record, checked against its schema values."""
+    payload = event.payload
+    if type(payload) is not dict or name not in payload:
+        raise TranscriptInvalid(f"seq {event.seq}: {event.kind} record without a {name}")
+    value = payload[name]
+    if values is None:
+        valid = type(value) is int
+    else:
+        valid = type(value) is type(values[0]) and value in values
+    if not valid:
+        raise TranscriptInvalid(
+            f"seq {event.seq}: {event.kind} record with {name} {value!r} outside its schema"
+        )
+    return value
 
 
 def _dense_error(lineno: int, seq: object) -> TranscriptInvalid:
@@ -268,14 +285,17 @@ class EventLog(Sequence):
 
         If a record of that kind does not fit its shape (a hand-built or
         damaged one), every record of the kind is read from its Event
-        instead, and a field its payload lacks raises KeyError.
+        instead.  Raises TranscriptInvalid when such a record's payload is
+        not a dict, lacks one of the kind's fields, has a pair that is not
+        an integer, or has a value outside its schema; other payload fields
+        and the actor are not checked.
         """
         fields = _BULK_SCHEMA[kind][1]
         if any(event.kind == kind for event in self._events):
             events = [event for event in self if event.kind == kind]
             out = {"actor": [event.actor for event in events]}
-            for name in fields:
-                out[name] = [event.payload[name] for event in events]
+            for name, values in fields.items():
+                out[name] = [_field_value(event, name, values) for event in events]
             return out
         keep = self._shapes.translate(_KIND_SELECT[kind])
         shapes = bytes(compress(self._shapes, keep))
@@ -344,12 +364,18 @@ def _custody_move(kind: str, actor: object) -> tuple[object, object]:
     return actor, "consumed"  # bell_measure; prepare has its own rule
 
 
-# The custody rule of each shape, by code: its kind, its actor and the slot
-# indices it names (both for prepare and bell_measure).
-_SHAPE_CUSTODY: list[tuple[str, str, tuple[int, ...]]] = [
-    (kind, actor, (_SLOTS.index(payload["slot"]),) if "slot" in payload else (0, 1))
+# The custody rule of each shape, by code: its kind, its actor, the slot
+# indices it names (both for prepare and bell_measure), who must hold each
+# of those photons and who holds it after (None: unchanged).
+_SHAPE_RULE: tuple[tuple[str, str, tuple[int, ...], object, object], ...] = tuple(
+    (
+        kind,
+        actor,
+        (_SLOTS.index(payload["slot"]),) if "slot" in payload else (0, 1),
+        *_custody_move(kind, actor),
+    )
     for kind, actor, payload in _SHAPE_RECORD
-]
+)
 
 
 class _CustodyLedger:
@@ -393,42 +419,40 @@ class _CustodyLedger:
             if slot != "C" and slot != "M":
                 raise TranscriptInvalid(f"seq {seq}: {kind} record without a slot C or M")
             slots = (_SLOTS.index(slot),)
-        return self._move(seq, kind, actor, slots, pair)
+        return self._move(seq, ((kind, actor, slots, *_custody_move(kind, actor)),), (pair,))
 
     def apply_bulk(self, seq: int, shapes: bytes, pairs: Sequence[int]) -> list[tuple[int, str]]:
         """Apply the bulk records seq, seq + 1, ..., given as shape codes and pairs, in order."""
-        out: list[tuple[int, str]] = []
-        move = self._move
-        for i, (shape, pair) in enumerate(zip(shapes, pairs)):
-            found = move(seq + i, *_SHAPE_CUSTODY[shape], pair)
-            if found:
-                out += found
-        return out
+        return self._move(seq, map(_SHAPE_RULE.__getitem__, shapes), pairs)
 
     def _move(
-        self, seq: int, kind: str, actor: object, slots: tuple[int, ...], pair: int
+        self, seq: int, rules: Iterable[tuple], pairs: Iterable[int]
     ) -> list[tuple[int, str]]:
-        """The custody rules: apply one record and return its violations."""
+        """The custody rules: apply records seq, seq + 1, ..., each given as a
+        (kind, actor, slots, expect, to) rule, as in _SHAPE_RULE, and a pair,
+        in order, and return their violations."""
         held = self._holder
-        if kind == "prepare":
-            out = [] if actor == "alice" else [(seq, f"seq {seq}: pair {pair} prepared by {actor}")]
-            now = held[0].get(pair), held[1].get(pair)
-            if now != (None, None):
-                out.append(
-                    (seq, f"seq {seq}: pair {pair} prepared again, held by {now[0]} and {now[1]}")
-                )
-            else:
-                held[0][pair] = held[1][pair] = actor
-            return out
-        expect, to = _custody_move(kind, actor)
-        out = []
-        for s in slots:
-            actual = held[s].get(pair)
-            if actual != expect:
-                out.append(
-                    (seq, f"seq {seq}: {kind} on pair {pair} slot {_SLOTS[s]} "
-                          f"held by {actual}, expected {expect}")
-                )
-            elif to is not None:
-                held[s][pair] = to
+        out: list[tuple[int, str]] = []
+        for seq, (kind, actor, slots, expect, to), pair in zip(count(seq), rules, pairs):
+            if kind == "prepare":
+                if actor != "alice":
+                    out.append((seq, f"seq {seq}: pair {pair} prepared by {actor}"))
+                now = held[0].get(pair), held[1].get(pair)
+                if now != (None, None):
+                    out.append((
+                        seq, f"seq {seq}: pair {pair} prepared again, held by {now[0]} and {now[1]}"
+                    ))
+                else:
+                    held[0][pair] = held[1][pair] = actor
+                continue
+            for s in slots:
+                holder = held[s]
+                actual = holder.get(pair)
+                if actual != expect:
+                    out.append(
+                        (seq, f"seq {seq}: {kind} on pair {pair} slot {_SLOTS[s]} "
+                              f"held by {actual}, expected {expect}")
+                    )
+                elif to is not None:
+                    holder[pair] = to
         return out

@@ -20,7 +20,7 @@ from typing import Union
 import numpy as np
 
 from .adversary import EveStrategy, Leg, leg_slot, transit
-from .codec import MessageBits, decode_alice, decode_bob, expected_bell, op_for_bits
+from .codec import MessageBits, decode_alice, decode_bob, expected_bell
 from .qsim import (
     Basis,
     BellState,
@@ -409,33 +409,30 @@ class Session:
     def prepare_pairs(self) -> None:
         self._advance(Phase.FIRST_TRANSMISSION)
         n = self.config.n_pairs
+        states = self._states
         for i in range(n):
-            self._states[i] = make_singlet()
-        self._rec.record(bytes((_SHAPE_ID["prepare", "alice"],)) * n, range(n))
+            states[i] = make_singlet()
+        self._rec.record(bytes((_PREPARE_SHAPE,)) * n, range(n))
 
     def transmit(self, leg: Leg) -> None:
         """Send one leg's photons from Alice to Bob through Eve's channel."""
-        slot = leg_slot(leg)
         if leg is Leg.SECOND:
             self._advance(Phase.SECOND_TRANSMISSION)
             indices = list(self.survivors)
         else:
             indices = list(range(self.config.n_pairs))
-        sent = bytes((_SHAPE_ID["send", "alice", slot.value, "bob"],)) * len(indices)
-        self._rec.record(sent, indices)
-        in_transit = {i: self._states[i] for i in indices}
+        sent, touched, received = _LEG_SHAPES[leg]
+        self._rec.record(bytes((sent,)) * len(indices), indices)
+        states = self._states
+        in_transit = {i: states[i] for i in indices}
         disturbed, record = transit(in_transit, leg, self.config.eve, self._eve_rng)
-        self._states.update(disturbed)
+        states.update(disturbed)
         touches = record.touches
         self._rec.record(
-            bytes(
-                _SHAPE_ID["eve_touch", "eve", t.basis.value, t.leg.value, t.outcome, slot.value]
-                for t in touches
-            ),
+            bytes(touched[_BASES.index(t.basis)][t.outcome] for t in touches),
             [t.pair_index for t in touches],
         )
-        received = bytes((_SHAPE_ID["receive", "bob", slot.value],)) * len(indices)
-        self._rec.record(received, indices)
+        self._rec.record(bytes((received,)) * len(indices), indices)
 
     def first_check(self) -> bool:
         """Anticorrelation test on a random sample of travelled photons.
@@ -452,11 +449,11 @@ class Session:
             int(i) for i in self._bob_rng.choice(cfg.n_pairs, size=count, replace=False)
         )
         self._rec.send(Role.BOB, "check_indices", indices=chosen)
-        bases: dict[int, Basis] = {
-            i: (Basis.Z if self._bob_rng.integers(2) == 0 else Basis.X) for i in chosen
-        }
+        bases = [int(self._bob_rng.integers(2)) for _ in chosen]  # codes into _BASES
         bob_outcomes = self._measure(Role.BOB, self._bob_rng, chosen, QubitSlot.C, bases)
-        self._rec.send(Role.BOB, "basis_announce", bases=[[i, bases[i].value] for i in chosen])
+        self._rec.send(
+            Role.BOB, "basis_announce", bases=[[i, _BASES[b].value] for i, b in zip(chosen, bases)]
+        )
         self._rec.send(
             Role.BOB, "outcome_announce", outcomes=[list(e) for e in zip(chosen, bob_outcomes)]
         )
@@ -492,16 +489,15 @@ class Session:
             self.decoys = frozenset(self.survivors[int(i)] for i in picked)
         message_count = len(self.survivors) - len(self.decoys)
         next_pair = iter(_padded_pairs(self._alice_msg, message_count))
-        shapes = bytearray()
+        rng, decoys, states, ops = self._alice_rng, self.decoys, self._states, self._alice_ops
+        slot = QubitSlot.M
+        codes = []
         for i in self.survivors:
-            if i in self.decoys:
-                op = PauliOp(int(self._alice_rng.integers(4)))
-            else:
-                op = op_for_bits(next(next_pair))
-            self._states[i] = apply_pauli(self._states[i], op, QubitSlot.M)
-            self._alice_ops[i] = op
-            shapes.append(_SHAPE_ID["pauli", "alice", op.name, "M"])
-        self._rec.record(shapes, self.survivors)
+            code = int(rng.integers(4)) if i in decoys else next(next_pair)
+            op = ops[i] = _OPS[code]
+            states[i] = apply_pauli(states[i], op, slot)
+            codes.append(code)
+        self._rec.record(bytes(map(_ALICE_PAULI_SHAPE.__getitem__, codes)), self.survivors)
 
     def bob_encode_measure_announce(self) -> None:
         """Bob's encoding, joint measurement, and public announcement.
@@ -512,22 +508,23 @@ class Session:
         """
         self._advance(Phase.BELL_ANNOUNCE)
         message_pairs = _padded_pairs(self._bob_msg, len(self.survivors))
-        shapes, pairs = bytearray(), []
-        for i, pair_bits in zip(self.survivors, message_pairs):
-            op = op_for_bits(pair_bits)
-            slot = QubitSlot.C if self._bob_rng.integers(2) == 0 else QubitSlot.M
-            self._states[i] = apply_pauli(self._states[i], op, slot)
-            self._bob_ops[i] = op
-            result = bell_measure(self._states.pop(i), self._bob_rng)
-            self.announced[i] = result
-            shapes.append(_SHAPE_ID["pauli", "bob", op.name, slot.value])
-            shapes.append(_SHAPE_ID["bell_measure", "bob", _BELL_NAME[result]])
+        rng, states, ops, announced = self._bob_rng, self._states, self._bob_ops, self.announced
+        shapes, pairs, results = bytearray(), [], []
+        for i, code in zip(self.survivors, message_pairs):
+            side = rng.integers(2)  # 0: the C photon, 1: the M photon
+            op = ops[i] = _OPS[code]
+            states[i] = apply_pauli(states[i], op, _SIDE_SLOT[side])
+            result = announced[i] = bell_measure(states.pop(i), rng)
+            index = result._value_  # the Bell index, without the enum property's call
+            shapes.append(_BOB_PAULI_SHAPE[code][side])
+            shapes.append(_BELL_SHAPE[index])
             pairs += (i, i)
+            results.append(index)
         self._rec.record(shapes, pairs)
         self._rec.send(
             Role.BOB,
             "bell_results",
-            results=[[i, _BELL_NAME[self.announced[i]]] for i in self.survivors],
+            results=[[i, _BELL_NAME[index]] for i, index in zip(self.survivors, results)],
         )
 
     def second_check(self) -> bool:
@@ -615,20 +612,19 @@ class Session:
         rng: RandomStream,
         pairs: list[int],
         slot: QubitSlot,
-        bases: dict[int, Basis],
+        bases: list[int],
     ) -> list[int]:
-        """One party measures its photon of each pair in that pair's basis and logs the outcomes."""
+        """One party measures its photon of each pair in that pair's basis and logs the outcomes.
+
+        bases holds each pair's basis as a code into _BASES.
+        """
+        states = self._states
         outcomes = []
-        for i in pairs:
-            outcome, self._states[i] = measure_qubit(self._states[i], slot, bases[i], rng)
+        for i, basis in zip(pairs, bases):
+            outcome, states[i] = measure_qubit(states[i], slot, _BASES[basis], rng)
             outcomes.append(outcome)
-        self._rec.record(
-            bytes(
-                _SHAPE_ID["measure", actor.value, bases[i].value, outcome, slot.value]
-                for i, outcome in zip(pairs, outcomes)
-            ),
-            pairs,
-        )
+        shape = _MEASURE_SHAPE[actor, slot]
+        self._rec.record(bytes(shape[b][o] for b, o in zip(bases, outcomes)), pairs)
         return outcomes
 
     def _abort(self, reason: str) -> None:
@@ -641,7 +637,45 @@ class Session:
         return Transcript(events=self._rec.events, verdict=verdict)
 
 
-_BELL_NAME = {bell: bell.name.lower() for bell in BellState}
+# Lookup tables of the per-pair loops, indexed by integer codes: an op's
+# code, a basis code, a side bit (0: C, 1: M), a Bell index or an outcome.
+_OPS = tuple(PauliOp)
+_BASES = (Basis.Z, Basis.X)
+_SIDE_SLOT = (QubitSlot.C, QubitSlot.M)
+_BELL_NAME = tuple(bell.name.lower() for bell in BellState)
+_PREPARE_SHAPE = _SHAPE_ID["prepare", "alice"]
+_ALICE_PAULI_SHAPE = tuple(_SHAPE_ID["pauli", "alice", op.name, "M"] for op in _OPS)
+_BOB_PAULI_SHAPE = tuple(
+    tuple(_SHAPE_ID["pauli", "bob", op.name, slot.value] for slot in _SIDE_SLOT) for op in _OPS
+)
+_BELL_SHAPE = tuple(_SHAPE_ID["bell_measure", "bob", name] for name in _BELL_NAME)
+# (actor, slot) -> measure shape codes by basis code, then outcome
+_MEASURE_SHAPE = {
+    (actor, slot): tuple(
+        tuple(
+            _SHAPE_ID["measure", actor.value, basis.value, outcome, slot.value] for outcome in (0, 1)
+        )
+        for basis in _BASES
+    )
+    for actor in Role
+    for slot in _SIDE_SLOT
+}
+# leg -> its send shape, its eve_touch shapes by basis code then outcome, and its receive shape
+_LEG_SHAPES = {
+    leg: (
+        _SHAPE_ID["send", "alice", slot, "bob"],
+        tuple(
+            tuple(
+                _SHAPE_ID["eve_touch", "eve", basis.value, leg.value, outcome, slot]
+                for outcome in (0, 1)
+            )
+            for basis in _BASES
+        ),
+        _SHAPE_ID["receive", "bob", slot],
+    )
+    for leg in Leg
+    for slot in (leg_slot(leg).value,)
+}
 
 
 def _padded_pairs(message: MessageBits, needed: int) -> list[int]:

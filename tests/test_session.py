@@ -846,6 +846,70 @@ def test_golden_transcript_still_reproduces(request, name, config, completed):
 
 
 # ---------------------------------------------------------------------------
+# qsim calls per run
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(ProtocolConfig(n_pairs=64, check_fraction_1=0.125, check_count_2=4, seed=3),
+                     id="quiet"),
+        pytest.param(
+            ProtocolConfig(
+                n_pairs=64, check_fraction_1=0.125, check_count_2=4, seed=3, abort_threshold=64,
+                eve=EveStrategy.from_name("intercept-rand", attack_prob=1.0),
+            ),
+            id="intercept-rand-completes",
+        ),
+        pytest.param(
+            ProtocolConfig(
+                n_pairs=64, check_fraction_1=0.5, check_count_2=4, seed=3,
+                eve=EveStrategy.from_name("intercept-rand", attack_prob=1.0),
+            ),
+            id="intercept-rand-aborts",
+        ),
+    ],
+)
+def test_each_qsim_op_is_one_call_through_the_module_bindings(monkeypatch, config):
+    """Count qsim calls through session's and adversary's own names for them.
+
+    A run prepares each pair once, measures both photons of every
+    first-check pair, encodes twice and Bell-measures once per survivor of
+    a passed check; Eve at attack probability 1 measures every photon on
+    each leg she sees.  A loop that called a qsim op through a local alias,
+    or skipped one, would miss these counts (the formula the benchmark's
+    traced run reconciles against).
+    """
+    import qduplex.adversary as adversary_module
+    import qduplex.session as session_module
+
+    calls = dict.fromkeys(("make_singlet", "measure_qubit", "apply_pauli", "bell_measure"), 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module in (session_module, adversary_module):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    transcript = run_protocol(config, *fixed_messages(config))
+    n, sampled = config.n_pairs, config.first_check_count
+    passed = transcript.stats["first_check"]["passed"]
+    survivors = n - sampled if passed else 0
+    eve_measurements = 0 if config.eve.kind.value == "none" else n + survivors
+    assert passed is (config.check_fraction_1 < 0.5)
+    assert calls == {
+        "make_singlet": n,
+        "measure_qubit": 2 * sampled + eve_measurements,
+        "apply_pauli": 2 * survivors,
+        "bell_measure": survivors,
+    }
+
+
+# ---------------------------------------------------------------------------
 # block size cap
 
 
@@ -1073,26 +1137,54 @@ CUSTODY_STEPS = [
 def custody_batches(draw) -> list[list[tuple[str, str, dict]]]:
     """Batches of custody records in protocol order, over pair lists that may repeat photons.
 
-    A batch runs one step over a list of pairs: often all of 0..n-1, so that
-    long runs of one rule over distinct photons occur, sometimes with pairs
-    repeated, dropped or shuffled, a step skipped or repeated, an actor
-    swapped, or a record that does not fit its shape.
+    A batch runs one step over a list of pairs: all of 0..n-1 in some
+    order, so that long runs of one rule over distinct photons occur, or
+    with some damage: a step skipped or repeated, pairs repeated or
+    dropped, or an actor swapped.  Each example draws how often damage
+    happens, so that some run clean through the last steps.  A record may
+    also not fit its shape.  Some batches interleave two consecutive steps
+    pair by pair, as Bob's Bell phase records pauli then bell_measure for
+    each pair in one call; these sometimes repeat a pair or swap the actor
+    of a single record, so a violation can fall in the middle of a
+    mixed-rule call.
     """
     n = draw(st.integers(1, 24))
     every = list(range(n))
+    level = draw(st.sampled_from([0, 5, 20, 60]))  # percent chance of each damage
+
+    def damaged() -> bool:
+        return draw(st.integers(0, 99)) >= 100 - level  # shrinks towards no damage
+
     batches = []
-    for kind, actor, extra in CUSTODY_STEPS:
-        for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2]))):
+    k = 0
+    while k < len(CUSTODY_STEPS):
+        width = 2 if k + 1 < len(CUSTODY_STEPS) and draw(st.integers(0, 2)) == 0 else 1
+        steps = CUSTODY_STEPS[k : k + width]
+        k += width
+        for _ in range(draw(st.sampled_from([0, 2])) if damaged() else 1):
             pairs = draw(
-                st.sampled_from([every, every[::-1]])
-                | st.lists(st.integers(0, n), max_size=2 * n)
-                | st.permutations(every)
+                st.lists(st.integers(0, n), max_size=2 * n)
+                if damaged()
+                else st.sampled_from([every, every[::-1]]) | st.permutations(every)
             )
-            who = draw(st.sampled_from([actor] * 6 + ["alice", "bob", "eve", "mallory"]))
-            payload = dict(extra)
-            if draw(st.integers(0, 9)) == 0:
-                payload["note"] = "off-shape"
-            batches.append([(who, kind, {"pair": p, **payload}) for p in pairs])
+            per_pair = []
+            for kind, actor, extra in steps:
+                who = draw(st.sampled_from(["alice", "bob", "eve", "mallory"])) if damaged() else actor
+                payload = dict(extra)
+                if draw(st.integers(0, 9)) == 0:
+                    payload["note"] = "off-shape"
+                per_pair.append((who, kind, payload))
+            if width == 2 and pairs and draw(st.booleans()):
+                at = draw(st.integers(0, len(pairs) - 1))
+                pairs = pairs[: at + 1] + pairs[at:]
+            batch = [
+                (who, kind, {"pair": p, **payload}) for p in pairs for who, kind, payload in per_pair
+            ]
+            if width == 2 and batch:
+                for i in draw(st.sets(st.integers(0, len(batch) - 1), max_size=1)):
+                    who, kind, payload = batch[i]
+                    batch[i] = ("bob" if who == "alice" else "alice", kind, payload)
+            batches.append(batch)
     return batches
 
 
