@@ -26,6 +26,7 @@ from .qsim import (
     measure_qubit,
     substitute_fresh,
 )
+from .records import TranscriptInvalid
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .session import ProtocolConfig, Transcript
@@ -324,6 +325,8 @@ def _run_samples(
     op) for every message pair, then (announced Bell index, Bob's op) for
     every announced pair, decoys included; each in pair order.  Only the
     log is read, so a saved transcript gives the samples of its live run.
+    Raises TranscriptInvalid, naming the pair, when an announced pair lacks
+    the pauli record its sample needs.
     """
     pauli = transcript.events.columns("pauli")
     bell = transcript.events.columns("bell_measure")
@@ -336,6 +339,10 @@ def _run_samples(
     guesses = _eve_guesses(transcript.events.columns("eve_touch"))
     pairs = sorted(announced)
     message = [i for i in pairs if i not in decoys]
+    for actor, needed in (("alice", message), ("bob", pairs)):
+        if not ops[actor].keys() >= set(needed):
+            pair = next(i for i in needed if i not in ops[actor])
+            raise TranscriptInvalid(f"pair {pair} is Bell-measured with no {actor} pauli record")
     return (
         [(guesses.get(i, 0), ops["alice"][i]) for i in message],
         [(announced[i], ops["alice"][i]) for i in message],

@@ -2,10 +2,11 @@
 
 A transcript is a sequence of records (seq, actor, kind, payload).  The
 custody kinds, about eight records per pair, are kept as columns of shape
-codes and pairs; every other record is an Event.  This module owns the
-canonical JSONL line of every record, reads it back, and holds the one
-copy of the custody rules that a Session enforces as it records and
-audit_custody replays.
+codes and pairs; every other record is an Event.  A record that fits no
+row of FORMAT.md's record-kind table is rejected where it enters the log.
+This module owns the canonical JSONL line of every record, reads it back,
+and holds the one copy of the custody rules that a Session enforces as it
+records and audit_custody replays.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ _PARTIES = ("alice", "bob")
 # only definition of the bulk record shapes.  The canonical line formats
 # below, the shapes the log stores, the reader's exact check and the
 # custody rules all derive from it.  A record of one of these kinds that
-# does not fit its shape exactly (a hand-built or damaged one) stays a
-# generic Event.
+# does not fit its shape exactly (a hand-built or damaged one) is rejected.
 _BULK_SCHEMA: dict[str, tuple[tuple[str, ...], dict[str, tuple | None]]] = {
     "prepare": (("alice",), {"pair": None}),
     "send": (("alice",), {"pair": None, "slot": _SLOTS, "to": ("bob",)}),
@@ -65,6 +65,15 @@ _BULK_SCHEMA: dict[str, tuple[tuple[str, ...], dict[str, tuple | None]]] = {
     "bell_measure": (
         ("bob",), {"pair": None, "result": ("psi_minus", "psi_plus", "phi_minus", "phi_plus")}
     ),
+}
+# Every kind of FORMAT.md's record-kind table, with the actors that write it.
+# The kinds outside _BULK_SCHEMA are kept as Events, their payloads as read.
+_KIND_ACTORS: dict[str, tuple[str, ...]] = {
+    **{kind: actors for kind, (actors, _) in _BULK_SCHEMA.items()},
+    "config": ("session",),
+    "message": _PARTIES,
+    "stats": ("session",),
+    "verdict": ("session",),
 }
 
 
@@ -121,18 +130,40 @@ _BULK_LINE = re.compile(
 )
 
 
-def _shape_of(actor: object, kind: object, payload: object) -> int | None:
-    """The shape code of a record that fits its kind's shape exactly, else None."""
-    schema = _BULK_SCHEMA.get(kind) if type(kind) is str else None
-    if schema is None or type(payload) is not dict or payload.keys() != schema[1].keys():
+def _record_shape(
+    seq: int, actor: object, kind: object, payload: object, error: type[Exception]
+) -> int | None:
+    """The shape code of a custody record, or None for a record of another kind.
+
+    Raises error, naming the seq, the kind and the first field or value that
+    is off, for a record that fits no row of FORMAT.md's record-kind table:
+    an unknown kind, an actor outside its row, or a custody record that does
+    not fit its kind's shape exactly.
+    """
+    actors = _KIND_ACTORS.get(kind) if type(kind) is str else None
+    if actors is None:
+        raise error(f"seq {seq}: unknown record kind {kind!r}")
+    if type(actor) is not str or actor not in actors:
+        raise error(f"seq {seq}: {kind} record with actor {actor!r} outside its schema")
+    if kind not in _BULK_SCHEMA:
         return None
-    fields = schema[1]
-    values = [payload[name] for name in fields if name != "pair"]
-    if type(actor) is not str or type(payload["pair"]) is not int or not all(
-        type(v) is str or type(v) is int for v in values
-    ):
-        return None
-    return _SHAPE_ID.get((kind, actor, *values))
+    if type(payload) is not dict:
+        raise error(f"seq {seq}: {kind} record with a payload that is not an object")
+    fields = _BULK_SCHEMA[kind][1]
+    for name, values in fields.items():
+        if name not in payload:
+            raise error(f"seq {seq}: {kind} record without a {name}")
+        value = payload[name]
+        if values is None:
+            valid = type(value) is int
+        else:
+            valid = type(value) is type(values[0]) and value in values
+        if not valid:
+            raise error(f"seq {seq}: {kind} record with {name} {value!r} outside its schema")
+    for name in payload:
+        if name not in fields:
+            raise error(f"seq {seq}: {kind} record with a field {name!r} outside its schema")
+    return _SHAPE_ID[(kind, actor, *(payload[name] for name in fields if name != "pair"))]
 
 
 def _bulk_event(shape: int, pair: int, seq: int) -> Event:
@@ -140,23 +171,6 @@ def _bulk_event(shape: int, pair: int, seq: int) -> Event:
     payload = dict(template)
     payload["pair"] = pair
     return Event(seq=seq, actor=actor, kind=kind, payload=payload)
-
-
-def _field_value(event: Event, name: str, values: tuple | None) -> object:
-    """One payload field of a custody record, checked against its schema values."""
-    payload = event.payload
-    if type(payload) is not dict or name not in payload:
-        raise TranscriptInvalid(f"seq {event.seq}: {event.kind} record without a {name}")
-    value = payload[name]
-    if values is None:
-        valid = type(value) is int
-    else:
-        valid = type(value) is type(values[0]) and value in values
-    if not valid:
-        raise TranscriptInvalid(
-            f"seq {event.seq}: {event.kind} record with {name} {value!r} outside its schema"
-        )
-    return value
 
 
 def _dense_error(lineno: int, seq: object) -> TranscriptInvalid:
@@ -168,10 +182,12 @@ def _dense_error(lineno: int, seq: object) -> TranscriptInvalid:
 class EventLog(Sequence):
     """A transcript's records in seq order: a read-only sequence of Events.
 
-    A record of a custody kind that fits a shape of _BULK_SCHEMA, and
-    whose seq is its position, is kept in two columns, its shape code and
-    its pair; every other record is kept as its Event.  The Event of a bulk
-    record is built only when it is asked for.  len() is O(1), iteration
+    A record of a custody kind is kept in two columns, its shape code in
+    _BULK_SCHEMA and its pair; every other record is kept as its Event.  A
+    record enters only if its seq is its position and it fits a row of
+    FORMAT.md's record-kind table (see _record_shape); otherwise building
+    the log raises TranscriptInvalid.  The Event of a bulk record is built
+    only when it is asked for.  len() is O(1), iteration
     goes in seq order, and the log compares equal to the list of Events it
     represents.
     """
@@ -189,9 +205,10 @@ class EventLog(Sequence):
     # -- building
 
     def _append(self, event: Event) -> None:
-        shape = None
-        if type(event.seq) is int and event.seq == len(self):
-            shape = _shape_of(event.actor, event.kind, event.payload)
+        seq = len(self)
+        if type(event.seq) is not int or event.seq != seq:
+            raise _dense_error(seq, event.seq)
+        shape = _record_shape(seq, event.actor, event.kind, event.payload, TranscriptInvalid)
         if shape is None:
             self._add(event)
         else:
@@ -211,8 +228,9 @@ class EventLog(Sequence):
 
         Raises TranscriptInvalid on a blank line, a line json.loads rejects
         (including an over-long integer or over-deep nesting), a line that
-        is not an object with exactly seq, actor, kind and payload, or a seq
-        other than its line number.
+        is not an object with exactly seq, actor, kind and payload, a seq
+        other than its line number, or a record that fits no row of
+        FORMAT.md's record-kind table.
         """
         log = cls()
         add_shape, add_pair = log._shapes.append, log._pairs.append
@@ -239,10 +257,7 @@ class EventLog(Sequence):
                 raise TranscriptInvalid(
                     f"line {lineno}: expected an object with exactly seq, actor, kind and payload"
                 )
-            event = Event(**raw)
-            if type(event.seq) is not int or event.seq != lineno:
-                raise _dense_error(lineno, event.seq)
-            log._append(event)
+            log._append(Event(**raw))
         return log
 
     # -- reading
@@ -281,26 +296,11 @@ class EventLog(Sequence):
         return out
 
     def columns(self, kind: str) -> dict[str, list]:
-        """Every record of one bulk kind, in seq order, as columns: actor, then its payload fields.
-
-        If a record of that kind does not fit its shape (a hand-built or
-        damaged one), every record of the kind is read from its Event
-        instead.  Raises TranscriptInvalid when such a record's payload is
-        not a dict, lacks one of the kind's fields, has a pair that is not
-        an integer, or has a value outside its schema; other payload fields
-        and the actor are not checked.
-        """
-        fields = _BULK_SCHEMA[kind][1]
-        if any(event.kind == kind for event in self._events):
-            events = [event for event in self if event.kind == kind]
-            out = {"actor": [event.actor for event in events]}
-            for name, values in fields.items():
-                out[name] = [_field_value(event, name, values) for event in events]
-            return out
+        """Every record of one bulk kind, in seq order, as columns: actor, then its payload fields."""
         keep = self._shapes.translate(_KIND_SELECT[kind])
         shapes = bytes(compress(self._shapes, keep))
         out = {"actor": list(map(_SHAPE_COLUMN["actor"].__getitem__, shapes))}
-        for name in fields:
+        for name in _BULK_SCHEMA[kind][1]:
             if name == "pair":
                 out[name] = list(compress(self._pairs, keep))
             else:
@@ -353,6 +353,8 @@ class EventLog(Sequence):
 
 def _custody_move(kind: str, actor: object) -> tuple[object, object]:
     """Who must hold each photon a custody record names, and who holds it after (None: unchanged)."""
+    if kind == "prepare":
+        return None, actor  # both photons, and only if neither is held (see _move)
     if kind == "send":
         return actor, "channel"
     if kind == "receive":
@@ -361,16 +363,15 @@ def _custody_move(kind: str, actor: object) -> tuple[object, object]:
         return actor, None
     if kind == "eve_touch":
         return "channel", None
-    return actor, "consumed"  # bell_measure; prepare has its own rule
+    return actor, "consumed"  # bell_measure
 
 
-# The custody rule of each shape, by code: its kind, its actor, the slot
-# indices it names (both for prepare and bell_measure), who must hold each
-# of those photons and who holds it after (None: unchanged).
-_SHAPE_RULE: tuple[tuple[str, str, tuple[int, ...], object, object], ...] = tuple(
+# The custody rule of each shape, by code: its kind, the slot indices it
+# names (both for prepare and bell_measure), who must hold each of those
+# photons and who holds it after (None: no one, or unchanged).
+_SHAPE_RULE: tuple[tuple[str, tuple[int, ...], object, object], ...] = tuple(
     (
         kind,
-        actor,
         (_SLOTS.index(payload["slot"]),) if "slot" in payload else (0, 1),
         *_custody_move(kind, actor),
     )
@@ -382,44 +383,24 @@ class _CustodyLedger:
     """Who holds each photon, under the custody rules of FORMAT.md.
 
     Each (pair, slot) is held by "alice", "bob", the "channel", or is
-    "consumed".  A Session applies every record as it records it and
-    audit_custody replays a saved log through a fresh ledger, so both
-    enforce the same rules, from _move.  Violations come back as
-    (seq, message) in record order; a photon whose rule breaks does not move.
+    "consumed".  A Session applies every custody record as it records it
+    and audit_custody replays a log's custody records through a fresh
+    ledger, so both enforce the same rules, from _move.  Violations come
+    back as (seq, message) in record order; a photon whose rule breaks does
+    not move.
     """
 
     def __init__(self) -> None:
         self._holder: tuple[dict, dict] = ({}, {})  # C and M photons: pair -> holder
 
     def replay(self, log: EventLog) -> list[str]:
-        """Apply every record of a log in order and return the violation messages."""
+        """Apply every custody record of a log in order and return the violation messages."""
         found: list[tuple[int, str]] = []
         for pos, item in log._runs():
             if isinstance(item, tuple):
                 j, k = item
                 found += self.apply_bulk(pos, log._shapes[j:k], log._pairs[j:k])
-            else:
-                found += self.apply(item.seq, item.actor, item.kind, item.payload)
         return [message for _, message in found]
-
-    def apply(self, seq: int, actor: object, kind: object, payload: object) -> list[tuple[int, str]]:
-        """Apply one generic record.
-
-        Raises TranscriptInvalid on a custody record without a valid pair or slot.
-        """
-        if type(kind) is not str or kind not in _BULK_SCHEMA:
-            return []
-        pair = payload.get("pair") if type(payload) is dict else None
-        if type(pair) is not int:
-            raise TranscriptInvalid(f"seq {seq}: {kind} record without an integer pair")
-        if kind == "prepare" or kind == "bell_measure":
-            slots: tuple[int, ...] = (0, 1)
-        else:
-            slot = payload.get("slot")
-            if slot != "C" and slot != "M":
-                raise TranscriptInvalid(f"seq {seq}: {kind} record without a slot C or M")
-            slots = (_SLOTS.index(slot),)
-        return self._move(seq, ((kind, actor, slots, *_custody_move(kind, actor)),), (pair,))
 
     def apply_bulk(self, seq: int, shapes: bytes, pairs: Sequence[int]) -> list[tuple[int, str]]:
         """Apply the bulk records seq, seq + 1, ..., given as shape codes and pairs, in order."""
@@ -429,21 +410,20 @@ class _CustodyLedger:
         self, seq: int, rules: Iterable[tuple], pairs: Iterable[int]
     ) -> list[tuple[int, str]]:
         """The custody rules: apply records seq, seq + 1, ..., each given as a
-        (kind, actor, slots, expect, to) rule, as in _SHAPE_RULE, and a pair,
-        in order, and return their violations."""
+        (kind, slots, expect, to) rule of _SHAPE_RULE and a pair, in order,
+        and return their violations.  Only alice prepares, as hers is the
+        only prepare shape."""
         held = self._holder
         out: list[tuple[int, str]] = []
-        for seq, (kind, actor, slots, expect, to), pair in zip(count(seq), rules, pairs):
+        for seq, (kind, slots, expect, to), pair in zip(count(seq), rules, pairs):
             if kind == "prepare":
-                if actor != "alice":
-                    out.append((seq, f"seq {seq}: pair {pair} prepared by {actor}"))
                 now = held[0].get(pair), held[1].get(pair)
                 if now != (None, None):
                     out.append((
                         seq, f"seq {seq}: pair {pair} prepared again, held by {now[0]} and {now[1]}"
                     ))
                 else:
-                    held[0][pair] = held[1][pair] = actor
+                    held[0][pair] = held[1][pair] = to
                 continue
             for s in slots:
                 holder = held[s]

@@ -34,7 +34,7 @@ from .qsim import (
     make_singlet,
     measure_qubit,
 )
-from .records import _SHAPE_ID, Event, EventLog, TranscriptInvalid, _CustodyLedger, _shape_of
+from .records import _SHAPE_ID, Event, EventLog, TranscriptInvalid, _CustodyLedger, _record_shape
 
 
 class ProtocolError(Exception):
@@ -306,16 +306,14 @@ class _Recorder:
         self._custody = _CustodyLedger()
 
     def emit(self, actor: str, kind: str, payload: dict) -> None:
-        """Append one record; a custody violation raises before it enters the log."""
-        shape = _shape_of(actor, kind, payload)
-        if shape is not None:
-            self.record(bytes((shape,)), (payload["pair"],))
-            return
+        """Append one record; a record off FORMAT.md's record-kind table or a
+        custody violation raises InternalFault before it enters the log."""
         seq = len(self.events)
-        violations = self._custody.apply(seq, actor, kind, payload)
-        if violations:
-            raise InternalFault(violations[0][1])
-        self.events._add(Event(seq=seq, actor=actor, kind=kind, payload=payload))
+        shape = _record_shape(seq, actor, kind, payload, InternalFault)
+        if shape is None:
+            self.events._add(Event(seq=seq, actor=actor, kind=kind, payload=payload))
+        else:
+            self.record(bytes((shape,)), (payload["pair"],))
 
     def record(self, shapes: bytes, pairs: Sequence[int]) -> None:
         """Append bulk records, given as shape codes and pairs, with the next seqs.
@@ -355,8 +353,8 @@ def audit_custody(transcript: Transcript) -> list[str]:
     Tracks each (pair, slot) through prepare, send, channel, receive, and
     consumption by Bell measurement, with the rules a Session enforces as
     it records.  Returns human-readable violations; an empty list means the
-    transcript respects custody everywhere.  Raises TranscriptInvalid on a
-    custody record without a valid pair or slot.
+    transcript respects custody everywhere.  Every custody record fits its
+    shape, as the log admits no other, so the audit never raises.
     """
     return _CustodyLedger().replay(transcript.events)
 

@@ -7,6 +7,8 @@ code they validate.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ from qduplex.qsim import (
     project_qubit,
 )
 from qduplex.records import Event, EventLog, TranscriptInvalid
-from qduplex.session import ProtocolConfig, Transcript, run_protocol
+from qduplex.session import ProtocolConfig, Transcript, audit_custody, run_protocol
 
 
 def overlap_mag(a: TwoQubitState, b: TwoQubitState) -> float:
@@ -360,23 +362,22 @@ def completed_intercept_z_run() -> Transcript:
     return transcript
 
 
-def test_information_samples_read_records_off_their_shape_from_their_payloads():
-    from qduplex.adversary import _run_samples
-
+@pytest.mark.parametrize("kind", ["pauli", "bell_measure"])
+def test_records_off_their_shape_are_rejected_when_a_transcript_is_built(kind):
     transcript = completed_intercept_z_run()
-    # a hand-built copy whose first pauli and bell_measure records carry an extra field
-    events, marked = [], set()
-    for event in transcript.events:
-        if event.kind in ("pauli", "bell_measure") and event.kind not in marked:
-            marked.add(event.kind)
-            event = Event(event.seq, event.actor, event.kind, {**event.payload, "note": "x"})
-        events.append(event)
-    edited = Transcript(events=events, verdict=transcript.verdict)
-    assert edited.events != transcript.events
-    expected = _run_samples(transcript)
-    assert expected[0]
-    assert _run_samples(edited) == expected
-    assert eve_information(edited) == eve_information(transcript)
+    # a hand-built copy whose first record of the kind carries an extra field
+    events = list(transcript.events)
+    at = next(i for i, event in enumerate(events) if event.kind == kind)
+    event = events[at]
+    events[at] = Event(event.seq, event.actor, kind, {**event.payload, "note": "x"})
+    match = f"seq {at}: {kind} record with a field 'note' outside its schema"
+    with pytest.raises(TranscriptInvalid, match=match):
+        Transcript(events=events, verdict=transcript.verdict)
+    text = "".join(
+        json.dumps(e.to_record(), sort_keys=True, separators=(",", ":")) + "\n" for e in events
+    )
+    with pytest.raises(TranscriptInvalid, match=match):
+        Transcript.from_jsonl(text)
 
 
 def test_eve_information_from_a_saved_transcript_matches_the_live_run(tmp_path):
@@ -396,17 +397,42 @@ def test_eve_information_from_a_saved_transcript_matches_the_live_run(tmp_path):
         ("bell_measure", "result", "psi_minus", "psi_zero"),
     ],
 )
-def test_eve_information_raises_transcript_invalid_on_an_out_of_schema_value(
+def test_reading_a_saved_run_rejects_an_out_of_schema_custody_value(
     tmp_path, kind, name, old, new
 ):
-    """The reader keeps a custody record with a value outside its schema as a generic
-    Event; reading Eve's information from it names the kind and the value."""
+    """The reader rejects a custody record with a value outside its schema, naming
+    the kind and the value, so Eve's information is never read from it."""
     text = completed_intercept_z_run().to_jsonl()
     assert f'"{name}":"{old}"' in text
     path = tmp_path / "damaged.jsonl"
     path.write_text(text.replace(f'"{name}":"{old}"', f'"{name}":"{new}"', 1), encoding="utf-8")
-    saved = Transcript.read_jsonl(path)
     with pytest.raises(TranscriptInvalid, match=f"{kind} record with {name} '{new}' outside"):
+        Transcript.read_jsonl(path)
+
+
+@pytest.mark.parametrize("actor, other", [("alice", "bob"), ("bob", "alice")])
+def test_eve_information_raises_transcript_invalid_on_a_pair_without_its_pauli(
+    tmp_path, actor, other
+):
+    """A saved run with one pauli line re-attributed to the other party reads and
+    audits, but a Bell-measured pair then lacks the pauli record its sample needs."""
+    text = completed_intercept_z_run().to_jsonl()
+    line = next(
+        line for line in text.splitlines() if f'"actor":"{actor}","kind":"pauli"' in line
+    )
+    record = json.loads(line)
+    pair, slot = record["payload"]["pair"], record["payload"]["slot"]
+    path = tmp_path / "damaged.jsonl"
+    path.write_text(
+        text.replace(line, line.replace(f'"actor":"{actor}"', f'"actor":"{other}"'), 1),
+        encoding="utf-8",
+    )
+    saved = Transcript.read_jsonl(path)
+    assert f"seq {record['seq']}: pauli on pair {pair} slot {slot} held by {actor}, " \
+        f"expected {other}" in audit_custody(saved)
+    with pytest.raises(
+        TranscriptInvalid, match=f"pair {pair} is Bell-measured with no {actor} pauli record"
+    ):
         eve_information(saved)
 
 

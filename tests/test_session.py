@@ -32,10 +32,11 @@ from qduplex.session import (
     TranscriptInvalid,
     _Recorder,
     _verdict_from_payload,
+    _verdict_payload,
     audit_custody,
     run_protocol,
 )
-from qduplex.records import _BULK_SCHEMA, _shape_of
+from qduplex.records import _BULK_SCHEMA, _KIND_ACTORS, _record_shape
 
 ABORT_FIRST_CONFIG = ProtocolConfig(
     n_pairs=16, check_fraction_1=0.5, check_count_2=0, seed=0,
@@ -264,6 +265,10 @@ def test_from_jsonl_rejects_blank_interior_line():
 
 
 _VALID_HEAD = '{"actor":"session","kind":"config","payload":{},"seq":0}'
+_VERDICT = (
+    '{"actor":"session","kind":"verdict",'
+    '"payload":{"outcome":"aborted","phase":"first_check","reason":"x"},"seq":%d}'
+)
 
 
 @pytest.mark.parametrize(
@@ -332,6 +337,39 @@ _VALID_HEAD = '{"actor":"session","kind":"config","payload":{},"seq":0}'
             id="aborted verdict with both",
         ),
         pytest.param('{"seq":' + "1" * 5000 + "}\n", id="integer past the digit limit"),
+        pytest.param(
+            _VALID_HEAD + '\n{"actor":"session","kind":"statz","payload":{},"seq":1}\n'
+            + _VERDICT % 2 + "\n",
+            id="unknown kind",
+        ),
+        pytest.param(
+            '{"actor":"alice","kind":"config","payload":{},"seq":0}\n' + _VERDICT % 1 + "\n",
+            id="config not by session",
+        ),
+        pytest.param(
+            _VALID_HEAD + '\n{"actor":"bob","kind":"stats","payload":{},"seq":1}\n'
+            + _VERDICT % 2 + "\n",
+            id="stats not by session",
+        ),
+        pytest.param(
+            _VALID_HEAD + "\n" + _VERDICT.replace('"session"', '"eve"') % 1 + "\n",
+            id="verdict not by session",
+        ),
+        pytest.param(
+            _VALID_HEAD + '\n{"actor":"session","kind":"message","payload":{},"seq":1}\n'
+            + _VERDICT % 2 + "\n",
+            id="message not by alice or bob",
+        ),
+        pytest.param(
+            _VALID_HEAD + '\n{"actor":"eve","kind":"message","payload":{},"seq":1}\n'
+            + _VERDICT % 2 + "\n",
+            id="message by eve",
+        ),
+        pytest.param(
+            _VALID_HEAD + '\n{"actor":{"name":"alice"},"kind":"prepare","payload":{"pair":0},'
+            '"seq":1}\n' + _VERDICT % 2 + "\n",
+            id="custody record with an object actor",
+        ),
         pytest.param("[" * 100_000 + "]" * 100_000 + "\n", id="arrays nested 100000 deep"),
     ],
 )
@@ -396,19 +434,19 @@ def test_damaged_transcripts_parse_and_audit_or_raise_transcript_invalid(text):
         transcript = Transcript.from_jsonl(text)
     except TranscriptInvalid:
         return
-    try:
-        problems = audit_custody(transcript)
-    except TranscriptInvalid:
-        return
+    problems = audit_custody(transcript)  # every record the reader admits fits the schema
     assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
 
 
 def test_config_and_stats_accessors_validate():
-    bare = Transcript(events=[Event(0, "x", "noise", {})], verdict=Aborted(Phase.ABORTED, "n/a"))
-    with pytest.raises(ValueError):
+    verdict = Aborted(Phase.FIRST_CHECK, "n/a")
+    bare = Transcript(events=[Event(0, "session", "verdict", _verdict_payload(verdict))], verdict=verdict)
+    with pytest.raises(ValueError, match="does not start with a config record"):
         bare.config
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="has no stats record"):
         bare.stats
+    with pytest.raises(TranscriptInvalid, match="seq 0: unknown record kind 'noise'"):
+        Transcript(events=[Event(0, "x", "noise", {})], verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -605,15 +643,32 @@ def test_audit_flags_double_consumption():
     problems = audit_synthetic(
         [
             ("alice", "prepare", {"pair": 0}),
-            ("alice", "bell_measure", {"pair": 0, "result": "psi_minus"}),
-            ("alice", "bell_measure", {"pair": 0, "result": "psi_minus"}),
+            ("alice", "send", {"pair": 0, "slot": "C", "to": "bob"}),
+            ("bob", "receive", {"pair": 0, "slot": "C"}),
+            ("alice", "send", {"pair": 0, "slot": "M", "to": "bob"}),
+            ("bob", "receive", {"pair": 0, "slot": "M"}),
+            ("bob", "bell_measure", {"pair": 0, "result": "psi_minus"}),
+            ("bob", "bell_measure", {"pair": 0, "result": "psi_minus"}),
         ]
     )
-    assert len(problems) == 2  # both slots already consumed
+    assert problems == [  # both slots already consumed
+        "seq 6: bell_measure on pair 0 slot C held by consumed, expected bob",
+        "seq 6: bell_measure on pair 0 slot M held by consumed, expected bob",
+    ]
 
 
-def test_audit_flags_preparation_by_the_wrong_party():
-    assert len(audit_synthetic([("bob", "prepare", {"pair": 0})])) == 1
+def test_preparation_by_the_wrong_party_is_rejected_where_it_enters_the_log():
+    """Only alice's prepare fits the schema, so no log, read or recorded, holds another."""
+    message = "seq {}: prepare record with actor 'bob' outside its schema"
+    prepare = Event(0, "bob", "prepare", {"pair": 0})
+    with pytest.raises(TranscriptInvalid, match=message.format(0)):
+        Transcript(events=[prepare], verdict=Aborted(Phase.ABORTED, "x"))
+    with pytest.raises(TranscriptInvalid, match=message.format(1)):  # after the config record
+        Transcript.from_jsonl(transcript_text([("bob", "prepare", {"pair": 0})]))
+    recorder = _Recorder(n_pairs=1)
+    with pytest.raises(InternalFault, match=message.format(0)):
+        recorder.emit("bob", "prepare", {"pair": 0})
+    assert len(recorder.events) == 0
 
 
 def test_audit_flags_a_pair_prepared_again():
@@ -623,18 +678,22 @@ def test_audit_flags_a_pair_prepared_again():
             ("alice", "send", {"pair": 0, "slot": "C", "to": "bob"}),
             ("bob", "receive", {"pair": 0, "slot": "C"}),
             ("alice", "prepare", {"pair": 0}),
-            ("alice", "bell_measure", {"pair": 0, "result": "psi_minus"}),
+            ("alice", "send", {"pair": 0, "slot": "M", "to": "bob"}),
             ("alice", "prepare", {"pair": 0}),
-            ("alice", "bell_measure", {"pair": 0, "result": "psi_minus"}),
+            ("bob", "receive", {"pair": 0, "slot": "M"}),
+            ("bob", "bell_measure", {"pair": 0, "result": "psi_minus"}),
+            ("alice", "prepare", {"pair": 0}),
+            ("bob", "bell_measure", {"pair": 0, "result": "psi_minus"}),
         ]
     )
-    # a refused prepare moves nothing, so bob keeps C and alice consumes only M
+    # a refused prepare moves nothing: bob's first Bell measurement finds both
+    # photons where the sends left them, and his second finds them consumed
     assert problems == [
         "seq 3: pair 0 prepared again, held by bob and alice",
-        "seq 4: bell_measure on pair 0 slot C held by bob, expected alice",
-        "seq 5: pair 0 prepared again, held by bob and consumed",
-        "seq 6: bell_measure on pair 0 slot C held by bob, expected alice",
-        "seq 6: bell_measure on pair 0 slot M held by consumed, expected alice",
+        "seq 5: pair 0 prepared again, held by bob and channel",
+        "seq 8: pair 0 prepared again, held by consumed and consumed",
+        "seq 9: bell_measure on pair 0 slot C held by consumed, expected bob",
+        "seq 9: bell_measure on pair 0 slot M held by consumed, expected bob",
     ]
 
 
@@ -649,25 +708,29 @@ def transcript_text(records) -> str:
 
 
 @pytest.mark.parametrize(
-    "records",
+    "records, match",
     [
         pytest.param(
             [("alice", "prepare", {"pair": 0}), ("alice", "pauli", {"pair": 0, "op": "U1"})],
+            "seq 2: pauli record without a slot",
             id="pauli without slot",
         ),
-        pytest.param([("alice", "prepare", {})], id="prepare without pair"),
-        pytest.param([("alice", "prepare", [])], id="prepare payload not an object"),
-        pytest.param([("alice", "prepare", {"pair": [1]})], id="list pair"),
+        pytest.param([("alice", "prepare", {})], "seq 1: prepare record without a pair",
+                     id="prepare without pair"),
+        pytest.param([("alice", "prepare", [])], "seq 1: prepare record with a payload that is not",
+                     id="prepare payload not an object"),
+        pytest.param([("alice", "prepare", {"pair": [1]})],
+                     r"seq 1: prepare record with pair \[1\] outside its schema", id="list pair"),
         pytest.param(
             [("alice", "prepare", {"pair": 0}), ("alice", "send", {"pair": 0, "slot": ["C"]})],
+            r"seq 2: send record with slot \['C'\] outside its schema",
             id="list slot",
         ),
     ],
 )
-def test_audit_raises_transcript_invalid_on_malformed_custody_records(records):
-    transcript = Transcript.from_jsonl(transcript_text(records))
-    with pytest.raises(TranscriptInvalid):
-        audit_custody(transcript)
+def test_reader_raises_transcript_invalid_on_malformed_custody_records(records, match):
+    with pytest.raises(TranscriptInvalid, match=match):
+        Transcript.from_jsonl(transcript_text(records))
 
 
 def test_decodes_are_recomputable_from_the_log_in_any_event_order():
@@ -983,8 +1046,52 @@ def test_writer_equals_per_record_json_dumps_under_every_attack():
         assert transcript.to_jsonl() == canonical_jsonl(transcript.events)
 
 
+_EITHER, _SLOT, _BASIS, _BIT = ("alice", "bob"), ("C", "M"), ("Z", "X"), (0, 1)
+
+# FORMAT.md's record-kind table: each kind's actors, and for a custody kind
+# its payload fields with the values each may take ("int": any integer).
+# The payloads of the other kinds are read as they are.
+RECORD_KINDS: dict[str, tuple[tuple[str, ...], dict | None]] = {
+    "config": (("session",), None),
+    "prepare": (("alice",), {"pair": "int"}),
+    "send": (("alice",), {"pair": "int", "slot": _SLOT, "to": ("bob",)}),
+    "eve_touch": (
+        ("eve",),
+        {"basis": _BASIS, "leg": ("first", "second"), "outcome": _BIT, "pair": "int", "slot": _SLOT},
+    ),
+    "receive": (("bob",), {"pair": "int", "slot": _SLOT}),
+    "measure": (_EITHER, {"basis": _BASIS, "outcome": _BIT, "pair": "int", "slot": _SLOT}),
+    "pauli": (_EITHER, {"op": ("U0", "U1", "U2", "U3"), "pair": "int", "slot": _SLOT}),
+    "bell_measure": (
+        ("bob",), {"pair": "int", "result": ("psi_minus", "psi_plus", "phi_minus", "phi_plus")}
+    ),
+    "message": (_EITHER, None),
+    "stats": (("session",), None),
+    "verdict": (("session",), None),
+}
+
+
+def fits_record_kinds(actor: object, kind: object, payload: object) -> bool:
+    """Whether a record fits its row of RECORD_KINDS, compared as JSON text."""
+    if not isinstance(kind, str) or kind not in RECORD_KINDS:
+        return False
+    actors, fields = RECORD_KINDS[kind]
+    if actor not in actors:
+        return False
+    if fields is None:
+        return True
+    if not isinstance(payload, dict) or sorted(payload) != sorted(fields):
+        return False
+    return all(
+        type(payload[name]) is int if values == "int"
+        else json.dumps(payload[name]) in map(json.dumps, values)
+        for name, values in fields.items()
+    )
+
+
 def reference_read(text: str) -> list[Event] | None:
-    """Event(**json.loads(line)) for every line under FORMAT.md's file rules; None if rejected."""
+    """Event(**json.loads(line)) for every line under FORMAT.md's file rules and
+    record-kind table; None if rejected."""
     events = []
     for lineno, line in enumerate(text.splitlines()):
         try:
@@ -994,6 +1101,8 @@ def reference_read(text: str) -> list[Event] | None:
         if not isinstance(raw, dict) or raw.keys() != {"seq", "actor", "kind", "payload"}:
             return None
         if type(raw["seq"]) is not int or raw["seq"] != lineno:
+            return None
+        if not fits_record_kinds(raw["actor"], raw["kind"], raw["payload"]):
             return None
         events.append(Event(**raw))
     if not events or events[-1].kind != "verdict":
@@ -1141,19 +1250,24 @@ def custody_batches(draw) -> list[list[tuple[str, str, dict]]]:
     order, so that long runs of one rule over distinct photons occur, or
     with some damage: a step skipped or repeated, pairs repeated or
     dropped, or an actor swapped.  Each example draws how often damage
-    happens, so that some run clean through the last steps.  A record may
-    also not fit its shape.  Some batches interleave two consecutive steps
-    pair by pair, as Bob's Bell phase records pauli then bell_measure for
-    each pair in one call; these sometimes repeat a pair or swap the actor
-    of a single record, so a violation can fall in the middle of a
-    mixed-rule call.
+    happens, so that some run clean through the last steps.  Off-schema
+    damage, which the log rejects, has a rate of its own per example: an
+    actor outside the kind's row, or a payload field outside the kind's
+    shape.  Some batches interleave two consecutive steps pair by pair, as
+    Bob's Bell phase records pauli then bell_measure for each pair in one
+    call; these sometimes repeat a pair or swap the actor of a single
+    record, so a violation can fall in the middle of a mixed-rule call.
     """
     n = draw(st.integers(1, 24))
     every = list(range(n))
     level = draw(st.sampled_from([0, 5, 20, 60]))  # percent chance of each damage
+    off_level = draw(st.sampled_from([0, 1, 5, 20]))  # the same, for off-schema damage
 
-    def damaged() -> bool:
+    def damaged(level=level) -> bool:
         return draw(st.integers(0, 99)) >= 100 - level  # shrinks towards no damage
+
+    def off_schema() -> bool:
+        return damaged(off_level)
 
     batches = []
     k = 0
@@ -1169,9 +1283,11 @@ def custody_batches(draw) -> list[list[tuple[str, str, dict]]]:
             )
             per_pair = []
             for kind, actor, extra in steps:
-                who = draw(st.sampled_from(["alice", "bob", "eve", "mallory"])) if damaged() else actor
+                who = draw(st.sampled_from(RECORD_KINDS[kind][0])) if damaged() else actor
+                if off_schema():
+                    who = draw(st.sampled_from(["alice", "bob", "eve", "mallory"]))
                 payload = dict(extra)
-                if draw(st.integers(0, 9)) == 0:
+                if off_schema():
                     payload["note"] = "off-shape"
                 per_pair.append((who, kind, payload))
             if width == 2 and pairs and draw(st.booleans()):
@@ -1183,7 +1299,9 @@ def custody_batches(draw) -> list[list[tuple[str, str, dict]]]:
             if width == 2 and batch and draw(st.booleans()):
                 i = draw(st.integers(0, len(batch) - 1))
                 who, kind, payload = batch[i]
-                batch[i] = ("bob" if who == "alice" else "alice", kind, payload)
+                swapped = "bob" if who == "alice" else "alice"
+                if swapped in RECORD_KINDS[kind][0] or off_schema():
+                    batch[i] = (swapped, kind, payload)
             batches.append(batch)
     return batches
 
@@ -1193,28 +1311,42 @@ def custody_batches(draw) -> list[list[tuple[str, str, dict]]]:
 def test_batch_ledger_matches_a_per_record_reference(batches):
     records = [r for batch in batches for r in batch]
     numbered = [Event(i, *r) for i, r in enumerate(records)]
-    expected = reference_custody(numbered)
-    transcript = Transcript(events=numbered, verdict=Aborted(Phase.FIRST_CHECK, "synthetic"))
-    assert audit_custody(transcript) == expected
-    assert audit_custody(Transcript.from_jsonl(canonical_jsonl(numbered) + canonical_jsonl(
-        [Event(len(numbered), "session", "verdict",
-               {"outcome": "aborted", "phase": "first_check", "reason": "x"})]
-    ))) == expected
-    # a recorder taking the same records a batch at a time stops at the first violation
+    off = next((i for i, r in enumerate(records) if not fits_record_kinds(*r)), None)
+    verdict = Event(len(numbered), "session", "verdict",
+                    {"outcome": "aborted", "phase": "first_check", "reason": "x"})
+    text = canonical_jsonl([*numbered, verdict])
+    if off is None:
+        expected = reference_custody(numbered)
+        transcript = Transcript(events=numbered, verdict=Aborted(Phase.FIRST_CHECK, "synthetic"))
+        assert audit_custody(transcript) == expected
+        assert audit_custody(Transcript.from_jsonl(text)) == expected
+    else:
+        # both ways into a log reject the first record off the schema
+        expected = reference_custody(numbered[:off])
+        with pytest.raises(TranscriptInvalid, match=f"^seq {off}: "):
+            Transcript(events=numbered, verdict=Aborted(Phase.FIRST_CHECK, "synthetic"))
+        with pytest.raises(TranscriptInvalid, match=f"^seq {off}: "):
+            Transcript.from_jsonl(text)
+    # a recorder taking the same records a batch at a time stops at the first
+    # violation, or at the first record off the schema if that comes earlier
     recorder = _Recorder(n_pairs=25)
     try:
         for batch in batches:
-            shapes = [_shape_of(*r) for r in batch]
-            if None in shapes:
+            if all(fits_record_kinds(*r) for r in batch):
+                shapes = bytes(_record_shape(0, *r, TranscriptInvalid) for r in batch)
+                recorder.record(shapes, [r[2]["pair"] for r in batch])
+            else:
                 for r in batch:
                     recorder.emit(*r)
-            else:
-                recorder.record(bytes(shapes), [r[2]["pair"] for r in batch])
     except InternalFault as fault:
-        assert str(fault) == expected[0]
-        assert expected[0].startswith(f"seq {len(recorder.events)}:")
+        if expected:
+            assert str(fault) == expected[0]
+            assert expected[0].startswith(f"seq {len(recorder.events)}:")
+        else:
+            assert len(recorder.events) == off
+            assert str(fault).startswith(f"seq {off}: ")
     else:
-        assert expected == []
+        assert expected == [] and off is None
     assert recorder.events == numbered[: len(recorder.events)]
 
 
@@ -1234,9 +1366,11 @@ def test_transcript_from_an_event_list_is_an_equal_event_log():
         rebuilt.events[len(events)]
     with pytest.raises(AttributeError):
         rebuilt.events = []
-    # records with a seq other than their position, or off their kind's shape, stay as given
-    odd = [Event(5, "alice", "prepare", {"pair": 0}), Event(1, "bob", "prepare", {"pair": "0"})]
-    assert list(Transcript(events=odd, verdict=run.verdict).events) == odd
+    # a record with a seq other than its position, or off its kind's shape, is rejected
+    with pytest.raises(TranscriptInvalid, match="expected 0, got 5"):
+        Transcript(events=[Event(5, "alice", "prepare", {"pair": 0})], verdict=run.verdict)
+    with pytest.raises(TranscriptInvalid, match="seq 0: prepare record with pair '0' outside"):
+        Transcript(events=[Event(0, "alice", "prepare", {"pair": "0"})], verdict=run.verdict)
 
 
 def test_bulk_records_build_no_event_on_the_run_write_read_audit_and_estimator_paths(monkeypatch):
@@ -1278,7 +1412,8 @@ def test_bulk_records_build_no_event_on_the_run_write_read_audit_and_estimator_p
 
 
 def test_format_md_record_kind_table_matches_the_bulk_schema():
-    """FORMAT.md's record-kind table and _BULK_SCHEMA name the same actors, fields in order, and values."""
+    """FORMAT.md's record-kind table names the kinds and actors of _KIND_ACTORS, and the
+    fields in order and values of _BULK_SCHEMA."""
     text = (Path(__file__).parents[1] / "FORMAT.md").read_text(encoding="utf-8")
     text = text.split("### Record kinds", 1)[1].split("###", 1)[0]
     rows = {
@@ -1287,13 +1422,16 @@ def test_format_md_record_kind_table_matches_the_bulk_schema():
             r"^\| `(\w+)` +\| ([^|]+)\| ([^|]+) \|$", text, re.MULTILINE
         )
     }
+    assert set(rows) == set(_KIND_ACTORS)
     assert set(rows) - {"config", "message", "stats", "verdict"} == set(_BULK_SCHEMA)
-    for kind, (actors, fields) in _BULK_SCHEMA.items():
-        actor_cell, documented_fields = rows[kind]
+    for kind, (actor_cell, _) in rows.items():
         documented_actors = (
-            ("alice", "bob") if actor_cell == "either" else tuple(re.findall(r"`(\w+)`", actor_cell))
+            ("alice", "bob") if actor_cell.startswith("either")
+            else tuple(re.findall(r"`(\w+)`", actor_cell))
         )
-        assert documented_actors == actors, kind
+        assert documented_actors == _KIND_ACTORS[kind], kind
+    for kind, (_, fields) in _BULK_SCHEMA.items():
+        _, documented_fields = rows[kind]
         documented = re.findall(r"`(\w+)`(?: \(([^)]*)\))?", documented_fields)
         assert [name for name, _ in documented] == list(fields), kind
         for name, values in documented:
