@@ -5,13 +5,16 @@ complex amplitudes over the ordered computational basis |00>, |01>, |10>,
 |11> with the travelling C photon first and the kept M photon second.
 Operations are plain linear algebra on that 4-vector; measurement sampling
 is Born-rule exact and driven by an injected random stream so that any run
-replays bit for bit.
+replays bit for bit.  The samplers read only the stream's random(), one
+draw per measurement.
 
 The protocol's ops reach only a few hundred distinct states, so Pauli,
 projection, substitution and Bell-mass results are memoized, keyed on the
 exact bytes of the input amplitudes.  Each is a deterministic function of
 those bytes, so a remembered result is the result a fresh computation would
 give, byte for byte.  Sampling is not memoized: each measurement still draws once.
+The enums in the memo keys hash by identity, at C speed (equality already
+is identity).
 """
 
 from __future__ import annotations
@@ -24,7 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 RandomStream = np.random.Generator
-"""Injected randomness contract: seedable, and splittable via SeedSequence."""
+"""Injected randomness contract: seedable, and splittable via SeedSequence.
+
+The samplers call only random(), so any object whose random() returns
+floats in [0, 1) can stand in for a stream."""
 
 NORM_TOL = 1e-12
 
@@ -44,6 +50,8 @@ class QubitSlot(enum.Enum):
     C = "C"
     M = "M"
 
+    __hash__ = object.__hash__
+
 
 class Basis(enum.Enum):
     """Single-qubit measurement basis.
@@ -54,6 +62,8 @@ class Basis(enum.Enum):
 
     Z = "Z"
     X = "X"
+
+    __hash__ = object.__hash__
 
 
 class PauliOp(enum.Enum):
@@ -67,6 +77,8 @@ class PauliOp(enum.Enum):
     U1 = 1
     U2 = 2
     U3 = 3
+
+    __hash__ = object.__hash__
 
     @property
     def code(self) -> int:
@@ -89,6 +101,8 @@ class BellState(enum.Enum):
     PSI_PLUS = 1
     PHI_MINUS = 2
     PHI_PLUS = 3
+
+    __hash__ = object.__hash__
 
     @property
     def index(self) -> int:

@@ -15,7 +15,7 @@ import json
 import operator
 import re
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress, count, product
 
@@ -67,7 +67,8 @@ _BULK_SCHEMA: dict[str, tuple[tuple[str, ...], dict[str, tuple | None]]] = {
     ),
 }
 # Every kind of FORMAT.md's record-kind table, with the actors that write it.
-# The kinds outside _BULK_SCHEMA are kept as Events, their payloads as read.
+# The kinds outside _BULK_SCHEMA are kept as Events; all but a stats record
+# with their payloads as read.
 _KIND_ACTORS: dict[str, tuple[str, ...]] = {
     **{kind: actors for kind, (actors, _) in _BULK_SCHEMA.items()},
     "config": ("session",),
@@ -75,6 +76,45 @@ _KIND_ACTORS: dict[str, tuple[str, ...]] = {
     "stats": ("session",),
     "verdict": ("session",),
 }
+
+
+def _count(value: object) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _flag(value: object) -> bool:
+    return type(value) is bool
+
+
+def _integers(value: object) -> bool:
+    return type(value) is list and all(type(i) is int for i in value)
+
+
+# FORMAT.md's statistics record: each check's fields and the test each value
+# must pass.  A stats payload holds first_check, and second_check if the run
+# reached it.
+_STATS_SCHEMA: dict[str, dict[str, Callable[[object], bool]]] = {
+    "first_check": {"sampled": _count, "violations": _count, "passed": _flag},
+    "second_check": {
+        "decoys": _count, "decoy_indices": _integers, "mismatches": _count, "passed": _flag
+    },
+}
+
+
+def _stats_fault(payload: object) -> str | None:
+    """The first part of a stats payload that is off FORMAT.md's statistics record, or None."""
+    if type(payload) is not dict or "first_check" not in payload:
+        return "a payload that is not an object with a first_check"
+    for check, values in payload.items():
+        fields = _STATS_SCHEMA.get(check)
+        if fields is None:
+            return f"a field {check!r} outside its schema"
+        if type(values) is not dict or values.keys() != fields.keys():
+            return f"a {check} that is not an object with exactly {', '.join(fields)}"
+        for name, valid in fields.items():
+            if not valid(values[name]):
+                return f"{check} {name} {values[name]!r} outside its schema"
+    return None
 
 
 def _line_format(kind: str) -> str:
@@ -137,8 +177,9 @@ def _record_shape(
 
     Raises error, naming the seq, the kind and the first field or value that
     is off, for a record that fits no row of FORMAT.md's record-kind table:
-    an unknown kind, an actor outside its row, or a custody record that does
-    not fit its kind's shape exactly.
+    an unknown kind, an actor outside its row, a custody record that does
+    not fit its kind's shape exactly, a stats record off FORMAT.md's
+    statistics record, or a config record anywhere but seq 0.
     """
     actors = _KIND_ACTORS.get(kind) if type(kind) is str else None
     if actors is None:
@@ -146,6 +187,11 @@ def _record_shape(
     if type(actor) is not str or actor not in actors:
         raise error(f"seq {seq}: {kind} record with actor {actor!r} outside its schema")
     if kind not in _BULK_SCHEMA:
+        if kind == "config" and seq != 0:
+            raise error(f"seq {seq}: config record after seq 0")
+        fault = _stats_fault(payload) if kind == "stats" else None
+        if fault is not None:
+            raise error(f"seq {seq}: stats record with {fault}")
         return None
     if type(payload) is not dict:
         raise error(f"seq {seq}: {kind} record with a payload that is not an object")
@@ -189,7 +235,8 @@ class EventLog(Sequence):
     the log raises TranscriptInvalid.  The Event of a bulk record is built
     only when it is asked for.  len() is O(1), iteration
     goes in seq order, and the log compares equal to the list of Events it
-    represents.
+    represents.  A log built from records, or read, also keeps config at seq
+    0, stats directly before the last record, and a verdict only last.
     """
 
     __slots__ = ("_shapes", "_pairs", "_events", "_at")
@@ -201,6 +248,7 @@ class EventLog(Sequence):
         self._at: list[int] = []  # the position of each of _events
         for event in events:
             self._append(event)
+        self._check_places()
 
     # -- building
 
@@ -213,6 +261,20 @@ class EventLog(Sequence):
             self._add(event)
         else:
             self._extend((shape,), (event.payload["pair"],))
+
+    def _check_places(self) -> None:
+        """Raise TranscriptInvalid unless a stats record stands only directly
+        before the last record, a verdict, and a verdict only last."""
+        last = len(self) - 1
+        for at, event in zip(self._at, self._events):
+            if event.kind == "stats":
+                closed = at == last - 1 and self._at[-1] == last
+                if not closed or self._events[-1].kind != "verdict":
+                    raise TranscriptInvalid(
+                        f"seq {at}: stats record not directly before the verdict, the last record"
+                    )
+            elif event.kind == "verdict" and at != last:
+                raise TranscriptInvalid(f"seq {at}: verdict record before the last record")
 
     def _add(self, event: Event) -> None:
         self._at.append(len(self))
@@ -229,8 +291,8 @@ class EventLog(Sequence):
         Raises TranscriptInvalid on a blank line, a line json.loads rejects
         (including an over-long integer or over-deep nesting), a line that
         is not an object with exactly seq, actor, kind and payload, a seq
-        other than its line number, or a record that fits no row of
-        FORMAT.md's record-kind table.
+        other than its line number, a record that fits no row of FORMAT.md's
+        record-kind table, or a config, stats or verdict record out of place.
         """
         log = cls()
         add_shape, add_pair = log._shapes.append, log._pairs.append
@@ -258,6 +320,7 @@ class EventLog(Sequence):
                     f"line {lineno}: expected an object with exactly seq, actor, kind and payload"
                 )
             log._append(Event(**raw))
+        log._check_places()
         return log
 
     # -- reading

@@ -15,6 +15,7 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Union
 
 import numpy as np
@@ -77,6 +78,9 @@ class ProtocolConfig:
     eve: EveStrategy = field(default_factory=EveStrategy.none)
 
     def validate(self) -> None:
+        for name in ("n_pairs", "check_count_2", "abort_threshold", "seed"):
+            if isinstance(getattr(self, name), bool):
+                raise ConfigInvalid(f"{name} must be an integer, not a bool")
         if not isinstance(self.n_pairs, int) or self.n_pairs < 2:
             raise ConfigInvalid(f"n_pairs must be an integer >= 2, got {self.n_pairs!r}")
         if self.n_pairs > MAX_PAIRS:
@@ -244,7 +248,7 @@ class Transcript:
         for event in reversed(self._events):
             if event.kind == "stats":
                 return event.payload
-        raise ValueError("transcript has no stats record")
+        raise TranscriptInvalid("transcript has no stats record")
 
     def to_jsonl(self) -> str:
         return "\n".join(self._events.lines()) + "\n"
@@ -506,13 +510,15 @@ class Session:
         """
         self._advance(Phase.BELL_ANNOUNCE)
         message_pairs = _padded_pairs(self._bob_msg, len(self.survivors))
-        rng, states, ops, announced = self._bob_rng, self._states, self._bob_ops, self.announced
+        # each pair's side (0: the C photon, 1: the M photon) and Bell draw, in bulk
+        sides, draws = _bob_draws(self._bob_rng.bit_generator, len(self.survivors))
+        source = SimpleNamespace(random=iter(draws).__next__)
+        states, ops, announced = self._states, self._bob_ops, self.announced
         shapes, pairs, results = bytearray(), [], []
-        for i, code in zip(self.survivors, message_pairs):
-            side = rng.integers(2)  # 0: the C photon, 1: the M photon
+        for i, code, side in zip(self.survivors, message_pairs, sides):
             op = ops[i] = _OPS[code]
             states[i] = apply_pauli(states[i], op, _SIDE_SLOT[side])
-            result = announced[i] = bell_measure(states.pop(i), rng)
+            result = announced[i] = bell_measure(states.pop(i), source)
             index = result._value_  # the Bell index, without the enum property's call
             shapes.append(_BOB_PAULI_SHAPE[code][side])
             shapes.append(_BELL_SHAPE[index])
@@ -674,6 +680,42 @@ _LEG_SHAPES = {
     for leg in Leg
     for slot in (leg_slot(leg).value,)
 }
+
+
+def _bob_draws(bits: np.random.BitGenerator, n: int) -> tuple[list[int], list[float]]:
+    """The values of n rounds of Bob's scalar integers(2) then random(), from one bulk pull.
+
+    Leaves the PCG64 bit generator exactly as those 2n scalar draws would,
+    its buffered half-word included.  numpy draws integers(2) as
+    (u * 2) >> 32 of a 32-bit u, Lemire's method with no rejection for a
+    bound of 2.  PCG64 gives u from its buffered high half-word if it has
+    one, else from the low half of a fresh word, whose high half it then
+    buffers (a used buffer stays in the state, stale).  random() is
+    (w >> 11) * 2**-53 of a fresh word w.
+    """
+    state = bits.state
+    buffered = state["has_uint32"]
+    fresh = (n - buffered + 1) // 2  # fresh words split into halves for integers(2)
+    words = bits.random_raw(n + fresh)
+    k = np.arange(n)
+    at = k + (k + 2 - buffered) // 2  # the word of each random()
+    doubles = (words[at] >> np.uint64(11)) * 2.0**-53
+    split = np.ones(len(words), dtype=bool)
+    split[at] = False
+    halves = np.empty(2 * fresh, dtype=np.uint64)  # low, then high half of each split word
+    halves[0::2] = words[split] & np.uint64(0xFFFFFFFF)
+    halves[1::2] = words[split] >> np.uint64(32)
+    u = np.concatenate((np.full(buffered, state["uinteger"], dtype=np.uint64), halves))[:n]
+    sides = (u * np.uint64(2)) >> np.uint64(32)
+    state["has_uint32"] = (buffered + n) % 2
+    if fresh:
+        state["uinteger"] = int(halves[-1])
+    # Setting the state rewinds the counter to where it was read, with the
+    # buffer the scalar draws leave; pulling the same words again moves it on
+    # (advance() would clear the buffer).
+    bits.state = state
+    bits.random_raw(len(words), output=False)
+    return sides.tolist(), doubles.tolist()
 
 
 def _padded_pairs(message: MessageBits, needed: int) -> list[int]:

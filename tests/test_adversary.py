@@ -8,6 +8,7 @@ code they validate.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -433,6 +434,51 @@ def test_eve_information_raises_transcript_invalid_on_a_pair_without_its_pauli(
     with pytest.raises(
         TranscriptInvalid, match=f"pair {pair} is Bell-measured with no {actor} pauli record"
     ):
+        eve_information(saved)
+
+
+GOLDEN_SEED7 = Path(__file__).parent / "golden" / "transcript_n8_seed7.jsonl"
+
+
+def write_records(path: Path, records: list[dict]) -> None:
+    path.write_text(
+        "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records),
+        encoding="utf-8",
+    )
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda r: r["payload"].update(second_check=None), "stats record with a second_check"),
+        (lambda r: r["payload"].update(second_check=[]), "stats record with a second_check"),
+        (lambda r: r.update(kind="config"), "config record after seq 0"),
+        (lambda r: r.update(kind="verdict"), "verdict record before the last record"),
+    ],
+    ids=["null second_check", "list second_check", "stats as config", "stats as verdict"],
+)
+def test_reading_a_saved_run_rejects_a_damaged_stats_record(tmp_path, damage, message):
+    """eve_information reads the decoys from the stats record; the reader rejects a
+    stats record off FORMAT.md or out of place, so Eve's information is never read from it."""
+    assert eve_information(Transcript.read_jsonl(GOLDEN_SEED7)) == 0.0
+    records = [json.loads(line) for line in GOLDEN_SEED7.read_text(encoding="utf-8").splitlines()]
+    damage(next(r for r in records if r["kind"] == "stats"))
+    path = tmp_path / "damaged.jsonl"
+    write_records(path, records)
+    with pytest.raises(TranscriptInvalid, match=message):
+        Transcript.read_jsonl(path)
+
+
+def test_eve_information_raises_transcript_invalid_on_a_saved_run_without_stats(tmp_path):
+    """FORMAT.md does not require a stats record, but Eve's information reads the decoys from it."""
+    lines = GOLDEN_SEED7.read_text(encoding="utf-8").splitlines()
+    records = [json.loads(line) for line in lines if '"kind":"stats"' not in line]
+    records[-1]["seq"] -= 1
+    path = tmp_path / "no_stats.jsonl"
+    write_records(path, records)
+    saved = Transcript.read_jsonl(path)
+    assert saved.completed
+    with pytest.raises(TranscriptInvalid, match="transcript has no stats record"):
         eve_information(saved)
 
 

@@ -406,6 +406,26 @@ def test_byte_equal_states_give_byte_equal_results():
         assert bell_measure(a, twin_a) is bell_measure(b, twin_b)
 
 
+@pytest.mark.parametrize("enum_type", [PauliOp, QubitSlot, Basis, BellState])
+def test_qsim_enums_hash_by_identity(enum_type):
+    """The memo keys hash these enums at C speed; equality was identity already."""
+    assert enum_type.__hash__ is object.__hash__
+    for member in enum_type:
+        assert hash(member) == object.__hash__(member)
+        assert {member: 1}[enum_type(member.value)] == 1
+
+
+def test_apply_pauli_returns_the_shared_memoized_state_for_equal_inputs():
+    vec = np.array([0.6, 0.0, 0.0, 0.8j])
+    a, b = TwoQubitState(vec), TwoQubitState(vec.copy())
+    for slot in QubitSlot:
+        for op in PauliOp:
+            assert apply_pauli(a, op, slot) is apply_pauli(b, PauliOp(op.code), QubitSlot(slot.value))
+    assert apply_pauli(make_singlet(), PauliOp.U1, QubitSlot.M) is apply_pauli(
+        make_singlet(), PauliOp.U1, QubitSlot.M
+    )
+
+
 def test_singlet_is_one_shared_immutable_state():
     assert make_singlet() is make_singlet()
     assert make_singlet().key == make_singlet().amplitudes.tobytes()

@@ -30,6 +30,7 @@ from qduplex.session import (
     Session,
     Transcript,
     TranscriptInvalid,
+    _bob_draws,
     _Recorder,
     _verdict_from_payload,
     _verdict_payload,
@@ -102,6 +103,18 @@ def test_config_validation_rejects(kwargs):
         ProtocolConfig(**{"check_count_2": 1, **kwargs}).validate()
 
 
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("name", ["n_pairs", "check_count_2", "abort_threshold", "seed"])
+def test_config_validation_rejects_bools_in_integer_fields(name, value):
+    """A bool is an int to Python, but not a count or a seed: check_count_2=True
+    would reach Generator.choice, and abort_threshold=True the config echo."""
+    config = ProtocolConfig(**{"n_pairs": 8, "check_count_2": 1, name: value})
+    with pytest.raises(ConfigInvalid, match=f"{name} must be an integer, not a bool"):
+        config.validate()
+    with pytest.raises(ConfigInvalid):
+        Session(config, MessageBits.from_bits([]), MessageBits.from_bits([]))
+
+
 def test_session_rejects_oversized_messages():
     config = ProtocolConfig(n_pairs=8, check_fraction_1=0.25, check_count_2=1)
     alice_ok = random_message(config.alice_capacity_bits, np.random.default_rng(0))
@@ -123,6 +136,47 @@ def test_session_constructor_validates_config():
     bad = ProtocolConfig(n_pairs=1)
     with pytest.raises(ConfigInvalid):
         Session(bad, MessageBits.from_bits([]), MessageBits.from_bits([]))
+
+
+# ---------------------------------------------------------------------------
+# Bob's bulk draws
+
+
+def scalar_draws(rng: np.random.Generator, n: int) -> tuple[list[int], list[float]]:
+    """n rounds of the scalar draws the Bell phase stands for: integers(2), then random()."""
+    sides, draws = [], []
+    for _ in range(n):
+        sides.append(int(rng.integers(2)))
+        draws.append(rng.random())
+    return sides, draws
+
+
+_PRIOR_DRAWS = {
+    "no buffer": lambda rng: rng.random(),
+    "a buffered half-word": lambda rng: rng.integers(2),
+    "a stale buffer": lambda rng: (rng.integers(2), rng.integers(2), rng.random()),
+}
+
+
+@pytest.mark.parametrize("prior", sorted(_PRIOR_DRAWS))
+@pytest.mark.parametrize(
+    "n", [0, 1, 2, 3, 8, 31, 999, 1000, *np.random.default_rng(17).integers(4, 1200, 4).tolist()]
+)
+def test_bob_draws_equal_the_scalar_draws_and_leave_the_same_generator(prior, n):
+    """Values, bit generator state (has_uint32 and uinteger included) and the
+    next scalar draws all match n rounds of scalar integers(2) then random()."""
+    seed = 1000 * n + sorted(_PRIOR_DRAWS).index(prior)
+    scalar, bulk = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in (scalar, bulk):
+        _PRIOR_DRAWS[prior](rng)
+    assert bulk.bit_generator.state["has_uint32"] == (prior == "a buffered half-word")
+    expected = scalar_draws(scalar, n)
+    sides, draws = _bob_draws(bulk.bit_generator, n)
+    assert (sides, draws) == expected
+    assert all(type(v) is int for v in sides) and all(type(v) is float for v in draws)
+    assert bulk.bit_generator.state == scalar.bit_generator.state
+    assert scalar_draws(bulk, 3) == scalar_draws(scalar, 3)
+    assert bulk.integers(4, size=5).tolist() == scalar.integers(4, size=5).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +319,8 @@ def test_from_jsonl_rejects_blank_interior_line():
 
 
 _VALID_HEAD = '{"actor":"session","kind":"config","payload":{},"seq":0}'
+_STATS = '{"actor":"session","kind":"stats","payload":{%s},"seq":%d}'
+_FIRST_CHECK = '"first_check":{"passed":true,"sampled":2,"violations":0}'
 _VERDICT = (
     '{"actor":"session","kind":"verdict",'
     '"payload":{"outcome":"aborted","phase":"first_check","reason":"x"},"seq":%d}'
@@ -371,12 +427,67 @@ _VERDICT = (
             id="custody record with an object actor",
         ),
         pytest.param("[" * 100_000 + "]" * 100_000 + "\n", id="arrays nested 100000 deep"),
+        pytest.param(
+            _VALID_HEAD + "\n" + _STATS % ("{}", 1) + "\n" + _VERDICT % 2 + "\n",
+            id="stats without first_check",
+        ),
+        pytest.param(
+            _VALID_HEAD + "\n" + _STATS % (_FIRST_CHECK + ',"second_check":null', 1) + "\n"
+            + _VERDICT % 2 + "\n",
+            id="stats with a null second_check",
+        ),
+        pytest.param(
+            _VALID_HEAD + "\n" + _STATS % (_FIRST_CHECK + ',"second_check":[]', 1) + "\n"
+            + _VERDICT % 2 + "\n",
+            id="stats with a list second_check",
+        ),
+        pytest.param(
+            _VALID_HEAD + "\n" + _STATS % (_FIRST_CHECK.replace("true", "1"), 1) + "\n"
+            + _VERDICT % 2 + "\n",
+            id="stats with an integer passed",
+        ),
+        pytest.param(
+            _VALID_HEAD + "\n" + _STATS % (_FIRST_CHECK.replace('"sampled":2', '"sampled":-2'), 1)
+            + "\n" + _VERDICT % 2 + "\n",
+            id="stats with a negative count",
+        ),
+        pytest.param(
+            _VALID_HEAD + "\n" + _STATS % (_FIRST_CHECK + ',"third_check":{}', 1) + "\n"
+            + _VERDICT % 2 + "\n",
+            id="stats with an unknown check",
+        ),
+        pytest.param(
+            _VALID_HEAD + "\n" + _STATS % (_FIRST_CHECK, 1) + "\n"
+            '{"actor":"alice","kind":"message","payload":{},"seq":2}\n' + _VERDICT % 3 + "\n",
+            id="stats not directly before the verdict",
+        ),
+        pytest.param(
+            _VALID_HEAD + "\n" + _VALID_HEAD.replace('"seq":0', '"seq":1') + "\n"
+            + _VERDICT % 2 + "\n",
+            id="config after seq 0",
+        ),
+        pytest.param(
+            _VALID_HEAD + "\n" + _VERDICT % 1 + "\n" + _VERDICT % 2 + "\n",
+            id="verdict before the last record",
+        ),
     ],
 )
 def test_from_jsonl_raises_transcript_invalid(text):
     with pytest.raises(TranscriptInvalid) as info:
         Transcript.from_jsonl(text)
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "stats", [_FIRST_CHECK, _FIRST_CHECK + ',"second_check":' + json.dumps(
+        {"decoy_indices": [], "decoys": 0, "mismatches": 0, "passed": True}, separators=(",", ":")
+    )],
+)
+def test_from_jsonl_reads_a_stats_record_of_format_md_directly_before_the_verdict(stats):
+    text = _VALID_HEAD + "\n" + _STATS % (stats, 1) + "\n" + _VERDICT % 2 + "\n"
+    transcript = Transcript.from_jsonl(text)
+    assert transcript.stats == json.loads("{" + stats + "}")
+    assert transcript.to_jsonl() == text
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -1089,9 +1200,38 @@ def fits_record_kinds(actor: object, kind: object, payload: object) -> bool:
     )
 
 
+# FORMAT.md's statistics record: each check's fields and what each holds.
+STATS_RECORD = {
+    "first_check": {"sampled": "count", "violations": "count", "passed": "bool"},
+    "second_check": {
+        "decoys": "count", "decoy_indices": "integers", "mismatches": "count", "passed": "bool"
+    },
+}
+_HOLDS = {
+    "count": lambda v: type(v) is int and v >= 0,
+    "bool": lambda v: type(v) is bool,
+    "integers": lambda v: type(v) is list and all(type(i) is int for i in v),
+}
+
+
+def fits_stats_record(payload: object) -> bool:
+    """Whether a stats payload has first_check, maybe second_check, and nothing else,
+    each with exactly its fields of STATS_RECORD."""
+    if not isinstance(payload, dict) or "first_check" not in payload:
+        return False
+    return all(
+        check in STATS_RECORD
+        and isinstance(fields, dict)
+        and sorted(fields) == sorted(STATS_RECORD[check])
+        and all(_HOLDS[form](fields[name]) for name, form in STATS_RECORD[check].items())
+        for check, fields in payload.items()
+    )
+
+
 def reference_read(text: str) -> list[Event] | None:
-    """Event(**json.loads(line)) for every line under FORMAT.md's file rules and
-    record-kind table; None if rejected."""
+    """Event(**json.loads(line)) for every line under FORMAT.md's file rules,
+    record-kind table and statistics record, with config only first, stats only
+    second to last and the verdict last; None if rejected."""
     events = []
     for lineno, line in enumerate(text.splitlines()):
         try:
@@ -1104,8 +1244,14 @@ def reference_read(text: str) -> list[Event] | None:
             return None
         if not fits_record_kinds(raw["actor"], raw["kind"], raw["payload"]):
             return None
+        if raw["kind"] == "stats" and not fits_stats_record(raw["payload"]):
+            return None
         events.append(Event(**raw))
     if not events or events[-1].kind != "verdict":
+        return None
+    last = len(events) - 1
+    places = {"config": {0}, "stats": {last - 1}, "verdict": {last}}
+    if any(i not in places.get(e.kind, {i}) for i, e in enumerate(events)):
         return None
     try:
         _verdict_from_payload(events[-1].payload)
@@ -1136,6 +1282,40 @@ def test_reader_equals_per_line_json_loads_on_golden_transcripts(name):
 @settings(max_examples=300, deadline=None)
 @given(golden_transcript_variants())
 def test_reader_equals_per_line_json_loads_on_variants(text):
+    assert_reads_like_the_reference(text)
+
+
+@st.composite
+def golden_stats_variants(draw) -> str:
+    """A golden transcript whose stats record has one field of one check deleted or
+    replaced, or whose stats record trades places or kinds with another record."""
+    text = (GOLDEN_DIR / draw(st.sampled_from(GOLDEN_TRANSCRIPTS))).read_text(encoding="utf-8")
+    records = [json.loads(line) for line in text.splitlines()]
+    at = next(i for i, r in enumerate(records) if r["kind"] == "stats")
+    stats = records[at]["payload"]
+    check = draw(st.sampled_from(sorted(stats)))
+    fields = dict(stats[check])
+    name = draw(st.sampled_from(sorted(fields)))
+    move = draw(st.sampled_from(["delete", "replace", "swap", "rename"]))
+    if move == "delete":
+        del fields[name]
+    elif move == "replace":
+        fields[name] = draw(json_values | st.integers(-2, 40) | st.lists(st.integers(-2, 9)))
+    if move in ("delete", "replace"):
+        records[at] = {**records[at], "payload": {**stats, check: fields}}
+    elif move == "swap":
+        other = draw(st.sampled_from(range(len(records))))
+        records[at], records[other] = records[other], records[at]
+        for seq, record in enumerate(records):
+            record["seq"] = seq
+    else:
+        records[at] = {**records[at], "kind": draw(st.sampled_from(["config", "verdict"]))}
+    return "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
+
+
+@settings(max_examples=200, deadline=None)
+@given(golden_stats_variants())
+def test_reader_equals_the_reference_on_stats_variants(text):
     assert_reads_like_the_reference(text)
 
 
