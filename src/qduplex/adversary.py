@@ -276,8 +276,11 @@ def mutual_information_bits(samples: Sequence[tuple[int, int]]) -> float:
         raise InsufficientSamples("no samples")
     n = len(samples)
     joint = Counter(samples)
-    left = Counter(x for x, _ in samples)
-    right = Counter(y for _, y in samples)
+    left: Counter = Counter()
+    right: Counter = Counter()
+    for (x, y), c in joint.items():  # the marginals, from the joint's few entries
+        left[x] += c
+        right[y] += c
     if len(left) == 1 or len(right) == 1:
         return 0.0
     info = 0.0

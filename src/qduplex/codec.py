@@ -9,6 +9,8 @@ bits by XORing the announced index with their own code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from operator import lshift, or_
 from typing import Iterable, Sequence
 
 from .qsim import BellState, PauliOp, RandomStream
@@ -45,6 +47,11 @@ def decode_bob(alice_op: PauliOp, result: BellState) -> int:
     return result.index ^ alice_op.code
 
 
+_BIT_VALUES = frozenset((0, 1))
+# a 2-bit value -> its bits, high bit first, as bytes
+_PAIR_BITS = (b"\0\0", b"\0\1", b"\1\0", b"\1\1")
+
+
 @dataclass(frozen=True)
 class MessageBits:
     """An even-length bit string plus how many trailing bits are padding.
@@ -57,7 +64,12 @@ class MessageBits:
     pad_bits: int = 0
 
     def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
+        bits = iter(self.bits)  # a TypeError if bits is not iterable
+        try:
+            valid = _BIT_VALUES.issuperset(bits)
+        except TypeError:  # an unhashable element, such as a list, is no bit
+            valid = False
+        if not valid:
             raise ValueError("bits must be 0 or 1")
         if len(self.bits) % 2 != 0:
             raise ValueError("bit string must have even length (pad first)")
@@ -69,7 +81,7 @@ class MessageBits:
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "MessageBits":
         """Build from raw bits, zero-padding odd lengths."""
-        seq = tuple(int(b) for b in bits)
+        seq = tuple(map(int, bits))
         pad = len(seq) % 2
         return cls(bits=seq + (0,) * pad, pad_bits=pad)
 
@@ -82,14 +94,12 @@ class MessageBits:
         """
         if payload_bits < 0 or payload_bits > 2 * len(pairs):
             raise ValueError("payload_bits outside decoded range")
-        flat: list[int] = []
-        for p in pairs:
-            if not 0 <= p <= 3:
-                raise ValueError(f"decoded pair out of range: {p!r}")
-            flat.append((p >> 1) & 1)
-            flat.append(p & 1)
+        if len(pairs) and (min(pairs) < 0 or max(pairs) > 3):
+            bad = next(p for p in pairs if not 0 <= p <= 3)
+            raise ValueError(f"decoded pair out of range: {bad!r}")
+        flat = tuple(b"".join(map(_PAIR_BITS.__getitem__, pairs)))
         pad = payload_bits % 2
-        return cls(bits=tuple(flat[: payload_bits + pad]), pad_bits=pad)
+        return cls(bits=flat[: payload_bits + pad], pad_bits=pad)
 
     @property
     def payload_bits(self) -> int:
@@ -101,9 +111,8 @@ class MessageBits:
 
     def pairs(self) -> tuple[int, ...]:
         """The message as 2-bit values, high bit first within each pair."""
-        return tuple(
-            (self.bits[i] << 1) | self.bits[i + 1] for i in range(0, len(self.bits), 2)
-        )
+        bits = self.bits
+        return tuple(map(or_, map(lshift, bits[0::2], repeat(1)), bits[1::2]))
 
 
 def pack_bits(raw: bytes) -> MessageBits:
@@ -133,4 +142,4 @@ def random_message(bit_count: int, rng: RandomStream) -> MessageBits:
     """Uniform random message of the given bit length."""
     if bit_count < 0:
         raise ValueError("bit_count must be non-negative")
-    return MessageBits.from_bits(int(b) for b in rng.integers(0, 2, size=bit_count))
+    return MessageBits.from_bits(rng.integers(0, 2, size=bit_count).tolist())

@@ -417,7 +417,7 @@ class EventLog(Sequence):
 def _custody_move(kind: str, actor: object) -> tuple[object, object]:
     """Who must hold each photon a custody record names, and who holds it after (None: unchanged)."""
     if kind == "prepare":
-        return None, actor  # both photons, and only if neither is held (see _move)
+        return None, actor  # both photons, and only if neither is held (see _custody_rule)
     if kind == "send":
         return actor, "channel"
     if kind == "receive":
@@ -442,19 +442,85 @@ _SHAPE_RULE: tuple[tuple[str, tuple[int, ...], object, object], ...] = tuple(
 )
 
 
+def _custody_rule(
+    holders: tuple[object, object], shape: int
+) -> tuple[tuple[object, object], tuple[int, ...]]:
+    """The custody rules: who holds a pair's C and M photons after a record
+    of the given shape on that pair, and the slots whose rule it breaks.
+
+    A photon whose rule breaks does not move.  A prepare of a pair that is
+    held breaks the rule of both slots.  Only alice prepares, as hers is the
+    only prepare shape.
+    """
+    kind, slots, expect, to = _SHAPE_RULE[shape]
+    if kind == "prepare":
+        return ((to, to), ()) if holders == (None, None) else (holders, slots)
+    after = list(holders)
+    broken = ()
+    for s in slots:
+        if holders[s] != expect:
+            broken += (s,)
+        elif to is not None:
+            after[s] = to
+    return tuple(after), broken
+
+
+def _custody_violations(
+    seq: int, pair: int, holders: tuple[object, object], shape: int, broken: tuple[int, ...]
+) -> list[tuple[int, str]]:
+    """(seq, message) for each rule that record seq, of the given shape on a
+    pair whose photons the holders hold, breaks (broken, from _custody_rule)."""
+    kind, _, expect, _ = _SHAPE_RULE[shape]
+    if kind == "prepare":
+        held = f"held by {holders[0]} and {holders[1]}"
+        return [(seq, f"seq {seq}: pair {pair} prepared again, {held}")]
+    return [
+        (seq, f"seq {seq}: {kind} on pair {pair} slot {_SLOTS[s]} "
+              f"held by {holders[s]}, expected {expect}")
+        for s in broken
+    ]
+
+
+# A pair's custody state is a small integer that stands for the holders of
+# its C and M photons, each None (not prepared) or a holder some rule moves
+# a photon to; state 0 is an unprepared pair.
+_HOLDERS = (None, *dict.fromkeys(to for *_, to in _SHAPE_RULE if to is not None))
+_STATE_HOLDERS = tuple(product(_HOLDERS, repeat=2))  # state -> (C holder, M holder)
+_STATE = {holders: state for state, holders in enumerate(_STATE_HOLDERS)}
+
+
+def _custody_rows() -> Iterator[tuple[int | None, ...]]:
+    """Each shape's row of _CUSTODY_STEP.  Shapes whose rules differ only in
+    their kind (neither a prepare) share one row: such a kind enters only
+    the text of a violation, not who holds a photon."""
+    rows: dict[tuple, tuple[int | None, ...]] = {}
+    for shape, (kind, *move) in enumerate(_SHAPE_RULE):
+        key = (kind == "prepare", *move)
+        if key not in rows:
+            steps = (_custody_rule(holders, shape) for holders in _STATE_HOLDERS)
+            rows[key] = tuple(None if broken else _STATE[after] for after, broken in steps)
+        yield rows[key]
+
+
+# shape -> state -> the state after a record of that shape, or None where
+# the record breaks a rule
+_CUSTODY_STEP: tuple[tuple[int | None, ...], ...] = tuple(_custody_rows())
+
+
 class _CustodyLedger:
     """Who holds each photon, under the custody rules of FORMAT.md.
 
     Each (pair, slot) is held by "alice", "bob", the "channel", or is
-    "consumed".  A Session applies every custody record as it records it
-    and audit_custody replays a log's custody records through a fresh
-    ledger, so both enforce the same rules, from _move.  Violations come
-    back as (seq, message) in record order; a photon whose rule breaks does
-    not move.
+    "consumed"; the ledger keeps one custody state per pair.  A Session
+    applies every custody record as it records it and audit_custody replays
+    a log's custody records through a fresh ledger, so both enforce the same
+    rules, from _custody_rule and the table built from it.  Violations
+    come back as (seq, message) in record order; a photon whose rule breaks
+    does not move.
     """
 
     def __init__(self) -> None:
-        self._holder: tuple[dict, dict] = ({}, {})  # C and M photons: pair -> holder
+        self._state: dict[int, int] = {}  # pair -> custody state, if prepared or touched
 
     def replay(self, log: EventLog) -> list[str]:
         """Apply every custody record of a log in order and return the violation messages."""
@@ -466,36 +532,18 @@ class _CustodyLedger:
         return [message for _, message in found]
 
     def apply_bulk(self, seq: int, shapes: bytes, pairs: Sequence[int]) -> list[tuple[int, str]]:
-        """Apply the bulk records seq, seq + 1, ..., given as shape codes and pairs, in order."""
-        return self._move(seq, map(_SHAPE_RULE.__getitem__, shapes), pairs)
-
-    def _move(
-        self, seq: int, rules: Iterable[tuple], pairs: Iterable[int]
-    ) -> list[tuple[int, str]]:
-        """The custody rules: apply records seq, seq + 1, ..., each given as a
-        (kind, slots, expect, to) rule of _SHAPE_RULE and a pair, in order,
-        and return their violations.  Only alice prepares, as hers is the
-        only prepare shape."""
-        held = self._holder
+        """Apply the bulk records seq, seq + 1, ..., given as shape codes and pairs,
+        in order, and return their violations."""
+        state = self._state
+        get, step = state.get, _CUSTODY_STEP
         out: list[tuple[int, str]] = []
-        for seq, (kind, slots, expect, to), pair in zip(count(seq), rules, pairs):
-            if kind == "prepare":
-                now = held[0].get(pair), held[1].get(pair)
-                if now != (None, None):
-                    out.append((
-                        seq, f"seq {seq}: pair {pair} prepared again, held by {now[0]} and {now[1]}"
-                    ))
-                else:
-                    held[0][pair] = held[1][pair] = to
-                continue
-            for s in slots:
-                holder = held[s]
-                actual = holder.get(pair)
-                if actual != expect:
-                    out.append(
-                        (seq, f"seq {seq}: {kind} on pair {pair} slot {_SLOTS[s]} "
-                              f"held by {actual}, expected {expect}")
-                    )
-                elif to is not None:
-                    holder[pair] = to
+        for seq, shape, pair in zip(count(seq), shapes, pairs):
+            now = get(pair, 0)
+            after = step[shape][now]
+            if after is None:
+                holders = _STATE_HOLDERS[now]
+                moved, broken = _custody_rule(holders, shape)
+                after = _STATE[moved]
+                out += _custody_violations(seq, pair, holders, shape, broken)
+            state[pair] = after
         return out

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import enum
 import math
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from operator import xor
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Union
@@ -21,7 +23,7 @@ from typing import Union
 import numpy as np
 
 from .adversary import EveStrategy, Leg, leg_slot, transit
-from .codec import MessageBits, decode_alice, decode_bob, expected_bell
+from .codec import MessageBits
 from .qsim import (
     Basis,
     BellState,
@@ -197,14 +199,35 @@ class Aborted:
 Verdict = Union[Completed, Aborted]
 
 
+# bit values <-> the ASCII digits of a verdict's bits string, as bytes.translate tables
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
+_BIT_CHARS = frozenset("01")
+# each outcome of FORMAT.md's verdict record and its fields
+_VERDICT_FIELDS = {
+    "completed": {"outcome", "alice_decoded", "bob_decoded"},
+    "aborted": {"outcome", "phase", "reason"},
+}
+
+
 def _message_bits_payload(message: MessageBits) -> dict:
-    return {"bits": "".join(str(b) for b in message.bits), "pad_bits": message.pad_bits}
+    return {
+        "bits": bytes(message.bits).translate(_BIT_DIGITS).decode("ascii"),
+        "pad_bits": message.pad_bits,
+    }
 
 
-def _message_bits_from_payload(payload: dict) -> MessageBits:
-    return MessageBits(
-        bits=tuple(int(c) for c in payload["bits"]), pad_bits=int(payload["pad_bits"])
-    )
+def _message_bits_from_payload(payload: object) -> MessageBits:
+    """The message of a decoded-message object of FORMAT.md's verdict record:
+    exactly bits, a string of ASCII 0 and 1, and pad_bits, an int 0 or 1."""
+    if type(payload) is not dict or payload.keys() != {"bits", "pad_bits"}:
+        raise TranscriptInvalid("a decoded message needs exactly bits and pad_bits")
+    bits, pad = payload["bits"], payload["pad_bits"]
+    if type(bits) is not str or not _BIT_CHARS.issuperset(bits):
+        raise TranscriptInvalid("decoded bits that are not a string of ASCII 0 and 1")
+    if type(pad) is not int or pad not in (0, 1):
+        raise TranscriptInvalid(f"pad_bits {pad!r} is not the integer 0 or 1")
+    return MessageBits(bits=tuple(bits.encode("ascii").translate(_DIGIT_BITS)), pad_bits=pad)
 
 
 class Transcript:
@@ -282,15 +305,21 @@ def _verdict_payload(verdict: Verdict) -> dict:
     return {"outcome": "aborted", "phase": verdict.phase.value, "reason": verdict.reason}
 
 
-def _verdict_from_payload(payload: dict) -> Verdict:
-    outcome = payload["outcome"]
+def _verdict_from_payload(payload: object) -> Verdict:
+    """The verdict of a payload of FORMAT.md's verdict record: exactly the
+    fields of its outcome.  Raises TranscriptInvalid for any other payload."""
+    outcome = payload.get("outcome") if type(payload) is dict else None
+    fields = _VERDICT_FIELDS.get(outcome) if type(outcome) is str else None
+    if fields is None or payload.keys() != fields:
+        raise TranscriptInvalid(
+            "a verdict needs exactly outcome, alice_decoded and bob_decoded (completed) "
+            "or outcome, phase and reason (aborted)"
+        )
     if outcome == "completed":
         return Completed(
             alice_decoded=_message_bits_from_payload(payload["alice_decoded"]),
             bob_decoded=_message_bits_from_payload(payload["bob_decoded"]),
         )
-    if outcome != "aborted":
-        raise ValueError(f"unknown outcome {outcome!r}")
     phase, reason = Phase(payload["phase"]), payload["reason"]
     if phase not in (Phase.FIRST_CHECK, Phase.SECOND_CHECK) or type(reason) is not str:
         raise TranscriptInvalid(
@@ -395,12 +424,13 @@ class Session:
         self._eve_rng: RandomStream = np.random.default_rng(eve_ss)
         self._alice_msg = alice_msg
         self._bob_msg = bob_msg
-        self._alice_ops: dict[int, PauliOp] = {}
-        self._bob_ops: dict[int, PauliOp] = {}
         self.phase = Phase.INIT
         self.survivors: list[int] = []
         self.decoys: frozenset[int] = frozenset()
-        self.announced: dict[int, BellState] = {}
+        # each survivor's op codes and announced Bell index, in survivor order
+        self._alice_codes: list[int] = []
+        self._bob_codes: list[int] = []
+        self._bell_codes: list[int] = []
         self._states: dict[int, TwoQubitState] = {}
         self._stats: dict = {}
         self._rec = _Recorder(config.n_pairs)
@@ -491,13 +521,12 @@ class Session:
             self.decoys = frozenset(self.survivors[int(i)] for i in picked)
         message_count = len(self.survivors) - len(self.decoys)
         next_pair = iter(_padded_pairs(self._alice_msg, message_count))
-        rng, decoys, states, ops = self._alice_rng, self.decoys, self._states, self._alice_ops
+        rng, decoys, states = self._alice_rng, self.decoys, self._states
         slot = QubitSlot.M
-        codes = []
+        codes = self._alice_codes
         for i in self.survivors:
             code = int(rng.integers(4)) if i in decoys else next(next_pair)
-            op = ops[i] = _OPS[code]
-            states[i] = apply_pauli(states[i], op, slot)
+            states[i] = apply_pauli(states[i], _OPS[code], slot)
             codes.append(code)
         self._rec.record(bytes(map(_ALICE_PAULI_SHAPE.__getitem__, codes)), self.survivors)
 
@@ -509,17 +538,15 @@ class Session:
         Results are announced for all survivors at once, in index order.
         """
         self._advance(Phase.BELL_ANNOUNCE)
-        message_pairs = _padded_pairs(self._bob_msg, len(self.survivors))
+        codes = self._bob_codes = _padded_pairs(self._bob_msg, len(self.survivors))
         # each pair's side (0: the C photon, 1: the M photon) and Bell draw, in bulk
         sides, draws = _bob_draws(self._bob_rng.bit_generator, len(self.survivors))
         source = SimpleNamespace(random=iter(draws).__next__)
-        states, ops, announced = self._states, self._bob_ops, self.announced
-        shapes, pairs, results = bytearray(), [], []
-        for i, code, side in zip(self.survivors, message_pairs, sides):
-            op = ops[i] = _OPS[code]
-            states[i] = apply_pauli(states[i], op, _SIDE_SLOT[side])
-            result = announced[i] = bell_measure(states.pop(i), source)
-            index = result._value_  # the Bell index, without the enum property's call
+        states, results = self._states, self._bell_codes
+        shapes, pairs = bytearray(), []
+        for i, code, side in zip(self.survivors, codes, sides):
+            states[i] = apply_pauli(states[i], _OPS[code], _SIDE_SLOT[side])
+            index = bell_measure(states.pop(i), source)._value_  # its Bell index, read directly
             shapes.append(_BOB_PAULI_SHAPE[code][side])
             shapes.append(_BELL_SHAPE[index])
             pairs += (i, i)
@@ -542,18 +569,21 @@ class Session:
         """
         self._advance(Phase.SECOND_CHECK)
         decoys = sorted(self.decoys)
-        alice_ops, bob_ops = self._alice_ops, self._bob_ops
+        # each decoy's place among the survivors, which are in index order
+        at = [bisect_left(self.survivors, i) for i in decoys]
+        alice, bob, bell = self._alice_codes, self._bob_codes, self._bell_codes
         mismatches = 0
         if decoys:
             self._rec.send(Role.ALICE, "second_check_indices", indices=decoys)
             self._rec.send(
-                Role.BOB, "second_check_reveal", ops=[[i, bob_ops[i].name] for i in decoys]
+                Role.BOB, "second_check_reveal",
+                ops=[[i, _OP_NAME[bob[k]]] for i, k in zip(decoys, at)],
             )
-            mismatches = sum(
-                self.announced[i] is not expected_bell(alice_ops[i], bob_ops[i]) for i in decoys
-            )
+            # the XOR law: both encodings carry the singlet to Bell index a ^ b
+            mismatches = sum(bell[k] != alice[k] ^ bob[k] for k in at)
             self._rec.send(
-                Role.ALICE, "second_check_reveal", ops=[[i, alice_ops[i].name] for i in decoys]
+                Role.ALICE, "second_check_reveal",
+                ops=[[i, _OP_NAME[alice[k]]] for i, k in zip(decoys, at)],
             )
             self._rec.send(
                 Role.ALICE, "check_verdict", passed=mismatches == 0, violations=mismatches
@@ -577,15 +607,15 @@ class Session:
         beyond each sender's recorded payload length is stripped.
         Returns the verdict that carries both decoded messages.
         """
+        bell, decoys = self._bell_codes, self.decoys
+        # Bob XORs each announced index with his own op code, Alice with hers
         alice_sent_pairs = [
-            decode_alice(self._bob_ops[i], self.announced[i])
-            for i in self.survivors
-            if i not in self.decoys
+            index ^ code
+            for i, index, code in zip(self.survivors, bell, self._bob_codes)
+            if i not in decoys
         ]
         bob_decoded = MessageBits.from_pairs(alice_sent_pairs, self._alice_msg.payload_bits)
-        bob_sent_pairs = [
-            decode_bob(self._alice_ops[i], self.announced[i]) for i in self.survivors
-        ]
+        bob_sent_pairs = list(map(xor, bell, self._alice_codes))
         alice_decoded = MessageBits.from_pairs(bob_sent_pairs, self._bob_msg.payload_bits)
         self._advance(Phase.DONE)
         return Completed(alice_decoded, bob_decoded)
@@ -644,6 +674,7 @@ class Session:
 # Lookup tables of the per-pair loops, indexed by integer codes: an op's
 # code, a basis code, a side bit (0: C, 1: M), a Bell index or an outcome.
 _OPS = tuple(PauliOp)
+_OP_NAME = tuple(op.name for op in _OPS)
 _BASES = (Basis.Z, Basis.X)
 _SIDE_SLOT = (QubitSlot.C, QubitSlot.M)
 _BELL_NAME = tuple(bell.name.lower() for bell in BellState)

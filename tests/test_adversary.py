@@ -8,10 +8,14 @@ code they validate.
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qduplex.adversary import (
     AttackKind,
@@ -286,6 +290,27 @@ def test_mutual_information_exact_small_cases():
     assert mutual_information_bits([(0, 0)] * 7 + [(0, 1)] * 18) == 0.0
     with pytest.raises(InsufficientSamples):
         mutual_information_bits([])
+
+
+def three_counter_information(samples: list[tuple[int, int]]) -> float:
+    """The plug-in sum with the joint and each marginal counted over the samples."""
+    n = len(samples)
+    joint = Counter(samples)
+    left = Counter(x for x, _ in samples)
+    right = Counter(y for _, y in samples)
+    if len(left) == 1 or len(right) == 1:
+        return 0.0
+    info = 0.0
+    for (x, y), c in joint.items():
+        pxy = c / n
+        info += pxy * math.log2(pxy * n * n / (left[x] * right[y]))
+    return max(0.0, info)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=400))
+def test_mutual_information_equals_the_three_counter_sum_exactly(samples):
+    assert mutual_information_bits(samples) == three_counter_information(samples)
 
 
 def test_eve_guess_logic_over_eve_touch_records():

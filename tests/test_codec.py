@@ -131,11 +131,67 @@ def test_message_bits_validation():
         MessageBits(bits=(), pad_bits=1)
 
 
-def test_from_pairs_validation():
-    with pytest.raises(ValueError):
-        MessageBits.from_pairs([0, 1], payload_bits=5)
-    with pytest.raises(ValueError):
-        MessageBits.from_pairs([4], payload_bits=2)
+@pytest.mark.parametrize(
+    "bits, pad_bits, error",
+    [
+        ((True, 0), 0, None),  # equal to 1, as bits compare by ==
+        ((1.0, 0), 0, None),
+        ((0, 1, 1, 0), 1, None),
+        ((0, 1), True, None),
+        ((2, 0), 0, ValueError),
+        (("1", 0), 0, ValueError),
+        ((None, 0), 0, ValueError),
+        (([0, 1], 0), 0, ValueError),  # a nested list is no bit
+        ((0, [1]), 0, ValueError),
+        ("10", 0, ValueError),
+        ((0, 1), 2, ValueError),
+        ((0, 1), "1", ValueError),
+        ((0, 1), None, ValueError),
+        ((0, 1), 1.5, ValueError),
+        (None, 0, TypeError),  # bits that are not iterable
+    ],
+)
+def test_message_bits_accepts_and_rejects_exactly_these(bits, pad_bits, error):
+    if error is None:
+        message = MessageBits(bits=bits, pad_bits=pad_bits)
+        assert message.bits == bits and message.pad_bits == pad_bits
+    else:
+        with pytest.raises(error):
+            MessageBits(bits=bits, pad_bits=pad_bits)
+
+
+@pytest.mark.parametrize(
+    "pairs, payload_bits, expected",
+    [
+        ([0, 1, 2, 3], 8, (0, 0, 0, 1, 1, 0, 1, 1)),
+        ([3, 2], 3, (1, 1, 1, 0)),  # one pad bit: the fourth
+        ([3, 2], 2, (1, 1)),
+        ([True, 2], 4, (0, 1, 1, 0)),
+        (np.array([2, 1]), 4, (1, 0, 0, 1)),
+        ([], 0, ()),
+        ([0, 1], 5, ValueError),
+        ([0, 1], -1, ValueError),
+        ([4], 2, ValueError),
+        ([0, -1], 4, ValueError),
+        ([1.0], 2, TypeError),
+        (["1"], 2, TypeError),
+        ([None], 2, TypeError),
+        ([[0]], 2, TypeError),
+    ],
+)
+def test_from_pairs_values_and_errors(pairs, payload_bits, expected):
+    if isinstance(expected, tuple):
+        message = MessageBits.from_pairs(pairs, payload_bits)
+        assert message.bits == expected
+        assert message.payload_bits == payload_bits
+    else:
+        with pytest.raises(expected):
+            MessageBits.from_pairs(pairs, payload_bits)
+
+
+def test_from_pairs_names_the_first_pair_out_of_range():
+    with pytest.raises(ValueError, match="out of range: 7$"):
+        MessageBits.from_pairs([1, 7, -2, 3], payload_bits=8)
 
 
 def test_unpack_requires_whole_bytes():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -32,12 +33,17 @@ from qduplex.session import (
     TranscriptInvalid,
     _bob_draws,
     _Recorder,
-    _verdict_from_payload,
     _verdict_payload,
     audit_custody,
     run_protocol,
 )
-from qduplex.records import _BULK_SCHEMA, _KIND_ACTORS, _record_shape
+from qduplex.records import (
+    _BULK_SCHEMA,
+    _KIND_ACTORS,
+    _STATE_HOLDERS,
+    _CustodyLedger,
+    _record_shape,
+)
 
 ABORT_FIRST_CONFIG = ProtocolConfig(
     n_pairs=16, check_fraction_1=0.5, check_count_2=0, seed=0,
@@ -492,6 +498,69 @@ def test_from_jsonl_reads_a_stats_record_of_format_md_directly_before_the_verdic
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_TRANSCRIPTS = ["transcript_n8_seed7.jsonl", "transcript_n8_seed0_intercept_rand.jsonl"]
+
+
+
+def with_verdict(name: str, change) -> str:
+    """A golden transcript whose verdict payload has been passed through change."""
+    lines = (GOLDEN_DIR / name).read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[-1])
+    change(record["payload"])
+    lines[-1] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return "\n".join(lines) + "\n"
+
+
+def set_field(*path_and_value):
+    *path, name, value = path_and_value
+
+    def change(payload: dict) -> None:
+        for key in path:
+            payload = payload[key]
+        payload[name] = value
+
+    return change
+
+
+COMPLETED_GOLDEN, ABORTED_GOLDEN = GOLDEN_TRANSCRIPTS
+
+# verdict payloads off FORMAT.md's verdict record: a golden transcript and its damage
+OFF_FORMAT_VERDICTS = {
+    "pad 1.7": (COMPLETED_GOLDEN, set_field("alice_decoded", "pad_bits", 1.7)),
+    "pad true": (COMPLETED_GOLDEN, set_field("alice_decoded", "pad_bits", True)),
+    "pad string": (COMPLETED_GOLDEN, set_field("bob_decoded", "pad_bits", "1")),
+    "pad 2": (COMPLETED_GOLDEN, set_field("bob_decoded", "pad_bits", 2)),
+    "full-width digit in bits": (
+        COMPLETED_GOLDEN, set_field("alice_decoded", "bits", "1110111\uff11")
+    ),
+    "bits as a list": (
+        COMPLETED_GOLDEN, set_field("bob_decoded", "bits", [1, 0, 1, 1, 1, 1, 1, 0])
+    ),
+    "bits with a space": (COMPLETED_GOLDEN, set_field("bob_decoded", "bits", " 10")),
+    "extra verdict field": (COMPLETED_GOLDEN, set_field("note", "x")),
+    "extra message field": (COMPLETED_GOLDEN, set_field("alice_decoded", "note", 0)),
+    "message without pad_bits": (
+        COMPLETED_GOLDEN, lambda payload: payload["bob_decoded"].pop("pad_bits")
+    ),
+    "completed with a phase": (COMPLETED_GOLDEN, set_field("phase", "first_check")),
+    "extra aborted field": (ABORTED_GOLDEN, set_field("note", "x")),
+    "aborted with a decoded message": (
+        ABORTED_GOLDEN, set_field("alice_decoded", {"bits": "", "pad_bits": 0})
+    ),
+    "aborted without reason": (ABORTED_GOLDEN, lambda payload: payload.pop("reason")),
+}
+
+
+@pytest.mark.parametrize(
+    "name, change", list(OFF_FORMAT_VERDICTS.values()), ids=list(OFF_FORMAT_VERDICTS)
+)
+def test_from_jsonl_rejects_verdict_payloads_off_format_md(name, change):
+    golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    assert with_verdict(name, lambda payload: None) == golden
+    text = with_verdict(name, change)
+    assert reference_read(text) is None
+    with pytest.raises(TranscriptInvalid):
+        Transcript.from_jsonl(text)
+
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
@@ -1228,6 +1297,40 @@ def fits_stats_record(payload: object) -> bool:
     )
 
 
+def fits_decoded_message(value: object) -> bool:
+    """Whether a decoded message is exactly bits, ASCII 0s and 1s of even length,
+    and pad_bits, the int 0 or 1 and no longer than bits."""
+    if not isinstance(value, dict) or sorted(value) != ["bits", "pad_bits"]:
+        return False
+    bits, pad = value["bits"], value["pad_bits"]
+    return (
+        isinstance(bits, str)
+        and re.fullmatch("[01]*", bits) is not None
+        and len(bits) % 2 == 0
+        and type(pad) is int
+        and pad in (0, 1)
+        and pad <= len(bits)
+    )
+
+
+def fits_verdict_record(payload: object) -> bool:
+    """Whether a verdict payload is FORMAT.md's verdict record: a completed
+    outcome with exactly its two decoded messages, or an aborted one with
+    exactly a phase where a run can abort and a string reason."""
+    if not isinstance(payload, dict):
+        return False
+    if payload.get("outcome") == "completed":
+        return sorted(payload) == ["alice_decoded", "bob_decoded", "outcome"] and all(
+            fits_decoded_message(payload[name]) for name in ("alice_decoded", "bob_decoded")
+        )
+    return (
+        payload.get("outcome") == "aborted"
+        and sorted(payload) == ["outcome", "phase", "reason"]
+        and payload["phase"] in ("first_check", "second_check")
+        and isinstance(payload["reason"], str)
+    )
+
+
 def reference_read(text: str) -> list[Event] | None:
     """Event(**json.loads(line)) for every line under FORMAT.md's file rules,
     record-kind table and statistics record, with config only first, stats only
@@ -1253,9 +1356,7 @@ def reference_read(text: str) -> list[Event] | None:
     places = {"config": {0}, "stats": {last - 1}, "verdict": {last}}
     if any(i not in places.get(e.kind, {i}) for i, e in enumerate(events)):
         return None
-    try:
-        _verdict_from_payload(events[-1].payload)
-    except (KeyError, TypeError, ValueError, OverflowError):
+    if not fits_verdict_record(events[-1].payload):
         return None
     return events
 
@@ -1367,9 +1468,12 @@ def test_reader_equals_per_line_json_loads_on_near_canonical_lines(line):
     assert_reads_like_the_reference("\n".join([config, line, verdict]) + "\n")
 
 
-def reference_custody(events) -> list[str]:
-    """FORMAT.md's custody table, applied one record at a time, with the code's messages."""
-    holder: dict[tuple[int, str], object] = {}
+def reference_custody(events, holder: dict | None = None) -> list[str]:
+    """FORMAT.md's custody table, applied one record at a time, with the code's messages.
+
+    holder, if given, is the map (pair, slot) -> holder that the records update.
+    """
+    holder = {} if holder is None else holder
     out = []
     for e in events:
         kind, actor, payload, seq = e.kind, e.actor, e.payload, e.seq
@@ -1420,6 +1524,52 @@ CUSTODY_STEPS = [
     ("pauli", "bob", {"op": "U1", "slot": "C"}),
     ("bell_measure", "bob", {"result": "phi_plus"}),
 ]
+
+
+# Every custody record shape of RECORD_KINDS, as (actor, kind, payload without the pair).
+CUSTODY_SHAPES = [
+    (actor, kind, dict(zip(names, values)))
+    for kind, (actors, fields) in RECORD_KINDS.items()
+    if fields is not None
+    for actor in actors
+    for names in ([name for name in fields if name != "pair"],)
+    for values in itertools.product(*(fields[name] for name in names))
+]
+
+
+def test_ledger_steps_every_reachable_custody_state_like_the_reference():
+    """Breadth first from an unprepared pair, every custody state (the holders
+    of the pair's C and M photons) that a record prefix reaches, and from each
+    one record of every shape: the ledger gives the reference's messages and
+    holders after."""
+    assert len(CUSTODY_SHAPES) == 57
+    pair = 5
+    prefixes = {(None, None): []}  # custody state -> the first record prefix found to reach it
+    frontier = [[]]
+    steps = 0
+    while frontier:
+        reached = []
+        for prefix in frontier:
+            for actor, kind, fields in CUSTODY_SHAPES:
+                records = [*prefix, (actor, kind, {"pair": pair, **fields})]
+                holder: dict = {}
+                expected = reference_custody([Event(i, *r) for i, r in enumerate(records)], holder)
+                ledger = _CustodyLedger()
+                shapes = bytes(
+                    _record_shape(i, *r, TranscriptInvalid) for i, r in enumerate(records)
+                )
+                found = ledger.apply_bulk(0, shapes, [pair] * len(records))
+                assert [message for _, message in found] == expected
+                assert all(message.startswith(f"seq {seq}: ") for seq, message in found)
+                after = holder.get((pair, "C")), holder.get((pair, "M"))
+                assert _STATE_HOLDERS[ledger._state.get(pair, 0)] == after
+                steps += 1
+                if after not in prefixes:
+                    prefixes[after] = records
+                    reached.append(records)
+        frontier = reached
+    assert steps == 57 * len(prefixes)
+    assert len(prefixes) == 17
 
 
 @st.composite
