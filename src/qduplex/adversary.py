@@ -13,6 +13,7 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import compress, repeat
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .codec import random_message
@@ -26,7 +27,7 @@ from .qsim import (
     measure_qubit,
     substitute_fresh,
 )
-from .records import TranscriptInvalid
+from .records import TranscriptInvalid, shape_table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .session import ProtocolConfig, Transcript
@@ -293,9 +294,46 @@ def mutual_information_bits(samples: Sequence[tuple[int, int]]) -> float:
 _BELL_INDEX = {bell.name.lower(): bell.index for bell in BellState}
 _OP_CODE = {op.name: op.code for op in PauliOp}
 
+# The samples read four kinds of record, as one selection from the event log
+# (EventLog.select).  Each such record's sample code is its class times 4
+# plus a value 0..3: Alice's or Bob's op code, the announced Bell index, or
+# for Eve's touch on either leg, 2 for the X basis plus her outcome.
+_ALICE_OP, _BOB_OP, _BELL, _EVE_FIRST, _EVE_SECOND = _CLASSES = range(5)
 
-def _eve_guesses(touch: dict[str, list]) -> dict[int, int]:
-    """Eve's best 2-bit guess of Alice's op per doubly-hit pair, from the eve_touch columns.
+
+def _sample_code(kind: str, actor: str, payload: dict) -> int | None:
+    if kind == "pauli":
+        return (_ALICE_OP if actor == "alice" else _BOB_OP) << 2 | _OP_CODE[payload["op"]]
+    if kind == "bell_measure":
+        return _BELL << 2 | _BELL_INDEX[payload["result"]]
+    if kind == "eve_touch":
+        leg = _EVE_FIRST if payload["leg"] == Leg.FIRST.value else _EVE_SECOND
+        return leg << 2 | (payload["basis"] == Basis.X.value) << 1 | payload["outcome"]
+    return None
+
+
+_SAMPLE_TABLE = shape_table(_sample_code)
+# class -> translate table that maps its codes to 1 and all others to 0
+_IN_CLASS = [bytes(code >> 2 == c for code in range(256)) for c in _CLASSES]
+# class -> the codes of every other class, to delete
+_OTHER_CLASSES = [
+    bytes(code for code in range(4 * len(_CLASSES)) if code >> 2 != c) for c in _CLASSES
+]
+_VALUE = bytes(code & 3 for code in range(256))
+_NOT_TOUCH = bytes(range(4 * _EVE_FIRST))  # the codes of every class before Eve's
+
+
+def _by_pair(codes: bytes, pairs: list[int], cls: int) -> dict[int, int]:
+    """pair -> value of a selection's records of one class; the last record of a pair wins."""
+    return dict(
+        zip(compress(pairs, codes.translate(_IN_CLASS[cls])),
+            codes.translate(_VALUE, _OTHER_CLASSES[cls]))
+    )
+
+
+def _eve_guesses(codes: bytes, pairs: list[int]) -> dict[int, int]:
+    """Eve's best 2-bit guess of Alice's op per doubly-hit pair, from the sample
+    selection's codes and pairs (its eve_touch records).
 
     A pair measured in the same basis on both legs reveals one bit of
     the op that was applied between the hits: Z-basis hits expose the
@@ -304,52 +342,50 @@ def _eve_guesses(touch: dict[str, list]) -> dict[int, int]:
     outcomes is 1, and a deviation attributes to Alice's encoding.
     Pairs without a guess are left out; the caller guesses 0 for them.
     """
-    legs: dict[str, dict[int, tuple[str, int]]] = {Leg.FIRST.value: {}, Leg.SECOND.value: {}}
-    for pair, leg, basis, outcome in zip(
-        touch["pair"], touch["leg"], touch["basis"], touch["outcome"]
-    ):
-        legs[leg][pair] = basis, outcome
+    if not codes.translate(None, _NOT_TOUCH):
+        return {}
+    second = _by_pair(codes, pairs, _EVE_SECOND)
     guesses: dict[int, int] = {}
-    for pair, (basis, first) in legs[Leg.FIRST.value].items():
-        second_basis, second = legs[Leg.SECOND.value].get(pair, (None, 0))
-        if second_basis != basis:
+    for pair, first_hit in _by_pair(codes, pairs, _EVE_FIRST).items():
+        second_hit = second.get(pair)
+        if second_hit is None or (first_hit ^ second_hit) & 2:  # one leg only, or two bases
             continue
-        learned = first ^ second ^ 1
-        guesses[pair] = learned << 1 if basis == Basis.Z.value else learned
+        learned = (first_hit ^ second_hit ^ 1) & 1
+        guesses[pair] = learned if first_hit & 2 else learned << 1
     return guesses
 
 
 def _run_samples(
     transcript: "Transcript",
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
-    """One completed run's MI samples, read from the eve_touch, pauli and bell_measure columns.
+    """One completed run's MI samples, read from the eve_touch, pauli and bell_measure records.
 
     Returns (Eve's guess, Alice's op) and (announced Bell index, Alice's
     op) for every message pair, then (announced Bell index, Bob's op) for
-    every announced pair, decoys included; each in pair order.  Only the
-    log is read, so a saved transcript gives the samples of its live run.
-    Raises TranscriptInvalid, naming the pair, when an announced pair lacks
-    the pauli record its sample needs.
+    every announced pair, decoys included; each in pair order.  Where a
+    pair has more than one record of a kind by one actor, the last one
+    counts.  Only the log is read, so a saved transcript gives the samples
+    of its live run.  Raises TranscriptInvalid, naming the pair, when an
+    announced pair lacks the pauli record its sample needs.
     """
-    pauli = transcript.events.columns("pauli")
-    bell = transcript.events.columns("bell_measure")
-    ops: dict[str, dict[int, int]] = {"alice": {}, "bob": {}}
-    for actor, pair, op in zip(pauli["actor"], pauli["pair"], pauli["op"]):
-        if actor in ops:
-            ops[actor][pair] = _OP_CODE[op]
-    announced = dict(zip(bell["pair"], map(_BELL_INDEX.__getitem__, bell["result"])))
+    codes, pairs = transcript.events.select(_SAMPLE_TABLE)
+    alice = _by_pair(codes, pairs, _ALICE_OP)
+    bob = _by_pair(codes, pairs, _BOB_OP)
+    announced = _by_pair(codes, pairs, _BELL)
     decoys = set(transcript.stats.get("second_check", {}).get("decoy_indices", ()))
-    guesses = _eve_guesses(transcript.events.columns("eve_touch"))
-    pairs = sorted(announced)
-    message = [i for i in pairs if i not in decoys]
-    for actor, needed in (("alice", message), ("bob", pairs)):
-        if not ops[actor].keys() >= set(needed):
-            pair = next(i for i in needed if i not in ops[actor])
+    guesses = _eve_guesses(codes, pairs)
+    message_set = announced.keys() - decoys
+    for actor, ops, needed in (("alice", alice, message_set), ("bob", bob, announced.keys())):
+        if not ops.keys() >= needed:
+            pair = min(needed - ops.keys())
             raise TranscriptInvalid(f"pair {pair} is Bell-measured with no {actor} pauli record")
+    message = sorted(message_set)
+    every = sorted(announced)
+    alice_ops = list(map(alice.__getitem__, message))
     return (
-        [(guesses.get(i, 0), ops["alice"][i]) for i in message],
-        [(announced[i], ops["alice"][i]) for i in message],
-        [(announced[i], ops["bob"][i]) for i in pairs],
+        list(zip(map(guesses.get, message, repeat(0)), alice_ops)),
+        list(zip(map(announced.__getitem__, message), alice_ops)),
+        list(zip(map(announced.__getitem__, every), map(bob.__getitem__, every))),
     )
 
 

@@ -47,9 +47,30 @@ def decode_bob(alice_op: PauliOp, result: BellState) -> int:
     return result.index ^ alice_op.code
 
 
-_BIT_VALUES = frozenset((0, 1))
-# a 2-bit value -> its bits, high bit first, as bytes
-_PAIR_BITS = (b"\0\0", b"\0\1", b"\1\0", b"\1\1")
+# a byte's bits, most significant first, as bytes of 0 and 1
+_BYTE_BITS = tuple(bytes((byte >> shift) & 1 for shift in range(7, -1, -1)) for byte in range(256))
+# a 2-bit value -> its high bit and its low bit (a translate table each)
+_HIGH_BIT = bytes(value >> 1 for value in range(256))
+_LOW_BIT = bytes(value & 1 for value in range(256))
+_BIT_DIGIT = bytes.maketrans(b"\0\1", b"01")
+
+
+def _all_bits(values: Iterable[object]) -> bool:
+    """Whether every value is an integer (anything operator.index accepts) 0 or 1."""
+    values = tuple(values)  # a TypeError if values is not iterable; no copy of a tuple
+    try:
+        return not bytearray(values).translate(None, b"\0\1")
+    except (TypeError, ValueError):  # a value that is no integer, or one out of 0..255
+        return False
+
+
+def _pair_error(pairs: Sequence[object]) -> Exception:
+    """The error for decoded pairs that are not all integers in 0..3: a
+    ValueError naming the first pair out of range, else a TypeError."""
+    bad = next((p for p in pairs if not 0 <= p <= 3), None)
+    if bad is None:
+        return TypeError("decoded pairs must be integers")
+    return ValueError(f"decoded pair out of range: {bad!r}")
 
 
 @dataclass(frozen=True)
@@ -57,49 +78,55 @@ class MessageBits:
     """An even-length bit string plus how many trailing bits are padding.
 
     Messages of odd length are zero-padded to the next pair boundary; the
-    pad length is carried so the original payload is recoverable.
+    pad length is carried so the original payload is recoverable.  A bit,
+    and pad_bits, is an integer (anything operator.index accepts) 0 or 1.
     """
 
     bits: tuple[int, ...] = ()
     pad_bits: int = 0
 
     def __post_init__(self) -> None:
-        bits = iter(self.bits)  # a TypeError if bits is not iterable
-        try:
-            valid = _BIT_VALUES.issuperset(bits)
-        except TypeError:  # an unhashable element, such as a list, is no bit
-            valid = False
-        if not valid:
+        if not _all_bits(self.bits):
             raise ValueError("bits must be 0 or 1")
         if len(self.bits) % 2 != 0:
             raise ValueError("bit string must have even length (pad first)")
-        if self.pad_bits not in (0, 1):
+        if not _all_bits((self.pad_bits,)):
             raise ValueError("pad_bits must be 0 or 1")
         if self.pad_bits > len(self.bits):
             raise ValueError("padding longer than message")
 
     @classmethod
+    def _padded(cls, bits: tuple[int, ...]) -> "MessageBits":
+        pad = len(bits) % 2
+        return cls(bits=bits + (0,) * pad, pad_bits=pad)
+
+    @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "MessageBits":
         """Build from raw bits, zero-padding odd lengths."""
-        seq = tuple(map(int, bits))
-        pad = len(seq) % 2
-        return cls(bits=seq + (0,) * pad, pad_bits=pad)
+        return cls._padded(tuple(map(int, bits)))
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[int], payload_bits: int) -> "MessageBits":
         """Rebuild a message from decoded 2-bit values.
 
         payload_bits is the sender's original length; bits beyond it are
-        capacity fill and are dropped here.
+        capacity fill and are dropped here.  A pair out of 0..3 is a
+        ValueError naming the first such pair; a pair in range that is not
+        an integer is a TypeError.
         """
         if payload_bits < 0 or payload_bits > 2 * len(pairs):
             raise ValueError("payload_bits outside decoded range")
-        if len(pairs) and (min(pairs) < 0 or max(pairs) > 3):
-            bad = next(p for p in pairs if not 0 <= p <= 3)
-            raise ValueError(f"decoded pair out of range: {bad!r}")
-        flat = tuple(b"".join(map(_PAIR_BITS.__getitem__, pairs)))
+        try:
+            codes = bytes(iter(pairs))
+        except (TypeError, ValueError):  # a pair that is no integer, or one out of 0..255
+            raise _pair_error(pairs) from None
+        if codes.translate(None, b"\0\1\2\3"):
+            raise _pair_error(pairs)
+        flat = bytearray(2 * len(codes))
+        flat[0::2] = codes.translate(_HIGH_BIT)
+        flat[1::2] = codes.translate(_LOW_BIT)
         pad = payload_bits % 2
-        return cls(bits=flat[: payload_bits + pad], pad_bits=pad)
+        return cls(bits=tuple(flat[: payload_bits + pad]), pad_bits=pad)
 
     @property
     def payload_bits(self) -> int:
@@ -117,11 +144,7 @@ class MessageBits:
 
 def pack_bits(raw: bytes) -> MessageBits:
     """Bytes to bits, most significant bit of each byte first."""
-    bits = []
-    for byte in raw:
-        for shift in range(7, -1, -1):
-            bits.append((byte >> shift) & 1)
-    return MessageBits(bits=tuple(bits), pad_bits=0)
+    return MessageBits(bits=tuple(b"".join(map(_BYTE_BITS.__getitem__, raw))), pad_bits=0)
 
 
 def unpack_bits(message: MessageBits) -> bytes:
@@ -129,17 +152,12 @@ def unpack_bits(message: MessageBits) -> bytes:
     payload = message.bits[: message.payload_bits]
     if len(payload) % 8 != 0:
         raise ValueError("payload is not a whole number of bytes")
-    out = bytearray()
-    for i in range(0, len(payload), 8):
-        byte = 0
-        for b in payload[i : i + 8]:
-            byte = (byte << 1) | b
-        out.append(byte)
-    return bytes(out)
+    digits = bytearray(payload).translate(_BIT_DIGIT)
+    return int(b"0" + digits, 2).to_bytes(len(payload) // 8, "big")
 
 
 def random_message(bit_count: int, rng: RandomStream) -> MessageBits:
     """Uniform random message of the given bit length."""
     if bit_count < 0:
         raise ValueError("bit_count must be non-negative")
-    return MessageBits.from_bits(rng.integers(0, 2, size=bit_count).tolist())
+    return MessageBits._padded(tuple(rng.integers(0, 2, size=bit_count).tolist()))

@@ -147,16 +147,26 @@ for _kind, (_actors, _fields) in _BULK_SCHEMA.items():
             _SHAPE_RECORD.append((_kind, _actor, {name: _named.get(name) for name in _fields}))
 assert len(_SHAPE_LINE) <= 256, "shape codes must fit in a byte"
 
-# field -> its value in each shape, by code (None where the shape has no such field)
-_SHAPE_COLUMN: dict[str, tuple] = {"actor": tuple(actor for _, actor, _ in _SHAPE_RECORD)}
-for _, _fields in _BULK_SCHEMA.values():
-    for _name in _fields.keys() - {"pair"}:
-        _SHAPE_COLUMN[_name] = tuple(payload.get(_name) for _, _, payload in _SHAPE_RECORD)
-# kind -> translate table that maps the codes of that kind's shapes to 1, all others to 0
-_KIND_SELECT = {
-    kind: bytes(int(k == kind) for k, _, _ in _SHAPE_RECORD).ljust(256, b"\0")
-    for kind in _BULK_SCHEMA
-}
+# a selection's value -> 1 where it keeps the record, 0 where it skips it (0xFF)
+_KEPT = bytes(value != 0xFF for value in range(256))
+
+
+def shape_table(value: Callable[[str, str, dict], int | None]) -> bytes:
+    """A selection table for EventLog.select, built from the bulk record shapes.
+
+    Each shape's code maps to value(kind, actor, payload), where payload
+    holds the shape's fields with the pair None; a shape for which value
+    gives None, and every unused code, maps to 0xFF, skip.  A value must be
+    an integer in 0..254.
+    """
+    table = bytearray(b"\xff" * 256)
+    for code, (kind, actor, payload) in enumerate(_SHAPE_RECORD):
+        kept = value(kind, actor, dict(payload))
+        if kept is not None:
+            if not 0 <= kept < 0xFF:
+                raise ValueError(f"selection value {kept!r} for {kind} by {actor} outside 0..254")
+            table[code] = kept
+    return bytes(table)
 
 
 # Splits a line that may be a canonical bulk record into the text before
@@ -358,17 +368,15 @@ class EventLog(Sequence):
                 out.append(json.dumps(item.to_record(), sort_keys=True, separators=(",", ":")))
         return out
 
-    def columns(self, kind: str) -> dict[str, list]:
-        """Every record of one bulk kind, in seq order, as columns: actor, then its payload fields."""
-        keep = self._shapes.translate(_KIND_SELECT[kind])
-        shapes = bytes(compress(self._shapes, keep))
-        out = {"actor": list(map(_SHAPE_COLUMN["actor"].__getitem__, shapes))}
-        for name in _BULK_SCHEMA[kind][1]:
-            if name == "pair":
-                out[name] = list(compress(self._pairs, keep))
-            else:
-                out[name] = list(map(_SHAPE_COLUMN[name].__getitem__, shapes))
-        return out
+    def select(self, table: bytes) -> tuple[bytes, list[int]]:
+        """The bulk records a selection table keeps, in log order: their values and their pairs.
+
+        table (from shape_table) maps each shape code to a small value, or to
+        0xFF to skip records of that shape.
+        """
+        values = self._shapes.translate(table)
+        pairs = list(compress(self._pairs, values.translate(_KEPT)))
+        return bytes(values.translate(None, b"\xff")), pairs
 
     def __len__(self) -> int:
         return len(self._shapes) + len(self._events)

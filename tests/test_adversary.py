@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qduplex.adversary import (
+    _SAMPLE_TABLE,
     AttackKind,
     EveStrategy,
     InsufficientSamples,
@@ -31,10 +32,14 @@ from qduplex.adversary import (
     predicted_first_check_violation_rate,
     transit,
     wilson_interval,
+    _eve_guesses,
+    _run_samples,
 )
 from qduplex.codec import random_message
 from qduplex.qsim import (
     Basis,
+    BellState,
+    PauliOp,
     QubitSlot,
     TwoQubitState,
     make_singlet,
@@ -314,8 +319,6 @@ def test_mutual_information_equals_the_three_counter_sum_exactly(samples):
 
 
 def test_eve_guess_logic_over_eve_touch_records():
-    from qduplex.adversary import _eve_guesses
-
     touches = [
         (0, Leg.FIRST, Basis.Z, 0),
         (0, Leg.SECOND, Basis.Z, 0),  # flip seen: high bit 1
@@ -332,8 +335,136 @@ def test_eve_guess_logic_over_eve_touch_records():
         })
         for seq, (pair, leg, basis, outcome) in enumerate(touches)
     )
-    guesses = _eve_guesses(log.columns("eve_touch"))
+    guesses = _eve_guesses(*log.select(_SAMPLE_TABLE))
     assert guesses == {0: 0b10, 1: 0b00}
+    assert _eve_guesses(*EventLog().select(_SAMPLE_TABLE)) == {}
+
+
+def reference_samples(
+    transcript: Transcript,
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
+    """_run_samples written out over the log's Events: for each pair the last
+    record of a kind by one actor counts, and the decoys come from stats."""
+    ops: dict[str, dict[int, int]] = {"alice": {}, "bob": {}}
+    announced: dict[int, int] = {}
+    hits: dict[str, dict[int, tuple[str, int]]] = {"first": {}, "second": {}}
+    for event in transcript.events:
+        payload = event.payload
+        if event.kind == "pauli":
+            ops[event.actor][payload["pair"]] = PauliOp[payload["op"]].code
+        elif event.kind == "bell_measure":
+            announced[payload["pair"]] = BellState[payload["result"].upper()].index
+        elif event.kind == "eve_touch":
+            hits[payload["leg"]][payload["pair"]] = payload["basis"], payload["outcome"]
+    guesses = {}
+    for pair, (basis, first) in hits["first"].items():
+        if pair in hits["second"] and hits["second"][pair][0] == basis:
+            learned = first ^ hits["second"][pair][1] ^ 1
+            guesses[pair] = learned << 1 if basis == "Z" else learned
+    decoys = set(transcript.stats.get("second_check", {}).get("decoy_indices", []))
+    pairs = sorted(announced)
+    message = [pair for pair in pairs if pair not in decoys]
+    for actor, needed in (("alice", message), ("bob", pairs)):
+        for pair in needed:
+            if pair not in ops[actor]:
+                raise TranscriptInvalid(f"pair {pair} is Bell-measured with no {actor} pauli record")
+    return (
+        [(guesses.get(pair, 0), ops["alice"][pair]) for pair in message],
+        [(announced[pair], ops["alice"][pair]) for pair in message],
+        [(announced[pair], ops["bob"][pair]) for pair in pairs],
+    )
+
+
+def outcome_of(function, transcript: Transcript):
+    """What a samples function gives for a transcript: its samples, or its TranscriptInvalid."""
+    try:
+        return function(transcript)
+    except TranscriptInvalid as exc:
+        return f"TranscriptInvalid: {exc}"
+
+
+def completed_run(attack: str, attack_prob: float, seed: int, n_pairs: int,
+                  check_count_2: int = 0) -> Transcript:
+    """A run that its first check cannot abort: one check photon and a high threshold."""
+    config = ProtocolConfig(
+        n_pairs=n_pairs, check_fraction_1=1 / n_pairs, check_count_2=check_count_2, seed=seed,
+        abort_threshold=n_pairs, eve=EveStrategy.from_name(attack, attack_prob=attack_prob),
+    )
+    transcript = run_protocol(
+        config,
+        random_message(config.alice_capacity_bits, np.random.default_rng(seed)),
+        random_message(config.bob_capacity_bits, np.random.default_rng(seed + 1)),
+    )
+    assert transcript.completed
+    return transcript
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    attack=st.sampled_from([kind.value for kind in AttackKind]),
+    attack_prob=st.sampled_from([0.25, 1.0]),
+    seed=st.integers(0, 2**32),
+    n_pairs=st.integers(2, 96),
+)
+def test_run_samples_equal_the_reference_on_live_runs(attack, attack_prob, seed, n_pairs):
+    transcript = completed_run(attack, attack_prob, seed, n_pairs)
+    assert _run_samples(transcript) == reference_samples(transcript)
+
+
+RESHUFFLE_BASES = [
+    completed_run("intercept-rand", 1.0, 3, 24),
+    completed_run("intercept-z", 0.25, 4, 24),
+    completed_run("none", 1.0, 5, 24, check_count_2=4),  # decoys in the stats record
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_run_samples_equal_the_reference_on_reordered_and_duplicated_records(data):
+    """The pauli and bell_measure records of a completed run, reordered, some
+    dropped and some repeated with another value, go back in before the stats."""
+    base = data.draw(st.sampled_from(RESHUFFLE_BASES))
+    events = list(base.events)
+    moved = [e for e in events if e.kind in ("pauli", "bell_measure")]
+    kept = [e for e in events if e.kind not in ("pauli", "bell_measure")]
+    records = data.draw(st.lists(st.sampled_from(moved), max_size=2 * len(moved)))
+    if data.draw(st.booleans()):
+        records = data.draw(st.permutations(moved)) + records
+    values = {"pauli": ("op", ["U0", "U1", "U2", "U3"]),
+              "bell_measure": ("result", ["psi_minus", "psi_plus", "phi_minus", "phi_plus"])}
+    rewritten = []
+    for event in records:
+        name, choices = values[event.kind]
+        value = data.draw(st.sampled_from(choices))
+        rewritten.append(Event(0, event.actor, event.kind, {**event.payload, name: value}))
+    stats_at = next(i for i, e in enumerate(kept) if e.kind == "stats")
+    events = kept[:stats_at] + rewritten + kept[stats_at:]
+    transcript = Transcript(
+        events=[Event(seq, e.actor, e.kind, e.payload) for seq, e in enumerate(events)],
+        verdict=base.verdict,
+    )
+    assert outcome_of(_run_samples, transcript) == outcome_of(reference_samples, transcript)
+
+
+@pytest.mark.parametrize("actor", ["alice", "bob"])
+def test_run_samples_name_the_first_pair_without_its_pauli_record(actor):
+    transcript = completed_run("none", 1.0, 5, 24, check_count_2=4)
+    decoys = set(transcript.stats["second_check"]["decoy_indices"])
+    measured = sorted(e.payload["pair"] for e in transcript.events if e.kind == "bell_measure")
+    # Alice's records are needed for the message pairs, Bob's for every announced pair
+    needed = [pair for pair in measured if actor == "bob" or pair not in decoys]
+    dropped = {needed[3], needed[7]}
+    events = [
+        e for e in transcript.events
+        if not (e.kind == "pauli" and e.actor == actor and e.payload["pair"] in dropped)
+    ]
+    damaged = Transcript(
+        events=[Event(seq, e.actor, e.kind, e.payload) for seq, e in enumerate(events)],
+        verdict=transcript.verdict,
+    )
+    with pytest.raises(TranscriptInvalid) as raised:
+        _run_samples(damaged)
+    assert str(raised.value) == f"pair {needed[3]} is Bell-measured with no {actor} pauli record"
 
 
 def test_eve_information_is_exactly_zero_without_an_attack():

@@ -134,8 +134,9 @@ def test_message_bits_validation():
 @pytest.mark.parametrize(
     "bits, pad_bits, error",
     [
-        ((True, 0), 0, None),  # equal to 1, as bits compare by ==
-        ((1.0, 0), 0, None),
+        ((True, 0), 0, None),  # a bool is an integer to operator.index
+        ((np.int64(1), np.uint8(0)), 0, None),
+        ((1.0, 0), 0, ValueError),  # equal to 1, but no integer
         ((0, 1, 1, 0), 1, None),
         ((0, 1), True, None),
         ((2, 0), 0, ValueError),
@@ -148,6 +149,7 @@ def test_message_bits_validation():
         ((0, 1), "1", ValueError),
         ((0, 1), None, ValueError),
         ((0, 1), 1.5, ValueError),
+        ((0, 1), 1.0, ValueError),
         (None, 0, TypeError),  # bits that are not iterable
     ],
 )
@@ -177,6 +179,8 @@ def test_message_bits_accepts_and_rejects_exactly_these(bits, pad_bits, error):
         (["1"], 2, TypeError),
         ([None], 2, TypeError),
         ([[0]], 2, TypeError),
+        ([1.0, 7], 4, ValueError("out of range: 7$")),  # the range is checked first
+        ([300], 2, ValueError("out of range: 300$")),
     ],
 )
 def test_from_pairs_values_and_errors(pairs, payload_bits, expected):
@@ -184,6 +188,9 @@ def test_from_pairs_values_and_errors(pairs, payload_bits, expected):
         message = MessageBits.from_pairs(pairs, payload_bits)
         assert message.bits == expected
         assert message.payload_bits == payload_bits
+    elif isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=str(expected)):
+            MessageBits.from_pairs(pairs, payload_bits)
     else:
         with pytest.raises(expected):
             MessageBits.from_pairs(pairs, payload_bits)
@@ -195,8 +202,23 @@ def test_from_pairs_names_the_first_pair_out_of_range():
 
 
 def test_unpack_requires_whole_bytes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="payload is not a whole number of bytes"):
         unpack_bits(MessageBits.from_bits([1, 0, 1, 0]))
+    # whole pairs, but a payload of 14 bits
+    with pytest.raises(ValueError, match="payload is not a whole number of bytes"):
+        unpack_bits(MessageBits.from_pairs([3] * 8, payload_bits=14))
+
+
+def test_pack_and_unpack_every_byte_value():
+    for byte in range(256):
+        bits = tuple((byte >> shift) & 1 for shift in range(7, -1, -1))
+        assert pack_bits(bytes([byte])) == MessageBits(bits=bits)
+        assert unpack_bits(MessageBits(bits=bits)) == bytes([byte])
+    every = bytes(range(256))
+    assert pack_bits(every).bits == sum((pack_bits(bytes([b])).bits for b in every), ())
+    assert unpack_bits(pack_bits(every)) == every
+    assert pack_bits(b"") == MessageBits()
+    assert unpack_bits(MessageBits()) == b""
 
 
 def test_empty_message():
@@ -204,6 +226,15 @@ def test_empty_message():
     assert message.payload_bits == 0
     assert message.pairs() == ()
     assert unpack_bits(message) == b""
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 2015, 2016])
+def test_random_message_is_from_bits_of_one_integers_draw(n):
+    rng, reference = np.random.default_rng(n), np.random.default_rng(n)
+    message = random_message(n, rng)
+    assert message == MessageBits.from_bits(reference.integers(0, 2, size=n).tolist())
+    assert all(type(bit) is int for bit in message.bits)
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_random_message_is_seeded_and_sized():

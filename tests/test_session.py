@@ -43,6 +43,7 @@ from qduplex.records import (
     _STATE_HOLDERS,
     _CustodyLedger,
     _record_shape,
+    shape_table,
 )
 
 ABORT_FIRST_CONFIG = ProtocolConfig(
@@ -1224,6 +1225,49 @@ def test_writer_equals_per_record_json_dumps_under_every_attack():
     assert {t.completed for t in runs} == {True, False}
     for transcript in runs:
         assert transcript.to_jsonl() == canonical_jsonl(transcript.events)
+
+
+SELECT_RUNS = attacked_runs()
+
+
+def selected_by_filter(log: EventLog, table: bytes) -> tuple[bytes, list[int]]:
+    """EventLog.select written out over the log's Events: each custody record's
+    value from its shape code, the records valued 0xFF left out."""
+    kept = []
+    for event in log:
+        shape = _record_shape(event.seq, event.actor, event.kind, event.payload, TranscriptInvalid)
+        if shape is not None and table[shape] != 0xFF:
+            kept.append((table[shape], event.payload["pair"]))
+    return bytes(value for value, _ in kept), [pair for _, pair in kept]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    run=st.sampled_from(range(len(SELECT_RUNS))),
+    # values that skip (0xFF) and keep mixed, or any bytes at all
+    table=st.lists(st.integers(0, 3) | st.just(0xFF), min_size=256, max_size=256).map(bytes)
+    | st.binary(min_size=256, max_size=256),
+)
+def test_select_equals_a_filter_over_the_events(run, table):
+    log = SELECT_RUNS[run].events
+    assert log.select(table) == selected_by_filter(log, table)
+
+
+def test_shape_table_values_each_record_by_its_kind_actor_and_payload():
+    def bob_op(kind: str, actor: str, payload: dict) -> int | None:
+        return int(payload["op"][1]) if (kind, actor) == ("pauli", "bob") else None
+
+    table = shape_table(bob_op)
+    assert len(table) == 256
+    for transcript in SELECT_RUNS:
+        expected = [
+            (int(e.payload["op"][1]), e.payload["pair"])
+            for e in transcript.events if e.kind == "pauli" and e.actor == "bob"
+        ]
+        values, pairs = transcript.events.select(table)
+        assert list(zip(values, pairs)) == expected
+    with pytest.raises(ValueError, match="selection value 255"):
+        shape_table(lambda kind, actor, payload: 255)
 
 
 _EITHER, _SLOT, _BASIS, _BIT = ("alice", "bob"), ("C", "M"), ("Z", "X"), (0, 1)
