@@ -43,23 +43,27 @@ from .session import (
     run_protocol,
 )
 
-_DEFAULTS: dict[str, object] = {
-    "mode": None,
-    "pairs": 64,
-    "check_fraction": 0.25,
-    "decoys": 4,
-    "eve": "none",
-    "eve_prob": 1.0,
-    "seed": 0,
-    "trials": 1000,
-    "alice_msg": None,
-    "bob_msg": None,
-    "out": None,
-    "transcript": None,
+# Each key of the run spec: its type, its default, and its --help text, in
+# which {} stands for the default.  The flags, the config-file keys and the
+# defaults all come from this table.
+_OPTIONS: dict[str, tuple[type, object, str]] = {
+    "mode": (str, None, "what to run"),
+    "pairs": (int, 64, "EPR pairs per run (default {})"),
+    "check_fraction": (float, 0.25, "fraction sampled by the first check (default {})"),
+    "decoys": (int, 4, "decoy pairs for the second check (default {})"),
+    "eve": (
+        str, "none", "channel attack: none, intercept-z, intercept-x, intercept-rand, substitute"
+    ),
+    "eve_prob": (float, 1.0, "per-photon attack probability (default {})"),
+    "seed": (int, 0, "64-bit run seed (default {})"),
+    "trials": (int, 1000, "runs per estimate (default {})"),
+    "alice_msg": (str, None, "hex string, @file, or 'random'"),
+    "bob_msg": (str, None, "hex string, @file, or 'random'"),
+    "out": (str, None, "CSV output path; writes <out>.meta.json beside it"),
+    "transcript": (str, None, "JSONL transcript path (roundtrip mode)"),
 }
 
-_INT_KEYS = {"pairs", "decoys", "seed", "trials"}
-_FLOAT_KEYS = {"check_fraction", "eve_prob"}
+_DEFAULTS: dict[str, object] = {key: default for key, (_, default, _) in _OPTIONS.items()}
 
 
 class CliError(Exception):
@@ -71,24 +75,11 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qduplex",
         description="Simulate two-way direct messaging over EPR pair blocks.",
     )
-    parser.add_argument("--mode", choices=list(_DISPATCH), help="what to run")
+    parser.add_argument("--mode", choices=list(_DISPATCH), help=_OPTIONS["mode"][2])
     parser.add_argument("--config", help="key=value file; flags override its entries")
-    parser.add_argument("--pairs", type=int, help="EPR pairs per run (default 64)")
-    parser.add_argument(
-        "--check-fraction", type=float, help="fraction sampled by the first check (default 0.25)"
-    )
-    parser.add_argument("--decoys", type=int, help="decoy pairs for the second check (default 4)")
-    parser.add_argument(
-        "--eve",
-        help="channel attack: none, intercept-z, intercept-x, intercept-rand, substitute",
-    )
-    parser.add_argument("--eve-prob", type=float, help="per-photon attack probability (default 1.0)")
-    parser.add_argument("--seed", type=int, help="64-bit run seed (default 0)")
-    parser.add_argument("--trials", type=int, help="runs per estimate (default 1000)")
-    parser.add_argument("--alice-msg", help="hex string, @file, or 'random'")
-    parser.add_argument("--bob-msg", help="hex string, @file, or 'random'")
-    parser.add_argument("--out", help="CSV output path; writes <out>.meta.json beside it")
-    parser.add_argument("--transcript", help="JSONL transcript path (roundtrip mode)")
+    for key, (kind, default, text) in _OPTIONS.items():
+        if key != "mode":
+            parser.add_argument(f"--{key.replace('_', '-')}", type=kind, help=text.format(default))
     return parser
 
 
@@ -107,15 +98,10 @@ def _parse_config_file(path: str) -> dict[str, object]:
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in _DEFAULTS:
+        if key not in _OPTIONS:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                entries[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                entries[key] = float(value)
-            else:
-                entries[key] = value
+            entries[key] = _OPTIONS[key][0](value)
         except ValueError:
             raise CliError(f"{path}:{lineno}: bad value for {key}: {value!r}")
     return entries

@@ -102,8 +102,16 @@ class MessageBits:
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "MessageBits":
-        """Build from raw bits, zero-padding odd lengths."""
-        return cls._padded(tuple(map(int, bits)))
+        """Build from raw bits, zero-padding odd lengths.
+
+        Each bit must be an integer (anything operator.index accepts) 0 or 1,
+        else ValueError, and is kept as a plain int; bits that are not
+        iterable are a TypeError.
+        """
+        bits = tuple(bits)
+        if not _all_bits(bits):
+            raise ValueError("bits must be 0 or 1")
+        return cls._padded(tuple(bytes(bits)))
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[int], payload_bits: int) -> "MessageBits":

@@ -1,12 +1,13 @@
 """Transcript records: the record format, the columnar event log, and custody.
 
-A transcript is a sequence of records (seq, actor, kind, payload).  The
-custody kinds, about eight records per pair, are kept as columns of shape
-codes and pairs; every other record is an Event.  A record that fits no
-row of FORMAT.md's record-kind table is rejected where it enters the log.
-This module owns the canonical JSONL line of every record, reads it back,
-and holds the one copy of the custody rules that a Session enforces as it
-records and audit_custody replays.
+A transcript is a sequence of records (seq, actor, kind, payload), kept
+as one row per record in two columns.  A custody record, about eight per
+pair, is its row: a shape code and a pair; the row of every other record
+points to its Event.  A record that fits no row of FORMAT.md's record-kind
+table is rejected where it enters the log.  This module owns the
+canonical JSONL line of every record, reads it back, and holds the one
+copy of the custody rules that a Session enforces as it records and
+audit_custody replays.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import json
 import operator
 import re
-from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress, count, product
@@ -145,7 +145,14 @@ for _kind, (_actors, _fields) in _BULK_SCHEMA.items():
             _SHAPE_ID[(_kind, _actor, *_values)] = _SHAPE_BY_TEXT[_head, _mid] = len(_SHAPE_LINE)
             _SHAPE_LINE.append(_line)
             _SHAPE_RECORD.append((_kind, _actor, {name: _named.get(name) for name in _fields}))
-assert len(_SHAPE_LINE) <= 256, "shape codes must fit in a byte"
+# The shape code of a row that holds an Event rather than a bulk record: its
+# pair cell is the Event's index in EventLog._events, not a pair.  Code that
+# reads the pair column unfiltered, as the custody ledger does, sees that
+# index as a pair; it must leave such a row's pair as it finds it.
+_EVENT = len(_SHAPE_LINE)
+assert _EVENT <= 0xFF, "shape codes must fit in a byte"
+# code -> canonical line over (pair, seq); an Event row's line is written apart
+_ROW_LINE = (*_SHAPE_LINE, "%.0s%.0s")
 
 # a selection's value -> 1 where it keeps the record, 0 where it skips it (0xFF)
 _KEPT = bytes(value != 0xFF for value in range(256))
@@ -238,24 +245,24 @@ def _dense_error(lineno: int, seq: object) -> TranscriptInvalid:
 class EventLog(Sequence):
     """A transcript's records in seq order: a read-only sequence of Events.
 
-    A record of a custody kind is kept in two columns, its shape code in
-    _BULK_SCHEMA and its pair; every other record is kept as its Event.  A
-    record enters only if its seq is its position and it fits a row of
-    FORMAT.md's record-kind table (see _record_shape); otherwise building
-    the log raises TranscriptInvalid.  The Event of a bulk record is built
-    only when it is asked for.  len() is O(1), iteration
-    goes in seq order, and the log compares equal to the list of Events it
+    Every record is one row of two columns, at its seq.  A record of a
+    custody kind is its shape code in _BULK_SCHEMA and its pair; every other
+    record is the code _EVENT and its index in _events, which keeps its
+    Event.  A record enters only if its seq is its position and it fits a
+    row of FORMAT.md's record-kind table (see _record_shape); otherwise
+    building the log raises TranscriptInvalid.  The Event of a bulk record
+    is built only when it is asked for.  len() is O(1), iteration goes in
+    seq order, and the log compares equal to the list of Events it
     represents.  A log built from records, or read, also keeps config at seq
     0, stats directly before the last record, and a verdict only last.
     """
 
-    __slots__ = ("_shapes", "_pairs", "_events", "_at")
+    __slots__ = ("_shapes", "_pairs", "_events")
 
     def __init__(self, events: Iterable[Event] = ()) -> None:
-        self._shapes = bytearray()  # shape code of each bulk record, in log order
-        self._pairs: list[int] = []  # pair of each bulk record
-        self._events: list[Event] = []  # every other record, in log order
-        self._at: list[int] = []  # the position of each of _events
+        self._shapes = bytearray()  # shape code of each record, or _EVENT
+        self._pairs: list[int] = []  # pair of each bulk record, or index in _events
+        self._events: list[Event] = []  # every record that is not a bulk record, in log order
         for event in events:
             self._append(event)
         self._check_places()
@@ -276,10 +283,11 @@ class EventLog(Sequence):
         """Raise TranscriptInvalid unless a stats record stands only directly
         before the last record, a verdict, and a verdict only last."""
         last = len(self) - 1
-        for at, event in zip(self._at, self._events):
+        for event in self._events:
+            at = event.seq
             if event.kind == "stats":
-                closed = at == last - 1 and self._at[-1] == last
-                if not closed or self._events[-1].kind != "verdict":
+                closing = self._events[-1]
+                if at != last - 1 or closing.seq != last or closing.kind != "verdict":
                     raise TranscriptInvalid(
                         f"seq {at}: stats record not directly before the verdict, the last record"
                     )
@@ -287,7 +295,8 @@ class EventLog(Sequence):
                 raise TranscriptInvalid(f"seq {at}: verdict record before the last record")
 
     def _add(self, event: Event) -> None:
-        self._at.append(len(self))
+        self._shapes.append(_EVENT)
+        self._pairs.append(len(self._events))
         self._events.append(event)
 
     def _extend(self, shapes: Iterable[int], pairs: Iterable[int]) -> None:
@@ -335,61 +344,35 @@ class EventLog(Sequence):
 
     # -- reading
 
-    def _runs(self) -> Iterator[tuple[int, Event | tuple[int, int]]]:
-        """(position, item) in log order: each Event, and each run of bulk records
-        between them as (j, k), the slice of the columns it takes."""
-        pos = j = 0
-        for at, event in zip(self._at, self._events):
-            if at > pos:
-                yield pos, (j, j + at - pos)
-                j += at - pos
-            yield at, event
-            pos = at + 1
-        if j < len(self._shapes):
-            yield pos, (j, len(self._shapes))
-
-    def _event_at(self, pos: int) -> Event | None:
-        """The generic Event at a position, or None where a bulk record is."""
-        g = bisect_left(self._at, pos)
-        return self._events[g] if g < len(self._at) and self._at[g] == pos else None
+    def _row(self, shape: int, cell: int, seq: int) -> Event:
+        return self._events[cell] if shape == _EVENT else _bulk_event(shape, cell, seq)
 
     def lines(self) -> list[str]:
         """Each record's canonical JSON line, in log order."""
-        out: list[str] = []
-        for pos, item in self._runs():
-            if isinstance(item, tuple):
-                j, k = item
-                out += map(
-                    operator.mod,
-                    map(_SHAPE_LINE.__getitem__, self._shapes[j:k]),
-                    zip(self._pairs[j:k], range(pos, pos + k - j)),
-                )
-            else:
-                out.append(json.dumps(item.to_record(), sort_keys=True, separators=(",", ":")))
+        out = list(map(
+            operator.mod, map(_ROW_LINE.__getitem__, self._shapes), zip(self._pairs, count())
+        ))
+        for event in self._events:
+            out[event.seq] = json.dumps(event.to_record(), sort_keys=True, separators=(",", ":"))
         return out
 
     def select(self, table: bytes) -> tuple[bytes, list[int]]:
         """The bulk records a selection table keeps, in log order: their values and their pairs.
 
         table (from shape_table) maps each shape code to a small value, or to
-        0xFF to skip records of that shape.
+        0xFF to skip records of that shape.  A row that holds an Event is
+        skipped whatever its table entry.
         """
+        table = table[:_EVENT] + b"\xff" + table[_EVENT + 1 :]
         values = self._shapes.translate(table)
         pairs = list(compress(self._pairs, values.translate(_KEPT)))
         return bytes(values.translate(None, b"\xff")), pairs
 
     def __len__(self) -> int:
-        return len(self._shapes) + len(self._events)
+        return len(self._shapes)
 
     def __iter__(self) -> Iterator[Event]:
-        for pos, item in self._runs():
-            if isinstance(item, tuple):
-                j, k = item
-                yield from map(
-                    _bulk_event, self._shapes[j:k], self._pairs[j:k], range(pos, pos + k - j)
-                )
-            else:
-                yield item
+        return map(self._row, self._shapes, self._pairs, count())
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -398,24 +381,21 @@ class EventLog(Sequence):
             index += len(self)
         if not 0 <= index < len(self):
             raise IndexError("event log index out of range")
-        event = self._event_at(index)
-        if event is not None:
-            return event
-        j = index - bisect_left(self._at, index)  # bulk records before this one
-        return _bulk_event(self._shapes[j], self._pairs[j], index)
+        return self._row(self._shapes[index], self._pairs[index], index)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EventLog):
-            if (self._shapes, self._pairs, self._at) == (other._shapes, other._pairs, other._at):
-                return self._events == other._events
-        elif not isinstance(other, Sequence) or isinstance(other, (str, bytes, bytearray)):
+            return (self._shapes, self._pairs, self._events) == (
+                other._shapes, other._pairs, other._events
+            )
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes, bytearray)):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        return f"EventLog(<{len(self)} records, {len(self._shapes)} of them bulk>)"
+        return f"EventLog(<{len(self)} records, {len(self) - len(self._events)} of them bulk>)"
 
 
 # ---------------------------------------------------------------------------
@@ -511,8 +491,12 @@ def _custody_rows() -> Iterator[tuple[int | None, ...]]:
 
 
 # shape -> state -> the state after a record of that shape, or None where
-# the record breaks a rule
-_CUSTODY_STEP: tuple[tuple[int | None, ...], ...] = tuple(_custody_rows())
+# the record breaks a rule.  The last row, _EVENT's, is the identity: an
+# Event row's pair cell is an index into EventLog._events, which may equal
+# a live pair, and the row writes back the state it reads for it.
+_CUSTODY_STEP: tuple[tuple[int | None, ...], ...] = (
+    *_custody_rows(), tuple(range(len(_STATE_HOLDERS)))
+)
 
 
 class _CustodyLedger:
@@ -521,7 +505,7 @@ class _CustodyLedger:
     Each (pair, slot) is held by "alice", "bob", the "channel", or is
     "consumed"; the ledger keeps one custody state per pair.  A Session
     applies every custody record as it records it and audit_custody replays
-    a log's custody records through a fresh ledger, so both enforce the same
+    every row of a log through a fresh ledger, so both enforce the same
     rules, from _custody_rule and the table built from it.  Violations
     come back as (seq, message) in record order; a photon whose rule breaks
     does not move.
@@ -532,16 +516,11 @@ class _CustodyLedger:
 
     def replay(self, log: EventLog) -> list[str]:
         """Apply every custody record of a log in order and return the violation messages."""
-        found: list[tuple[int, str]] = []
-        for pos, item in log._runs():
-            if isinstance(item, tuple):
-                j, k = item
-                found += self.apply_bulk(pos, log._shapes[j:k], log._pairs[j:k])
-        return [message for _, message in found]
+        return [message for _, message in self.apply_bulk(0, log._shapes, log._pairs)]
 
     def apply_bulk(self, seq: int, shapes: bytes, pairs: Sequence[int]) -> list[tuple[int, str]]:
         """Apply the bulk records seq, seq + 1, ..., given as shape codes and pairs,
-        in order, and return their violations."""
+        in order, and return their violations.  An _EVENT row moves nothing."""
         state = self._state
         get, step = state.get, _CUSTODY_STEP
         out: list[tuple[int, str]] = []

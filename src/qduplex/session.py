@@ -208,6 +208,8 @@ _VERDICT_FIELDS = {
     "completed": {"outcome", "alice_decoded", "bob_decoded"},
     "aborted": {"outcome", "phase", "reason"},
 }
+# the phases an aborted verdict may name, as written
+_ABORT_PHASES = (Phase.FIRST_CHECK.value, Phase.SECOND_CHECK.value)
 
 
 def _message_bits_payload(message: MessageBits) -> dict:
@@ -227,7 +229,10 @@ def _message_bits_from_payload(payload: object) -> MessageBits:
         raise TranscriptInvalid("decoded bits that are not a string of ASCII 0 and 1")
     if type(pad) is not int or pad not in (0, 1):
         raise TranscriptInvalid(f"pad_bits {pad!r} is not the integer 0 or 1")
-    return MessageBits(bits=tuple(bits.encode("ascii").translate(_DIGIT_BITS)), pad_bits=pad)
+    try:
+        return MessageBits(bits=tuple(bits.encode("ascii").translate(_DIGIT_BITS)), pad_bits=pad)
+    except ValueError as exc:  # an odd number of bits, or pad_bits past them
+        raise TranscriptInvalid(f"decoded message: {exc}") from exc
 
 
 class Transcript:
@@ -284,11 +289,7 @@ class Transcript:
         log = EventLog.parse(text)
         if not log or log[-1].kind != "verdict":
             raise TranscriptInvalid("transcript is truncated: no verdict record")
-        try:
-            verdict = _verdict_from_payload(log[-1].payload)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise TranscriptInvalid(f"malformed verdict payload: {exc!r}") from exc
-        return cls(events=log, verdict=verdict)
+        return cls(events=log, verdict=_verdict_from_payload(log[-1].payload))
 
     @classmethod
     def read_jsonl(cls, path: str | Path) -> "Transcript":
@@ -320,13 +321,13 @@ def _verdict_from_payload(payload: object) -> Verdict:
             alice_decoded=_message_bits_from_payload(payload["alice_decoded"]),
             bob_decoded=_message_bits_from_payload(payload["bob_decoded"]),
         )
-    phase, reason = Phase(payload["phase"]), payload["reason"]
-    if phase not in (Phase.FIRST_CHECK, Phase.SECOND_CHECK) or type(reason) is not str:
+    phase, reason = payload["phase"], payload["reason"]
+    if phase not in _ABORT_PHASES or type(reason) is not str:
         raise TranscriptInvalid(
             f"an aborted verdict needs phase first_check or second_check and a string reason, "
-            f"not {phase.value!r} and a {type(reason).__name__}"
+            f"not {phase!r} and a {type(reason).__name__}"
         )
-    return Aborted(phase=phase, reason=reason)
+    return Aborted(phase=Phase(phase), reason=reason)
 
 
 class _Recorder:

@@ -120,6 +120,33 @@ def test_odd_length_is_padded_and_recorded():
     assert message.n_pairs == 2
 
 
+@pytest.mark.parametrize(
+    "bits, expected",
+    [
+        ([1, 0, 1], (1, 0, 1, 0)),
+        (np.array([1, 0, 1]), (1, 0, 1, 0)),
+        ([True, False], (1, 0)),
+        ([np.uint8(1), np.int64(0)], (1, 0)),
+        ([1.5], ValueError),
+        (["1"], ValueError),
+        ([2], ValueError),
+        ([-1], ValueError),
+        ([1.5, 0.2, "1"], ValueError),
+        ("101", ValueError),  # a string's characters are no bits
+        (None, TypeError),  # bits that are not iterable
+        (5, TypeError),
+    ],
+)
+def test_from_bits_accepts_and_rejects_what_the_constructor_does(bits, expected):
+    if isinstance(expected, tuple):
+        message = MessageBits.from_bits(bits)
+        assert message.bits == expected
+        assert all(type(bit) is int for bit in message.bits)
+    else:
+        with pytest.raises(expected):
+            MessageBits.from_bits(bits)
+
+
 def test_message_bits_validation():
     with pytest.raises(ValueError):
         MessageBits(bits=(1, 0, 1))  # odd without padding

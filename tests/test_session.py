@@ -39,6 +39,7 @@ from qduplex.session import (
 )
 from qduplex.records import (
     _BULK_SCHEMA,
+    _EVENT,
     _KIND_ACTORS,
     _STATE_HOLDERS,
     _CustodyLedger,
@@ -524,7 +525,8 @@ def set_field(*path_and_value):
 
 COMPLETED_GOLDEN, ABORTED_GOLDEN = GOLDEN_TRANSCRIPTS
 
-# verdict payloads off FORMAT.md's verdict record: a golden transcript and its damage
+# verdict payloads off FORMAT.md's verdict record: a golden transcript, its damage,
+# and for some the start of the error's message
 OFF_FORMAT_VERDICTS = {
     "pad 1.7": (COMPLETED_GOLDEN, set_field("alice_decoded", "pad_bits", 1.7)),
     "pad true": (COMPLETED_GOLDEN, set_field("alice_decoded", "pad_bits", True)),
@@ -548,19 +550,36 @@ OFF_FORMAT_VERDICTS = {
         ABORTED_GOLDEN, set_field("alice_decoded", {"bits": "", "pad_bits": 0})
     ),
     "aborted without reason": (ABORTED_GOLDEN, lambda payload: payload.pop("reason")),
+    "unknown phase": (
+        ABORTED_GOLDEN, set_field("phase", "nope"),
+        "an aborted verdict needs phase first_check or second_check and a string reason, "
+        "not 'nope' and a str$",
+    ),
+    "odd bits": (
+        COMPLETED_GOLDEN, set_field("alice_decoded", "bits", "1"),
+        r"decoded message: bit string must have even length \(pad first\)$",
+    ),
+    "pad past the bits": (
+        COMPLETED_GOLDEN,
+        set_field("bob_decoded", {"bits": "", "pad_bits": 1}),
+        "decoded message: padding longer than message$",
+    ),
 }
 
 
 @pytest.mark.parametrize(
-    "name, change", list(OFF_FORMAT_VERDICTS.values()), ids=list(OFF_FORMAT_VERDICTS)
+    "name, change, match",
+    [(*row, None)[:3] for row in OFF_FORMAT_VERDICTS.values()],
+    ids=list(OFF_FORMAT_VERDICTS),
 )
-def test_from_jsonl_rejects_verdict_payloads_off_format_md(name, change):
+def test_from_jsonl_rejects_verdict_payloads_off_format_md(name, change, match):
     golden = (GOLDEN_DIR / name).read_text(encoding="utf-8")
     assert with_verdict(name, lambda payload: None) == golden
     text = with_verdict(name, change)
     assert reference_read(text) is None
-    with pytest.raises(TranscriptInvalid):
+    with pytest.raises(TranscriptInvalid, match=match and f"^{match}") as info:
         Transcript.from_jsonl(text)
+    assert "malformed verdict payload" not in str(info.value)
 
 
 json_values = st.recursive(
@@ -1745,6 +1764,88 @@ def test_transcript_from_an_event_list_is_an_equal_event_log():
         Transcript(events=[Event(5, "alice", "prepare", {"pair": 0})], verdict=run.verdict)
     with pytest.raises(TranscriptInvalid, match="seq 0: prepare record with pair '0' outside"):
         Transcript(events=[Event(0, "alice", "prepare", {"pair": "0"})], verdict=run.verdict)
+
+
+@st.composite
+def mixed_records(draw) -> list:
+    """Records in a random mix of Events and custody records: maybe a config
+    first, then message Events between runs of custody steps, each run
+    advancing one of a few pairs (numbered from 0, as Event indices are)
+    through the protocol's steps, and maybe stats and a verdict last.  Each
+    item is a list of records (actor, kind, payload): one Event, or a run."""
+    n = draw(st.integers(1, 4))
+    done = [0] * n  # custody steps taken by each pair
+    items: list = []
+    if draw(st.booleans()):
+        items.append([("session", "config", {"n_pairs": n})])
+    for _ in range(draw(st.integers(0, 14))):
+        if draw(st.booleans()):
+            items.append([(draw(st.sampled_from(["alice", "bob"])), "message", {"n": len(items)})])
+            continue
+        pair, k = draw(st.integers(0, n - 1)), draw(st.integers(1, 4))
+        steps = CUSTODY_STEPS[done[pair] : done[pair] + k]
+        done[pair] += len(steps)
+        if steps:
+            items.append([(actor, kind, {"pair": pair, **extra}) for kind, actor, extra in steps])
+    if draw(st.booleans()):
+        stats = {"first_check": {"sampled": 1, "violations": 0, "passed": True}}
+        items += [[("session", "stats", stats)], [("session", "verdict", {"outcome": "aborted"})]]
+    return items
+
+
+@settings(max_examples=150, deadline=None)
+@given(items=mixed_records(), data=st.data())
+def test_a_log_of_events_and_bulk_records_reads_as_its_event_list(items, data):
+    events = [Event(seq, *r) for seq, r in enumerate(r for item in items for r in item)]
+    recorder = _Recorder(n_pairs=4)
+    for item in items:
+        if item[0][1] in _BULK_SCHEMA and data.draw(st.booleans()):
+            shapes = bytes(_record_shape(0, *r, TranscriptInvalid) for r in item)
+            recorder.record(shapes, [r[2]["pair"] for r in item])
+        else:
+            for r in item:
+                recorder.emit(*r)
+    n = len(events)
+    for log in (recorder.events, EventLog(events)):
+        assert len(log) == n
+        assert list(log) == events
+        assert [log[i] for i in range(-n, n)] == events * 2
+        for _ in range(3):
+            index = data.draw(st.slices(n + 2))
+            assert log[index] == events[index]
+        assert list(reversed(log)) == events[::-1]
+        assert log == events and not log != events
+        assert log != events[:-1] or n == 0
+        assert "".join(line + "\n" for line in log.lines()) == canonical_jsonl(events)
+        assert reference_custody(log) == [] == _CustodyLedger().replay(log)
+    assert recorder.events == EventLog(events)
+
+
+def test_audit_moves_no_photon_on_an_event_row_whose_index_is_a_live_pair():
+    """A message Event's row holds its index in the log's Events, here 0, 1
+    and 2, while pairs 0, 1 and 2 have their C photon in the channel; the
+    audit reads past those rows, as the per-record reference does."""
+    def steps(first: int, last: int, pairs=range(3)) -> list[tuple[str, str, dict]]:
+        """CUSTODY_STEPS[first:last] for each pair in turn."""
+        return [(actor, kind, {"pair": pair, **extra})
+                for kind, actor, extra in CUSTODY_STEPS[first:last] for pair in pairs]
+
+    records = [
+        *steps(0, 2),  # prepare, then send C: each C photon is in the channel
+        *[("bob", "message", {"n": i}) for i in range(3)],
+        *steps(2, 4),  # Eve touches each C photon, then Bob receives it
+        *steps(3, 4, [1]),  # Bob receives pair 1's C photon again
+        *steps(4, 10),
+        ("session", "verdict", {"outcome": "aborted", "phase": "first_check", "reason": "x"}),
+    ]
+    events = [Event(seq, *r) for seq, r in enumerate(records)]
+    log = EventLog(events)
+    assert [(log._shapes[i], log._pairs[i]) for i in (6, 7, 8)] == [(_EVENT, p) for p in range(3)]
+    expected = reference_custody(events)
+    assert expected == ["seq 15: receive on pair 1 slot C held by bob, expected channel"]
+    verdict = Aborted(Phase.FIRST_CHECK, "x")
+    assert audit_custody(Transcript(events=log, verdict=verdict)) == expected
+    assert audit_custody(Transcript.from_jsonl(canonical_jsonl(events))) == expected
 
 
 def test_bulk_records_build_no_event_on_the_run_write_read_audit_and_estimator_paths(monkeypatch):
