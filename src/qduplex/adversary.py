@@ -13,7 +13,7 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import compress, repeat
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .codec import random_message
@@ -61,8 +61,11 @@ class EveStrategy:
     attack_prob: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.attack_prob <= 1.0:
-            raise ValueError(f"attack_prob must be in [0, 1], got {self.attack_prob}")
+        if not isinstance(self.kind, AttackKind):
+            raise ValueError(f"kind must be an AttackKind, got {self.kind!r}")
+        p = self.attack_prob
+        if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
+            raise ValueError(f"attack_prob must be a number in [0, 1], got {p!r}")
 
     @classmethod
     def none(cls) -> "EveStrategy":
@@ -102,20 +105,6 @@ class EveRecord:
     touches: list[EveTouch] = field(default_factory=list)
 
 
-def _substitute_fresh(
-    state: TwoQubitState, slot: QubitSlot, rng: RandomStream
-) -> tuple[int, TwoQubitState]:
-    """Swap the transiting photon for a fresh |0> and keep the original.
-
-    The kept photon leaves the legitimate system for good, so for every
-    later measurement the partner behaves as if the kept photon had been
-    read out in Z: collapse it, then rebuild the pair as a product of the
-    fresh |0> and the partner's residual state.
-    """
-    outcome, collapsed = measure_qubit(state, slot, Basis.Z, rng)
-    return outcome, substitute_fresh(collapsed, slot, outcome)
-
-
 def transit(
     pair_states: dict[int, TwoQubitState],
     leg: Leg,
@@ -138,17 +127,20 @@ def transit(
         if strategy.attack_prob < 1.0 and rng.random() >= strategy.attack_prob:
             out[index] = state
             continue
-        if strategy.kind is AttackKind.SUBSTITUTE_FRESH:
-            basis = Basis.Z
-            outcome, state = _substitute_fresh(state, slot, rng)
+        if strategy.kind is AttackKind.INTERCEPT_RESEND_X:
+            basis = Basis.X
+        elif strategy.kind is AttackKind.INTERCEPT_RESEND_RANDOM:
+            basis = Basis.Z if rng.integers(2) == 0 else Basis.X
         else:
-            if strategy.kind is AttackKind.INTERCEPT_RESEND_Z:
-                basis = Basis.Z
-            elif strategy.kind is AttackKind.INTERCEPT_RESEND_X:
-                basis = Basis.X
-            else:
-                basis = Basis.Z if rng.integers(2) == 0 else Basis.X
-            outcome, state = measure_qubit(state, slot, basis, rng)
+            basis = Basis.Z
+        outcome, state = measure_qubit(state, slot, basis, rng)
+        if strategy.kind is AttackKind.SUBSTITUTE_FRESH:
+            # Eve keeps the photon and sends a fresh |0> on.  The kept photon
+            # never comes back, so for every later measurement the partner
+            # behaves as if it had been read out in Z: the Z measurement above
+            # collapses it, and the pair becomes the fresh |0> times the
+            # partner's residual state.
+            state = substitute_fresh(state, slot, outcome)
         record.touches.append(EveTouch(index, leg, basis, outcome))
         out[index] = state
     return out, record
@@ -291,9 +283,6 @@ def mutual_information_bits(samples: Sequence[tuple[int, int]]) -> float:
     return max(0.0, info)
 
 
-_BELL_INDEX = {bell.name.lower(): bell.index for bell in BellState}
-_OP_CODE = {op.name: op.code for op in PauliOp}
-
 # The samples read four kinds of record, as one selection from the event log
 # (EventLog.select).  Each such record's sample code is its class times 4
 # plus a value 0..3: Alice's or Bob's op code, the announced Bell index, or
@@ -303,9 +292,9 @@ _ALICE_OP, _BOB_OP, _BELL, _EVE_FIRST, _EVE_SECOND = _CLASSES = range(5)
 
 def _sample_code(kind: str, actor: str, payload: dict) -> int | None:
     if kind == "pauli":
-        return (_ALICE_OP if actor == "alice" else _BOB_OP) << 2 | _OP_CODE[payload["op"]]
+        return (_ALICE_OP if actor == "alice" else _BOB_OP) << 2 | PauliOp[payload["op"]].code
     if kind == "bell_measure":
-        return _BELL << 2 | _BELL_INDEX[payload["result"]]
+        return _BELL << 2 | BellState[payload["result"].upper()].index
     if kind == "eve_touch":
         leg = _EVE_FIRST if payload["leg"] == Leg.FIRST.value else _EVE_SECOND
         return leg << 2 | (payload["basis"] == Basis.X.value) << 1 | payload["outcome"]
@@ -313,27 +302,11 @@ def _sample_code(kind: str, actor: str, payload: dict) -> int | None:
 
 
 _SAMPLE_TABLE = shape_table(_sample_code)
-# class -> translate table that maps its codes to 1 and all others to 0
-_IN_CLASS = [bytes(code >> 2 == c for code in range(256)) for c in _CLASSES]
-# class -> the codes of every other class, to delete
-_OTHER_CLASSES = [
-    bytes(code for code in range(4 * len(_CLASSES)) if code >> 2 != c) for c in _CLASSES
-]
-_VALUE = bytes(code & 3 for code in range(256))
-_NOT_TOUCH = bytes(range(4 * _EVE_FIRST))  # the codes of every class before Eve's
 
 
-def _by_pair(codes: bytes, pairs: list[int], cls: int) -> dict[int, int]:
-    """pair -> value of a selection's records of one class; the last record of a pair wins."""
-    return dict(
-        zip(compress(pairs, codes.translate(_IN_CLASS[cls])),
-            codes.translate(_VALUE, _OTHER_CLASSES[cls]))
-    )
-
-
-def _eve_guesses(codes: bytes, pairs: list[int]) -> dict[int, int]:
-    """Eve's best 2-bit guess of Alice's op per doubly-hit pair, from the sample
-    selection's codes and pairs (its eve_touch records).
+def _eve_guesses(first: dict[int, int], second: dict[int, int]) -> dict[int, int]:
+    """Eve's best 2-bit guess of Alice's op per doubly-hit pair, from her touches
+    on each leg (pair -> 2 for the X basis plus her outcome).
 
     A pair measured in the same basis on both legs reveals one bit of
     the op that was applied between the hits: Z-basis hits expose the
@@ -342,11 +315,8 @@ def _eve_guesses(codes: bytes, pairs: list[int]) -> dict[int, int]:
     outcomes is 1, and a deviation attributes to Alice's encoding.
     Pairs without a guess are left out; the caller guesses 0 for them.
     """
-    if not codes.translate(None, _NOT_TOUCH):
-        return {}
-    second = _by_pair(codes, pairs, _EVE_SECOND)
     guesses: dict[int, int] = {}
-    for pair, first_hit in _by_pair(codes, pairs, _EVE_FIRST).items():
+    for pair, first_hit in first.items():
         second_hit = second.get(pair)
         if second_hit is None or (first_hit ^ second_hit) & 2:  # one leg only, or two bases
             continue
@@ -369,11 +339,12 @@ def _run_samples(
     announced pair lacks the pauli record its sample needs.
     """
     codes, pairs = transcript.events.select(_SAMPLE_TABLE)
-    alice = _by_pair(codes, pairs, _ALICE_OP)
-    bob = _by_pair(codes, pairs, _BOB_OP)
-    announced = _by_pair(codes, pairs, _BELL)
+    by_class: list[dict[int, int]] = [{} for _ in _CLASSES]
+    for code, pair in zip(codes, pairs):
+        by_class[code >> 2][pair] = code & 3
+    alice, bob, announced, first_hits, second_hits = by_class
     decoys = set(transcript.stats.get("second_check", {}).get("decoy_indices", ()))
-    guesses = _eve_guesses(codes, pairs)
+    guesses = _eve_guesses(first_hits, second_hits)
     message_set = announced.keys() - decoys
     for actor, ops, needed in (("alice", alice, message_set), ("bob", bob, announced.keys())):
         if not ops.keys() >= needed:

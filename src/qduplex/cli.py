@@ -134,20 +134,31 @@ def _protocol_config(spec: dict[str, object]) -> ProtocolConfig:
 
 
 def _parse_message(text: object, capacity_bits: int, seed: int, label: int) -> MessageBits:
+    """A message from hex, @file or 'random'; label 1 is Alice's and 2 is Bob's.
+
+    A file is read no further than one byte past the capacity, and a payload
+    over the capacity raises CapacityExceeded before it is expanded to bits.
+    """
     if text is None or text == "random":
         rng = np.random.default_rng(np.random.SeedSequence([seed, label]))
         return random_message(capacity_bits, rng)
     text = str(text)
     if text.startswith("@"):
         try:
-            data = Path(text[1:]).read_bytes()
+            with open(text[1:], "rb") as fh:
+                data = fh.read(capacity_bits // 8 + 1)
         except OSError as exc:
             raise CliError(f"cannot read message file: {exc}")
-        return pack_bits(data)
-    try:
-        data = bytes.fromhex(text)
-    except ValueError:
-        raise CliError(f"message must be hex, @file, or 'random': {text!r}")
+    else:
+        try:
+            data = bytes.fromhex(text)
+        except ValueError:
+            raise CliError(f"message must be hex, @file, or 'random': {text!r}")
+    if 8 * len(data) > capacity_bits:
+        raise CapacityExceeded(
+            f"{('alice', 'bob')[label - 1]} message of at least {8 * len(data)} bits "
+            f"exceeds capacity {capacity_bits}"
+        )
     return pack_bits(data)
 
 

@@ -90,9 +90,10 @@ class ProtocolConfig:
                 f"n_pairs must be at most {MAX_PAIRS}, whose transcript stays under "
                 f"{MAX_LOG_BYTES} bytes; got {self.n_pairs}"
             )
-        if not 0.0 < self.check_fraction_1 < 1.0:
+        fraction = self.check_fraction_1
+        if isinstance(fraction, bool) or not isinstance(fraction, (int, float)) or not 0.0 < fraction < 1.0:
             raise ConfigInvalid(
-                f"check_fraction_1 must lie strictly between 0 and 1, got {self.check_fraction_1!r}"
+                f"check_fraction_1 must be a number strictly between 0 and 1, got {fraction!r}"
             )
         if self.first_check_count >= self.n_pairs:
             raise ConfigInvalid(
@@ -109,6 +110,8 @@ class ProtocolConfig:
             raise ConfigInvalid(f"abort_threshold must be a non-negative integer, got {self.abort_threshold!r}")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ConfigInvalid(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        if not isinstance(self.eve, EveStrategy):
+            raise ConfigInvalid(f"eve must be an EveStrategy, got {self.eve!r}")
 
     @property
     def first_check_count(self) -> int:

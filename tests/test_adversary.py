@@ -18,15 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qduplex.adversary import (
-    _SAMPLE_TABLE,
     AttackKind,
     EveStrategy,
+    EveTouch,
     InsufficientSamples,
     Leg,
     estimate_detection,
     estimate_information,
     eve_information,
-    leg_slot,
     mutual_information_bits,
     predicted_abort_rate,
     predicted_first_check_violation_rate,
@@ -42,11 +41,12 @@ from qduplex.qsim import (
     PauliOp,
     QubitSlot,
     TwoQubitState,
+    apply_pauli,
     make_singlet,
     product_state,
     project_qubit,
 )
-from qduplex.records import Event, EventLog, TranscriptInvalid
+from qduplex.records import Event, TranscriptInvalid
 from qduplex.session import ProtocolConfig, Transcript, audit_custody, run_protocol
 
 
@@ -213,6 +213,11 @@ def test_attack_probability_validation():
         EveStrategy(kind=AttackKind.SUBSTITUTE_FRESH, attack_prob=-0.1)
     with pytest.raises(ValueError):
         EveStrategy.from_name("mitm")
+    with pytest.raises(ValueError):
+        EveStrategy(kind="intercept-z")  # a name, not an AttackKind
+    for attack_prob in ("x", None, 0.5 + 0j, True):
+        with pytest.raises(ValueError):
+            EveStrategy(attack_prob=attack_prob)
     assert not EveStrategy.from_name("intercept-z", attack_prob=0.0).active
 
 
@@ -224,6 +229,73 @@ def test_transit_is_deterministic_under_a_fixed_stream():
     assert rec1.touches == rec2.touches
     for i in states:
         assert np.array_equal(out1[i].amplitudes, out2[i].amplitudes)
+
+
+def reference_transit(
+    pair_states: dict[int, TwoQubitState], leg: Leg, strategy: EveStrategy,
+    rng: np.random.Generator,
+) -> tuple[dict[int, TwoQubitState], list[EveTouch]]:
+    """transit written out.  Pairs go in ascending order.  A pair is attacked
+    on one uniform draw below attack_prob, made only when 0 < attack_prob < 1.
+    intercept-rand then draws its basis with integers(2), 0 for Z.  One uniform
+    draw against the Born probability of outcome 0 picks Eve's outcome.  A
+    substitution then keeps the collapsed pair's amplitudes with the photon in
+    its outcome and puts them where the photon reads 0."""
+    slot = QubitSlot.C if leg is Leg.FIRST else QubitSlot.M
+    out = dict(pair_states)
+    touches: list[EveTouch] = []
+    if strategy.kind is AttackKind.NONE or strategy.attack_prob == 0.0:
+        return out, touches
+    for pair in sorted(pair_states):
+        if 0.0 < strategy.attack_prob < 1.0 and not rng.random() < strategy.attack_prob:
+            continue
+        if strategy.kind is AttackKind.INTERCEPT_RESEND_RANDOM:
+            basis = (Basis.Z, Basis.X)[int(rng.integers(2))]
+        else:
+            basis = Basis.X if strategy.kind is AttackKind.INTERCEPT_RESEND_X else Basis.Z
+        p0, _ = project_qubit(out[pair], slot, basis, 0)
+        outcome = 0 if rng.random() < p0 else 1
+        _, state = project_qubit(out[pair], slot, basis, outcome)
+        if strategy.kind is AttackKind.SUBSTITUTE_FRESH:
+            kept = state.amplitudes.reshape(2, 2)
+            fresh = np.zeros((2, 2), dtype=np.complex128)
+            if slot is QubitSlot.C:
+                fresh[0, :] = kept[outcome, :]
+            else:
+                fresh[:, 0] = kept[:, outcome]
+            state = TwoQubitState(fresh.reshape(4))
+        out[pair] = state
+        touches.append(EveTouch(pair, leg, basis, outcome))
+    return out, touches
+
+
+def transit_inputs() -> dict[int, TwoQubitState]:
+    """Singlets, Pauli-encoded pairs and products, keyed by spread-out pairs in no order."""
+    singlet = make_singlet()
+    states = [singlet, product_state(0, 1), product_state(1, 1)] + [
+        apply_pauli(singlet, op, slot) for op in PauliOp for slot in QubitSlot
+    ]
+    pairs = [int(p) for p in np.random.default_rng(0).permutation(np.arange(0, 120, 3))]
+    return {pair: states[i % len(states)] for i, pair in enumerate(pairs)}
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("leg", list(Leg))
+@pytest.mark.parametrize("attack_prob", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("kind", list(AttackKind))
+def test_transit_equals_the_reference(kind, attack_prob, leg, seed):
+    states = transit_inputs()
+    strategy = EveStrategy(kind=kind, attack_prob=attack_prob)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    out, record = transit(states, leg, strategy, rng)
+    ref_out, ref_touches = reference_transit(states, leg, strategy, ref_rng)
+    assert record.touches == ref_touches
+    assert out.keys() == ref_out.keys()
+    for pair in ref_out:
+        assert out[pair].amplitudes.tobytes() == ref_out[pair].amplitudes.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if kind is not AttackKind.NONE and attack_prob > 0.0:
+        assert ref_touches
 
 
 # ---------------------------------------------------------------------------
@@ -328,16 +400,12 @@ def test_eve_guess_logic_over_eve_touch_records():
         (2, Leg.SECOND, Basis.X, 0),  # mixed bases: no inference
         (3, Leg.FIRST, Basis.Z, 1),  # single leg: no inference
     ]
-    log = EventLog(
-        Event(seq, "eve", "eve_touch", {
-            "basis": basis.value, "leg": leg.value, "outcome": outcome, "pair": pair,
-            "slot": leg_slot(leg).value,
-        })
-        for seq, (pair, leg, basis, outcome) in enumerate(touches)
-    )
-    guesses = _eve_guesses(*log.select(_SAMPLE_TABLE))
+    hits: dict[Leg, dict[int, int]] = {Leg.FIRST: {}, Leg.SECOND: {}}
+    for pair, leg, basis, outcome in touches:
+        hits[leg][pair] = (basis is Basis.X) << 1 | outcome
+    guesses = _eve_guesses(hits[Leg.FIRST], hits[Leg.SECOND])
     assert guesses == {0: 0b10, 1: 0b00}
-    assert _eve_guesses(*EventLog().select(_SAMPLE_TABLE)) == {}
+    assert _eve_guesses({}, {}) == {}
 
 
 def reference_samples(

@@ -19,6 +19,11 @@ import qduplex
 from qduplex.cli import _DEFAULTS, _USAGE_ERRORS, _build_parser, _protocol_config, _resolve, main
 from qduplex.session import MAX_PAIRS, Transcript, audit_custody
 
+try:
+    import resource
+except ImportError:  # POSIX only
+    resource = None
+
 GOLDEN = None  # resolved per test via request.path
 
 
@@ -135,6 +140,43 @@ def test_roundtrip_message_from_file(capsys, tmp_path):
     )
     assert code == 0
     assert "alice -> bob: cafe (match)" in out
+
+
+def test_message_of_the_capacity_is_accepted_and_one_byte_more_refused(capsys, tmp_path):
+    blob = tmp_path / "payload.bin"
+    blob.write_bytes(bytes(range(11)))  # 88 bits: Alice's capacity at 64 pairs, 4 decoys
+    code, out, _ = run_cli(capsys, "--mode", "roundtrip", "--alice-msg", f"@{blob}")
+    assert code == 0
+    assert f"alice -> bob: {bytes(range(11)).hex()} (match)" in out
+    code, _, err = run_cli(capsys, "--mode", "roundtrip", "--alice-msg", bytes(range(12)).hex())
+    assert (code, err) == (2, "error: alice message of at least 96 bits exceeds capacity 88\n")
+
+
+@pytest.mark.skipif(resource is None or not os.path.exists("/dev/zero"), reason="needs POSIX rlimits")
+@pytest.mark.parametrize("source", ["sparse", "/dev/zero"])
+def test_oversized_message_file_is_refused_without_reading_it(tmp_path, source):
+    """A 64 MiB file or an endless device, in a child limited to 1 GiB of address
+    space, is a usage error (exit 2): the file is read no further than the capacity."""
+    if source == "sparse":
+        path = tmp_path / "sparse.bin"
+        with open(path, "wb") as fh:
+            fh.truncate(64 << 20)
+        source = str(path)
+    capped = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from qduplex.cli import main\n"
+        "sys.exit(main())\n"
+    )
+    checkout = str(Path(qduplex.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [checkout, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", capped, "--mode", "roundtrip", "--alice-msg", f"@{source}"],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: alice message of at least 96 bits exceeds capacity 88\n"
 
 
 def test_roundtrip_csv_row(capsys, tmp_path):

@@ -104,6 +104,11 @@ def test_capacity_is_asymmetric_when_decoys_exist():
         {"n_pairs": 8, "seed": -1},
         {"n_pairs": 8, "seed": 2**64},
         {"n_pairs": 8, "seed": 1.0},
+        {"n_pairs": 8, "check_fraction_1": "0.5"},
+        {"n_pairs": 8, "check_fraction_1": None},
+        {"n_pairs": 8, "check_fraction_1": 0.5 + 0j},
+        {"n_pairs": 8, "check_fraction_1": True},
+        {"n_pairs": 8, "eve": "intercept-z"},
     ],
 )
 def test_config_validation_rejects(kwargs):
