@@ -14,7 +14,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator
 
 from .codec import random_message
 from .qsim import (
@@ -259,18 +259,15 @@ class InsufficientSamples(Exception):
     """Too few completed runs or pairs for a meaningful estimate."""
 
 
-def mutual_information_bits(samples: Sequence[tuple[int, int]]) -> float:
-    """Plug-in empirical mutual information over a finite alphabet, in bits.
-
-    A constant column carries no information, so it gives exactly 0.0
-    rather than the rounding residue of the plug-in sum.
+def mutual_information_bits(joint: Counter) -> float:
+    """Plug-in empirical mutual information of a joint count of (x, y) samples,
+    in bits, summed over its cells in their order.  A constant column gives
+    exactly 0.0 rather than the rounding residue of the plug-in sum.
     """
-    if not samples:
+    n = sum(joint.values())
+    if not n:
         raise InsufficientSamples("no samples")
-    n = len(samples)
-    joint = Counter(samples)
-    left: Counter = Counter()
-    right: Counter = Counter()
+    left, right = Counter(), Counter()
     for (x, y), c in joint.items():  # the marginals, from the joint's few entries
         left[x] += c
         right[y] += c
@@ -325,18 +322,17 @@ def _eve_guesses(first: dict[int, int], second: dict[int, int]) -> dict[int, int
     return guesses
 
 
-def _run_samples(
-    transcript: "Transcript",
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
+def _run_samples(transcript: "Transcript") -> tuple[Counter, Counter, Counter]:
     """One completed run's MI samples, read from the eve_touch, pauli and bell_measure records.
 
-    Returns (Eve's guess, Alice's op) and (announced Bell index, Alice's
-    op) for every message pair, then (announced Bell index, Bob's op) for
-    every announced pair, decoys included; each in pair order.  Where a
-    pair has more than one record of a kind by one actor, the last one
-    counts.  Only the log is read, so a saved transcript gives the samples
-    of its live run.  Raises TranscriptInvalid, naming the pair, when an
-    announced pair lacks the pauli record its sample needs.
+    Returns the joint counts of (Eve's guess, Alice's op) and of (announced
+    Bell index, Alice's op) over the message pairs, then of (announced Bell
+    index, Bob's op) over every announced pair, decoys included; each count
+    meets its cells in pair order.  Where a pair has more than one record
+    of a kind by one actor, the last one counts.  Only the log is read, so
+    a saved transcript gives the samples of its live run.  Raises
+    TranscriptInvalid, naming the pair, when an announced pair lacks the
+    pauli record its sample needs.
     """
     codes, pairs = transcript.events.select(_SAMPLE_TABLE)
     by_class: list[dict[int, int]] = [{} for _ in _CLASSES]
@@ -354,9 +350,9 @@ def _run_samples(
     every = sorted(announced)
     alice_ops = list(map(alice.__getitem__, message))
     return (
-        list(zip(map(guesses.get, message, repeat(0)), alice_ops)),
-        list(zip(map(announced.__getitem__, message), alice_ops)),
-        list(zip(map(announced.__getitem__, every), map(bob.__getitem__, every))),
+        Counter(zip(map(guesses.get, message, repeat(0)), alice_ops)),
+        Counter(zip(map(announced.__getitem__, message), alice_ops)),
+        Counter(zip(map(announced.__getitem__, every), map(bob.__getitem__, every))),
     )
 
 
@@ -369,12 +365,11 @@ def eve_information(transcript: "Transcript", min_pairs: int = 2) -> float:
     """
     if not transcript.completed:
         raise ValueError("eve_information needs a completed (non-aborted) run")
-    samples, _, _ = _run_samples(transcript)
-    if len(samples) < min_pairs:
-        raise InsufficientSamples(
-            f"{len(samples)} message pairs available, need at least {min_pairs}"
-        )
-    return mutual_information_bits(samples)
+    joint, _, _ = _run_samples(transcript)
+    pairs = sum(joint.values())
+    if pairs < min_pairs:
+        raise InsufficientSamples(f"{pairs} message pairs available, need at least {min_pairs}")
+    return mutual_information_bits(joint)
 
 
 @dataclass(frozen=True)
@@ -407,20 +402,17 @@ def estimate_information(
 
     Each trial gets a fresh seed and fresh random full-capacity messages.
     Raises InsufficientSamples when fewer than min_completed runs survive
-    their own checks, the common case for aggressive strategies.
+    their own checks, the common case for aggressive strategies.  Merged in
+    trial order, the joint counts sum their cells as the pooled samples would.
     """
-    eve_samples: list[tuple[int, int]] = []
-    alice_samples: list[tuple[int, int]] = []
-    bob_samples: list[tuple[int, int]] = []
+    joints = eve, alice, bob = Counter(), Counter(), Counter()
     completed = 0
     for transcript in _trials(strategy, config, trials, rng):
         if not transcript.completed:
             continue
         completed += 1
-        eve, alice, bob = _run_samples(transcript)
-        eve_samples += eve
-        alice_samples += alice
-        bob_samples += bob
+        for total, trial in zip(joints, _run_samples(transcript)):
+            total.update(trial)
     if completed < min_completed:
         raise InsufficientSamples(
             f"{completed} completed runs out of {trials}, need {min_completed}"
@@ -429,9 +421,9 @@ def estimate_information(
         strategy=strategy,
         trials=trials,
         completed_runs=completed,
-        message_pairs=len(alice_samples),
-        announced_vs_alice_bits=mutual_information_bits(alice_samples),
-        announced_vs_bob_bits=mutual_information_bits(bob_samples),
-        eve_guess_vs_alice_bits=mutual_information_bits(eve_samples),
+        message_pairs=sum(alice.values()),
+        announced_vs_alice_bits=mutual_information_bits(alice),
+        announced_vs_bob_bits=mutual_information_bits(bob),
+        eve_guess_vs_alice_bits=mutual_information_bits(eve),
     )
 

@@ -35,13 +35,7 @@ from .qsim import (
     bell_probabilities,
     make_singlet,
 )
-from .session import (
-    Aborted,
-    CapacityExceeded,
-    ConfigInvalid,
-    ProtocolConfig,
-    run_protocol,
-)
+from .session import CapacityExceeded, ConfigInvalid, ProtocolConfig, run_protocol
 
 # Each key of the run spec: its type, its default, and its --help text, in
 # which {} stands for the default.  The flags, the config-file keys and the

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -296,7 +297,16 @@ class Transcript:
 
     @classmethod
     def read_jsonl(cls, path: str | Path) -> "Transcript":
-        return cls.from_jsonl(Path(path).read_text(encoding="utf-8"))
+        """Raises TranscriptInvalid for a file over MAX_LOG_BYTES, before reading
+        any of it, and for one that is not UTF-8."""
+        with open(path, encoding="utf-8") as fh:
+            if (size := os.fstat(fh.fileno()).st_size) > MAX_LOG_BYTES:
+                raise TranscriptInvalid(f"transcript is {size} bytes, over MAX_LOG_BYTES = {MAX_LOG_BYTES}")
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise TranscriptInvalid(f"transcript is not UTF-8: {exc.reason}") from None
+        return cls.from_jsonl(text)
 
 
 def _verdict_payload(verdict: Verdict) -> dict:

@@ -358,15 +358,15 @@ def test_wilson_interval_brackets_the_estimate():
 
 
 def test_mutual_information_exact_small_cases():
-    assert mutual_information_bits([(0, 0), (0, 1), (0, 2), (0, 3)]) == pytest.approx(0.0)
-    assert mutual_information_bits([(0, 0), (1, 1)] * 50) == pytest.approx(1.0)
-    assert mutual_information_bits([(x, y) for x in range(4) for y in range(4)]) == pytest.approx(
-        0.0, abs=1e-12
-    )
+    assert mutual_information_bits(Counter([(0, 0), (0, 1), (0, 2), (0, 3)])) == pytest.approx(0.0)
+    assert mutual_information_bits(Counter([(0, 0), (1, 1)] * 50)) == pytest.approx(1.0)
+    assert mutual_information_bits(
+        Counter([(x, y) for x in range(4) for y in range(4)])
+    ) == pytest.approx(0.0, abs=1e-12)
     # a constant column is exactly 0, not the plug-in sum's rounding residue (8.97e-17)
-    assert mutual_information_bits([(0, 0)] * 7 + [(0, 1)] * 18) == 0.0
+    assert mutual_information_bits(Counter([(0, 0)] * 7 + [(0, 1)] * 18)) == 0.0
     with pytest.raises(InsufficientSamples):
-        mutual_information_bits([])
+        mutual_information_bits(Counter())
 
 
 def three_counter_information(samples: list[tuple[int, int]]) -> float:
@@ -387,7 +387,21 @@ def three_counter_information(samples: list[tuple[int, int]]) -> float:
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=400))
 def test_mutual_information_equals_the_three_counter_sum_exactly(samples):
-    assert mutual_information_bits(samples) == three_counter_information(samples)
+    assert mutual_information_bits(Counter(samples)) == three_counter_information(samples)
+
+
+SAMPLE_LISTS = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SAMPLE_LISTS, min_size=1, max_size=12).filter(lambda trials: any(trials)))
+def test_trial_counts_merged_in_trial_order_give_the_pooled_information_exactly(trials):
+    """estimate_information pools its trials this way; the golden CSV's bytes rest on it."""
+    merged: Counter = Counter()
+    for samples in trials:
+        merged.update(Counter(samples))
+    pooled = [sample for samples in trials for sample in samples]
+    assert mutual_information_bits(merged) == three_counter_information(pooled)
 
 
 def test_eve_guess_logic_over_eve_touch_records():
@@ -443,8 +457,18 @@ def reference_samples(
     )
 
 
+def run_counts(transcript: Transcript) -> list[list]:
+    """_run_samples' three joint counts, each as its (cell, count) items in order."""
+    return [list(joint.items()) for joint in _run_samples(transcript)]
+
+
+def reference_counts(transcript: Transcript) -> list[list]:
+    """reference_samples counted the same way: each cell where its samples first show it."""
+    return [list(Counter(samples).items()) for samples in reference_samples(transcript)]
+
+
 def outcome_of(function, transcript: Transcript):
-    """What a samples function gives for a transcript: its samples, or its TranscriptInvalid."""
+    """What a counts function gives for a transcript: its counts, or its TranscriptInvalid."""
     try:
         return function(transcript)
     except TranscriptInvalid as exc:
@@ -476,7 +500,7 @@ def completed_run(attack: str, attack_prob: float, seed: int, n_pairs: int,
 )
 def test_run_samples_equal_the_reference_on_live_runs(attack, attack_prob, seed, n_pairs):
     transcript = completed_run(attack, attack_prob, seed, n_pairs)
-    assert _run_samples(transcript) == reference_samples(transcript)
+    assert run_counts(transcript) == reference_counts(transcript)
 
 
 RESHUFFLE_BASES = [
@@ -511,7 +535,7 @@ def test_run_samples_equal_the_reference_on_reordered_and_duplicated_records(dat
         events=[Event(seq, e.actor, e.kind, e.payload) for seq, e in enumerate(events)],
         verdict=base.verdict,
     )
-    assert outcome_of(_run_samples, transcript) == outcome_of(reference_samples, transcript)
+    assert outcome_of(run_counts, transcript) == outcome_of(reference_counts, transcript)
 
 
 @pytest.mark.parametrize("actor", ["alice", "bob"])

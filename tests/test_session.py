@@ -5,7 +5,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qduplex
 from qduplex.adversary import EveStrategy, Leg
 from qduplex.codec import MessageBits, decode_alice, decode_bob, pack_bits, random_message
 from qduplex.qsim import BellState, InternalFault, PauliOp
@@ -46,6 +50,11 @@ from qduplex.records import (
     _record_shape,
     shape_table,
 )
+
+try:
+    import resource
+except ImportError:  # pragma: no cover - not POSIX
+    resource = None
 
 ABORT_FIRST_CONFIG = ProtocolConfig(
     n_pairs=16, check_fraction_1=0.5, check_count_2=0, seed=0,
@@ -297,6 +306,40 @@ def test_transcript_serialization_round_trip(tmp_path):
     assert back.events == transcript.events
     assert back.verdict == transcript.verdict
     assert back.completed
+
+
+@pytest.mark.skipif(resource is None, reason="needs POSIX rlimits")
+def test_oversized_transcript_file_is_refused_without_reading_it(tmp_path):
+    """A sparse file one byte over MAX_LOG_BYTES, read in a child limited to 1 GiB
+    of address space, raises TranscriptInvalid rather than MemoryError."""
+    path = tmp_path / "huge.jsonl"
+    with open(path, "wb") as fh:
+        fh.truncate(MAX_LOG_BYTES + 1)
+    capped = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from qduplex.session import Transcript, TranscriptInvalid\n"
+        "try:\n"
+        "    Transcript.read_jsonl(sys.argv[1])\n"
+        "except TranscriptInvalid as exc:\n"
+        "    print(exc)\n"
+    )
+    checkout = str(Path(qduplex.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [checkout, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", capped, str(path)],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"transcript is {MAX_LOG_BYTES + 1} bytes, over MAX_LOG_BYTES = {MAX_LOG_BYTES}\n"
+
+
+def test_transcript_file_that_is_not_utf8_is_invalid(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"\xff\n")
+    with pytest.raises(TranscriptInvalid, match="^transcript is not UTF-8: invalid start byte$"):
+        Transcript.read_jsonl(path)
 
 
 def test_transcript_lines_are_canonical_json():
