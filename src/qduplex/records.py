@@ -46,12 +46,12 @@ _BITS = (0, 1)
 _PARTIES = ("alice", "bob")
 
 # The custody kinds of FORMAT.md's record-kind table: for each, the actors
-# that write it, and its payload fields in canonical key order with the
-# values each may take (None: any integer, the pair).  This table is the
-# only definition of the bulk record shapes.  The canonical line formats
-# below, the shapes the log stores, the reader's exact check and the
-# custody rules all derive from it.  A record of one of these kinds that
-# does not fit its shape exactly (a hand-built or damaged one) is rejected.
+# that write it, and its payload fields with the values each may take
+# (None: any integer, the pair).  This table is the only definition of the
+# bulk record shapes.  The canonical lines below, the shapes the log
+# stores, the reader's exact check and the custody rules all derive from it.
+# A record of one of these kinds that does not fit its shape exactly (a
+# hand-built or damaged one) is rejected.
 _BULK_SCHEMA: dict[str, tuple[tuple[str, ...], dict[str, tuple | None]]] = {
     "prepare": (("alice",), {"pair": None}),
     "send": (("alice",), {"pair": None, "slot": _SLOTS, "to": ("bob",)}),
@@ -117,17 +117,10 @@ def _stats_fault(payload: object) -> str | None:
     return None
 
 
-def _line_format(kind: str) -> str:
-    """A bulk kind's canonical line: a %-format over actor, its payload fields and seq."""
-    fields = ",".join(
-        f'"{name}":%({name})s' if values is None or type(values[0]) is int
-        else f'"{name}":"%({name})s"'
-        for name, values in _BULK_SCHEMA[kind][1].items()
-    )
-    return f'{{"actor":"%(actor)s","kind":"{kind}","payload":{{{fields}}},"seq":%(seq)s}}'
+def _canonical_line(record: dict) -> str:
+    """A record's canonical JSONL line: json.dumps with sorted keys and no spaces."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
-
-_BULK_FORMAT = {kind: _line_format(kind) for kind in _BULK_SCHEMA}
 
 # A shape is one kind with one actor and one value for every field but the
 # pair.  The log stores a bulk record as its shape code and its pair.
@@ -140,11 +133,14 @@ for _kind, (_actors, _fields) in _BULK_SCHEMA.items():
     for _actor in _actors:
         for _values in product(*(_fields[name] for name in _coded)):
             _named = dict(zip(_coded, _values))
-            _line = _BULK_FORMAT[_kind] % {"actor": _actor, **_named, "pair": "%d", "seq": "%d"}
+            _payload = {name: _named.get(name) for name in _fields}
+            _record = {"actor": _actor, "kind": _kind, "payload": {**_payload, "pair": "%d"}}
+            # the placeholders lose their quotes; no schema value holds a %
+            _line = _canonical_line({**_record, "seq": "%d"}).replace('"%d"', "%d")
             _head, _mid, _ = _line.split("%d")
             _SHAPE_ID[(_kind, _actor, *_values)] = _SHAPE_BY_TEXT[_head, _mid] = len(_SHAPE_LINE)
             _SHAPE_LINE.append(_line)
-            _SHAPE_RECORD.append((_kind, _actor, {name: _named.get(name) for name in _fields}))
+            _SHAPE_RECORD.append((_kind, _actor, _payload))
 # The shape code of a row that holds an Event rather than a bulk record: its
 # pair cell is the Event's index in EventLog._events, not a pair.  Code that
 # reads the pair column unfiltered, as the custody ledger does, sees that
@@ -353,7 +349,7 @@ class EventLog(Sequence):
             operator.mod, map(_ROW_LINE.__getitem__, self._shapes), zip(self._pairs, count())
         ))
         for event in self._events:
-            out[event.seq] = json.dumps(event.to_record(), sort_keys=True, separators=(",", ":"))
+            out[event.seq] = _canonical_line(event.to_record())
         return out
 
     def select(self, table: bytes) -> tuple[bytes, list[int]]:
@@ -402,101 +398,57 @@ class EventLog(Sequence):
 # Custody
 
 
-def _custody_move(kind: str, actor: object) -> tuple[object, object]:
-    """Who must hold each photon a custody record names, and who holds it after (None: unchanged)."""
-    if kind == "prepare":
-        return None, actor  # both photons, and only if neither is held (see _custody_rule)
-    if kind == "send":
-        return actor, "channel"
-    if kind == "receive":
-        return "channel", actor
-    if kind == "pauli" or kind == "measure":
-        return actor, None
-    if kind == "eve_touch":
-        return "channel", None
-    return actor, "consumed"  # bell_measure
-
-
-# The custody rule of each shape, by code: its kind, the slot indices it
-# names (both for prepare and bell_measure), who must hold each of those
-# photons and who holds it after (None: no one, or unchanged).
-_SHAPE_RULE: tuple[tuple[str, tuple[int, ...], object, object], ...] = tuple(
-    (
-        kind,
-        (_SLOTS.index(payload["slot"]),) if "slot" in payload else (0, 1),
-        *_custody_move(kind, actor),
-    )
-    for kind, actor, payload in _SHAPE_RECORD
-)
-
-
-def _custody_rule(
-    holders: tuple[object, object], shape: int
-) -> tuple[tuple[object, object], tuple[int, ...]]:
-    """The custody rules: who holds a pair's C and M photons after a record
-    of the given shape on that pair, and the slots whose rule it breaks.
+def _custody_rule(holders: tuple[object, object], shape: int) -> tuple[tuple, tuple[str, ...]]:
+    """The custody rules of FORMAT.md: who holds a pair's C and M photons
+    after a record of the given shape on that pair, and one message for
+    each rule the record breaks, a %-format over its (seq, pair).
 
     A photon whose rule breaks does not move.  A prepare of a pair that is
-    held breaks the rule of both slots.  Only alice prepares, as hers is the
-    only prepare shape.
+    held breaks one rule and moves neither photon; only alice prepares, as
+    hers is the only prepare shape.
     """
-    kind, slots, expect, to = _SHAPE_RULE[shape]
+    kind, actor, payload = _SHAPE_RECORD[shape]
     if kind == "prepare":
-        return ((to, to), ()) if holders == (None, None) else (holders, slots)
+        if holders == (None, None):
+            return (actor, actor), ()
+        return holders, (f"seq %d: pair %d prepared again, held by {holders[0]} and {holders[1]}",)
+    # who must hold each photon the record names, and who holds it after (None: unchanged)
+    expect, to = {
+        "send": (actor, "channel"),
+        "eve_touch": ("channel", None),
+        "receive": ("channel", actor),
+        "bell_measure": (actor, "consumed"),
+    }.get(kind, (actor, None))  # pauli, measure
     after = list(holders)
-    broken = ()
-    for s in slots:
+    broken = []
+    for s in (_SLOTS.index(payload["slot"]),) if "slot" in payload else (0, 1):
         if holders[s] != expect:
-            broken += (s,)
+            broken.append(
+                f"seq %d: {kind} on pair %d slot {_SLOTS[s]} held by {holders[s]}, expected {expect}"
+            )
         elif to is not None:
             after[s] = to
-    return tuple(after), broken
-
-
-def _custody_violations(
-    seq: int, pair: int, holders: tuple[object, object], shape: int, broken: tuple[int, ...]
-) -> list[tuple[int, str]]:
-    """(seq, message) for each rule that record seq, of the given shape on a
-    pair whose photons the holders hold, breaks (broken, from _custody_rule)."""
-    kind, _, expect, _ = _SHAPE_RULE[shape]
-    if kind == "prepare":
-        held = f"held by {holders[0]} and {holders[1]}"
-        return [(seq, f"seq {seq}: pair {pair} prepared again, {held}")]
-    return [
-        (seq, f"seq {seq}: {kind} on pair {pair} slot {_SLOTS[s]} "
-              f"held by {holders[s]}, expected {expect}")
-        for s in broken
-    ]
+    return tuple(after), tuple(broken)
 
 
 # A pair's custody state is a small integer that stands for the holders of
 # its C and M photons, each None (not prepared) or a holder some rule moves
 # a photon to; state 0 is an unprepared pair.
-_HOLDERS = (None, *dict.fromkeys(to for *_, to in _SHAPE_RULE if to is not None))
+_HOLDERS = (None, "alice", "channel", "bob", "consumed")
 _STATE_HOLDERS = tuple(product(_HOLDERS, repeat=2))  # state -> (C holder, M holder)
 _STATE = {holders: state for state, holders in enumerate(_STATE_HOLDERS)}
-
-
-def _custody_rows() -> Iterator[tuple[int | None, ...]]:
-    """Each shape's row of _CUSTODY_STEP.  Shapes whose rules differ only in
-    their kind (neither a prepare) share one row: such a kind enters only
-    the text of a violation, not who holds a photon."""
-    rows: dict[tuple, tuple[int | None, ...]] = {}
-    for shape, (kind, *move) in enumerate(_SHAPE_RULE):
-        key = (kind == "prepare", *move)
-        if key not in rows:
-            steps = (_custody_rule(holders, shape) for holders in _STATE_HOLDERS)
-            rows[key] = tuple(None if broken else _STATE[after] for after, broken in steps)
-        yield rows[key]
-
 
 # shape -> state -> the state after a record of that shape, or None where
 # the record breaks a rule.  The last row, _EVENT's, is the identity: an
 # Event row's pair cell is an index into EventLog._events, which may equal
 # a live pair, and the row writes back the state it reads for it.
-_CUSTODY_STEP: tuple[tuple[int | None, ...], ...] = (
-    *_custody_rows(), tuple(range(len(_STATE_HOLDERS)))
-)
+_CUSTODY_STEP: tuple[tuple[int | None, ...], ...] = tuple(
+    tuple(
+        None if broken else _STATE[after]
+        for after, broken in (_custody_rule(holders, shape) for holders in _STATE_HOLDERS)
+    )
+    for shape in range(_EVENT)
+) + (tuple(range(len(_STATE_HOLDERS))),)
 
 
 class _CustodyLedger:
@@ -528,9 +480,8 @@ class _CustodyLedger:
             now = get(pair, 0)
             after = step[shape][now]
             if after is None:
-                holders = _STATE_HOLDERS[now]
-                moved, broken = _custody_rule(holders, shape)
+                moved, broken = _custody_rule(_STATE_HOLDERS[now], shape)
                 after = _STATE[moved]
-                out += _custody_violations(seq, pair, holders, shape, broken)
+                out += [(seq, message % (seq, pair)) for message in broken]
             state[pair] = after
         return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import os
-from bisect import bisect_left
+import stat
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from operator import xor
@@ -297,10 +297,17 @@ class Transcript:
 
     @classmethod
     def read_jsonl(cls, path: str | Path) -> "Transcript":
-        """Raises TranscriptInvalid for a file over MAX_LOG_BYTES, before reading
-        any of it, and for one that is not UTF-8."""
-        with open(path, encoding="utf-8") as fh:
-            if (size := os.fstat(fh.fileno()).st_size) > MAX_LOG_BYTES:
+        """Raises TranscriptInvalid for a path that is not a regular file or a
+        file over MAX_LOG_BYTES, before reading any of it, and for a file that
+        is not UTF-8.  A missing path or a directory raises OSError."""
+        # non-blocking, so that opening a FIFO with no writer returns
+        with open(
+            path, encoding="utf-8", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)
+        ) as fh:
+            status = os.fstat(fh.fileno())
+            if not stat.S_ISREG(status.st_mode):
+                raise TranscriptInvalid(f"transcript {str(path)!r} is not a regular file")
+            if (size := status.st_size) > MAX_LOG_BYTES:
                 raise TranscriptInvalid(f"transcript is {size} bytes, over MAX_LOG_BYTES = {MAX_LOG_BYTES}")
             try:
                 text = fh.read()
@@ -441,6 +448,7 @@ class Session:
         self.phase = Phase.INIT
         self.survivors: list[int] = []
         self.decoys: frozenset[int] = frozenset()
+        self._decoy_at: list[int] = []  # each decoy's place among the survivors, ascending
         # each survivor's op codes and announced Bell index, in survivor order
         self._alice_codes: list[int] = []
         self._bob_codes: list[int] = []
@@ -532,7 +540,8 @@ class Session:
             picked = self._alice_rng.choice(
                 len(self.survivors), size=cfg.check_count_2, replace=False
             )
-            self.decoys = frozenset(self.survivors[int(i)] for i in picked)
+            self._decoy_at = sorted(map(int, picked))
+            self.decoys = frozenset(self.survivors[k] for k in self._decoy_at)
         message_count = len(self.survivors) - len(self.decoys)
         next_pair = iter(_padded_pairs(self._alice_msg, message_count))
         rng, decoys, states = self._alice_rng, self.decoys, self._states
@@ -582,9 +591,9 @@ class Session:
         and nothing goes on the wire.
         """
         self._advance(Phase.SECOND_CHECK)
-        decoys = sorted(self.decoys)
-        # each decoy's place among the survivors, which are in index order
-        at = [bisect_left(self.survivors, i) for i in decoys]
+        # the survivors are in index order, so the decoys are too
+        at = self._decoy_at
+        decoys = [self.survivors[k] for k in at]
         alice, bob, bell = self._alice_codes, self._bob_codes, self._bell_codes
         mismatches = 0
         if decoys:

@@ -309,12 +309,21 @@ def test_transcript_serialization_round_trip(tmp_path):
 
 
 @pytest.mark.skipif(resource is None, reason="needs POSIX rlimits")
-def test_oversized_transcript_file_is_refused_without_reading_it(tmp_path):
-    """A sparse file one byte over MAX_LOG_BYTES, read in a child limited to 1 GiB
-    of address space, raises TranscriptInvalid rather than MemoryError."""
-    path = tmp_path / "huge.jsonl"
-    with open(path, "wb") as fh:
-        fh.truncate(MAX_LOG_BYTES + 1)
+@pytest.mark.parametrize("source", ["sparse", "/dev/zero", "fifo"])
+def test_oversized_or_irregular_transcript_file_is_refused_without_reading_it(tmp_path, source):
+    """A sparse file one byte over MAX_LOG_BYTES, an endless device or a FIFO no one
+    writes to, read in a child limited to 1 GiB of address space, raises
+    TranscriptInvalid rather than MemoryError or a hang."""
+    if source == "sparse":
+        source = str(tmp_path / "huge.jsonl")
+        with open(source, "wb") as fh:
+            fh.truncate(MAX_LOG_BYTES + 1)
+        expected = f"transcript is {MAX_LOG_BYTES + 1} bytes, over MAX_LOG_BYTES = {MAX_LOG_BYTES}\n"
+    else:
+        if source == "fifo":
+            source = str(tmp_path / "fifo")
+            os.mkfifo(source)
+        expected = f"transcript {source!r} is not a regular file\n"
     capped = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
@@ -328,11 +337,18 @@ def test_oversized_transcript_file_is_refused_without_reading_it(tmp_path):
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [checkout, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", capped, str(path)],
+        [sys.executable, "-c", capped, source],
         capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"transcript is {MAX_LOG_BYTES + 1} bytes, over MAX_LOG_BYTES = {MAX_LOG_BYTES}\n"
+    assert proc.stdout == expected
+
+
+def test_transcript_path_that_is_missing_or_a_directory_raises_os_error(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        Transcript.read_jsonl(tmp_path / "missing.jsonl")
+    with pytest.raises(IsADirectoryError):
+        Transcript.read_jsonl(tmp_path)
 
 
 def test_transcript_file_that_is_not_utf8_is_invalid(tmp_path):
@@ -349,6 +365,29 @@ def test_transcript_lines_are_canonical_json():
         record = json.loads(line)
         assert set(record) == {"seq", "actor", "kind", "payload"}
         assert json.dumps(record, sort_keys=True, separators=(",", ":")) == line
+
+
+def test_every_bulk_shape_writes_the_json_dumps_line_of_its_event():
+    """For each of the 57 custody shapes, enumerated from _BULK_SCHEMA, the line the log
+    writes at sample pairs and seqs is json.dumps of the record, sorted and compact."""
+    shapes = [
+        (kind, actor, dict(zip(fields, values)))
+        for kind, (actors, fields) in _BULK_SCHEMA.items()
+        for actor in actors
+        for values in itertools.product(*(
+            (None,) if allowed is None else allowed for allowed in fields.values()
+        ))
+    ]
+    assert len(shapes) == 57
+    for kind, actor, payload in shapes:
+        events = [
+            Event(seq=seq, actor=actor, kind=kind, payload={**payload, "pair": pair})
+            for seq, pair in enumerate((0, 7, 4095, 123_456_789, 2**62))
+        ]
+        assert EventLog(events).lines() == [
+            json.dumps(event.to_record(), sort_keys=True, separators=(",", ":"))
+            for event in events
+        ], (kind, actor, payload)
 
 
 def test_from_jsonl_rejects_sparse_sequence_numbers():
