@@ -63,7 +63,6 @@ from .session import (
     Phase,
     ProtocolConfig,
     ProtocolError,
-    Role,
     Session,
     Transcript,
     TranscriptInvalid,

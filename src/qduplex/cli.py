@@ -77,9 +77,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CONFIG_BYTES = 1 << 16  # the largest --config file; it is read no further than one byte past
+_ECHO_CHARS = 40  # how much of a config line, key or value an error message repeats
+
+
 def _parse_config_file(path: str) -> dict[str, object]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as fh:
+            data = fh.read(_CONFIG_BYTES + 1)
+        if len(data) > _CONFIG_BYTES:
+            raise CliError(f"config file {path} is over {_CONFIG_BYTES} bytes")
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config file: {exc}")
     entries: dict[str, object] = {}
@@ -88,16 +96,16 @@ def _parse_config_file(path: str) -> dict[str, object]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise CliError(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise CliError(f"{path}:{lineno}: expected key=value, got {line[:_ECHO_CHARS]!r}")
         key, value = line.split("=", 1)
         key = key.strip().replace("-", "_")
         value = value.strip()
         if key not in _OPTIONS:
-            raise CliError(f"{path}:{lineno}: unknown key {key!r}")
+            raise CliError(f"{path}:{lineno}: unknown key {key[:_ECHO_CHARS]!r}")
         try:
             entries[key] = _OPTIONS[key][0](value)
         except ValueError:
-            raise CliError(f"{path}:{lineno}: bad value for {key}: {value!r}")
+            raise CliError(f"{path}:{lineno}: bad value for {key}: {value[:_ECHO_CHARS]!r}")
     return entries
 
 
@@ -116,15 +124,13 @@ def _resolve(ns: argparse.Namespace) -> dict[str, object]:
 
 def _protocol_config(spec: dict[str, object]) -> ProtocolConfig:
     strategy = EveStrategy.from_name(str(spec["eve"]), float(spec["eve_prob"]))
-    config = ProtocolConfig(
+    return ProtocolConfig(
         n_pairs=int(spec["pairs"]),
         check_fraction_1=float(spec["check_fraction"]),
         check_count_2=int(spec["decoys"]),
         seed=int(spec["seed"]),
         eve=strategy,
     )
-    config.validate()
-    return config
 
 
 def _parse_message(text: object, capacity_bits: int, seed: int, label: int) -> MessageBits:

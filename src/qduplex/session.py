@@ -80,7 +80,7 @@ class ProtocolConfig:
     seed: int = 0
     eve: EveStrategy = field(default_factory=EveStrategy.none)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("n_pairs", "check_count_2", "abort_threshold", "seed"):
             if isinstance(getattr(self, name), bool):
                 raise ConfigInvalid(f"{name} must be an integer, not a bool")
@@ -179,11 +179,6 @@ class Phase(enum.Enum):
 _PHASE_RANK = {phase: rank for rank, phase in enumerate(Phase)}
 
 
-class Role(enum.Enum):
-    ALICE = "alice"
-    BOB = "bob"
-
-
 # ---------------------------------------------------------------------------
 # Transcript
 
@@ -206,7 +201,6 @@ Verdict = Union[Completed, Aborted]
 # bit values <-> the ASCII digits of a verdict's bits string, as bytes.translate tables
 _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
 _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
-_BIT_CHARS = frozenset("01")
 # each outcome of FORMAT.md's verdict record and its fields
 _VERDICT_FIELDS = {
     "completed": {"outcome", "alice_decoded", "bob_decoded"},
@@ -229,7 +223,7 @@ def _message_bits_from_payload(payload: object) -> MessageBits:
     if type(payload) is not dict or payload.keys() != {"bits", "pad_bits"}:
         raise TranscriptInvalid("a decoded message needs exactly bits and pad_bits")
     bits, pad = payload["bits"], payload["pad_bits"]
-    if type(bits) is not str or not _BIT_CHARS.issuperset(bits):
+    if type(bits) is not str or not bits.isascii() or bits.encode("ascii").translate(None, b"01"):
         raise TranscriptInvalid("decoded bits that are not a string of ASCII 0 and 1")
     if type(pad) is not int or pad not in (0, 1):
         raise TranscriptInvalid(f"pad_bits {pad!r} is not the integer 0 or 1")
@@ -243,14 +237,18 @@ class Transcript:
     """Complete record of one run: config echo, event log, verdict, stats.
 
     The serialized form is one JSON object per line with fields
-    (seq, actor, kind, payload); a file is valid if and only if its
-    sequence numbers are dense from 0.  See FORMAT.md for field tables.
-    `events` accepts any iterable of Events and is kept as an EventLog.
+    (seq, actor, kind, payload); see FORMAT.md for field tables.  `events`
+    accepts any iterable of Events and is kept as an EventLog, whose last
+    record gives the verdict.  Built or read, a transcript keeps every rule
+    of from_jsonl, or raises TranscriptInvalid with the reader's message.
     """
 
-    def __init__(self, events: Iterable[Event], verdict: Verdict) -> None:
-        self._events = events if isinstance(events, EventLog) else EventLog(events)
-        self.verdict = verdict
+    def __init__(self, events: Iterable[Event]) -> None:
+        log = events if isinstance(events, EventLog) else EventLog(events)
+        if not log or log[-1].kind != "verdict":
+            raise TranscriptInvalid("transcript is truncated: no verdict record")
+        self._events = log
+        self.verdict: Verdict = _verdict_from_payload(log[-1].payload)
 
     @property
     def events(self) -> EventLog:
@@ -260,10 +258,10 @@ class Transcript:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Transcript):
             return NotImplemented
-        return self.verdict == other.verdict and self._events == other._events
+        return self._events == other._events
 
     def __repr__(self) -> str:
-        return f"Transcript(events={self._events!r}, verdict={self.verdict!r})"
+        return f"Transcript({self._events!r})"
 
     @property
     def completed(self) -> bool:
@@ -290,10 +288,7 @@ class Transcript:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":
-        log = EventLog.parse(text)
-        if not log or log[-1].kind != "verdict":
-            raise TranscriptInvalid("transcript is truncated: no verdict record")
-        return cls(events=log, verdict=_verdict_from_payload(log[-1].payload))
+        return cls(EventLog.parse(text))
 
     @classmethod
     def read_jsonl(cls, path: str | Path) -> "Transcript":
@@ -383,7 +378,7 @@ class _Recorder:
             raise InternalFault(message)
         self.events._extend(shapes, pairs)
 
-    def send(self, sender: Role, type: str, **fields: object) -> None:
+    def send(self, sender: str, type: str, **fields: object) -> None:
         """Put one classical message on the wire; fields are already in wire form."""
         if type not in _MESSAGE_INDEX_FIELD:
             raise InternalFault(f"unknown message type {type!r}")
@@ -396,9 +391,9 @@ class _Recorder:
         for i in indices:
             if not 0 <= i < self._n_pairs:
                 raise InternalFault(f"message index {i} outside pair range")
-        payload = {"msg_seq": self._msg_seq, "sender": sender.value, "type": type, **fields}
+        payload = {"msg_seq": self._msg_seq, "sender": sender, "type": type, **fields}
         self._msg_seq += 1
-        self.emit(sender.value, "message", payload)
+        self.emit(sender, "message", payload)
 
 
 def audit_custody(transcript: Transcript) -> list[str]:
@@ -420,7 +415,7 @@ def audit_custody(transcript: Transcript) -> list[str]:
 class Session:
     """One deterministic run between in-process parties.
 
-    Construction validates the config and message capacities; run()
+    Construction checks the message capacities against the config; run()
     executes every phase and returns the Transcript.  All randomness comes
     from three child streams (Alice, Bob, Eve) split off the config seed
     in a fixed order.
@@ -429,7 +424,6 @@ class Session:
     def __init__(
         self, config: ProtocolConfig, alice_msg: MessageBits, bob_msg: MessageBits
     ) -> None:
-        config.validate()
         for name, message, capacity in (
             ("alice", alice_msg, config.alice_capacity_bits),
             ("bob", bob_msg, config.bob_capacity_bits),
@@ -502,16 +496,16 @@ class Session:
         chosen = sorted(
             int(i) for i in self._bob_rng.choice(cfg.n_pairs, size=count, replace=False)
         )
-        self._rec.send(Role.BOB, "check_indices", indices=chosen)
+        self._rec.send("bob", "check_indices", indices=chosen)
         bases = [int(self._bob_rng.integers(2)) for _ in chosen]  # codes into _BASES
-        bob_outcomes = self._measure(Role.BOB, self._bob_rng, chosen, QubitSlot.C, bases)
+        bob_outcomes = self._measure("bob", self._bob_rng, chosen, QubitSlot.C, bases)
         self._rec.send(
-            Role.BOB, "basis_announce", bases=[[i, _BASES[b].value] for i, b in zip(chosen, bases)]
+            "bob", "basis_announce", bases=[[i, _BASES[b].value] for i, b in zip(chosen, bases)]
         )
         self._rec.send(
-            Role.BOB, "outcome_announce", outcomes=[list(e) for e in zip(chosen, bob_outcomes)]
+            "bob", "outcome_announce", outcomes=[list(e) for e in zip(chosen, bob_outcomes)]
         )
-        alice_outcomes = self._measure(Role.ALICE, self._alice_rng, chosen, QubitSlot.M, bases)
+        alice_outcomes = self._measure("alice", self._alice_rng, chosen, QubitSlot.M, bases)
         violations = sum(a == b for a, b in zip(alice_outcomes, bob_outcomes))
         passed = violations <= cfg.abort_threshold
         self._stats["first_check"] = {
@@ -519,7 +513,7 @@ class Session:
             "violations": violations,
             "passed": passed,
         }
-        self._rec.send(Role.ALICE, "check_verdict", passed=passed, violations=violations)
+        self._rec.send("alice", "check_verdict", passed=passed, violations=violations)
         if not passed:
             self._abort("anticorrelation check failed")
             return False
@@ -576,7 +570,7 @@ class Session:
             results.append(index)
         self._rec.record(shapes, pairs)
         self._rec.send(
-            Role.BOB,
+            "bob",
             "bell_results",
             results=[[i, _BELL_NAME[index]] for i, index in zip(self.survivors, results)],
         )
@@ -597,19 +591,19 @@ class Session:
         alice, bob, bell = self._alice_codes, self._bob_codes, self._bell_codes
         mismatches = 0
         if decoys:
-            self._rec.send(Role.ALICE, "second_check_indices", indices=decoys)
+            self._rec.send("alice", "second_check_indices", indices=decoys)
             self._rec.send(
-                Role.BOB, "second_check_reveal",
+                "bob", "second_check_reveal",
                 ops=[[i, _OP_NAME[bob[k]]] for i, k in zip(decoys, at)],
             )
             # the XOR law: both encodings carry the singlet to Bell index a ^ b
             mismatches = sum(bell[k] != alice[k] ^ bob[k] for k in at)
             self._rec.send(
-                Role.ALICE, "second_check_reveal",
+                "alice", "second_check_reveal",
                 ops=[[i, _OP_NAME[alice[k]]] for i, k in zip(decoys, at)],
             )
             self._rec.send(
-                Role.ALICE, "check_verdict", passed=mismatches == 0, violations=mismatches
+                "alice", "check_verdict", passed=mismatches == 0, violations=mismatches
             )
         passed = mismatches == 0
         self._stats["second_check"] = {
@@ -665,7 +659,7 @@ class Session:
 
     def _measure(
         self,
-        actor: Role,
+        actor: str,
         rng: RandomStream,
         pairs: list[int],
         slot: QubitSlot,
@@ -685,13 +679,13 @@ class Session:
         return outcomes
 
     def _abort(self, reason: str) -> None:
-        self._rec.send(Role.ALICE, "abort", reason=reason)
+        self._rec.send("alice", "abort", reason=reason)
         self._advance(Phase.ABORTED)
 
     def _finish(self, verdict: Verdict) -> Transcript:
         self._rec.emit("session", "stats", dict(self._stats))
         self._rec.emit("session", "verdict", _verdict_payload(verdict))
-        return Transcript(events=self._rec.events, verdict=verdict)
+        return Transcript(self._rec.events)
 
 
 # Lookup tables of the per-pair loops, indexed by integer codes: an op's
@@ -711,11 +705,11 @@ _BELL_SHAPE = tuple(_SHAPE_ID["bell_measure", "bob", name] for name in _BELL_NAM
 _MEASURE_SHAPE = {
     (actor, slot): tuple(
         tuple(
-            _SHAPE_ID["measure", actor.value, basis.value, outcome, slot.value] for outcome in (0, 1)
+            _SHAPE_ID["measure", actor, basis.value, outcome, slot.value] for outcome in (0, 1)
         )
         for basis in _BASES
     )
-    for actor in Role
+    for actor in ("alice", "bob")
     for slot in _SIDE_SLOT
 }
 # leg -> its send shape, its eve_touch shapes by basis code then outcome, and its receive shape

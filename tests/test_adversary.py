@@ -533,7 +533,6 @@ def test_run_samples_equal_the_reference_on_reordered_and_duplicated_records(dat
     events = kept[:stats_at] + rewritten + kept[stats_at:]
     transcript = Transcript(
         events=[Event(seq, e.actor, e.kind, e.payload) for seq, e in enumerate(events)],
-        verdict=base.verdict,
     )
     assert outcome_of(run_counts, transcript) == outcome_of(reference_counts, transcript)
 
@@ -552,7 +551,6 @@ def test_run_samples_name_the_first_pair_without_its_pauli_record(actor):
     ]
     damaged = Transcript(
         events=[Event(seq, e.actor, e.kind, e.payload) for seq, e in enumerate(events)],
-        verdict=transcript.verdict,
     )
     with pytest.raises(TranscriptInvalid) as raised:
         _run_samples(damaged)
@@ -621,7 +619,7 @@ def test_records_off_their_shape_are_rejected_when_a_transcript_is_built(kind):
     events[at] = Event(event.seq, event.actor, kind, {**event.payload, "note": "x"})
     match = f"seq {at}: {kind} record with a field 'note' outside its schema"
     with pytest.raises(TranscriptInvalid, match=match):
-        Transcript(events=events, verdict=transcript.verdict)
+        Transcript(events=events)
     text = "".join(
         json.dumps(e.to_record(), sort_keys=True, separators=(",", ":")) + "\n" for e in events
     )

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,17 @@ except ImportError:  # POSIX only
     resource = None
 
 GOLDEN = None  # resolved per test via request.path
+
+
+# a capped child's code that runs the CLI on its arguments
+CLI_MAIN = "from qduplex.cli import main\nsys.exit(main())\n"
+
+
+def sparse_file(path: Path, size: int) -> str:
+    """Make a sparse file of size bytes of zeros at path, and return the path as a string."""
+    with open(path, "wb") as fh:
+        fh.truncate(size)
+    return str(path)
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -154,29 +166,55 @@ def test_message_of_the_capacity_is_accepted_and_one_byte_more_refused(capsys, t
 
 @pytest.mark.skipif(resource is None or not os.path.exists("/dev/zero"), reason="needs POSIX rlimits")
 @pytest.mark.parametrize("source", ["sparse", "/dev/zero"])
-def test_oversized_message_file_is_refused_without_reading_it(tmp_path, source):
+def test_oversized_message_file_is_refused_without_reading_it(tmp_path, capped_child, source):
     """A 64 MiB file or an endless device, in a child limited to 1 GiB of address
     space, is a usage error (exit 2): the file is read no further than the capacity."""
     if source == "sparse":
-        path = tmp_path / "sparse.bin"
-        with open(path, "wb") as fh:
-            fh.truncate(64 << 20)
-        source = str(path)
-    capped = (
-        "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-        "from qduplex.cli import main\n"
-        "sys.exit(main())\n"
-    )
-    checkout = str(Path(qduplex.__file__).resolve().parent.parent)
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [checkout, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", capped, "--mode", "roundtrip", "--alice-msg", f"@{source}"],
-        capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env,
-    )
+        source = sparse_file(tmp_path / "sparse.bin", 64 << 20)
+    proc = capped_child(CLI_MAIN, "--mode", "roundtrip", "--alice-msg", f"@{source}")
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == "error: alice message of at least 96 bits exceeds capacity 88\n"
+
+
+@pytest.mark.skipif(resource is None or not os.path.exists("/dev/zero"), reason="needs POSIX rlimits")
+@pytest.mark.parametrize("source", ["sparse", "/dev/zero"])
+def test_oversized_config_file_is_refused_without_reading_it(tmp_path, capped_child, source):
+    """A 64 MiB file of one line or an endless device, as --config in a child limited
+    to 1 GiB of address space, is a usage error (exit 2) on one short line of stderr."""
+    if source == "sparse":
+        source = sparse_file(tmp_path / "sparse.cfg", 64 << 20)
+    proc = capped_child(CLI_MAIN, "--config", source)
+    assert proc.returncode == 2, proc.stderr[:1000]
+    assert proc.stderr == f"error: config file {source} is over {1 << 16} bytes\n"
+    assert len(proc.stderr.encode("utf-8")) < 1024
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_config_file_may_be_a_pipe(capsys):
+    """A process substitution, --config <(printf ...), is a pipe and reads like a file."""
+    read_end, write_end = os.pipe()
+    os.write(write_end, b"mode=table-check\n")
+    os.close(write_end)
+    try:
+        code, out, _ = run_cli(capsys, "--config", f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    assert code == 0
+    assert "16/16 combinations" in out
+
+
+def test_config_file_errors_repeat_only_the_start_of_a_long_line(capsys, tmp_path):
+    """A line, key or value of 60,000 characters is echoed by its first 40 at most."""
+    long = "x" * 60_000
+    for text, echoed in (
+        (long, f"expected key=value, got {'x' * 40!r}"),
+        (f"{long}=1", f"unknown key {'x' * 40!r}"),
+        (f"pairs={long}", f"bad value for pairs: {'x' * 40!r}"),
+    ):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text(f"mode=roundtrip\n{text}\n")
+        code, _, err = run_cli(capsys, "--config", str(cfg))
+        assert (code, err) == (2, f"error: {cfg}:2: {echoed}\n")
 
 
 def test_roundtrip_csv_row(capsys, tmp_path):
@@ -346,7 +384,7 @@ def test_any_config_file_resolves_to_a_valid_config_or_is_a_usage_error(
         config = _protocol_config(_resolve(_build_parser().parse_args(argv)))
     except _USAGE_ERRORS:
         return
-    config.validate()
+    replace(config)  # builds it again, through every ProtocolConfig check
     assert 2 <= config.n_pairs <= MAX_PAIRS
 
 
