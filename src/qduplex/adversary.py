@@ -168,14 +168,16 @@ def predicted_abort_rate(per_photon_rate: float, check_photons: int) -> float:
     return 1.0 - (1.0 - per_photon_rate) ** check_photons
 
 
-def wilson_interval(
-    successes: int, total: int, z: float = 1.959963984540054
-) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion (95% by default)."""
+_Z95 = 1.959963984540054  # the standard normal quantile of a two-sided 95% interval
+
+
+def wilson_interval(successes: int, total: int) -> tuple[float, float]:
+    """Wilson score 95% interval for a binomial proportion."""
     if total <= 0:
         raise ValueError("total must be positive")
     if not 0 <= successes <= total:
         raise ValueError("successes outside 0..total")
+    z = _Z95
     phat = successes / total
     denom = 1.0 + z * z / total
     center = (phat + z * z / (2 * total)) / denom

@@ -5,9 +5,9 @@ as one row per record in two columns.  A custody record, about eight per
 pair, is its row: a shape code and a pair; the row of every other record
 points to its Event.  A record that fits no row of FORMAT.md's record-kind
 table is rejected where it enters the log.  This module owns the
-canonical JSONL line of every record, reads it back, and holds the one
-copy of the custody rules that a Session enforces as it records and
-audit_custody replays.
+canonical JSONL line of every record, reads it back, states the frame of
+every transcript, and holds the one copy of the custody rules that a
+Session enforces as it records and audit_custody replays.
 """
 
 from __future__ import annotations
@@ -191,8 +191,8 @@ def _record_shape(
     Raises error, naming the seq, the kind and the first field or value that
     is off, for a record that fits no row of FORMAT.md's record-kind table:
     an unknown kind, an actor outside its row, a custody record that does
-    not fit its kind's shape exactly, a stats record off FORMAT.md's
-    statistics record, or a config record anywhere but seq 0.
+    not fit its kind's shape exactly, or a stats record off FORMAT.md's
+    statistics record.  Where a record stands is check_frame's rule.
     """
     actors = _KIND_ACTORS.get(kind) if type(kind) is str else None
     if actors is None:
@@ -200,8 +200,6 @@ def _record_shape(
     if type(actor) is not str or actor not in actors:
         raise error(f"seq {seq}: {kind} record with actor {actor!r} outside its schema")
     if kind not in _BULK_SCHEMA:
-        if kind == "config" and seq != 0:
-            raise error(f"seq {seq}: config record after seq 0")
         fault = _stats_fault(payload) if kind == "stats" else None
         if fault is not None:
             raise error(f"seq {seq}: stats record with {fault}")
@@ -248,9 +246,7 @@ class EventLog(Sequence):
     row of FORMAT.md's record-kind table (see _record_shape); otherwise
     building the log raises TranscriptInvalid.  The Event of a bulk record
     is built only when it is asked for.  len() is O(1), iteration goes in
-    seq order, and the log compares equal to the list of Events it
-    represents.  A log built from records, or read, also keeps config at seq
-    0, stats directly before the last record, and a verdict only last.
+    seq order, and the log compares equal to the list of Events it represents.
     """
 
     __slots__ = ("_shapes", "_pairs", "_events")
@@ -261,7 +257,6 @@ class EventLog(Sequence):
         self._events: list[Event] = []  # every record that is not a bulk record, in log order
         for event in events:
             self._append(event)
-        self._check_places()
 
     # -- building
 
@@ -274,21 +269,6 @@ class EventLog(Sequence):
             self._add(event)
         else:
             self._extend((shape,), (event.payload["pair"],))
-
-    def _check_places(self) -> None:
-        """Raise TranscriptInvalid unless a stats record stands only directly
-        before the last record, a verdict, and a verdict only last."""
-        last = len(self) - 1
-        for event in self._events:
-            at = event.seq
-            if event.kind == "stats":
-                closing = self._events[-1]
-                if at != last - 1 or closing.seq != last or closing.kind != "verdict":
-                    raise TranscriptInvalid(
-                        f"seq {at}: stats record not directly before the verdict, the last record"
-                    )
-            elif event.kind == "verdict" and at != last:
-                raise TranscriptInvalid(f"seq {at}: verdict record before the last record")
 
     def _add(self, event: Event) -> None:
         self._shapes.append(_EVENT)
@@ -306,8 +286,8 @@ class EventLog(Sequence):
         Raises TranscriptInvalid on a blank line, a line json.loads rejects
         (including an over-long integer or over-deep nesting), a line that
         is not an object with exactly seq, actor, kind and payload, a seq
-        other than its line number, a record that fits no row of FORMAT.md's
-        record-kind table, or a config, stats or verdict record out of place.
+        other than its line number, or a record that fits no row of
+        FORMAT.md's record-kind table.
         """
         log = cls()
         add_shape, add_pair = log._shapes.append, log._pairs.append
@@ -335,7 +315,6 @@ class EventLog(Sequence):
                     f"line {lineno}: expected an object with exactly seq, actor, kind and payload"
                 )
             log._append(Event(**raw))
-        log._check_places()
         return log
 
     # -- reading
@@ -392,6 +371,29 @@ class EventLog(Sequence):
 
     def __repr__(self) -> str:
         return f"EventLog(<{len(self)} records, {len(self) - len(self._events)} of them bulk>)"
+
+
+def check_frame(log: EventLog) -> None:
+    """Raise TranscriptInvalid unless a log keeps FORMAT.md's frame: config at
+    seq 0, stats directly before the last record, the verdict last, and none
+    of the three anywhere else.  Reads only the Events, about 15 in a run."""
+    events, last = log._events, len(log) - 1
+    closed = bool(events) and events[-1].seq == last and events[-1].kind == "verdict"
+    places = {  # each kind's place (none for stats in an unclosed log), and the message if not there
+        "config": (0, "config record after seq 0"),
+        "stats": (last - 1 if closed else -1, "stats record not directly before the verdict, the last record"),
+        "verdict": (last, "verdict record before the last record"),
+    }
+    for event in events:
+        place, message = places.get(event.kind, (event.seq, ""))
+        if event.seq != place:
+            raise TranscriptInvalid(f"seq {event.seq}: {message}")
+    if not closed:
+        raise TranscriptInvalid("transcript is truncated: no verdict record")
+    if events[0].kind != "config":  # a config or stats record stands in its place
+        raise TranscriptInvalid("transcript does not start with a config record")
+    if events[-2].kind != "stats":
+        raise TranscriptInvalid("transcript has no stats record")
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .qsim import (
     make_singlet,
     measure_qubit,
 )
-from .records import _SHAPE_ID, Event, EventLog, TranscriptInvalid, _CustodyLedger, _record_shape
+from .records import _SHAPE_ID, Event, EventLog, TranscriptInvalid, _CustodyLedger, _record_shape, check_frame
 
 
 class ProtocolError(Exception):
@@ -238,15 +238,15 @@ class Transcript:
 
     The serialized form is one JSON object per line with fields
     (seq, actor, kind, payload); see FORMAT.md for field tables.  `events`
-    accepts any iterable of Events and is kept as an EventLog, whose last
-    record gives the verdict.  Built or read, a transcript keeps every rule
-    of from_jsonl, or raises TranscriptInvalid with the reader's message.
+    accepts any iterable of Events and is kept as an EventLog that opens with
+    the config record and closes with the stats record and the verdict.
+    Built, read or recorded by a Session, a transcript keeps every rule of
+    from_jsonl, or raises TranscriptInvalid with the reader's message.
     """
 
     def __init__(self, events: Iterable[Event]) -> None:
         log = events if isinstance(events, EventLog) else EventLog(events)
-        if not log or log[-1].kind != "verdict":
-            raise TranscriptInvalid("transcript is truncated: no verdict record")
+        check_frame(log)
         self._events = log
         self.verdict: Verdict = _verdict_from_payload(log[-1].payload)
 
@@ -269,16 +269,11 @@ class Transcript:
 
     @property
     def config(self) -> dict:
-        if not self._events or self._events[0].kind != "config":
-            raise ValueError("transcript does not start with a config record")
         return self._events[0].payload
 
     @property
     def stats(self) -> dict:
-        for event in reversed(self._events):
-            if event.kind == "stats":
-                return event.payload
-        raise TranscriptInvalid("transcript has no stats record")
+        return self._events[-2].payload
 
     def to_jsonl(self) -> str:
         return "\n".join(self._events.lines()) + "\n"

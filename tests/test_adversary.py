@@ -715,17 +715,16 @@ def test_reading_a_saved_run_rejects_a_damaged_stats_record(tmp_path, damage, me
         Transcript.read_jsonl(path)
 
 
-def test_eve_information_raises_transcript_invalid_on_a_saved_run_without_stats(tmp_path):
-    """FORMAT.md does not require a stats record, but Eve's information reads the decoys from it."""
+def test_a_saved_run_without_stats_is_not_read(tmp_path):
+    """Eve's information reads the decoys from the stats record, which FORMAT.md
+    requires before the verdict, so the reader refuses a saved run without it."""
     lines = GOLDEN_SEED7.read_text(encoding="utf-8").splitlines()
     records = [json.loads(line) for line in lines if '"kind":"stats"' not in line]
     records[-1]["seq"] -= 1
     path = tmp_path / "no_stats.jsonl"
     write_records(path, records)
-    saved = Transcript.read_jsonl(path)
-    assert saved.completed
-    with pytest.raises(TranscriptInvalid, match="transcript has no stats record"):
-        eve_information(saved)
+    with pytest.raises(TranscriptInvalid, match="^transcript has no stats record$"):
+        Transcript.read_jsonl(path)
 
 
 def test_undetected_intercept_z_reports_positive_information():

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from qduplex.session import (
     Session,
     Transcript,
     TranscriptInvalid,
+    _MESSAGE_INDEX_FIELD,
     _bob_draws,
     _Recorder,
     _verdict_payload,
@@ -187,6 +189,21 @@ def test_bob_draws_equal_the_scalar_draws_and_leave_the_same_generator(prior, n)
     assert bulk.bit_generator.state == scalar.bit_generator.state
     assert scalar_draws(bulk, 3) == scalar_draws(scalar, 3)
     assert bulk.integers(4, size=5).tolist() == scalar.integers(4, size=5).tolist()
+
+
+@pytest.mark.parametrize("category", [DeprecationWarning, FutureWarning])
+def test_numpy_drift_under_bob_draws_fails_the_suite(category):
+    """pyproject.toml turns a DeprecationWarning or FutureWarning attributed to a
+    qduplex module into an error.  numpy attributes its own to the caller
+    (stacklevel=2), so a deprecation under _bob_draws' raw PCG64 rebuild fails."""
+    class Drifting:  # a bit generator whose random_raw its library has deprecated
+        state = np.random.PCG64(0).state
+
+        def random_raw(self, *args, **kwargs):
+            warnings.warn("random_raw is deprecated", category, stacklevel=2)
+
+    with pytest.raises(category, match="random_raw is deprecated"):
+        _bob_draws(Drifting(), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -707,13 +724,21 @@ def test_damaged_transcripts_parse_and_audit_or_raise_transcript_invalid(text):
     assert isinstance(problems, list) and all(isinstance(p, str) for p in problems)
 
 
-def test_config_and_stats_accessors_validate():
-    verdict = Aborted(Phase.FIRST_CHECK, "n/a")
-    bare = Transcript(events=[Event(0, "session", "verdict", _verdict_payload(verdict))])
-    with pytest.raises(ValueError, match="does not start with a config record"):
-        bare.config
-    with pytest.raises(ValueError, match="has no stats record"):
-        bare.stats
+def test_a_transcript_without_its_config_or_stats_record_is_not_built():
+    """.config and .stats read records 0 and -2, which every transcript, built or read, holds."""
+    config, stats, verdict = framed([])
+    built = Transcript(events=[config, stats, verdict])
+    assert (built.config, built.stats) == ({}, FRAME_STATS)
+    for records, message in (
+        ([verdict], "transcript does not start with a config record"),
+        ([stats, verdict], "transcript does not start with a config record"),
+        ([config, verdict], "transcript has no stats record"),
+    ):
+        events = [Event(seq, e.actor, e.kind, e.payload) for seq, e in enumerate(records)]
+        with pytest.raises(TranscriptInvalid, match=f"^{message}$"):
+            Transcript(events=events)
+        with pytest.raises(TranscriptInvalid, match=f"^{message}$"):
+            Transcript.from_jsonl(canonical_jsonl(events))
     with pytest.raises(TranscriptInvalid, match="seq 0: unknown record kind 'noise'"):
         Transcript(events=[Event(0, "x", "noise", {})])
 
@@ -858,18 +883,28 @@ def test_audit_passes_attacked_and_aborted_runs():
     assert audit_custody(run_protocol(ABORT_SECOND_CONFIG, *fixed_messages(ABORT_SECOND_CONFIG))) == []
 
 
+FRAME_STATS = {"first_check": {"passed": True, "sampled": 0, "violations": 0}}
+FRAME_VERDICT = {"outcome": "aborted", "phase": "first_check", "reason": "x"}
+
+
+def framed(records, verdict: dict = FRAME_VERDICT) -> list[Event]:
+    """FORMAT.md's frame around synthetic (actor, kind, payload) records: the
+    Events of a config record at seq 0, the records, a stats record and a verdict."""
+    rows = [("session", "config", {}), *records, ("session", "stats", FRAME_STATS),
+            ("session", "verdict", verdict)]
+    return [Event(seq, *row) for seq, row in enumerate(rows)]
+
+
 def audit_synthetic(events) -> list[str]:
-    """Audit an event list, and check that a run recording it would stop.
+    """Audit an event list in its frame, and check that a run recording it would stop.
 
     A recorder applies the audit's own rules, so emitting the same events
     must raise InternalFault with the audit's first message, at the first
-    flagged event and before that event enters the log.
+    flagged event and before that event enters the log.  The config record
+    is seq 0, so the events count from seq 1.
     """
-    numbered = [Event(i, *e) for i, e in enumerate(events)]
-    verdict = _verdict_payload(Aborted(Phase.FIRST_CHECK, "synthetic"))
-    problems = audit_custody(
-        Transcript(events=[*numbered, Event(len(numbered), "session", "verdict", verdict)])
-    )
+    numbered = framed(events, _verdict_payload(Aborted(Phase.FIRST_CHECK, "synthetic")))
+    problems = audit_custody(Transcript(events=numbered))
     recorder = _Recorder(n_pairs=1)
     with pytest.raises(InternalFault) as info:
         for event in numbered:
@@ -922,8 +957,8 @@ def test_audit_flags_double_consumption():
         ]
     )
     assert problems == [  # both slots already consumed
-        "seq 6: bell_measure on pair 0 slot C held by consumed, expected bob",
-        "seq 6: bell_measure on pair 0 slot M held by consumed, expected bob",
+        "seq 7: bell_measure on pair 0 slot C held by consumed, expected bob",
+        "seq 7: bell_measure on pair 0 slot M held by consumed, expected bob",
     ]
 
 
@@ -959,22 +994,17 @@ def test_audit_flags_a_pair_prepared_again():
     # a refused prepare moves nothing: bob's first Bell measurement finds both
     # photons where the sends left them, and his second finds them consumed
     assert problems == [
-        "seq 3: pair 0 prepared again, held by bob and alice",
-        "seq 5: pair 0 prepared again, held by bob and channel",
-        "seq 8: pair 0 prepared again, held by consumed and consumed",
-        "seq 9: bell_measure on pair 0 slot C held by consumed, expected bob",
-        "seq 9: bell_measure on pair 0 slot M held by consumed, expected bob",
+        "seq 4: pair 0 prepared again, held by bob and alice",
+        "seq 6: pair 0 prepared again, held by bob and channel",
+        "seq 9: pair 0 prepared again, held by consumed and consumed",
+        "seq 10: bell_measure on pair 0 slot C held by consumed, expected bob",
+        "seq 10: bell_measure on pair 0 slot M held by consumed, expected bob",
     ]
 
 
 def transcript_text(records) -> str:
-    """JSONL for a config record, the given (actor, kind, payload) records, and a verdict."""
-    verdict = ("session", "verdict", {"outcome": "aborted", "phase": "first_check", "reason": "x"})
-    rows = [("session", "config", {}), *records, verdict]
-    return "".join(
-        json.dumps({"seq": i, "actor": a, "kind": k, "payload": p}) + "\n"
-        for i, (a, k, p) in enumerate(rows)
-    )
+    """JSONL, spaced and unsorted, for the given (actor, kind, payload) records in their frame."""
+    return "".join(json.dumps(event.to_record()) + "\n" for event in framed(records))
 
 
 @pytest.mark.parametrize(
@@ -1465,8 +1495,8 @@ def fits_verdict_record(payload: object) -> bool:
 
 def reference_read(text: str) -> list[Event] | None:
     """Event(**json.loads(line)) for every line under FORMAT.md's file rules,
-    record-kind table and statistics record, with config only first, stats only
-    second to last and the verdict last; None if rejected."""
+    record-kind table and statistics record, with config first, stats second to
+    last and the verdict last, each only there; None if rejected."""
     events = []
     for lineno, line in enumerate(text.splitlines()):
         try:
@@ -1487,6 +1517,8 @@ def reference_read(text: str) -> list[Event] | None:
     last = len(events) - 1
     places = {"config": {0}, "stats": {last - 1}, "verdict": {last}}
     if any(i not in places.get(e.kind, {i}) for i, e in enumerate(events)):
+        return None
+    if events[0].kind != "config" or events[-2].kind != "stats":
         return None
     if not fits_verdict_record(events[-1].payload):
         return None
@@ -1592,12 +1624,8 @@ _BULK = '{"actor":"alice","kind":"send","payload":{"pair":%s,"slot":"C","to":"bo
     ],
 )
 def test_reader_equals_per_line_json_loads_on_near_canonical_lines(line):
-    config = '{"actor":"session","kind":"config","payload":{},"seq":0}'
-    verdict = (
-        '{"actor":"session","kind":"verdict","payload":{"outcome":"aborted",'
-        '"phase":"first_check","reason":"x"},"seq":2}'
-    )
-    assert_reads_like_the_reference("\n".join([config, line, verdict]) + "\n")
+    frame_end = [_STATS % (_FIRST_CHECK, 2), _VERDICT % 3]
+    assert_reads_like_the_reference("\n".join([_VALID_HEAD, line, *frame_end]) + "\n")
 
 
 def reference_custody(events, holder: dict | None = None) -> list[str]:
@@ -1772,26 +1800,25 @@ def custody_batches(draw) -> list[list[tuple[str, str, dict]]]:
 @given(custody_batches())
 def test_batch_ledger_matches_a_per_record_reference(batches):
     records = [r for batch in batches for r in batch]
-    numbered = [Event(i, *r) for i, r in enumerate(records)]
-    off = next((i for i, r in enumerate(records) if not fits_record_kinds(*r)), None)
-    verdict = Event(len(numbered), "session", "verdict",
-                    {"outcome": "aborted", "phase": "first_check", "reason": "x"})
-    text = canonical_jsonl([*numbered, verdict])
+    events = framed(records)  # the records are seqs 1 to len(records)
+    off = next((seq for seq, r in enumerate(records, 1) if not fits_record_kinds(*r)), None)
+    text = canonical_jsonl(events)
     if off is None:
-        expected = reference_custody(numbered)
-        transcript = Transcript(events=[*numbered, verdict])
-        assert audit_custody(transcript) == expected
+        expected = reference_custody(events)
+        assert audit_custody(Transcript(events=events)) == expected
         assert audit_custody(Transcript.from_jsonl(text)) == expected
     else:
         # both ways into a log reject the first record off the schema
-        expected = reference_custody(numbered[:off])
+        expected = reference_custody(events[:off])
         with pytest.raises(TranscriptInvalid, match=f"^seq {off}: "):
-            Transcript(events=[*numbered, verdict])
+            Transcript(events=events)
         with pytest.raises(TranscriptInvalid, match=f"^seq {off}: "):
             Transcript.from_jsonl(text)
-    # a recorder taking the same records a batch at a time stops at the first
-    # violation, or at the first record off the schema if that comes earlier
+    # a recorder taking the same records a batch at a time, after the config
+    # record, stops at the first violation, or at the first record off the
+    # schema if that comes earlier
     recorder = _Recorder(n_pairs=25)
+    recorder.emit(events[0].actor, events[0].kind, events[0].payload)
     try:
         for batch in batches:
             if all(fits_record_kinds(*r) for r in batch):
@@ -1809,7 +1836,7 @@ def test_batch_ledger_matches_a_per_record_reference(batches):
             assert str(fault).startswith(f"seq {off}: ")
     else:
         assert expected == [] and off is None
-    assert recorder.events == numbered[: len(recorder.events)]
+    assert recorder.events == events[: len(recorder.events)]
 
 
 def test_transcript_from_an_event_list_is_an_equal_event_log():
@@ -1900,14 +1927,12 @@ verdicts = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(items=mixed_records(), verdict=verdicts)
 def test_a_built_transcript_survives_its_own_round_trip(items, verdict):
-    """mixed_records' records, with their verdict, if any, replaced by one of
-    FORMAT.md's verdict record: the transcript built from them has that verdict,
-    and it reads back from its own lines equal, verdict included."""
-    records = [r for item in items for r in item]
-    if records and records[-1][1] == "verdict":
-        records.pop()
-    records.append(("session", "verdict", _verdict_payload(verdict)))
-    transcript = Transcript(Event(seq, *r) for seq, r in enumerate(records))
+    """mixed_records' records, framed anew with one of FORMAT.md's verdict record:
+    the transcript built from them has that verdict, and it reads back from its
+    own lines equal, verdict included."""
+    frame = {"config", "stats", "verdict"}
+    records = [r for item in items for r in item if r[1] not in frame]
+    transcript = Transcript(framed(records, _verdict_payload(verdict)))
     assert transcript.verdict == verdict
     back = Transcript.from_jsonl(transcript.to_jsonl())
     assert back == transcript
@@ -1962,11 +1987,42 @@ def test_records_the_reader_refuses_build_no_transcript(damage, message):
         Transcript(events)
 
 
+def test_a_session_whose_log_breaks_the_frame_builds_no_transcript():
+    """The Session's own log meets the frame when its transcript is built, as a read one does."""
+    config = ProtocolConfig(n_pairs=8, check_fraction_1=0.25, check_count_2=1, seed=7)
+    session = Session(config, *fixed_messages(config))
+    session._rec.emit("session", "stats", FRAME_STATS)
+    message = "seq 1: stats record not directly before the verdict, the last record"
+    with pytest.raises(TranscriptInvalid, match=f"^{re.escape(message)}$"):
+        session.run()
+
+
+@pytest.mark.parametrize(
+    "message_type, fields, message",
+    [
+        ("greeting", {}, "unknown message type 'greeting'"),
+        ("check_indices", {"indices": [1, 1]}, "message indices must be strictly increasing"),
+        ("basis_announce", {"bases": [[2, "Z"], [0, "X"]]}, "message indices must be strictly increasing"),
+        ("check_indices", {"indices": [0, 4]}, "message index 4 outside pair range"),
+        ("outcome_announce", {"outcomes": [[-1, 0]]}, "message index -1 outside pair range"),
+    ],
+    ids=["unknown type", "repeated index", "decreasing entries", "index past the pairs", "negative index"],
+)
+def test_the_recorder_puts_no_message_off_the_wire_table_on_the_wire(message_type, fields, message):
+    recorder = _Recorder(n_pairs=4)
+    with pytest.raises(InternalFault, match=f"^{re.escape(message)}$"):
+        recorder.send("bob", message_type, **fields)
+    assert len(recorder.events) == 0
+    recorder.send("bob", "check_indices", indices=[0, 3])  # the wire is still numbered from 0
+    assert recorder.events[0].payload["msg_seq"] == 0
+
+
 def test_audit_moves_no_photon_on_an_event_row_whose_index_is_a_live_pair():
-    """A message Event's row holds its index in the log's Events, here 0, 1
-    and 2, while pairs 0, 1 and 2 have their C photon in the channel; the
-    audit reads past those rows, as the per-record reference does."""
-    def steps(first: int, last: int, pairs=range(3)) -> list[tuple[str, str, dict]]:
+    """A message Event's row holds its index in the log's Events, here 1, 2
+    and 3 after the config record's 0, while pairs 1, 2 and 3 have their C
+    photon in the channel; the audit reads past those rows, as the
+    per-record reference does."""
+    def steps(first: int, last: int, pairs=range(1, 4)) -> list[tuple[str, str, dict]]:
         """CUSTODY_STEPS[first:last] for each pair in turn."""
         return [(actor, kind, {"pair": pair, **extra})
                 for kind, actor, extra in CUSTODY_STEPS[first:last] for pair in pairs]
@@ -1977,13 +2033,12 @@ def test_audit_moves_no_photon_on_an_event_row_whose_index_is_a_live_pair():
         *steps(2, 4),  # Eve touches each C photon, then Bob receives it
         *steps(3, 4, [1]),  # Bob receives pair 1's C photon again
         *steps(4, 10),
-        ("session", "verdict", {"outcome": "aborted", "phase": "first_check", "reason": "x"}),
     ]
-    events = [Event(seq, *r) for seq, r in enumerate(records)]
+    events = framed(records)
     log = EventLog(events)
-    assert [(log._shapes[i], log._pairs[i]) for i in (6, 7, 8)] == [(_EVENT, p) for p in range(3)]
+    assert [(log._shapes[i], log._pairs[i]) for i in (7, 8, 9)] == [(_EVENT, p) for p in (1, 2, 3)]
     expected = reference_custody(events)
-    assert expected == ["seq 15: receive on pair 1 slot C held by bob, expected channel"]
+    assert expected == ["seq 16: receive on pair 1 slot C held by bob, expected channel"]
     assert audit_custody(Transcript(events=log)) == expected
     assert audit_custody(Transcript.from_jsonl(canonical_jsonl(events))) == expected
 
@@ -2024,6 +2079,18 @@ def test_bulk_records_build_no_event_on_the_run_write_read_audit_and_estimator_p
     kinds = [loads(line)["kind"] for line in parsed]
     assert set(kinds) == generic
     assert len(kinds) == sum(loads(line)["kind"] in generic for line in text.splitlines())
+
+
+def test_format_md_message_table_matches_the_wire_table():
+    """FORMAT.md's classical-message table lists exactly the types of
+    _MESSAGE_INDEX_FIELD, each with the field that lists pair indices, or none."""
+    text = (Path(__file__).parents[1] / "FORMAT.md").read_text(encoding="utf-8")
+    table = text.split("### Classical messages", 1)[1].split("###", 1)[0].split("\n|-", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` *\| ([^|]+) \|$", table, re.MULTILINE)
+    assert [message_type for message_type, _ in rows] == list(_MESSAGE_INDEX_FIELD)
+    # a field that lists pair indices reads "`name`: pair indices" or "`name`: `[pair, ...]` entries"
+    documented = {t: re.findall(r"`(\w+)`: (?:pair indices|`\[pair, )", fields) for t, fields in rows}
+    assert documented == {t: [name] if name else [] for t, name in _MESSAGE_INDEX_FIELD.items()}
 
 
 def test_format_md_record_kind_table_matches_the_bulk_schema():
