@@ -90,10 +90,9 @@ class EveStrategy:
 
 @dataclass(frozen=True, slots=True)
 class EveTouch:
-    """One intercepted photon: where, when, how, and what Eve saw."""
+    """One intercepted photon: its pair, Eve's basis, and what she saw."""
 
     pair_index: int
-    leg: Leg
     basis: Basis
     outcome: int
 
@@ -141,7 +140,7 @@ def transit(
             # collapses it, and the pair becomes the fresh |0> times the
             # partner's residual state.
             state = substitute_fresh(state, slot, outcome)
-        record.touches.append(EveTouch(index, leg, basis, outcome))
+        record.touches.append(EveTouch(index, basis, outcome))
         out[index] = state
     return out, record
 
@@ -193,7 +192,6 @@ class DetectionStats:
     whole-protocol abort fraction.  Both carry Wilson 95% intervals.
     """
 
-    strategy: EveStrategy
     trials: int
     checked_photons: int
     violations: int
@@ -245,7 +243,6 @@ def estimate_detection(
         if not transcript.completed:
             aborted += 1
     return DetectionStats(
-        strategy=strategy,
         trials=trials,
         checked_photons=checked,
         violations=violations,
@@ -358,19 +355,20 @@ def _run_samples(transcript: "Transcript") -> tuple[Counter, Counter, Counter]:
     )
 
 
-def eve_information(transcript: "Transcript", min_pairs: int = 2) -> float:
+def eve_information(transcript: "Transcript") -> float:
     """Empirical MI between Eve's op guesses and Alice's true pairs, in bits.
 
     Only completed runs carry announcements to correlate against, and each
-    non-decoy surviving pair contributes one sample.  A strategy that never
-    touched a photon guesses a constant and lands on exactly 0.
+    non-decoy surviving pair contributes one sample; fewer than two raise
+    InsufficientSamples.  A strategy that never touched a photon guesses a
+    constant and lands on exactly 0.
     """
     if not transcript.completed:
         raise ValueError("eve_information needs a completed (non-aborted) run")
     joint, _, _ = _run_samples(transcript)
     pairs = sum(joint.values())
-    if pairs < min_pairs:
-        raise InsufficientSamples(f"{pairs} message pairs available, need at least {min_pairs}")
+    if pairs < 2:
+        raise InsufficientSamples(f"{pairs} message pairs available, need at least 2")
     return mutual_information_bits(joint)
 
 
@@ -384,7 +382,6 @@ class InformationStats:
     mutual information in bits per pair, over completed runs only.
     """
 
-    strategy: EveStrategy
     trials: int
     completed_runs: int
     message_pairs: int
@@ -398,14 +395,13 @@ def estimate_information(
     config: "ProtocolConfig",
     trials: int,
     rng: RandomStream,
-    min_completed: int = 1,
 ) -> InformationStats:
     """Run the protocol repeatedly and pool all three leakage estimates.
 
     Each trial gets a fresh seed and fresh random full-capacity messages.
-    Raises InsufficientSamples when fewer than min_completed runs survive
-    their own checks, the common case for aggressive strategies.  Merged in
-    trial order, the joint counts sum their cells as the pooled samples would.
+    Raises InsufficientSamples when no run survives its own checks, the
+    common case for aggressive strategies.  Merged in trial order, the
+    joint counts sum their cells as the pooled samples would.
     """
     joints = eve, alice, bob = Counter(), Counter(), Counter()
     completed = 0
@@ -415,12 +411,9 @@ def estimate_information(
         completed += 1
         for total, trial in zip(joints, _run_samples(transcript)):
             total.update(trial)
-    if completed < min_completed:
-        raise InsufficientSamples(
-            f"{completed} completed runs out of {trials}, need {min_completed}"
-        )
+    if not completed:
+        raise InsufficientSamples(f"0 completed runs out of {trials}, need 1")
     return InformationStats(
-        strategy=strategy,
         trials=trials,
         completed_runs=completed,
         message_pairs=sum(alice.values()),

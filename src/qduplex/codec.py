@@ -140,10 +140,6 @@ class MessageBits:
     def payload_bits(self) -> int:
         return len(self.bits) - self.pad_bits
 
-    @property
-    def n_pairs(self) -> int:
-        return len(self.bits) // 2
-
     def pairs(self) -> tuple[int, ...]:
         """The message as 2-bit values, high bit first within each pair."""
         bits = self.bits

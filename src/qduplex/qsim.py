@@ -263,14 +263,6 @@ def _substitute(amps: np.ndarray, slot: QubitSlot, outcome: int) -> TwoQubitStat
     return TwoQubitState(fresh.reshape(4))
 
 
-def outcome_probabilities(
-    state: TwoQubitState, slot: QubitSlot, basis: Basis
-) -> tuple[float, float]:
-    """Born probabilities of outcomes (0, 1) for one photon, no collapse."""
-    p0, _ = project_qubit(state, slot, basis, 0)
-    return p0, 1.0 - p0
-
-
 def measure_qubit(
     state: TwoQubitState, slot: QubitSlot, basis: Basis, rng: RandomStream
 ) -> tuple[int, TwoQubitState]:

@@ -101,9 +101,9 @@ _STATS_SCHEMA: dict[str, dict[str, Callable[[object], bool]]] = {
 }
 
 
-def _stats_fault(payload: object) -> str | None:
+def _stats_fault(payload: dict) -> str | None:
     """The first part of a stats payload that is off FORMAT.md's statistics record, or None."""
-    if type(payload) is not dict or "first_check" not in payload:
+    if "first_check" not in payload:
         return "a payload that is not an object with a first_check"
     for check, values in payload.items():
         fields = _STATS_SCHEMA.get(check)
@@ -190,22 +190,23 @@ def _record_shape(
 
     Raises error, naming the seq, the kind and the first field or value that
     is off, for a record that fits no row of FORMAT.md's record-kind table:
-    an unknown kind, an actor outside its row, a custody record that does
-    not fit its kind's shape exactly, or a stats record off FORMAT.md's
-    statistics record.  Where a record stands is check_frame's rule.
+    an unknown kind, an actor outside its row, a payload that is not an
+    object, a custody record that does not fit its kind's shape exactly, or
+    a stats record off FORMAT.md's statistics record.  Where a record
+    stands is check_frame's rule.
     """
     actors = _KIND_ACTORS.get(kind) if type(kind) is str else None
     if actors is None:
         raise error(f"seq {seq}: unknown record kind {kind!r}")
     if type(actor) is not str or actor not in actors:
         raise error(f"seq {seq}: {kind} record with actor {actor!r} outside its schema")
+    if type(payload) is not dict:
+        raise error(f"seq {seq}: {kind} record with a payload that is not an object")
     if kind not in _BULK_SCHEMA:
         fault = _stats_fault(payload) if kind == "stats" else None
         if fault is not None:
             raise error(f"seq {seq}: stats record with {fault}")
         return None
-    if type(payload) is not dict:
-        raise error(f"seq {seq}: {kind} record with a payload that is not an object")
     fields = _BULK_SCHEMA[kind][1]
     for name, values in fields.items():
         if name not in payload:

@@ -316,10 +316,10 @@ def _verdict_payload(verdict: Verdict) -> dict:
     return {"outcome": "aborted", "phase": verdict.phase.value, "reason": verdict.reason}
 
 
-def _verdict_from_payload(payload: object) -> Verdict:
+def _verdict_from_payload(payload: dict) -> Verdict:
     """The verdict of a payload of FORMAT.md's verdict record: exactly the
     fields of its outcome.  Raises TranscriptInvalid for any other payload."""
-    outcome = payload.get("outcome") if type(payload) is dict else None
+    outcome = payload.get("outcome")
     fields = _VERDICT_FIELDS.get(outcome) if type(outcome) is str else None
     if fields is None or payload.keys() != fields:
         raise TranscriptInvalid(

@@ -183,8 +183,8 @@ def test_criterion_6_announcements_mask_both_messages():
         config,
         trials=100,
         rng=np.random.default_rng(63),
-        min_completed=100,
     )
+    assert stats.completed_runs == 100
     assert stats.message_pairs == 100_000
     ok = stats.announced_vs_alice_bits < 0.01 and stats.announced_vs_bob_bits < 0.01
     report(

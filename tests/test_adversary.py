@@ -147,7 +147,6 @@ def test_intercept_z_collapses_to_anticorrelated_product():
             {0: make_singlet()}, Leg.FIRST, EveStrategy.from_name("intercept-z"), rng
         )
         (touch,) = record.touches
-        assert touch.leg is Leg.FIRST
         assert touch.basis is Basis.Z
         expected = product_state(touch.outcome, 1 - touch.outcome)
         assert overlap_mag(out[0], expected) == pytest.approx(1.0, abs=1e-12)
@@ -265,7 +264,7 @@ def reference_transit(
                 fresh[:, 0] = kept[:, outcome]
             state = TwoQubitState(fresh.reshape(4))
         out[pair] = state
-        touches.append(EveTouch(pair, leg, basis, outcome))
+        touches.append(EveTouch(pair, basis, outcome))
     return out, touches
 
 
@@ -583,15 +582,17 @@ def test_eve_information_requires_a_completed_run():
         eve_information(transcript)
 
 
-def test_eve_information_min_pairs_guard():
-    config = ProtocolConfig(n_pairs=8, check_fraction_1=0.25, check_count_2=1, seed=4)
+def test_eve_information_needs_two_message_pairs():
+    # one first-check pair and two decoys leave one of the four pairs for Alice's message
+    config = ProtocolConfig(n_pairs=4, check_fraction_1=0.25, check_count_2=2, seed=4)
     transcript = run_protocol(
         config,
         random_message(config.alice_capacity_bits, np.random.default_rng(2)),
         random_message(config.bob_capacity_bits, np.random.default_rng(3)),
     )
-    with pytest.raises(InsufficientSamples):
-        eve_information(transcript, min_pairs=10_000)
+    assert transcript.completed
+    with pytest.raises(InsufficientSamples, match="^1 message pairs available, need at least 2$"):
+        eve_information(transcript)
 
 
 def completed_intercept_z_run() -> Transcript:
@@ -735,7 +736,6 @@ def test_undetected_intercept_z_reports_positive_information():
         config,
         trials=600,
         rng=np.random.default_rng(21),
-        min_completed=50,
     )
     # the surviving-run interceptions expose the bit-flip bit of every op
     assert stats.eve_guess_vs_alice_bits > 0.8
@@ -745,13 +745,12 @@ def test_undetected_intercept_z_reports_positive_information():
 def test_estimate_information_insufficient_completed_runs():
     # 16 check photons and full interception: survival is about 1 percent
     config = ProtocolConfig(n_pairs=32, check_fraction_1=0.5, check_count_2=0)
-    with pytest.raises(InsufficientSamples):
+    with pytest.raises(InsufficientSamples, match="^0 completed runs out of 5, need 1$"):
         estimate_information(
             EveStrategy.from_name("intercept-z"),
             config,
             trials=5,
             rng=np.random.default_rng(2),
-            min_completed=5,
         )
 
 

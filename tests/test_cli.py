@@ -12,11 +12,13 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qduplex
+from qduplex import cli
 from qduplex.cli import _DEFAULTS, _USAGE_ERRORS, _build_parser, _protocol_config, _resolve, main
 from qduplex.session import MAX_PAIRS, Transcript, audit_custody
 
@@ -55,6 +57,15 @@ def test_table_check_verifies_all_combinations(capsys):
     assert "16/16" in out
     # the grid itself: one row per op, readable state names
     assert out.count("psi_minus") + out.count("psi_plus") >= 8
+
+
+def test_table_check_exits_1_when_the_simulator_disagrees(capsys, monkeypatch):
+    # every Bell outcome loses its mass, so no cell reaches probability 1
+    monkeypatch.setattr(cli, "bell_probabilities", lambda state: np.zeros(4))
+    code, out, err = run_cli(capsys, "--mode", "table-check")
+    assert code == 1
+    assert err == "simulator disagreed with the encoding table\n"
+    assert "16/16" not in out
 
 
 @pytest.mark.parametrize(
@@ -162,6 +173,14 @@ def test_message_of_the_capacity_is_accepted_and_one_byte_more_refused(capsys, t
     assert f"alice -> bob: {bytes(range(11)).hex()} (match)" in out
     code, _, err = run_cli(capsys, "--mode", "roundtrip", "--alice-msg", bytes(range(12)).hex())
     assert (code, err) == (2, "error: alice message of at least 96 bits exceeds capacity 88\n")
+
+
+def test_missing_message_file_exits_2(capsys, tmp_path):
+    missing = tmp_path / "missing.bin"
+    code, out, err = run_cli(capsys, "--mode", "roundtrip", "--alice-msg", f"@{missing}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read message file: ")
+    assert str(missing) in err
 
 
 @pytest.mark.skipif(resource is None or not os.path.exists("/dev/zero"), reason="needs POSIX rlimits")

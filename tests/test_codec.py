@@ -117,7 +117,7 @@ def test_odd_length_is_padded_and_recorded():
     assert message.bits == (1, 0, 1, 0)
     assert message.pad_bits == 1
     assert message.payload_bits == 3
-    assert message.n_pairs == 2
+    assert len(message.pairs()) == 2
 
 
 @pytest.mark.parametrize(
@@ -271,3 +271,8 @@ def test_random_message_is_seeded_and_sized():
     assert first.payload_bits == 21
     assert len(first.bits) == 22
     assert random_message(0, np.random.default_rng(0)).bits == ()
+
+
+def test_random_message_of_negative_length_is_refused():
+    with pytest.raises(ValueError, match="^bit_count must be non-negative$"):
+        random_message(-1, np.random.default_rng(0))

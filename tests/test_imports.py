@@ -1,17 +1,31 @@
-"""Every module of the package uses each name it imports, and every name it defines
-at module level is read somewhere in the package."""
+"""Every module of the package uses each name it imports, every name it defines at
+module level is read by another module, README's library example or the benchmark,
+and the top level exports exactly the names of that example."""
 
 from __future__ import annotations
 
 import ast
+import re
+from collections.abc import Iterable
 from pathlib import Path
 
 import pytest
 
 import qduplex
+from qduplex import pack_bits
 
 PACKAGE = sorted(Path(qduplex.__file__).parent.glob("*.py"))
 MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
+CHECKOUT = Path(__file__).resolve().parents[1]
+BENCHMARKS = sorted((CHECKOUT / "benchmarks").glob("*.py"))
+
+
+def library_example() -> str:
+    """The fenced Python block of README's Library section."""
+    readme = (CHECKOUT / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"^## Library\n\n```python\n(.*?)^```$", readme, re.M | re.S)
+    assert match is not None, "README has no Library section that opens with a Python block"
+    return match.group(1)
 
 
 def annotation_names(tree: ast.AST) -> set[str]:
@@ -86,9 +100,10 @@ def module_definitions(tree: ast.Module) -> list[tuple[str, int]]:
     return [(name, line) for name, line in defined if not name.startswith("__")]
 
 
-def package_reads(tree: ast.Module) -> set[str]:
-    """Every name a module reads: a name it loads, an attribute it takes, a name it
-    imports from another module, and a name inside a string annotation."""
+def package_reads(tree: ast.Module, strings: bool = False) -> set[str]:
+    """Every name a source reads: a name it loads, an attribute it takes, a name it
+    imports from another module, a name inside a string annotation, and with
+    strings every string constant, as code that looks a name up by its string does."""
     reads = annotation_names(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -97,14 +112,26 @@ def package_reads(tree: ast.Module) -> set[str]:
             reads.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             reads.update(alias.name for alias in node.names)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads.add(node.value)
     return reads
 
 
-def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
-    """Each module-level function, class or assigned name of the named sources that no
-    source reads, as "module: name (line n)"."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
-    reads = set().union(*map(package_reads, trees.values()))
+def unreferenced_definitions(
+    package: dict[str, str], examples: Iterable[str] = (), benchmarks: Iterable[str] = ()
+) -> list[str]:
+    """Each module-level function, class or assigned name of the package's modules
+    that no module, example or benchmark source reads, as "module: name (line n)".
+
+    __init__.py is not read: a name it only re-exports is read by nothing.  In a
+    benchmark source every string constant counts as a read too.
+    """
+    trees = {name: ast.parse(source) for name, source in package.items() if name != "__init__.py"}
+    reads = set().union(
+        *map(package_reads, trees.values()),
+        *(package_reads(ast.parse(source)) for source in examples),
+        *(package_reads(ast.parse(source), strings=True) for source in benchmarks),
+    )
     return [
         f"{module}: {name} (line {line})"
         for module, tree in trees.items()
@@ -114,8 +141,11 @@ def unreferenced_definitions(sources: dict[str, str]) -> list[str]:
 
 
 def test_package_reads_every_name_a_module_defines():
-    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
-    assert unreferenced_definitions(sources) == []
+    assert unreferenced_definitions(
+        {path.name: path.read_text(encoding="utf-8") for path in PACKAGE},
+        examples=[library_example()],
+        benchmarks=[path.read_text(encoding="utf-8") for path in BENCHMARKS],
+    ) == []
 
 
 def test_unreferenced_definitions_are_found_in_a_fabricated_package():
@@ -138,8 +168,37 @@ def test_unreferenced_definitions_are_found_in_a_fabricated_package():
             "    pass\n"
         ),
         "b.py": "from .a import f\nf.size = 2\n",
+        "c.py": "def exported(): ...\ndef example(): ...\ndef traced(): ...\n",
+        "__init__.py": "from .a import Gone\nfrom .c import exported\n",
     }
-    assert unreferenced_definitions(sources) == [
+    example = "from pkg import example\n"
+    benchmark = "import pkg.c\nwrap(pkg.c, 'traced')\n"
+    assert unreferenced_definitions(sources, [example], [benchmark]) == [
         "a.py: _SPARE (line 4)", "a.py: _ROWS (line 5)", "a.py: _unused (line 10)",
-        "a.py: Gone (line 14)",
+        "a.py: Gone (line 14)", "c.py: exported (line 1)",
     ]
+    # without the benchmark, the name it gives only as a string is unread
+    assert unreferenced_definitions(sources, [example])[-1] == "c.py: traced (line 3)"
+
+
+def test_top_level_exports_exactly_the_library_example_names():
+    def imported(source: str) -> set[str]:
+        return {
+            alias.name
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+
+    init = (Path(qduplex.__file__).parent / "__init__.py").read_text(encoding="utf-8")
+    assert imported(init) == imported(library_example()) == {
+        "ProtocolConfig", "Transcript", "eve_information", "pack_bits", "run_protocol",
+    }
+
+
+def test_library_example_runs_as_written(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    exec(compile(library_example(), "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert out.splitlines() == [repr(pack_bits(b"hi")), repr(pack_bits(b"yo")), "0.0"]
+    assert [path.name for path in tmp_path.iterdir()] == ["run.jsonl"]

@@ -743,6 +743,31 @@ def test_a_transcript_without_its_config_or_stats_record_is_not_built():
         Transcript(events=[Event(0, "x", "noise", {})])
 
 
+@pytest.mark.parametrize("kind, payload", [("config", None), ("message", [1, 2])])
+def test_a_config_or_message_payload_that_is_not_an_object_is_refused(kind, payload):
+    """FORMAT.md's payload is an object for every kind, not for the custody kinds alone."""
+    records = [Event(**json.loads(line)) for line in
+               (GOLDEN_DIR / COMPLETED_GOLDEN).read_text(encoding="utf-8").splitlines()]
+    seq = next(e.seq for e in records if e.kind == kind)
+    records[seq] = Event(seq, records[seq].actor, kind, payload)
+    text = canonical_jsonl(records)
+    assert reference_read(text) is None
+    message = f"^seq {seq}: {kind} record with a payload that is not an object$"
+    with pytest.raises(TranscriptInvalid, match=message):
+        Transcript.from_jsonl(text)
+    with pytest.raises(TranscriptInvalid, match=message):
+        Transcript(events=records)
+
+
+def test_the_recorder_refuses_a_payload_that_is_not_an_object():
+    recorder = _Recorder(n_pairs=4)
+    with pytest.raises(
+        InternalFault, match="^seq 0: message record with a payload that is not an object$"
+    ):
+        recorder.emit("alice", "message", [1, 2])
+    assert len(recorder.events) == 0
+
+
 # ---------------------------------------------------------------------------
 # bookkeeping invariants
 
@@ -1418,11 +1443,11 @@ def fits_record_kinds(actor: object, kind: object, payload: object) -> bool:
     if not isinstance(kind, str) or kind not in RECORD_KINDS:
         return False
     actors, fields = RECORD_KINDS[kind]
-    if actor not in actors:
+    if actor not in actors or not isinstance(payload, dict):
         return False
     if fields is None:
         return True
-    if not isinstance(payload, dict) or sorted(payload) != sorted(fields):
+    if sorted(payload) != sorted(fields):
         return False
     return all(
         type(payload[name]) is int if values == "int"
