@@ -16,18 +16,20 @@ from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import TYPE_CHECKING, Iterator
 
+import numpy as np
+
 from .codec import random_message
 from .qsim import (
     Basis,
     BellState,
     PauliOp,
     QubitSlot,
-    RandomStream,
     TwoQubitState,
     measure_qubit,
     substitute_fresh,
 )
 from .records import TranscriptInvalid, shape_table
+from .stream import Stream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .session import ProtocolConfig, Transcript
@@ -108,41 +110,49 @@ def transit(
     pair_states: dict[int, TwoQubitState],
     leg: Leg,
     strategy: EveStrategy,
-    rng: RandomStream,
+    rng: Stream,
 ) -> tuple[dict[int, TwoQubitState], EveRecord]:
     """Pass one leg's photons through the channel under Eve's control.
 
     Returns the (possibly disturbed) states and Eve's log for this leg.
     Pair indices are processed in ascending order so a fixed stream gives
-    a fixed outcome sequence.
+    a fixed outcome sequence.  Per photon, a partial attack draws random()
+    against attack_prob, a random basis draws bit() (0 for Z), and the
+    measurement draws once.
     """
     record = EveRecord()
     if not strategy.active:
         return dict(pair_states), record
     slot = leg_slot(leg)
+    kind, attack_prob = strategy.kind, strategy.attack_prob
+    partial = attack_prob < 1.0
+    random_basis = kind is AttackKind.INTERCEPT_RESEND_RANDOM
+    basis = Basis.X if kind is AttackKind.INTERCEPT_RESEND_X else Basis.Z
+    substitute = kind is AttackKind.SUBSTITUTE_FRESH
+    touches = record.touches
     out: dict[int, TwoQubitState] = {}
     for index in sorted(pair_states):
         state = pair_states[index]
-        if strategy.attack_prob < 1.0 and rng.random() >= strategy.attack_prob:
+        if partial and rng.random() >= attack_prob:
             out[index] = state
             continue
-        if strategy.kind is AttackKind.INTERCEPT_RESEND_X:
-            basis = Basis.X
-        elif strategy.kind is AttackKind.INTERCEPT_RESEND_RANDOM:
-            basis = Basis.Z if rng.integers(2) == 0 else Basis.X
-        else:
-            basis = Basis.Z
+        if random_basis:
+            basis = _BASES[rng.bit()]
         outcome, state = measure_qubit(state, slot, basis, rng)
-        if strategy.kind is AttackKind.SUBSTITUTE_FRESH:
+        if substitute:
             # Eve keeps the photon and sends a fresh |0> on.  The kept photon
             # never comes back, so for every later measurement the partner
             # behaves as if it had been read out in Z: the Z measurement above
             # collapses it, and the pair becomes the fresh |0> times the
             # partner's residual state.
             state = substitute_fresh(state, slot, outcome)
-        record.touches.append(EveTouch(index, basis, outcome))
+        touches.append(EveTouch(index, basis, outcome))
         out[index] = state
     return out, record
+
+
+_BASES = (Basis.Z, Basis.X)
+"""Each basis by its code: a random basis draws 0 for Z and 1 for X."""
 
 
 def predicted_first_check_violation_rate(strategy: EveStrategy) -> float:
@@ -203,7 +213,7 @@ class DetectionStats:
 
 
 def _trials(
-    strategy: EveStrategy, config: "ProtocolConfig", trials: int, rng: RandomStream
+    strategy: EveStrategy, config: "ProtocolConfig", trials: int, rng: np.random.Generator
 ) -> Iterator["Transcript"]:
     """Run config under strategy `trials` times; yield each run's transcript.
 
@@ -225,7 +235,7 @@ def estimate_detection(
     strategy: EveStrategy,
     config: "ProtocolConfig",
     trials: int,
-    rng: RandomStream,
+    rng: np.random.Generator,
 ) -> DetectionStats:
     """Run the protocol repeatedly and pool first-check detection stats.
 
@@ -394,7 +404,7 @@ def estimate_information(
     strategy: EveStrategy,
     config: "ProtocolConfig",
     trials: int,
-    rng: RandomStream,
+    rng: np.random.Generator,
 ) -> InformationStats:
     """Run the protocol repeatedly and pool all three leakage estimates.
 

@@ -13,7 +13,9 @@ from itertools import repeat
 from operator import lshift, or_
 from typing import Iterable, Sequence
 
-from .qsim import BellState, PauliOp, RandomStream
+import numpy as np
+
+from .qsim import BellState, PauliOp
 
 
 def op_for_bits(pair: int) -> PauliOp:
@@ -160,7 +162,7 @@ def unpack_bits(message: MessageBits) -> bytes:
     return int(b"0" + digits, 2).to_bytes(len(payload) // 8, "big")
 
 
-def random_message(bit_count: int, rng: RandomStream) -> MessageBits:
+def random_message(bit_count: int, rng: np.random.Generator) -> MessageBits:
     """Uniform random message of the given bit length."""
     if bit_count < 0:
         raise ValueError("bit_count must be non-negative")

@@ -23,14 +23,17 @@ import enum
 import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import Protocol
 
 import numpy as np
 
-RandomStream = np.random.Generator
-"""Injected randomness contract: seedable, and splittable via SeedSequence.
 
-The samplers call only random(), so any object whose random() returns
-floats in [0, 1) can stand in for a stream."""
+class RandomStream(Protocol):
+    """Injected randomness contract: the samplers call only random(), so any
+    object whose random() returns floats in [0, 1) can stand in for a stream."""
+
+    def random(self) -> float: ...
+
 
 NORM_TOL = 1e-12
 

@@ -23,15 +23,13 @@ from typing import Union
 
 import numpy as np
 
-from .adversary import EveStrategy, Leg, leg_slot, transit
+from .adversary import _BASES, EveStrategy, Leg, leg_slot, transit
 from .codec import MessageBits
 from .qsim import (
-    Basis,
     BellState,
     InternalFault,
     PauliOp,
     QubitSlot,
-    RandomStream,
     TwoQubitState,
     apply_pauli,
     bell_measure,
@@ -39,6 +37,7 @@ from .qsim import (
     measure_qubit,
 )
 from .records import _SHAPE_ID, Event, EventLog, TranscriptInvalid, _CustodyLedger, _record_shape, check_frame
+from .stream import Stream
 
 
 class ProtocolError(Exception):
@@ -413,7 +412,7 @@ class Session:
     Construction checks the message capacities against the config; run()
     executes every phase and returns the Transcript.  All randomness comes
     from three child streams (Alice, Bob, Eve) split off the config seed
-    in a fixed order.
+    in a fixed order, each a Stream of raw PCG64 words.
     """
 
     def __init__(
@@ -429,9 +428,9 @@ class Session:
                 )
         self.config = config
         alice_ss, bob_ss, eve_ss = np.random.SeedSequence(config.seed).spawn(3)
-        self._alice_rng: RandomStream = np.random.default_rng(alice_ss)
-        self._bob_rng: RandomStream = np.random.default_rng(bob_ss)
-        self._eve_rng: RandomStream = np.random.default_rng(eve_ss)
+        self._alice_rng = Stream(alice_ss)
+        self._bob_rng = Stream(bob_ss)
+        self._eve_rng = Stream(eve_ss)
         self._alice_msg = alice_msg
         self._bob_msg = bob_msg
         self.phase = Phase.INIT
@@ -488,11 +487,9 @@ class Session:
         self._advance(Phase.FIRST_CHECK)
         cfg = self.config
         count = cfg.first_check_count
-        chosen = sorted(
-            int(i) for i in self._bob_rng.choice(cfg.n_pairs, size=count, replace=False)
-        )
+        chosen = sorted(self._bob_rng.choice(cfg.n_pairs, count))
         self._rec.send("bob", "check_indices", indices=chosen)
-        bases = [int(self._bob_rng.integers(2)) for _ in chosen]  # codes into _BASES
+        bases = [self._bob_rng.bit() for _ in chosen]  # codes into _BASES
         bob_outcomes = self._measure("bob", self._bob_rng, chosen, QubitSlot.C, bases)
         self._rec.send(
             "bob", "basis_announce", bases=[[i, _BASES[b].value] for i, b in zip(chosen, bases)]
@@ -526,10 +523,7 @@ class Session:
         self._advance(Phase.ENCODING)
         cfg = self.config
         if cfg.check_count_2 > 0:
-            picked = self._alice_rng.choice(
-                len(self.survivors), size=cfg.check_count_2, replace=False
-            )
-            self._decoy_at = sorted(map(int, picked))
+            self._decoy_at = sorted(self._alice_rng.choice(len(self.survivors), cfg.check_count_2))
             self.decoys = frozenset(self.survivors[k] for k in self._decoy_at)
         message_count = len(self.survivors) - len(self.decoys)
         next_pair = iter(_padded_pairs(self._alice_msg, message_count))
@@ -537,7 +531,7 @@ class Session:
         slot = QubitSlot.M
         codes = self._alice_codes
         for i in self.survivors:
-            code = int(rng.integers(4)) if i in decoys else next(next_pair)
+            code = rng.integers(4) if i in decoys else next(next_pair)
             states[i] = apply_pauli(states[i], _OPS[code], slot)
             codes.append(code)
         self._rec.record(bytes(map(_ALICE_PAULI_SHAPE.__getitem__, codes)), self.survivors)
@@ -552,7 +546,7 @@ class Session:
         self._advance(Phase.BELL_ANNOUNCE)
         codes = self._bob_codes = _padded_pairs(self._bob_msg, len(self.survivors))
         # each pair's side (0: the C photon, 1: the M photon) and Bell draw, in bulk
-        sides, draws = _bob_draws(self._bob_rng.bit_generator, len(self.survivors))
+        sides, draws = self._bob_rng.bits_and_randoms(len(self.survivors))
         source = SimpleNamespace(random=iter(draws).__next__)
         states, results = self._states, self._bell_codes
         shapes, pairs = bytearray(), []
@@ -655,7 +649,7 @@ class Session:
     def _measure(
         self,
         actor: str,
-        rng: RandomStream,
+        rng: Stream,
         pairs: list[int],
         slot: QubitSlot,
         bases: list[int],
@@ -687,7 +681,6 @@ class Session:
 # code, a basis code, a side bit (0: C, 1: M), a Bell index or an outcome.
 _OPS = tuple(PauliOp)
 _OP_NAME = tuple(op.name for op in _OPS)
-_BASES = (Basis.Z, Basis.X)
 _SIDE_SLOT = (QubitSlot.C, QubitSlot.M)
 _BELL_NAME = tuple(bell.name.lower() for bell in BellState)
 _PREPARE_SHAPE = _SHAPE_ID["prepare", "alice"]
@@ -723,42 +716,6 @@ _LEG_SHAPES = {
     for leg in Leg
     for slot in (leg_slot(leg).value,)
 }
-
-
-def _bob_draws(bits: np.random.BitGenerator, n: int) -> tuple[list[int], list[float]]:
-    """The values of n rounds of Bob's scalar integers(2) then random(), from one bulk pull.
-
-    Leaves the PCG64 bit generator exactly as those 2n scalar draws would,
-    its buffered half-word included.  numpy draws integers(2) as
-    (u * 2) >> 32 of a 32-bit u, Lemire's method with no rejection for a
-    bound of 2.  PCG64 gives u from its buffered high half-word if it has
-    one, else from the low half of a fresh word, whose high half it then
-    buffers (a used buffer stays in the state, stale).  random() is
-    (w >> 11) * 2**-53 of a fresh word w.
-    """
-    state = bits.state
-    buffered = state["has_uint32"]
-    fresh = (n - buffered + 1) // 2  # fresh words split into halves for integers(2)
-    words = bits.random_raw(n + fresh)
-    k = np.arange(n)
-    at = k + (k + 2 - buffered) // 2  # the word of each random()
-    doubles = (words[at] >> np.uint64(11)) * 2.0**-53
-    split = np.ones(len(words), dtype=bool)
-    split[at] = False
-    halves = np.empty(2 * fresh, dtype=np.uint64)  # low, then high half of each split word
-    halves[0::2] = words[split] & np.uint64(0xFFFFFFFF)
-    halves[1::2] = words[split] >> np.uint64(32)
-    u = np.concatenate((np.full(buffered, state["uinteger"], dtype=np.uint64), halves))[:n]
-    sides = (u * np.uint64(2)) >> np.uint64(32)
-    state["has_uint32"] = (buffered + n) % 2
-    if fresh:
-        state["uinteger"] = int(halves[-1])
-    # Setting the state rewinds the counter to where it was read, with the
-    # buffer the scalar draws leave; pulling the same words again moves it on
-    # (advance() would clear the buffer).
-    bits.state = state
-    bits.random_raw(len(words), output=False)
-    return sides.tolist(), doubles.tolist()
 
 
 def _padded_pairs(message: MessageBits, needed: int) -> list[int]:

@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, every name it defines at
 module level is read by another module, README's library example or the benchmark,
-and the top level exports exactly the names of that example."""
+the top level exports exactly the names of that example, and the modules a run
+goes through name no numpy Generator or bit generator state."""
 
 from __future__ import annotations
 
@@ -202,3 +203,37 @@ def test_library_example_runs_as_written(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert out.splitlines() == [repr(pack_bits(b"hi")), repr(pack_bits(b"yo")), "0.0"]
     assert [path.name for path in tmp_path.iterdir()] == ["run.jsonl"]
+
+
+_GENERATOR_NAMES = {"default_rng", "bit_generator", "state"}
+
+
+def generator_reads(source: str) -> list[str]:
+    """Each default_rng, bit_generator or .state a source names, with its line:
+    a run's draws come from Streams of raw words, never a Generator's state."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _GENERATOR_NAMES:
+            found.append(f".{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.Name) and node.id in _GENERATOR_NAMES - {"state"}:
+            found.append(f"{node.id} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom):
+            found += [f"{a.name} (line {node.lineno})" for a in node.names if a.name in _GENERATOR_NAMES]
+    return found
+
+
+@pytest.mark.parametrize("name", ["session.py", "adversary.py", "qsim.py", "stream.py"])
+def test_a_run_reads_no_generator_and_no_bit_generator_state(name):
+    path = Path(qduplex.__file__).parent / name
+    assert generator_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_generator_reads_are_found():
+    assert generator_reads(
+        "import numpy as np\n"
+        "from numpy.random import default_rng\n"
+        "rng = np.random.default_rng(0)\n"
+        "words = rng.bit_generator.state['state']\n"
+        "state = {}\n"
+        "states = rng.states\n"
+    ) == ["default_rng (line 2)", ".default_rng (line 3)", ".state (line 4)", ".bit_generator (line 4)"]

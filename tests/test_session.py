@@ -7,7 +7,6 @@ import json
 import math
 import os
 import re
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,6 @@ from qduplex.session import (
     Transcript,
     TranscriptInvalid,
     _MESSAGE_INDEX_FIELD,
-    _bob_draws,
     _Recorder,
     _verdict_payload,
     audit_custody,
@@ -148,62 +146,6 @@ def test_session_rejects_oversized_messages():
     # bob's capacity exceeds alice's; an alice message at bob's size must fail
     with pytest.raises(CapacityExceeded):
         Session(config, bob_ok, bob_ok)
-
-
-# ---------------------------------------------------------------------------
-# Bob's bulk draws
-
-
-def scalar_draws(rng: np.random.Generator, n: int) -> tuple[list[int], list[float]]:
-    """n rounds of the scalar draws the Bell phase stands for: integers(2), then random()."""
-    sides, draws = [], []
-    for _ in range(n):
-        sides.append(int(rng.integers(2)))
-        draws.append(rng.random())
-    return sides, draws
-
-
-_PRIOR_DRAWS = {
-    "no buffer": lambda rng: rng.random(),
-    "a buffered half-word": lambda rng: rng.integers(2),
-    "a stale buffer": lambda rng: (rng.integers(2), rng.integers(2), rng.random()),
-}
-
-
-@pytest.mark.parametrize("prior", sorted(_PRIOR_DRAWS))
-@pytest.mark.parametrize(
-    "n", [0, 1, 2, 3, 8, 31, 999, 1000, *np.random.default_rng(17).integers(4, 1200, 4).tolist()]
-)
-def test_bob_draws_equal_the_scalar_draws_and_leave_the_same_generator(prior, n):
-    """Values, bit generator state (has_uint32 and uinteger included) and the
-    next scalar draws all match n rounds of scalar integers(2) then random()."""
-    seed = 1000 * n + sorted(_PRIOR_DRAWS).index(prior)
-    scalar, bulk = np.random.default_rng(seed), np.random.default_rng(seed)
-    for rng in (scalar, bulk):
-        _PRIOR_DRAWS[prior](rng)
-    assert bulk.bit_generator.state["has_uint32"] == (prior == "a buffered half-word")
-    expected = scalar_draws(scalar, n)
-    sides, draws = _bob_draws(bulk.bit_generator, n)
-    assert (sides, draws) == expected
-    assert all(type(v) is int for v in sides) and all(type(v) is float for v in draws)
-    assert bulk.bit_generator.state == scalar.bit_generator.state
-    assert scalar_draws(bulk, 3) == scalar_draws(scalar, 3)
-    assert bulk.integers(4, size=5).tolist() == scalar.integers(4, size=5).tolist()
-
-
-@pytest.mark.parametrize("category", [DeprecationWarning, FutureWarning])
-def test_numpy_drift_under_bob_draws_fails_the_suite(category):
-    """pyproject.toml turns a DeprecationWarning or FutureWarning attributed to a
-    qduplex module into an error.  numpy attributes its own to the caller
-    (stacklevel=2), so a deprecation under _bob_draws' raw PCG64 rebuild fails."""
-    class Drifting:  # a bit generator whose random_raw its library has deprecated
-        state = np.random.PCG64(0).state
-
-        def random_raw(self, *args, **kwargs):
-            warnings.warn("random_raw is deprecated", category, stacklevel=2)
-
-    with pytest.raises(category, match="random_raw is deprecated"):
-        _bob_draws(Drifting(), 4)
 
 
 # ---------------------------------------------------------------------------
