@@ -115,14 +115,15 @@ def transit(
     """Pass one leg's photons through the channel under Eve's control.
 
     Returns the (possibly disturbed) states and Eve's log for this leg.
-    Pair indices are processed in ascending order so a fixed stream gives
-    a fixed outcome sequence.  Per photon, a partial attack draws random()
-    against attack_prob, a random basis draws bit() (0 for Z), and the
-    measurement draws once.
+    With no attack nothing is disturbed, and the states come back as the
+    very mapping given, uncopied.  Pair indices are processed in ascending
+    order so a fixed stream gives a fixed outcome sequence.  Per photon, a
+    partial attack draws random() against attack_prob, a random basis draws
+    bit() (0 for Z), and the measurement draws once.
     """
     record = EveRecord()
     if not strategy.active:
-        return dict(pair_states), record
+        return pair_states, record
     slot = leg_slot(leg)
     kind, attack_prob = strategy.kind, strategy.attack_prob
     partial = attack_prob < 1.0

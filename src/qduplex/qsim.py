@@ -8,20 +8,23 @@ is Born-rule exact and driven by an injected random stream so that any run
 replays bit for bit.  The samplers read only the stream's random(), one
 draw per measurement.
 
-The protocol's ops reach only a few hundred distinct states, so Pauli,
-projection, substitution and Bell-mass results are memoized, keyed on the
-exact bytes of the input amplitudes.  Each is a deterministic function of
-those bytes, so a remembered result is the result a fresh computation would
-give, byte for byte.  Sampling is not memoized: each measurement still draws once.
-The enums in the memo keys hash by identity, at C speed (equality already
-is identity).
+The protocol's ops reach only 252 distinct states, so each state carries
+its own successors: slots that hold its Pauli, projection, substitution and
+Bell-mass results, each filled on first use by the one arithmetic path.
+Each result is a deterministic function of the input's amplitude bytes, so
+a slot holds the result a fresh computation would give, byte for byte.
+Results are interned in one table keyed on those bytes, so equal states
+share one object and its slots, and the protocol's states stay a closed set
+of objects.  Sampling reads a slot and draws once per measurement.  The
+enums that key the slots hash by identity, at C speed (equality already is
+identity).
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -37,8 +40,8 @@ class RandomStream(Protocol):
 
 NORM_TOL = 1e-12
 
-MEMO_LIMIT = 4096
-"""Most op results the memo keeps; a protocol run reaches a few hundred."""
+INTERN_LIMIT = 4096
+"""Most states the intern table holds; a protocol run reaches 252."""
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -147,7 +150,7 @@ _BASIS_VECTORS: dict[Basis, tuple[np.ndarray, np.ndarray]] = {
 class TwoQubitState:
     """Pure state of one pair: four complex amplitudes, C photon first.
 
-    States are immutable and may be shared: operations return memoized
+    States are immutable and may be shared: operations return interned
     instances.  ``key`` holds the exact amplitude bytes and ``amplitudes``
     is a read-only view of them.  Global phase is physically meaningless
     and never compared.
@@ -156,6 +159,13 @@ class TwoQubitState:
     amplitudes: np.ndarray
     key: bytes = field(init=False, repr=False)
 
+    # Successor slots, present while the state is in the intern table and
+    # None otherwise; each entry is filled on first use (see _intern).
+    _paulis = None  # slot -> apply_pauli results by op code
+    _branches = None  # slot -> basis -> project_qubit results for outcomes 0 and 1
+    _substs = None  # slot -> substitute_fresh results by outcome
+    _bells = None  # Bell probabilities, their running sums, and bell_measure's 5 picks
+
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(4)
         norm_err = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
@@ -163,24 +173,46 @@ class TwoQubitState:
             raise ValueError(f"state not normalized: |norm^2 - 1| = {norm_err:.3e}")
         key = amps.tobytes()
         object.__setattr__(self, "key", key)
-        object.__setattr__(self, "amplitudes", _amplitudes(key))
+        object.__setattr__(self, "amplitudes", np.frombuffer(key, dtype=np.complex128))
 
 
-def _amplitudes(key: bytes) -> np.ndarray:
-    return np.frombuffer(key, dtype=np.complex128)
+_INTERNED: dict[bytes, TwoQubitState] = {}
+"""The intern table: each held state by its amplitude bytes, at most INTERN_LIMIT."""
+
+_SLOTS = ("_paulis", "_branches", "_substs", "_bells")
+"""The names of a state's successor slots, as TwoQubitState declares them."""
 
 
-@functools.lru_cache(maxsize=MEMO_LIMIT)
-def _exact(arithmetic, key: bytes, *args):
-    """The memo: arithmetic's result on the amplitudes whose bytes are key.
+def _intern(state: TwoQubitState) -> TwoQubitState:
+    """The table's state with state's bytes, entering state with empty slots if there is none.
 
-    A miss runs the arithmetic once; results are immutable, so every
-    caller may share them.
+    A slot only ever holds a state of the table, so memory stays bounded
+    whatever states a caller builds.  A full table starts over: every state
+    in it loses its slots, and the singlet is entered again first.  A state
+    out of the table still computes every op, through its table twin.
     """
-    return arithmetic(_amplitudes(key), *args)
+    held = _INTERNED.get(state.key)
+    if held is not None:
+        return held
+    if len(_INTERNED) >= INTERN_LIMIT:
+        for old in _INTERNED.values():
+            for name in _SLOTS:
+                object.__delattr__(old, name)
+        _INTERNED.clear()
+        _intern(_SINGLET)
+    empty = (
+        {slot: [None] * 4 for slot in QubitSlot},
+        {slot: dict.fromkeys(Basis) for slot in QubitSlot},
+        {slot: [None, None] for slot in QubitSlot},
+        None,
+    )
+    for name, value in zip(_SLOTS, empty):
+        object.__setattr__(state, name, value)
+    _INTERNED[state.key] = state
+    return state
 
 
-_SINGLET = TwoQubitState(_BELL_VECTORS[BellState.PSI_MINUS])
+_SINGLET = _intern(TwoQubitState(_BELL_VECTORS[BellState.PSI_MINUS]))
 
 
 def make_singlet() -> TwoQubitState:
@@ -199,7 +231,14 @@ def product_state(c_bit: int, m_bit: int) -> TwoQubitState:
 
 def apply_pauli(state: TwoQubitState, op: PauliOp, slot: QubitSlot) -> TwoQubitState:
     """Apply one encoding operation to the chosen photon of a pair."""
-    return _exact(_pauli, state.key, op, slot)
+    paulis = state._paulis
+    if paulis is None:
+        paulis = _intern(state)._paulis
+    results = paulis[slot]
+    result = results[op._value_]
+    if result is None:
+        result = results[op._value_] = _intern(_pauli(state.amplitudes, op, slot))
+    return result
 
 
 def _pauli(amps: np.ndarray, op: PauliOp, slot: QubitSlot) -> TwoQubitState:
@@ -221,7 +260,20 @@ def project_qubit(
     Born-rule arithmetic that measure_qubit samples from, exposed so checks
     can enumerate branches instead of drawing them.
     """
-    return _exact(_project, state.key, slot, basis, outcome)
+    if outcome not in (0, 1):
+        raise ValueError("outcome must be 0 or 1")
+    branches = state._branches
+    if branches is None:
+        branches = _intern(state)._branches
+    by_basis = branches[slot]
+    both = by_basis[basis]
+    if both is None:
+        amps = state.amplitudes
+        both = by_basis[basis] = tuple(
+            (prob, None if post is None else _intern(post))
+            for prob, post in (_project(amps, slot, basis, 0), _project(amps, slot, basis, 1))
+        )
+    return both[outcome]
 
 
 def _project(
@@ -250,10 +302,16 @@ def substitute_fresh(state: TwoQubitState, slot: QubitSlot, outcome: int) -> Two
     """Swap the photon in slot, already collapsed to Z outcome, for a fresh |0>.
 
     The pair becomes the product of the fresh |0> and the partner's
-    residual state.  Memoized like the other ops, keyed on the collapsed
-    state's bytes, the slot and the outcome.
+    residual state, read from the collapsed state's slot like the other ops.
     """
-    return _exact(_substitute, state.key, slot, outcome)
+    substs = state._substs
+    if substs is None:
+        substs = _intern(state)._substs
+    results = substs[slot]
+    result = results[outcome]
+    if result is None:
+        result = results[outcome] = _intern(_substitute(state.amplitudes, slot, outcome))
+    return result
 
 
 def _substitute(amps: np.ndarray, slot: QubitSlot, outcome: int) -> TwoQubitState:
@@ -274,12 +332,15 @@ def measure_qubit(
     Sampling uses a single uniform draw from the injected stream, so a
     fixed stream replays the same outcome sequence exactly.
     """
-    p0, collapsed0 = project_qubit(state, slot, basis, 0)
-    outcome = 0 if rng.random() < p0 else 1
-    if outcome == 0:
-        collapsed = collapsed0
+    branches = state._branches
+    both = None if branches is None else branches[slot][basis]
+    if both is None:  # the slot that project_qubit fills
+        both = project_qubit(state, slot, basis, 0), project_qubit(state, slot, basis, 1)
+    zero, one = both
+    if rng.random() < zero[0]:
+        outcome, collapsed = 0, zero[1]
     else:
-        _, collapsed = project_qubit(state, slot, basis, 1)
+        outcome, collapsed = 1, one[1]
     if collapsed is None:
         # unreachable for normalized states: the sampled branch has mass
         raise InternalFault("measurement sampled a branch of vanishing probability")
@@ -288,7 +349,7 @@ def measure_qubit(
 
 def bell_probabilities(state: TwoQubitState) -> np.ndarray:
     """Probabilities of the four Bell outcomes, ordered by canonical index."""
-    return _exact(_bell, state.key)[0].copy()
+    return _bell_slot(state)[0].copy()
 
 
 def _bell(amps: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
@@ -304,19 +365,32 @@ def _bell(amps: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
 _BELL_ORDER = tuple(BellState)
 
 
+def _bell_slot(
+    state: TwoQubitState,
+) -> tuple[np.ndarray, tuple[float, ...], tuple[BellState, ...]]:
+    """state's Bell slot: the probabilities, their running sums, and the 5 picks.
+
+    The picks are the four Bell states in order, then the outcome for a draw
+    on rounding slack: the masses can sum to just under 1 (a singlet's sum to
+    0.9999999999999996), and such a draw gets the last outcome that added
+    mass, never one of probability zero.
+    """
+    held = _intern(state)
+    bells = held._bells
+    if bells is None:
+        probs, masses = _bell(held.amplitudes)
+        last = max(i for i in range(4) if masses[i] > (masses[i - 1] if i else 0.0))
+        bells = (probs, masses, (*_BELL_ORDER, _BELL_ORDER[last]))
+        object.__setattr__(held, "_bells", bells)
+    return bells
+
+
 def bell_measure(state: TwoQubitState, rng: RandomStream) -> BellState:
     """Joint Bell-basis measurement of a whole pair.
 
     The pair is consumed: both photons end up in the reported Bell state
-    and carry no further message content.
+    and carry no further message content.  The draw picks the first outcome
+    whose running mass exceeds it; index 4 is the rounding-slack pick.
     """
-    masses = _exact(_bell, state.key)[1]
-    draw = rng.random()
-    for bell, acc in zip(_BELL_ORDER, masses):
-        if draw < acc:
-            return bell
-    # The draw landed on rounding slack: the masses can sum to just under 1
-    # (a singlet's sum to 0.9999999999999996).  Give the last outcome that
-    # added mass, never one of probability zero.
-    last = max(i for i in range(4) if masses[i] > (masses[i - 1] if i else 0.0))
-    return _BELL_ORDER[last]
+    bells = state._bells or _bell_slot(state)
+    return bells[2][bisect_right(bells[1], rng.random())]

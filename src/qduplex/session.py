@@ -14,9 +14,11 @@ import enum
 import math
 import os
 import stat
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from operator import xor
+from itertools import islice
+from operator import itemgetter, lt, xor
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Union
@@ -377,13 +379,14 @@ class _Recorder:
         if type not in _MESSAGE_INDEX_FIELD:
             raise InternalFault(f"unknown message type {type!r}")
         index_field = _MESSAGE_INDEX_FIELD[type]
-        entries = fields[index_field] if index_field else []
-        indices = [e if index_field == "indices" else e[0] for e in entries]
-        for prev, cur in zip(indices, indices[1:]):
-            if cur <= prev:
+        if index_field:
+            entries = fields[index_field]
+            indices = entries if index_field == "indices" else list(map(itemgetter(0), entries))
+            if not all(map(lt, indices, islice(indices, 1, None))):
                 raise InternalFault("message indices must be strictly increasing")
-        for i in indices:
-            if not 0 <= i < self._n_pairs:
+            # increasing, so the first index out of range is the first or the first past the end
+            if indices and not (0 <= indices[0] and indices[-1] < self._n_pairs):
+                i = indices[0] if indices[0] < 0 else indices[bisect_left(indices, self._n_pairs)]
                 raise InternalFault(f"message index {i} outside pair range")
         payload = {"msg_seq": self._msg_seq, "sender": sender, "type": type, **fields}
         self._msg_seq += 1
@@ -427,7 +430,8 @@ class Session:
                     f"{name} message of {len(message.bits)} bits exceeds capacity {capacity}"
                 )
         self.config = config
-        alice_ss, bob_ss, eve_ss = np.random.SeedSequence(config.seed).spawn(3)
+        # the children SeedSequence(seed).spawn(3) gives, built directly
+        alice_ss, bob_ss, eve_ss = (np.random.SeedSequence(config.seed, spawn_key=(i,)) for i in range(3))
         self._alice_rng = Stream(alice_ss)
         self._bob_rng = Stream(bob_ss)
         self._eve_rng = Stream(eve_ss)
@@ -441,7 +445,7 @@ class Session:
         self._alice_codes: list[int] = []
         self._bob_codes: list[int] = []
         self._bell_codes: list[int] = []
-        self._states: dict[int, TwoQubitState] = {}
+        self._states: dict[int, TwoQubitState] = {}  # the pairs still in play, by index
         self._stats: dict = {}
         self._rec = _Recorder(config.n_pairs)
         self._rec.emit("session", "config", config.to_payload())
@@ -457,18 +461,19 @@ class Session:
         self._rec.record(bytes((_PREPARE_SHAPE,)) * n, range(n))
 
     def transmit(self, leg: Leg) -> None:
-        """Send one leg's photons from Alice to Bob through Eve's channel."""
+        """Send one leg's photons from Alice to Bob through Eve's channel.
+
+        The photons sent are those of the pairs in play: every pair on the
+        first leg, the survivors on the second.
+        """
         if leg is Leg.SECOND:
             self._advance(Phase.SECOND_TRANSMISSION)
-            indices = list(self.survivors)
+            indices = self.survivors
         else:
-            indices = list(range(self.config.n_pairs))
+            indices = range(self.config.n_pairs)
         sent, touched, received = _LEG_SHAPES[leg]
         self._rec.record(bytes((sent,)) * len(indices), indices)
-        states = self._states
-        in_transit = {i: states[i] for i in indices}
-        disturbed, record = transit(in_transit, leg, self.config.eve, self._eve_rng)
-        states.update(disturbed)
+        self._states, record = transit(self._states, leg, self.config.eve, self._eve_rng)
         touches = record.touches
         self._rec.record(
             bytes(touched[_BASES.index(t.basis)][t.outcome] for t in touches),
@@ -511,6 +516,8 @@ class Session:
             return False
         consumed = set(chosen)
         self.survivors = [i for i in range(cfg.n_pairs) if i not in consumed]
+        for i in chosen:  # the check consumed these pairs
+            del self._states[i]
         return True
 
     def alice_encode(self) -> None:
@@ -551,12 +558,13 @@ class Session:
         states, results = self._states, self._bell_codes
         shapes, pairs = bytearray(), []
         for i, code, side in zip(self.survivors, codes, sides):
-            states[i] = apply_pauli(states[i], _OPS[code], _SIDE_SLOT[side])
-            index = bell_measure(states.pop(i), source)._value_  # its Bell index, read directly
+            encoded = apply_pauli(states[i], _OPS[code], _SIDE_SLOT[side])
+            index = bell_measure(encoded, source)._value_  # its Bell index, read directly
             shapes.append(_BOB_PAULI_SHAPE[code][side])
             shapes.append(_BELL_SHAPE[index])
             pairs += (i, i)
             results.append(index)
+        states.clear()  # the Bell measurements consumed every pair
         self._rec.record(shapes, pairs)
         self._rec.send(
             "bob",

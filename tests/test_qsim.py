@@ -1,8 +1,8 @@
 """Unit tests for the two-qubit substrate.
 
 Expected values here are frozen from independent hand derivations on the
-4-amplitude vectors.  The one exception is the op memo, whose tests compare
-each memoized result with the same arithmetic run fresh.
+4-amplitude vectors.  The one exception is the successor slots, whose tests
+compare each result a slot holds with the same arithmetic called directly.
 """
 
 from __future__ import annotations
@@ -305,76 +305,220 @@ def test_project_rejects_bad_outcome():
 
 
 # ---------------------------------------------------------------------------
-# the op memo: a remembered result is the result a fresh computation gives
-
-fresh = qsim._exact.__wrapped__  # the same arithmetic, bypassing the memo
+# the successor slots: each holds the result the arithmetic gives when called directly
 
 
-def test_memoized_ops_equal_fresh_computation_on_random_walks():
+def slot_entries(state: TwoQubitState):
+    """Each filled slot of an interned state: (arithmetic, its arguments after the amplitudes, held result)."""
+    for slot, results in state._paulis.items():
+        for op, result in zip(PauliOp, results):
+            if result is not None:
+                yield qsim._pauli, (op, slot), result
+    for slot, by_basis in state._branches.items():
+        for basis, both in by_basis.items():
+            if both is not None:
+                for outcome in (0, 1):
+                    yield qsim._project, (slot, basis, outcome), both[outcome]
+    for slot, results in state._substs.items():
+        for outcome, result in enumerate(results):
+            if result is not None:
+                yield qsim._substitute, (slot, outcome), result
+
+
+def slot_states(result) -> list[TwoQubitState]:
+    """The states a slot holds: an op's result, or a projection's state when it has one."""
+    if isinstance(result, TwoQubitState):
+        return [result]
+    return [] if result[1] is None else [result[1]]
+
+
+def reachable_through_slots(start: TwoQubitState) -> list[TwoQubitState]:
+    """Every state reached from start by following filled slots, start included."""
+    seen, todo = {id(start): start}, [start]
+    while todo:
+        for _, _, result in slot_entries(todo.pop()):
+            for state in slot_states(result):
+                if id(state) not in seen:
+                    seen[id(state)] = state
+                    todo.append(state)
+    return list(seen.values())
+
+
+def assert_slots_equal_the_arithmetic(state: TwoQubitState) -> None:
+    for arithmetic, args, held in slot_entries(state):
+        want = arithmetic(state.amplitudes, *args)
+        if arithmetic is qsim._project:
+            assert held[0] == want[0]
+            assert (held[1] is None) == (want[1] is None)
+            held, want = held[1], want[1]
+        if held is not None:
+            assert held.key == want.key
+    if state._bells is not None:
+        probs, masses = qsim._bell(state.amplitudes)
+        assert state._bells[0].tobytes() == probs.tobytes()
+        assert state._bells[1] == masses
+
+
+def test_slots_equal_the_arithmetic_called_directly_on_random_walks():
     walks = np.random.default_rng(606)
     stream, twin = np.random.default_rng(17), np.random.default_rng(17)
     for _ in range(400):
         state = make_singlet()
         for _ in range(8):
-            step = int(walks.integers(4))
+            step = int(walks.integers(5))
             slot = QubitSlot.C if walks.integers(2) == 0 else QubitSlot.M
             basis = Basis.Z if walks.integers(2) == 0 else Basis.X
             if step == 0:
                 op = PauliOp(int(walks.integers(4)))
                 got = apply_pauli(state, op, slot)
-                assert got.key == fresh(qsim._pauli, state.key, op, slot).key
+                assert got.key == qsim._pauli(state.amplitudes, op, slot).key
                 state = got
             elif step == 1:
                 branches = []
                 for outcome in (0, 1):
                     prob, post = project_qubit(state, slot, basis, outcome)
-                    want_prob, want_post = fresh(qsim._project, state.key, slot, basis, outcome)
+                    want_prob, want_post = qsim._project(state.amplitudes, slot, basis, outcome)
                     assert prob == want_prob
                     assert (post is None) == (want_post is None)
                     if post is not None:
                         assert post.key == want_post.key
                         branches.append(post)
                 state = branches[int(walks.integers(len(branches)))]
-            elif step == 2:
+            elif step in (2, 3):
                 outcome, collapsed = measure_qubit(state, slot, basis, stream)
-                p0, want = fresh(qsim._project, state.key, slot, basis, 0)
+                p0, want = qsim._project(state.amplitudes, slot, basis, 0)
                 want_outcome = 0 if twin.random() < p0 else 1
                 if want_outcome == 1:
-                    _, want = fresh(qsim._project, state.key, slot, basis, 1)
+                    _, want = qsim._project(state.amplitudes, slot, basis, 1)
                 assert outcome == want_outcome
                 assert collapsed.key == want.key
                 state = collapsed
+                if step == 3 and basis is Basis.Z:  # Eve keeps the photon and sends a fresh |0>
+                    state = substitute_fresh(collapsed, slot, outcome)
+                    assert state.key == qsim._substitute(collapsed.amplitudes, slot, outcome).key
             else:
                 probs = bell_probabilities(state)
-                want_probs, _ = fresh(qsim._bell, state.key)
+                want_probs, _ = qsim._bell(state.amplitudes)
                 assert probs.tobytes() == want_probs.tobytes()
                 result = bell_measure(state, stream)
-                # the unmemoized sampling loop: accumulate in BellState order
-                draw, acc, want_bell = twin.random(), 0.0, None
-                for bell in BellState:
-                    acc += want_probs[bell.index]
-                    if draw < acc:
-                        want_bell = bell
-                        break
-                assert result is want_bell
+                assert result is linear_scan_bell(want_probs, twin.random())
                 state = make_singlet()  # the pair is consumed
+    reached = reachable_through_slots(make_singlet())
+    assert len(reached) > 20
+    for state in reached:
+        assert_slots_equal_the_arithmetic(state)
 
 
-def test_memo_stays_bounded_and_correct_past_its_limit():
+def test_intern_table_stays_bounded_and_correct_past_its_limit():
     rng = np.random.default_rng(11)
     op, slot = PauliOp.U3, QubitSlot.C
     states = []
-    for _ in range(qsim.MEMO_LIMIT + 256):
+    for _ in range(qsim.INTERN_LIMIT + 256):  # two entries each: the state and its result
         vec = rng.normal(size=4) + 1j * rng.normal(size=4)
         state = TwoQubitState(vec / np.linalg.norm(vec))
-        assert apply_pauli(state, op, slot).key == fresh(qsim._pauli, state.key, op, slot).key
-        assert qsim._exact.cache_info().currsize <= qsim.MEMO_LIMIT
+        assert apply_pauli(state, op, slot).key == qsim._pauli(state.amplitudes, op, slot).key
+        assert len(qsim._INTERNED) <= qsim.INTERN_LIMIT
         states.append(state)
-    for state in states[:64] + states[-64:]:  # long evicted, and still held
-        assert apply_pauli(state, op, slot).key == fresh(qsim._pauli, state.key, op, slot).key
+    # a state that left the table has no slots; the checks below show it still computes every op
+    left = [state for state in states[:64] if qsim._INTERNED.get(state.key) is not state]
+    assert left
+    assert all(state._paulis is None and state._bells is None for state in left)
+    for state in states[:64] + states[-64:]:  # long out of the table, and still in it
+        assert apply_pauli(state, op, slot).key == qsim._pauli(state.amplitudes, op, slot).key
         p0, _ = project_qubit(state, slot, Basis.X, 0)
-        assert p0 == fresh(qsim._project, state.key, slot, Basis.X, 0)[0]
-    assert qsim._exact.cache_info().currsize <= qsim.MEMO_LIMIT
+        assert p0 == qsim._project(state.amplitudes, slot, Basis.X, 0)[0]
+    assert len(qsim._INTERNED) <= qsim.INTERN_LIMIT
+    # the singlet stays in the table through every start-over
+    assert qsim._INTERNED[make_singlet().key] is make_singlet()
+    # a slot holds only states of the table, so nothing outside it grows
+    for key, held in qsim._INTERNED.items():
+        assert held.key == key
+        for _, _, result in slot_entries(held):
+            for state in slot_states(result):
+                assert qsim._INTERNED[state.key] is state
+
+
+def linear_scan_bell(probs, draw: float) -> BellState:
+    """bell_measure's pick written as the scan it replaces: accumulate in BellState
+    order, the first running mass above the draw wins, and a draw on rounding
+    slack gets the last outcome that added mass."""
+    acc, last = 0.0, None
+    for bell in BellState:
+        before, acc = acc, acc + float(probs[bell.index])
+        if draw < acc:
+            return bell
+        if acc > before:
+            last = bell
+    return last
+
+
+def test_bell_measure_picks_as_the_linear_scan_at_every_boundary():
+    rng = np.random.default_rng(5)
+    states = [make_singlet(), product_state(0, 1), product_state(1, 1)]
+    states += [apply_pauli(make_singlet(), op, slot) for op in PauliOp for slot in QubitSlot]
+    states += [project_qubit(make_singlet(), QubitSlot.C, Basis.X, 0)[1]]
+    for _ in range(4):
+        vec = rng.normal(size=4) + 1j * rng.normal(size=4)
+        states.append(TwoQubitState(vec / np.linalg.norm(vec)))
+    zero_mass = slack = 0
+    for state in states:
+        probs = bell_probabilities(state)
+        zero_mass += int(np.sum(probs == 0.0))
+        masses = np.cumsum(probs).tolist()
+        draws = {0.0, np.nextafter(1.0, 0.0)}
+        for mass in masses:
+            draws |= {mass, np.nextafter(mass, 0.0), np.nextafter(mass, 1.0)}
+        draws = sorted(d for d in draws if 0.0 <= d < 1.0)
+        slack += sum(d >= masses[-1] for d in draws)
+        stream = FixedDraws(*draws)
+        for draw in draws:
+            assert bell_measure(state, stream) is linear_scan_bell(probs, draw), (state, draw)
+    assert zero_mass and slack  # outcomes of zero mass and draws in the slack band were both met
+
+
+def test_runs_under_every_attack_reach_at_most_252_states_through_the_slots():
+    from qduplex.adversary import AttackKind, EveStrategy
+    from qduplex.codec import random_message
+    from qduplex.session import ProtocolConfig, run_protocol
+
+    messages = np.random.default_rng(8)
+    for kind in AttackKind:
+        for seed, attack_prob in ((1, 1.0), (2, 0.5)):
+            config = ProtocolConfig(
+                n_pairs=96, check_count_2=8, abort_threshold=96, seed=seed,
+                eve=EveStrategy(kind=kind, attack_prob=attack_prob),
+            )
+            alice = random_message(config.alice_capacity_bits, messages)
+            bob = random_message(config.bob_capacity_bits, messages)
+            assert run_protocol(config, alice, bob).events
+    reached = reachable_through_slots(make_singlet())
+    assert 20 < len(reached) <= 252
+    assert len({state.key for state in reached}) == len(reached)  # one object per state
+
+
+def test_filling_every_slot_from_the_singlet_reaches_exactly_252_states():
+    """The closed set ROADMAP item 2's tables enumerate: every Pauli on either
+    photon, every Z and X projection, and substitution after a Z collapse."""
+    reached = {make_singlet().key}
+    todo = [make_singlet()]
+    while todo:
+        state = todo.pop()
+        bell_probabilities(state)
+        for slot in QubitSlot:
+            successors = [apply_pauli(state, op, slot) for op in PauliOp]
+            for basis in Basis:
+                for outcome in (0, 1):
+                    _, post = project_qubit(state, slot, basis, outcome)
+                    if post is not None:
+                        successors.append(post)
+                        if basis is Basis.Z:
+                            successors.append(substitute_fresh(post, slot, outcome))
+            for successor in successors:
+                if successor.key not in reached:
+                    reached.add(successor.key)
+                    todo.append(successor)
+        assert_slots_equal_the_arithmetic(state)
+    assert len(reached) == 252
 
 
 def test_mutating_returned_bell_probabilities_changes_no_later_call():
@@ -407,14 +551,14 @@ def test_byte_equal_states_give_byte_equal_results():
 
 @pytest.mark.parametrize("enum_type", [PauliOp, QubitSlot, Basis, BellState])
 def test_qsim_enums_hash_by_identity(enum_type):
-    """The memo keys hash these enums at C speed; equality was identity already."""
+    """The slot tables are keyed by these enums, hashed at C speed; equality was identity already."""
     assert enum_type.__hash__ is object.__hash__
     for member in enum_type:
         assert hash(member) == object.__hash__(member)
         assert {member: 1}[enum_type(member.value)] == 1
 
 
-def test_apply_pauli_returns_the_shared_memoized_state_for_equal_inputs():
+def test_apply_pauli_returns_the_shared_interned_state_for_equal_inputs():
     vec = np.array([0.6, 0.0, 0.0, 0.8j])
     a, b = TwoQubitState(vec), TwoQubitState(vec.copy())
     for slot in QubitSlot:
@@ -441,7 +585,7 @@ def rebuilt_with_fresh_zero(state: TwoQubitState, slot: QubitSlot, outcome: int)
     return TwoQubitState(fresh.reshape(4)).key
 
 
-def test_substitution_matches_its_old_arithmetic_and_is_a_memo_hit_on_repeat():
+def test_substitution_matches_its_old_arithmetic_and_is_read_from_its_slot_on_repeat():
     rng = np.random.default_rng(11)
     starts = [make_singlet(), apply_pauli(make_singlet(), PauliOp.U3, QubitSlot.M)]
     for _ in range(4):
@@ -455,6 +599,5 @@ def test_substitution_matches_its_old_arithmetic_and_is_a_memo_hit_on_repeat():
                     continue
                 fresh = substitute_fresh(collapsed, slot, outcome)
                 assert fresh.key == rebuilt_with_fresh_zero(collapsed, slot, outcome)
-                hits = qsim._exact.cache_info().hits
+                assert collapsed._substs[slot][outcome] is fresh
                 assert substitute_fresh(collapsed, slot, outcome) is fresh
-                assert qsim._exact.cache_info().hits == hits + 1

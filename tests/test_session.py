@@ -1984,6 +1984,23 @@ def test_the_recorder_puts_no_message_off_the_wire_table_on_the_wire(message_typ
     assert recorder.events[0].payload["msg_seq"] == 0
 
 
+@pytest.mark.parametrize(
+    "message_type, fields, bad",
+    [
+        ("check_indices", {"indices": [0, 4, 5]}, 4),
+        ("check_indices", {"indices": [1, 2, 3, 6, 9]}, 6),
+        ("bell_results", {"results": [[-3, "psi_minus"], [-1, "phi_plus"], [2, "psi_plus"]]}, -3),
+        ("second_check_reveal", {"ops": [[2, "U0"], [3, "U1"], [7, "U2"], [8, "U3"]]}, 7),
+    ],
+)
+def test_the_recorder_names_the_first_index_out_of_range(message_type, fields, bad):
+    """The check that stops a message names the first index, in message order, outside the pairs."""
+    recorder = _Recorder(n_pairs=4)
+    with pytest.raises(InternalFault, match=f"^message index {bad} outside pair range$"):
+        recorder.send("bob", message_type, **fields)
+    assert len(recorder.events) == 0
+
+
 def test_audit_moves_no_photon_on_an_event_row_whose_index_is_a_live_pair():
     """A message Event's row holds its index in the log's Events, here 1, 2
     and 3 after the config record's 0, while pairs 1, 2 and 3 have their C

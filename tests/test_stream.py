@@ -175,3 +175,19 @@ def test_a_session_draws_from_three_streams():
     streams = (session._alice_rng, session._bob_rng, session._eve_rng)
     assert all(type(s) is Stream for s in streams)
     assert len(set(map(id, streams))) == 3
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 7, 2**32 - 1, 2**32, 2**63, 2**64 - 1, *range(1000, 1040)])
+def test_a_session_streams_are_the_children_spawn_gives(seed):
+    """Session builds its children as SeedSequence(seed, spawn_key=(i,)): the
+    same states as SeedSequence(seed).spawn(3), so the same draws."""
+    spawned = np.random.SeedSequence(seed).spawn(3)
+    for i, child in enumerate(spawned):
+        built = np.random.SeedSequence(seed, spawn_key=(i,))
+        assert np.array_equal(built.generate_state(8, np.uint64), child.generate_state(8, np.uint64))
+    config = ProtocolConfig(n_pairs=8, check_count_2=1, seed=seed)
+    session = Session(config, MessageBits.from_bits([]), MessageBits.from_bits([]))
+    streams = (session._alice_rng, session._bob_rng, session._eve_rng)
+    for s, child in zip(streams, spawned):
+        reference = Stream(child)
+        assert [s.random() for _ in range(3)] == [reference.random() for _ in range(3)]
