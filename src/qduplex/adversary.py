@@ -139,7 +139,7 @@ def transit(
             continue
         if random_basis:
             basis = _BASES[rng.bit()]
-        outcome, state = measure_qubit(state, slot, basis, rng)
+        outcome, state = measure_qubit(state, slot, basis, rng.random())
         if substitute:
             # Eve keeps the photon and sends a fresh |0> on.  The kept photon
             # never comes back, so for every later measurement the partner

@@ -4,19 +4,19 @@ Every pair in the protocol is a pure state of two qubits, stored as four
 complex amplitudes over the ordered computational basis |00>, |01>, |10>,
 |11> with the travelling C photon first and the kept M photon second.
 Operations are plain linear algebra on that 4-vector; measurement sampling
-is Born-rule exact and driven by an injected random stream so that any run
-replays bit for bit.  The samplers read only the stream's random(), one
-draw per measurement.
+is Born-rule exact, and each sampler takes its uniform draw in [0, 1) as a
+value, so a caller that passes the same draws replays bit for bit.
 
-The protocol's ops reach only 252 distinct states, so each state carries
-its own successors: slots that hold its Pauli, projection, substitution and
-Bell-mass results, each filled on first use by the one arithmetic path.
-Each result is a deterministic function of the input's amplitude bytes, so
-a slot holds the result a fresh computation would give, byte for byte.
-Results are interned in one table keyed on those bytes, so equal states
-share one object and its slots, and the protocol's states stay a closed set
-of objects.  Sampling reads a slot and draws once per measurement.  The
-enums that key the slots hash by identity, at C speed (equality already is
+The protocol's ops reach only 252 distinct states from the singlet, so
+each of those carries its own successors: slots that hold its Pauli,
+projection, substitution and Bell-mass results, each filled on first use by
+the one arithmetic path.  Each result is a deterministic function of the
+input's amplitude bytes, so a slot holds the result a fresh computation
+would give, byte for byte.  The table holds the singlet and every state a
+slot fill returns, keyed on those bytes, so equal results share one object
+and its slots, and the table is the singlet's closure under the ops.  An op
+on any other state is the plain arithmetic and caches nothing.  The enums
+that key the slots hash by identity, at C speed (equality already is
 identity).
 """
 
@@ -26,22 +26,10 @@ import enum
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 
-
-class RandomStream(Protocol):
-    """Injected randomness contract: the samplers call only random(), so any
-    object whose random() returns floats in [0, 1) can stand in for a stream."""
-
-    def random(self) -> float: ...
-
-
 NORM_TOL = 1e-12
-
-INTERN_LIMIT = 4096
-"""Most states the intern table holds; a protocol run reaches 252."""
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -150,8 +138,8 @@ _BASIS_VECTORS: dict[Basis, tuple[np.ndarray, np.ndarray]] = {
 class TwoQubitState:
     """Pure state of one pair: four complex amplitudes, C photon first.
 
-    States are immutable and may be shared: operations return interned
-    instances.  ``key`` holds the exact amplitude bytes and ``amplitudes``
+    States are immutable and may be shared: an op on a table state returns
+    a table state.  ``key`` holds the exact amplitude bytes and ``amplitudes``
     is a read-only view of them.  Global phase is physically meaningless
     and never compared.
     """
@@ -159,8 +147,8 @@ class TwoQubitState:
     amplitudes: np.ndarray
     key: bytes = field(init=False, repr=False)
 
-    # Successor slots, present while the state is in the intern table and
-    # None otherwise; each entry is filled on first use (see _intern).
+    # Successor slots, present on a table state and None on any other; each
+    # entry is filled on first use (see _intern).
     _paulis = None  # slot -> apply_pauli results by op code
     _branches = None  # slot -> basis -> project_qubit results for outcomes 0 and 1
     _substs = None  # slot -> substitute_fresh results by outcome
@@ -177,37 +165,22 @@ class TwoQubitState:
 
 
 _INTERNED: dict[bytes, TwoQubitState] = {}
-"""The intern table: each held state by its amplitude bytes, at most INTERN_LIMIT."""
-
-_SLOTS = ("_paulis", "_branches", "_substs", "_bells")
-"""The names of a state's successor slots, as TwoQubitState declares them."""
+"""The table: the singlet and each state a slot holds, by its amplitude bytes."""
 
 
 def _intern(state: TwoQubitState) -> TwoQubitState:
     """The table's state with state's bytes, entering state with empty slots if there is none.
 
-    A slot only ever holds a state of the table, so memory stays bounded
-    whatever states a caller builds.  A full table starts over: every state
-    in it loses its slots, and the singlet is entered again first.  A state
-    out of the table still computes every op, through its table twin.
+    Only the singlet and the fresh results of slot fills come here, so the
+    table is the singlet's closure under the ops, 252 states under the
+    protocol's, and memory stays bounded by construction.
     """
     held = _INTERNED.get(state.key)
     if held is not None:
         return held
-    if len(_INTERNED) >= INTERN_LIMIT:
-        for old in _INTERNED.values():
-            for name in _SLOTS:
-                object.__delattr__(old, name)
-        _INTERNED.clear()
-        _intern(_SINGLET)
-    empty = (
-        {slot: [None] * 4 for slot in QubitSlot},
-        {slot: dict.fromkeys(Basis) for slot in QubitSlot},
-        {slot: [None, None] for slot in QubitSlot},
-        None,
-    )
-    for name, value in zip(_SLOTS, empty):
-        object.__setattr__(state, name, value)
+    object.__setattr__(state, "_paulis", {slot: [None] * 4 for slot in QubitSlot})
+    object.__setattr__(state, "_branches", {slot: dict.fromkeys(Basis) for slot in QubitSlot})
+    object.__setattr__(state, "_substs", {slot: [None, None] for slot in QubitSlot})
     _INTERNED[state.key] = state
     return state
 
@@ -233,7 +206,7 @@ def apply_pauli(state: TwoQubitState, op: PauliOp, slot: QubitSlot) -> TwoQubitS
     """Apply one encoding operation to the chosen photon of a pair."""
     paulis = state._paulis
     if paulis is None:
-        paulis = _intern(state)._paulis
+        return _pauli(state.amplitudes, op, slot)
     results = paulis[slot]
     result = results[op._value_]
     if result is None:
@@ -264,7 +237,7 @@ def project_qubit(
         raise ValueError("outcome must be 0 or 1")
     branches = state._branches
     if branches is None:
-        branches = _intern(state)._branches
+        return _project(state.amplitudes, slot, basis, outcome)
     by_basis = branches[slot]
     both = by_basis[basis]
     if both is None:
@@ -279,8 +252,6 @@ def project_qubit(
 def _project(
     amps: np.ndarray, slot: QubitSlot, basis: Basis, outcome: int
 ) -> tuple[float, TwoQubitState | None]:
-    if outcome not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
     e = _BASIS_VECTORS[basis][outcome]
     m = amps.reshape(2, 2)
     if slot is QubitSlot.C:
@@ -306,7 +277,7 @@ def substitute_fresh(state: TwoQubitState, slot: QubitSlot, outcome: int) -> Two
     """
     substs = state._substs
     if substs is None:
-        substs = _intern(state)._substs
+        return _substitute(state.amplitudes, slot, outcome)
     results = substs[slot]
     result = results[outcome]
     if result is None:
@@ -325,19 +296,19 @@ def _substitute(amps: np.ndarray, slot: QubitSlot, outcome: int) -> TwoQubitStat
 
 
 def measure_qubit(
-    state: TwoQubitState, slot: QubitSlot, basis: Basis, rng: RandomStream
+    state: TwoQubitState, slot: QubitSlot, basis: Basis, draw: float
 ) -> tuple[int, TwoQubitState]:
     """Measure one photon of a pair; return (outcome bit, collapsed pair).
 
-    Sampling uses a single uniform draw from the injected stream, so a
-    fixed stream replays the same outcome sequence exactly.
+    The uniform draw in [0, 1) gives outcome 0 when it lies below that
+    outcome's probability, so the same draws replay the same outcomes.
     """
     branches = state._branches
     both = None if branches is None else branches[slot][basis]
-    if both is None:  # the slot that project_qubit fills
+    if both is None:  # project_qubit fills a table state's slot
         both = project_qubit(state, slot, basis, 0), project_qubit(state, slot, basis, 1)
     zero, one = both
-    if rng.random() < zero[0]:
+    if draw < zero[0]:
         outcome, collapsed = 0, zero[1]
     else:
         outcome, collapsed = 1, one[1]
@@ -373,24 +344,25 @@ def _bell_slot(
     The picks are the four Bell states in order, then the outcome for a draw
     on rounding slack: the masses can sum to just under 1 (a singlet's sum to
     0.9999999999999996), and such a draw gets the last outcome that added
-    mass, never one of probability zero.
+    mass, never one of probability zero.  Only a table state keeps its slot.
     """
-    held = _intern(state)
-    bells = held._bells
+    bells = state._bells
     if bells is None:
-        probs, masses = _bell(held.amplitudes)
+        probs, masses = _bell(state.amplitudes)
         last = max(i for i in range(4) if masses[i] > (masses[i - 1] if i else 0.0))
         bells = (probs, masses, (*_BELL_ORDER, _BELL_ORDER[last]))
-        object.__setattr__(held, "_bells", bells)
+        if state._paulis is not None:  # a table state
+            object.__setattr__(state, "_bells", bells)
     return bells
 
 
-def bell_measure(state: TwoQubitState, rng: RandomStream) -> BellState:
+def bell_measure(state: TwoQubitState, draw: float) -> BellState:
     """Joint Bell-basis measurement of a whole pair.
 
     The pair is consumed: both photons end up in the reported Bell state
-    and carry no further message content.  The draw picks the first outcome
-    whose running mass exceeds it; index 4 is the rounding-slack pick.
+    and carry no further message content.  The uniform draw in [0, 1) picks
+    the first outcome whose running mass exceeds it; index 4 is the
+    rounding-slack pick.
     """
     bells = state._bells or _bell_slot(state)
-    return bells[2][bisect_right(bells[1], rng.random())]
+    return bells[2][bisect_right(bells[1], draw)]

@@ -40,7 +40,7 @@ class Event:
 # ---------------------------------------------------------------------------
 # Bulk record shapes
 
-_SLOTS = ("C", "M")
+_SLOT_NAMES = ("C", "M")
 _BASES = ("Z", "X")
 _BITS = (0, 1)
 _PARTIES = ("alice", "bob")
@@ -54,14 +54,14 @@ _PARTIES = ("alice", "bob")
 # hand-built or damaged one) is rejected.
 _BULK_SCHEMA: dict[str, tuple[tuple[str, ...], dict[str, tuple | None]]] = {
     "prepare": (("alice",), {"pair": None}),
-    "send": (("alice",), {"pair": None, "slot": _SLOTS, "to": ("bob",)}),
+    "send": (("alice",), {"pair": None, "slot": _SLOT_NAMES, "to": ("bob",)}),
     "eve_touch": (
         ("eve",),
-        {"basis": _BASES, "leg": ("first", "second"), "outcome": _BITS, "pair": None, "slot": _SLOTS},
+        {"basis": _BASES, "leg": ("first", "second"), "outcome": _BITS, "pair": None, "slot": _SLOT_NAMES},
     ),
-    "receive": (("bob",), {"pair": None, "slot": _SLOTS}),
-    "measure": (_PARTIES, {"basis": _BASES, "outcome": _BITS, "pair": None, "slot": _SLOTS}),
-    "pauli": (_PARTIES, {"op": ("U0", "U1", "U2", "U3"), "pair": None, "slot": _SLOTS}),
+    "receive": (("bob",), {"pair": None, "slot": _SLOT_NAMES}),
+    "measure": (_PARTIES, {"basis": _BASES, "outcome": _BITS, "pair": None, "slot": _SLOT_NAMES}),
+    "pauli": (_PARTIES, {"op": ("U0", "U1", "U2", "U3"), "pair": None, "slot": _SLOT_NAMES}),
     "bell_measure": (
         ("bob",), {"pair": None, "result": ("psi_minus", "psi_plus", "phi_minus", "phi_plus")}
     ),
@@ -424,10 +424,10 @@ def _custody_rule(holders: tuple[object, object], shape: int) -> tuple[tuple, tu
     }.get(kind, (actor, None))  # pauli, measure
     after = list(holders)
     broken = []
-    for s in (_SLOTS.index(payload["slot"]),) if "slot" in payload else (0, 1):
+    for s in (_SLOT_NAMES.index(payload["slot"]),) if "slot" in payload else (0, 1):
         if holders[s] != expect:
             broken.append(
-                f"seq %d: {kind} on pair %d slot {_SLOTS[s]} held by {holders[s]}, expected {expect}"
+                f"seq %d: {kind} on pair %d slot {_SLOT_NAMES[s]} held by {holders[s]}, expected {expect}"
             )
         elif to is not None:
             after[s] = to
@@ -454,37 +454,27 @@ _CUSTODY_STEP: tuple[tuple[int | None, ...], ...] = tuple(
 ) + (tuple(range(len(_STATE_HOLDERS))),)
 
 
-class _CustodyLedger:
-    """Who holds each photon, under the custody rules of FORMAT.md.
+def _apply_custody(
+    custody: dict[int, int], seq: int, shapes: bytes, pairs: Sequence[int]
+) -> list[tuple[int, str]]:
+    """Apply the bulk records seq, seq + 1, ..., given as shape codes and pairs,
+    in order to custody, each pair's custody state if prepared or touched,
+    and return their violations as (seq, message) in record order.
 
-    Each (pair, slot) is held by "alice", "bob", the "channel", or is
-    "consumed"; the ledger keeps one custody state per pair.  A Session
-    applies every custody record as it records it and audit_custody replays
-    every row of a log through a fresh ledger, so both enforce the same
-    rules, from _custody_rule and the table built from it.  Violations
-    come back as (seq, message) in record order; a photon whose rule breaks
-    does not move.
+    The custody rules are FORMAT.md's, from _custody_rule and the table
+    built from it.  A Session applies every custody record to its own dict
+    as it records it, and audit_custody replays a log through a fresh one,
+    so both enforce the same rules.  A photon whose rule breaks does not
+    move, and an _EVENT row moves nothing.
     """
-
-    def __init__(self) -> None:
-        self._state: dict[int, int] = {}  # pair -> custody state, if prepared or touched
-
-    def replay(self, log: EventLog) -> list[str]:
-        """Apply every custody record of a log in order and return the violation messages."""
-        return [message for _, message in self.apply_bulk(0, log._shapes, log._pairs)]
-
-    def apply_bulk(self, seq: int, shapes: bytes, pairs: Sequence[int]) -> list[tuple[int, str]]:
-        """Apply the bulk records seq, seq + 1, ..., given as shape codes and pairs,
-        in order, and return their violations.  An _EVENT row moves nothing."""
-        state = self._state
-        get, step = state.get, _CUSTODY_STEP
-        out: list[tuple[int, str]] = []
-        for seq, shape, pair in zip(count(seq), shapes, pairs):
-            now = get(pair, 0)
-            after = step[shape][now]
-            if after is None:
-                moved, broken = _custody_rule(_STATE_HOLDERS[now], shape)
-                after = _STATE[moved]
-                out += [(seq, message % (seq, pair)) for message in broken]
-            state[pair] = after
-        return out
+    get, step = custody.get, _CUSTODY_STEP
+    out: list[tuple[int, str]] = []
+    for seq, shape, pair in zip(count(seq), shapes, pairs):
+        now = get(pair, 0)
+        after = step[shape][now]
+        if after is None:
+            moved, broken = _custody_rule(_STATE_HOLDERS[now], shape)
+            after = _STATE[moved]
+            out += [(seq, message % (seq, pair)) for message in broken]
+        custody[pair] = after
+    return out

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter, lt, xor
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Union
 
 import numpy as np
@@ -38,7 +37,7 @@ from .qsim import (
     make_singlet,
     measure_qubit,
 )
-from .records import _SHAPE_ID, Event, EventLog, TranscriptInvalid, _CustodyLedger, _record_shape, check_frame
+from .records import _SHAPE_ID, Event, EventLog, TranscriptInvalid, _apply_custody, _record_shape, check_frame
 from .stream import Stream
 
 
@@ -348,7 +347,7 @@ class _Recorder:
         self.events = EventLog()
         self._n_pairs = n_pairs
         self._msg_seq = 0
-        self._custody = _CustodyLedger()
+        self._custody: dict[int, int] = {}  # pair -> custody state, if prepared or touched
 
     def emit(self, actor: str, kind: str, payload: dict) -> None:
         """Append one record; a record off FORMAT.md's record-kind table or a
@@ -367,7 +366,7 @@ class _Recorder:
         the records before it have.
         """
         seq = len(self.events)
-        violations = self._custody.apply_bulk(seq, shapes, pairs)
+        violations = _apply_custody(self._custody, seq, shapes, pairs)
         if violations:
             first, message = violations[0]
             self.events._extend(shapes[: first - seq], pairs[: first - seq])
@@ -402,7 +401,8 @@ def audit_custody(transcript: Transcript) -> list[str]:
     transcript respects custody everywhere.  Every custody record fits its
     shape, as the log admits no other, so the audit never raises.
     """
-    return _CustodyLedger().replay(transcript.events)
+    log = transcript.events
+    return [message for _, message in _apply_custody({}, 0, log._shapes, log._pairs)]
 
 
 # ---------------------------------------------------------------------------
@@ -554,12 +554,11 @@ class Session:
         codes = self._bob_codes = _padded_pairs(self._bob_msg, len(self.survivors))
         # each pair's side (0: the C photon, 1: the M photon) and Bell draw, in bulk
         sides, draws = self._bob_rng.bits_and_randoms(len(self.survivors))
-        source = SimpleNamespace(random=iter(draws).__next__)
         states, results = self._states, self._bell_codes
         shapes, pairs = bytearray(), []
-        for i, code, side in zip(self.survivors, codes, sides):
+        for i, code, side, draw in zip(self.survivors, codes, sides, draws):
             encoded = apply_pauli(states[i], _OPS[code], _SIDE_SLOT[side])
-            index = bell_measure(encoded, source)._value_  # its Bell index, read directly
+            index = bell_measure(encoded, draw)._value_  # its Bell index, read directly
             shapes.append(_BOB_PAULI_SHAPE[code][side])
             shapes.append(_BELL_SHAPE[index])
             pairs += (i, i)
@@ -669,7 +668,7 @@ class Session:
         states = self._states
         outcomes = []
         for i, basis in zip(pairs, bases):
-            outcome, states[i] = measure_qubit(states[i], slot, _BASES[basis], rng)
+            outcome, states[i] = measure_qubit(states[i], slot, _BASES[basis], rng.random())
             outcomes.append(outcome)
         shape = _MEASURE_SHAPE[actor, slot]
         self._rec.record(bytes(shape[b][o] for b, o in zip(bases, outcomes)), pairs)

@@ -81,8 +81,8 @@ def test_criterion_3_undisturbed_anticorrelation():
     rounds = 10_000
     for _ in range(rounds):
         basis = Basis.Z if rng.integers(2) == 0 else Basis.X
-        first, state = measure_qubit(make_singlet(), QubitSlot.C, basis, rng)
-        second, _ = measure_qubit(state, QubitSlot.M, basis, rng)
+        first, state = measure_qubit(make_singlet(), QubitSlot.C, basis, rng.random())
+        second, _ = measure_qubit(state, QubitSlot.M, basis, rng.random())
         if first == second:
             violations += 1
     elapsed = time.perf_counter() - started

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, every name it defines at
 module level is read by another module, README's library example or the benchmark,
 the top level exports exactly the names of that example, and the modules a run
-goes through name no numpy Generator or bit generator state."""
+goes through name no numpy Generator or bit generator state, and qsim draws
+nothing itself."""
 
 from __future__ import annotations
 
@@ -237,3 +238,33 @@ def test_generator_reads_are_found():
         "state = {}\n"
         "states = rng.states\n"
     ) == ["default_rng (line 2)", ".default_rng (line 3)", ".state (line 4)", ".bit_generator (line 4)"]
+
+
+def sampler_draws(source: str) -> list[str]:
+    """Each .random() call a source makes and each line that names RandomStream:
+    qsim's samplers take their uniform draws as values, so qsim draws none itself."""
+    found = [
+        f".random() (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "random"
+    ]
+    for lineno, line in enumerate(source.splitlines(), 1):
+        if re.search(r"\bRandomStream\b", line):
+            found.append(f"RandomStream (line {lineno})")
+    return found
+
+
+def test_qsim_draws_nothing_itself():
+    path = Path(qduplex.__file__).parent / "qsim.py"
+    assert sampler_draws(path.read_text(encoding="utf-8")) == []
+
+
+def test_sampler_draws_are_found():
+    assert sampler_draws(
+        "from typing import Protocol\n"
+        "class RandomStream(Protocol): ...\n"
+        "def measure(state, rng: 'RandomStream'):\n"
+        "    return state if rng.random() < 0.5 else None\n"
+        "np.random.default_rng\n"
+        "random()\n"
+    ) == [".random() (line 4)", "RandomStream (line 2)", "RandomStream (line 3)"]

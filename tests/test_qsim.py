@@ -200,8 +200,8 @@ def test_measurement_collapse_is_repeatable():
     for _ in range(50):
         state = make_singlet()
         basis = Basis.Z if rng.integers(2) == 0 else Basis.X
-        outcome, collapsed = measure_qubit(state, QubitSlot.C, basis, rng)
-        again, _ = measure_qubit(collapsed, QubitSlot.C, basis, rng)
+        outcome, collapsed = measure_qubit(state, QubitSlot.C, basis, rng.random())
+        again, _ = measure_qubit(collapsed, QubitSlot.C, basis, rng.random())
         assert again == outcome
 
 
@@ -210,8 +210,8 @@ def test_singlet_anticorrelation_invariant():
     rng = np.random.default_rng(2024)
     for _ in range(10_000):
         basis = Basis.Z if rng.integers(2) == 0 else Basis.X
-        first, collapsed = measure_qubit(make_singlet(), QubitSlot.C, basis, rng)
-        second, _ = measure_qubit(collapsed, QubitSlot.M, basis, rng)
+        first, collapsed = measure_qubit(make_singlet(), QubitSlot.C, basis, rng.random())
+        second, _ = measure_qubit(collapsed, QubitSlot.M, basis, rng.random())
         assert first != second
 
 
@@ -229,14 +229,14 @@ def test_bell_measure_deterministic_on_bell_states():
     for bell in BellState:
         state = TwoQubitState(bell.vector)
         for _ in range(5):
-            assert bell_measure(state, rng) is bell
+            assert bell_measure(state, rng.random()) is bell
 
 
 def test_bell_measure_sampling_tracks_probabilities():
     rng = np.random.default_rng(77)
     counts = {bell: 0 for bell in BellState}
     for _ in range(4000):
-        counts[bell_measure(product_state(0, 1), rng)] += 1
+        counts[bell_measure(product_state(0, 1), rng.random())] += 1
     assert counts[BellState.PHI_MINUS] == 0
     assert counts[BellState.PHI_PLUS] == 0
     # 3 sigma for p=1/2, n=4000 is about 95
@@ -251,22 +251,12 @@ def test_measure_replays_bit_exact_with_equal_seeds():
             state = make_singlet()
             basis = Basis.Z if rng.integers(2) == 0 else Basis.X
             slot = QubitSlot.C if rng.integers(2) == 0 else QubitSlot.M
-            outcome, _ = measure_qubit(state, slot, basis, rng)
+            outcome, _ = measure_qubit(state, slot, basis, rng.random())
             outcomes.append(outcome)
         return outcomes
 
     assert run(9) == run(9)
     assert run(9) != run(10)
-
-
-class FixedDraws:
-    """A stream stub whose random() returns the given draws in order."""
-
-    def __init__(self, *draws: float) -> None:
-        self._draws = iter(draws)
-
-    def random(self) -> float:
-        return next(self._draws)
 
 
 def test_bell_measure_gives_a_draw_on_rounding_slack_to_an_outcome_with_mass():
@@ -285,18 +275,35 @@ def test_bell_measure_gives_a_draw_on_rounding_slack_to_an_outcome_with_mass():
             total += p
         draws = [d for d in slack if d >= total]
         assert draws  # each state has a slack band, and these draws land in it
-        stream = FixedDraws(*draws)
-        for _ in draws:
-            assert bell_measure(state, stream) is last_with_mass
+        for draw in draws:
+            assert bell_measure(state, draw) is last_with_mass
 
 
 def test_vanishing_branch_is_an_internal_fault():
-    class AlwaysOne:
-        def random(self):
-            return 1.0  # forces the zero-probability branch
+    with pytest.raises(InternalFault):  # a draw of 1.0 forces the zero-probability branch
+        measure_qubit(product_state(0, 1), QubitSlot.C, Basis.Z, 1.0)
 
-    with pytest.raises(InternalFault):
-        measure_qubit(product_state(0, 1), QubitSlot.C, Basis.Z, AlwaysOne())
+
+def test_a_draw_equal_to_the_outcome_zero_probability_gives_outcome_one():
+    """measure_qubit gives outcome 0 exactly when the draw lies below p0."""
+    singlet = make_singlet()
+    states = [
+        singlet,
+        apply_pauli(singlet, PauliOp.U3, QubitSlot.M),
+        project_qubit(singlet, QubitSlot.C, Basis.X, 0)[1],
+        project_qubit(singlet, QubitSlot.M, Basis.Z, 1)[1],
+    ]
+    cases = 0
+    for state in states:
+        for slot in QubitSlot:
+            for basis in Basis:
+                p0 = project_qubit(state, slot, basis, 0)[0]
+                if p0 == 0.0 or project_qubit(state, slot, basis, 1)[1] is None:
+                    continue  # one outcome has no mass: no boundary between the two
+                assert measure_qubit(state, slot, basis, p0)[0] == 1
+                assert measure_qubit(state, slot, basis, np.nextafter(p0, 0.0))[0] == 0
+                cases += 1
+    assert cases >= 10
 
 
 def test_project_rejects_bad_outcome():
@@ -360,8 +367,7 @@ def assert_slots_equal_the_arithmetic(state: TwoQubitState) -> None:
 
 
 def test_slots_equal_the_arithmetic_called_directly_on_random_walks():
-    walks = np.random.default_rng(606)
-    stream, twin = np.random.default_rng(17), np.random.default_rng(17)
+    walks, draws = np.random.default_rng(606), np.random.default_rng(17)
     for _ in range(400):
         state = make_singlet()
         for _ in range(8):
@@ -385,9 +391,10 @@ def test_slots_equal_the_arithmetic_called_directly_on_random_walks():
                         branches.append(post)
                 state = branches[int(walks.integers(len(branches)))]
             elif step in (2, 3):
-                outcome, collapsed = measure_qubit(state, slot, basis, stream)
+                draw = draws.random()
+                outcome, collapsed = measure_qubit(state, slot, basis, draw)
                 p0, want = qsim._project(state.amplitudes, slot, basis, 0)
-                want_outcome = 0 if twin.random() < p0 else 1
+                want_outcome = 0 if draw < p0 else 1
                 if want_outcome == 1:
                     _, want = qsim._project(state.amplitudes, slot, basis, 1)
                 assert outcome == want_outcome
@@ -400,8 +407,8 @@ def test_slots_equal_the_arithmetic_called_directly_on_random_walks():
                 probs = bell_probabilities(state)
                 want_probs, _ = qsim._bell(state.amplitudes)
                 assert probs.tobytes() == want_probs.tobytes()
-                result = bell_measure(state, stream)
-                assert result is linear_scan_bell(want_probs, twin.random())
+                draw = draws.random()
+                assert bell_measure(state, draw) is linear_scan_bell(want_probs, draw)
                 state = make_singlet()  # the pair is consumed
     reached = reachable_through_slots(make_singlet())
     assert len(reached) > 20
@@ -409,33 +416,57 @@ def test_slots_equal_the_arithmetic_called_directly_on_random_walks():
         assert_slots_equal_the_arithmetic(state)
 
 
-def test_intern_table_stays_bounded_and_correct_past_its_limit():
-    rng = np.random.default_rng(11)
-    op, slot = PauliOp.U3, QubitSlot.C
-    states = []
-    for _ in range(qsim.INTERN_LIMIT + 256):  # two entries each: the state and its result
-        vec = rng.normal(size=4) + 1j * rng.normal(size=4)
-        state = TwoQubitState(vec / np.linalg.norm(vec))
-        assert apply_pauli(state, op, slot).key == qsim._pauli(state.amplitudes, op, slot).key
-        assert len(qsim._INTERNED) <= qsim.INTERN_LIMIT
-        states.append(state)
-    # a state that left the table has no slots; the checks below show it still computes every op
-    left = [state for state in states[:64] if qsim._INTERNED.get(state.key) is not state]
-    assert left
-    assert all(state._paulis is None and state._bells is None for state in left)
-    for state in states[:64] + states[-64:]:  # long out of the table, and still in it
-        assert apply_pauli(state, op, slot).key == qsim._pauli(state.amplitudes, op, slot).key
-        p0, _ = project_qubit(state, slot, Basis.X, 0)
-        assert p0 == qsim._project(state.amplitudes, slot, Basis.X, 0)[0]
-    assert len(qsim._INTERNED) <= qsim.INTERN_LIMIT
-    # the singlet stays in the table through every start-over
+def assert_every_op_is_the_arithmetic(state: TwoQubitState) -> None:
+    """Every op on state gives the bytes and floats of the arithmetic called directly."""
+    amps = state.amplitudes
+    for slot in QubitSlot:
+        for op in PauliOp:
+            assert apply_pauli(state, op, slot).key == qsim._pauli(amps, op, slot).key
+        for basis in Basis:
+            branches = []
+            for outcome in (0, 1):
+                prob, post = project_qubit(state, slot, basis, outcome)
+                want_prob, want_post = qsim._project(amps, slot, basis, outcome)
+                assert prob == want_prob and (post is None) == (want_post is None)
+                if post is not None:
+                    assert post.key == want_post.key
+                    if basis is Basis.Z:
+                        fresh = substitute_fresh(post, slot, outcome)
+                        assert fresh.key == qsim._substitute(post.amplitudes, slot, outcome).key
+                branches.append((want_prob, want_post))
+            for draw in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+                if draw < branches[0][0] or branches[1][1] is not None:
+                    want_outcome = 0 if draw < branches[0][0] else 1
+                    outcome, collapsed = measure_qubit(state, slot, basis, draw)
+                    assert outcome == want_outcome
+                    assert collapsed.key == branches[want_outcome][1].key
+    probs, _ = qsim._bell(amps)
+    assert bell_probabilities(state).tobytes() == probs.tobytes()
+    for draw in (0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)):
+        assert bell_measure(state, draw) is linear_scan_bell(probs, draw)
+
+
+def test_the_table_is_the_singlets_closure_and_caller_states_stay_out_of_it():
+    # every table state is reached from the singlet through filled slots, and a slot holds table states
+    reached = {id(state) for state in reachable_through_slots(make_singlet())}
     assert qsim._INTERNED[make_singlet().key] is make_singlet()
-    # a slot holds only states of the table, so nothing outside it grows
     for key, held in qsim._INTERNED.items():
-        assert held.key == key
+        assert held.key == key and id(held) in reached
         for _, _, result in slot_entries(held):
             for state in slot_states(result):
                 assert qsim._INTERNED[state.key] is state
+    # a caller's state, even one equal to a table state, is the plain arithmetic and caches nothing
+    rng = np.random.default_rng(11)
+    states = [TwoQubitState(make_singlet().amplitudes.copy()), product_state(0, 1)]
+    for _ in range(500):
+        vec = rng.normal(size=4) + 1j * rng.normal(size=4)
+        states.append(TwoQubitState(vec / np.linalg.norm(vec)))
+    before = dict(qsim._INTERNED)
+    for state in states:
+        attributes = dict(vars(state))
+        assert_every_op_is_the_arithmetic(state)
+        assert vars(state) == attributes
+    assert qsim._INTERNED == before
 
 
 def linear_scan_bell(probs, draw: float) -> BellState:
@@ -470,9 +501,8 @@ def test_bell_measure_picks_as_the_linear_scan_at_every_boundary():
             draws |= {mass, np.nextafter(mass, 0.0), np.nextafter(mass, 1.0)}
         draws = sorted(d for d in draws if 0.0 <= d < 1.0)
         slack += sum(d >= masses[-1] for d in draws)
-        stream = FixedDraws(*draws)
         for draw in draws:
-            assert bell_measure(state, stream) is linear_scan_bell(probs, draw), (state, draw)
+            assert bell_measure(state, draw) is linear_scan_bell(probs, draw), (state, draw)
     assert zero_mass and slack  # outcomes of zero mass and draws in the slack band were both met
 
 
@@ -527,8 +557,8 @@ def test_mutating_returned_bell_probabilities_changes_no_later_call():
     expected = first.copy()
     first[:] = [0.0, 0.0, 0.0, 1.0]
     assert np.array_equal(bell_probabilities(state), expected)
-    stream = np.random.default_rng(5)
-    assert all(bell_measure(state, stream) in (BellState.PSI_MINUS, BellState.PSI_PLUS) for _ in range(50))
+    draws = np.random.default_rng(5).random(50)
+    assert all(bell_measure(state, draw) in (BellState.PSI_MINUS, BellState.PSI_PLUS) for draw in draws)
 
 
 def test_byte_equal_states_give_byte_equal_results():
@@ -544,9 +574,8 @@ def test_byte_equal_states_give_byte_equal_results():
                 pb, sb = project_qubit(b, slot, basis, outcome)
                 assert pa == pb and sa.key == sb.key
     assert bell_probabilities(a).tobytes() == bell_probabilities(b).tobytes()
-    twin_a, twin_b = np.random.default_rng(3), np.random.default_rng(3)
-    for _ in range(20):
-        assert bell_measure(a, twin_a) is bell_measure(b, twin_b)
+    for draw in np.random.default_rng(3).random(20):
+        assert bell_measure(a, draw) is bell_measure(b, draw)
 
 
 @pytest.mark.parametrize("enum_type", [PauliOp, QubitSlot, Basis, BellState])
@@ -559,11 +588,6 @@ def test_qsim_enums_hash_by_identity(enum_type):
 
 
 def test_apply_pauli_returns_the_shared_interned_state_for_equal_inputs():
-    vec = np.array([0.6, 0.0, 0.0, 0.8j])
-    a, b = TwoQubitState(vec), TwoQubitState(vec.copy())
-    for slot in QubitSlot:
-        for op in PauliOp:
-            assert apply_pauli(a, op, slot) is apply_pauli(b, PauliOp(op.code), QubitSlot(slot.value))
     assert apply_pauli(make_singlet(), PauliOp.U1, QubitSlot.M) is apply_pauli(
         make_singlet(), PauliOp.U1, QubitSlot.M
     )
@@ -599,5 +623,6 @@ def test_substitution_matches_its_old_arithmetic_and_is_read_from_its_slot_on_re
                     continue
                 fresh = substitute_fresh(collapsed, slot, outcome)
                 assert fresh.key == rebuilt_with_fresh_zero(collapsed, slot, outcome)
-                assert collapsed._substs[slot][outcome] is fresh
-                assert substitute_fresh(collapsed, slot, outcome) is fresh
+                if start._substs is not None:  # a table start collapses to a table state
+                    assert collapsed._substs[slot][outcome] is fresh
+                    assert substitute_fresh(collapsed, slot, outcome) is fresh

@@ -43,7 +43,7 @@ from qduplex.records import (
     _EVENT,
     _KIND_ACTORS,
     _STATE_HOLDERS,
-    _CustodyLedger,
+    _apply_custody,
     _record_shape,
     shape_table,
 )
@@ -1681,15 +1681,15 @@ def test_ledger_steps_every_reachable_custody_state_like_the_reference():
                 records = [*prefix, (actor, kind, {"pair": pair, **fields})]
                 holder: dict = {}
                 expected = reference_custody([Event(i, *r) for i, r in enumerate(records)], holder)
-                ledger = _CustodyLedger()
+                custody: dict[int, int] = {}
                 shapes = bytes(
                     _record_shape(i, *r, TranscriptInvalid) for i, r in enumerate(records)
                 )
-                found = ledger.apply_bulk(0, shapes, [pair] * len(records))
+                found = _apply_custody(custody, 0, shapes, [pair] * len(records))
                 assert [message for _, message in found] == expected
                 assert all(message.startswith(f"seq {seq}: ") for seq, message in found)
                 after = holder.get((pair, "C")), holder.get((pair, "M"))
-                assert _STATE_HOLDERS[ledger._state.get(pair, 0)] == after
+                assert _STATE_HOLDERS[custody.get(pair, 0)] == after
                 steps += 1
                 if after not in prefixes:
                     prefixes[after] = records
@@ -1880,7 +1880,7 @@ def test_a_log_of_events_and_bulk_records_reads_as_its_event_list(items, data):
         assert log == events and not log != events
         assert log != events[:-1] or n == 0
         assert "".join(line + "\n" for line in log.lines()) == canonical_jsonl(events)
-        assert reference_custody(log) == [] == _CustodyLedger().replay(log)
+        assert reference_custody(log) == [] == _apply_custody({}, 0, log._shapes, log._pairs)
     assert recorder.events == EventLog(events)
 
 
