@@ -13,7 +13,7 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import compress, filterfalse, repeat
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -332,6 +332,18 @@ def _eve_guesses(first: dict[int, int], second: dict[int, int]) -> dict[int, int
     return guesses
 
 
+# a sample code -> 1 where it is of a class (one table per class), and -> its value
+_IN_CLASS = tuple(bytes(code >> 2 == c for code in range(256)) for c in _CLASSES)
+_VALUE = bytes(code & 3 for code in range(256))
+
+
+def _joint(xs: bytes, ys: bytes) -> Counter:
+    """Counter(zip(xs, ys)) of two columns of values 0..3, counted from their cells x << 2 | y."""
+    cells = (int.from_bytes(xs, "big") << 2 | int.from_bytes(ys, "big")).to_bytes(len(xs), "big")
+    seen = sorted((cells.find(cell), cell) for cell in range(16) if cell in cells)
+    return Counter({(cell >> 2, cell & 3): cells.count(cell) for _, cell in seen})
+
+
 def _run_samples(transcript: "Transcript") -> tuple[Counter, Counter, Counter]:
     """One completed run's MI samples, read from the eve_touch, pauli and bell_measure records.
 
@@ -345,24 +357,27 @@ def _run_samples(transcript: "Transcript") -> tuple[Counter, Counter, Counter]:
     pauli record its sample needs.
     """
     codes, pairs = transcript.events.select(_SAMPLE_TABLE)
-    by_class: list[dict[int, int]] = [{} for _ in _CLASSES]
-    for code, pair in zip(codes, pairs):
-        by_class[code >> 2][pair] = code & 3
-    alice, bob, announced, first_hits, second_hits = by_class
+    values = codes.translate(_VALUE)
+    alice, bob, announced, first_hits, second_hits = (
+        dict(zip(compress(pairs[at], mask[at]), compress(values[at], mask[at])))
+        for mask in map(codes.translate, _IN_CLASS)
+        for at in (slice(mask.find(1), mask.rfind(1) + 1),)  # first record to last (none: -1 to 0)
+    )
     decoys = set(transcript.stats.get("second_check", {}).get("decoy_indices", ()))
-    guesses = _eve_guesses(first_hits, second_hits)
-    message_set = announced.keys() - decoys
-    for actor, ops, needed in (("alice", alice, message_set), ("bob", bob, announced.keys())):
-        if not ops.keys() >= needed:
-            pair = min(needed - ops.keys())
-            raise TranscriptInvalid(f"pair {pair} is Bell-measured with no {actor} pauli record")
-    message = sorted(message_set)
     every = sorted(announced)
-    alice_ops = list(map(alice.__getitem__, message))
+    message = list(filterfalse(decoys.__contains__, every))
+    ops = []
+    for actor, found, needed in (("alice", alice, message), ("bob", bob, every)):
+        try:  # in pair order, so the first pair missing is the smallest
+            ops.append(bytes(map(found.__getitem__, needed)))
+        except KeyError as lost:
+            raise TranscriptInvalid(f"pair {lost} is Bell-measured with no {actor} pauli record") from None
+    alice_ops, bob_ops = ops
+    guesses = _eve_guesses(first_hits, second_hits)
     return (
-        Counter(zip(map(guesses.get, message, repeat(0)), alice_ops)),
-        Counter(zip(map(announced.__getitem__, message), alice_ops)),
-        Counter(zip(map(announced.__getitem__, every), map(bob.__getitem__, every))),
+        _joint(bytes(map(guesses.get, message, repeat(0))), alice_ops),
+        _joint(bytes(map(announced.__getitem__, message)), alice_ops),
+        _joint(bytes(map(announced.__getitem__, every)), bob_ops),
     )
 
 

@@ -27,7 +27,7 @@ from .adversary import (
     predicted_abort_rate,
     predicted_first_check_violation_rate,
 )
-from .codec import MessageBits, expected_bell, pack_bits, random_message, unpack_bits
+from .codec import _BIT_DIGIT, MessageBits, expected_bell, pack_bits, random_message, unpack_bits
 from .qsim import (
     PauliOp,
     QubitSlot,
@@ -166,7 +166,7 @@ def _bits_text(message: MessageBits) -> str:
     """Hex when the payload is whole bytes, else the raw bit string."""
     if message.payload_bits % 8 == 0:
         return unpack_bits(message).hex() or "(empty)"
-    return "".join(str(b) for b in message.bits[: message.payload_bits])
+    return message.bits[: message.payload_bits].translate(_BIT_DIGIT).decode("ascii")
 
 
 def _write_outputs(spec: dict[str, object], rows: list[dict[str, object]]) -> None:

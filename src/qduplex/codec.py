@@ -9,8 +9,6 @@ bits by XORing the announced index with their own code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from operator import lshift, or_
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,13 +55,19 @@ _LOW_BIT = bytes(value & 1 for value in range(256))
 _BIT_DIGIT = bytes.maketrans(b"\0\1", b"01")
 
 
-def _all_bits(values: Iterable[object]) -> bool:
-    """Whether every value is an integer (anything operator.index accepts) 0 or 1."""
-    values = tuple(values)  # a TypeError if values is not iterable; no copy of a tuple
-    try:
-        return not bytearray(values).translate(None, b"\0\1")
-    except (TypeError, ValueError):  # a value that is no integer, or one out of 0..255
-        return False
+def _as_bits(values: Iterable[object], name: str = "bits") -> bytes:
+    """values as bytes of 0 and 1, read by iteration: bytes(values) would read an
+    array's raw memory, or make an int that many zero bytes.  Values that are not
+    iterable are a TypeError, and a value that is not an integer 0 or 1 a ValueError."""
+    if type(values) is not bytes:
+        values = iter(values)
+        try:
+            values = bytes(values)
+        except (TypeError, ValueError):  # a value that is no integer, or one out of 0..255
+            raise ValueError(f"{name} must be 0 or 1") from None
+    if values.translate(None, b"\0\1"):
+        raise ValueError(f"{name} must be 0 or 1")
+    return values
 
 
 def _pair_error(pairs: Sequence[object]) -> Exception:
@@ -81,39 +85,35 @@ class MessageBits:
 
     Messages of odd length are zero-padded to the next pair boundary; the
     pad length is carried so the original payload is recoverable.  A bit,
-    and pad_bits, is an integer (anything operator.index accepts) 0 or 1.
+    and pad_bits, is an integer (anything operator.index accepts) 0 or 1;
+    the bits given are kept as bytes of 0 and 1, so equal bits from any
+    iterable compare and hash equal.
     """
 
-    bits: tuple[int, ...] = ()
+    bits: bytes = b""
     pad_bits: int = 0
 
     def __post_init__(self) -> None:
-        if not _all_bits(self.bits):
-            raise ValueError("bits must be 0 or 1")
+        object.__setattr__(self, "bits", _as_bits(self.bits))
         if len(self.bits) % 2 != 0:
             raise ValueError("bit string must have even length (pad first)")
-        if not _all_bits((self.pad_bits,)):
-            raise ValueError("pad_bits must be 0 or 1")
+        _as_bits((self.pad_bits,), "pad_bits")
         if self.pad_bits > len(self.bits):
             raise ValueError("padding longer than message")
 
     @classmethod
-    def _padded(cls, bits: tuple[int, ...]) -> "MessageBits":
+    def _padded(cls, bits: bytes) -> "MessageBits":
         pad = len(bits) % 2
-        return cls(bits=bits + (0,) * pad, pad_bits=pad)
+        return cls(bits=bits + bytes(pad), pad_bits=pad)
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "MessageBits":
         """Build from raw bits, zero-padding odd lengths.
 
         Each bit must be an integer (anything operator.index accepts) 0 or 1,
-        else ValueError, and is kept as a plain int; bits that are not
-        iterable are a TypeError.
+        else ValueError; bits that are not iterable are a TypeError.
         """
-        bits = tuple(bits)
-        if not _all_bits(bits):
-            raise ValueError("bits must be 0 or 1")
-        return cls._padded(tuple(bytes(bits)))
+        return cls._padded(_as_bits(bits))
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[int], payload_bits: int) -> "MessageBits":
@@ -127,7 +127,7 @@ class MessageBits:
         if payload_bits < 0 or payload_bits > 2 * len(pairs):
             raise ValueError("payload_bits outside decoded range")
         try:
-            codes = bytes(iter(pairs))
+            codes = pairs if type(pairs) is bytes else bytes(iter(pairs))
         except (TypeError, ValueError):  # a pair that is no integer, or one out of 0..255
             raise _pair_error(pairs) from None
         if codes.translate(None, b"\0\1\2\3"):
@@ -136,21 +136,22 @@ class MessageBits:
         flat[0::2] = codes.translate(_HIGH_BIT)
         flat[1::2] = codes.translate(_LOW_BIT)
         pad = payload_bits % 2
-        return cls(bits=tuple(flat[: payload_bits + pad]), pad_bits=pad)
+        return cls(bits=bytes(flat[: payload_bits + pad]), pad_bits=pad)
 
     @property
     def payload_bits(self) -> int:
         return len(self.bits) - self.pad_bits
 
-    def pairs(self) -> tuple[int, ...]:
+    def pairs(self) -> bytes:
         """The message as 2-bit values, high bit first within each pair."""
         bits = self.bits
-        return tuple(map(or_, map(lshift, bits[0::2], repeat(1)), bits[1::2]))
+        pairs = int.from_bytes(bits[0::2], "big") << 1 | int.from_bytes(bits[1::2], "big")
+        return pairs.to_bytes(len(bits) // 2, "big")
 
 
 def pack_bits(raw: bytes) -> MessageBits:
     """Bytes to bits, most significant bit of each byte first."""
-    return MessageBits(bits=tuple(b"".join(map(_BYTE_BITS.__getitem__, raw))), pad_bits=0)
+    return MessageBits(bits=b"".join(map(_BYTE_BITS.__getitem__, raw)), pad_bits=0)
 
 
 def unpack_bits(message: MessageBits) -> bytes:
@@ -158,12 +159,13 @@ def unpack_bits(message: MessageBits) -> bytes:
     payload = message.bits[: message.payload_bits]
     if len(payload) % 8 != 0:
         raise ValueError("payload is not a whole number of bytes")
-    digits = bytearray(payload).translate(_BIT_DIGIT)
-    return int(b"0" + digits, 2).to_bytes(len(payload) // 8, "big")
+    return int(b"0" + payload.translate(_BIT_DIGIT), 2).to_bytes(len(payload) // 8, "big")
 
 
 def random_message(bit_count: int, rng: np.random.Generator) -> MessageBits:
     """Uniform random message of the given bit length."""
     if bit_count < 0:
         raise ValueError("bit_count must be non-negative")
-    return MessageBits._padded(tuple(rng.integers(0, 2, size=bit_count).tolist()))
+    # the draw's native int64 values are 0 or 1, so each value's low byte is the bit
+    draw = rng.integers(0, 2, size=bit_count).tobytes()
+    return MessageBits._padded(draw[0 if np.little_endian else 7 :: 8])

@@ -434,24 +434,24 @@ def _custody_rule(holders: tuple[object, object], shape: int) -> tuple[tuple, tu
     return tuple(after), tuple(broken)
 
 
-# A pair's custody state is a small integer that stands for the holders of
-# its C and M photons, each None (not prepared) or a holder some rule moves
-# a photon to; state 0 is an unprepared pair.
+# A pair's custody state stands for the holders of its C and M photons, each None (not
+# prepared) or a holder some rule moves a photon to; state 0 is an unprepared pair.  A
+# state is a multiple of _ROW, the number of shape codes, so state + shape is one index.
+_ROW = _EVENT + 1
 _HOLDERS = (None, "alice", "channel", "bob", "consumed")
-_STATE_HOLDERS = tuple(product(_HOLDERS, repeat=2))  # state -> (C holder, M holder)
-_STATE = {holders: state for state, holders in enumerate(_STATE_HOLDERS)}
+_STATE_HOLDERS = {_ROW * k: holders for k, holders in enumerate(product(_HOLDERS, repeat=2))}
+_STATE = {holders: state for state, holders in _STATE_HOLDERS.items()}
 
-# shape -> state -> the state after a record of that shape, or None where
-# the record breaks a rule.  The last row, _EVENT's, is the identity: an
-# Event row's pair cell is an index into EventLog._events, which may equal
-# a live pair, and the row writes back the state it reads for it.
-_CUSTODY_STEP: tuple[tuple[int | None, ...], ...] = tuple(
-    tuple(
-        None if broken else _STATE[after]
-        for after, broken in (_custody_rule(holders, shape) for holders in _STATE_HOLDERS)
-    )
-    for shape in range(_EVENT)
-) + (tuple(range(len(_STATE_HOLDERS))),)
+# state + shape -> the state after a record of that shape, or None where
+# the record breaks a rule.  _EVENT's entry is the state itself: an Event
+# row's pair cell is an index into EventLog._events, which may equal a live
+# pair, and the row writes back the state it reads for it.
+_CUSTODY_STEP: tuple[int | None, ...] = tuple(
+    None if broken else _STATE[after]
+    for holders in _STATE_HOLDERS.values()
+    for shape in range(_ROW)
+    for after, broken in (_custody_rule(holders, shape) if shape < _EVENT else (holders, ()),)
+)
 
 
 def _apply_custody(
@@ -469,12 +469,14 @@ def _apply_custody(
     """
     get, step = custody.get, _CUSTODY_STEP
     out: list[tuple[int, str]] = []
-    for seq, shape, pair in zip(count(seq), shapes, pairs):
+    rest = iter(shapes)
+    for shape, pair in zip(rest, pairs):
         now = get(pair, 0)
-        after = step[shape][now]
+        after = step[now + shape]
         if after is None:
+            at = seq + len(shapes) - operator.length_hint(rest) - 1  # the record's seq, from its index
             moved, broken = _custody_rule(_STATE_HOLDERS[now], shape)
             after = _STATE[moved]
-            out += [(seq, message % (seq, pair)) for message in broken]
+            out += [(at, message % (at, pair)) for message in broken]
         custody[pair] = after
     return out

@@ -17,15 +17,15 @@ import stat
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import itemgetter, lt, xor
+from itertools import compress, islice, pairwise
+from operator import itemgetter, lt
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
 from .adversary import _BASES, EveStrategy, Leg, leg_slot, transit
-from .codec import MessageBits
+from .codec import _BIT_DIGIT, MessageBits
 from .qsim import (
     BellState,
     InternalFault,
@@ -198,8 +198,7 @@ class Aborted:
 Verdict = Union[Completed, Aborted]
 
 
-# bit values <-> the ASCII digits of a verdict's bits string, as bytes.translate tables
-_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
+# the ASCII digits of a verdict's bits string -> bit values, a bytes.translate table
 _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 # each outcome of FORMAT.md's verdict record and its fields
 _VERDICT_FIELDS = {
@@ -212,7 +211,7 @@ _ABORT_PHASES = (Phase.FIRST_CHECK.value, Phase.SECOND_CHECK.value)
 
 def _message_bits_payload(message: MessageBits) -> dict:
     return {
-        "bits": bytes(message.bits).translate(_BIT_DIGITS).decode("ascii"),
+        "bits": message.bits.translate(_BIT_DIGIT).decode("ascii"),
         "pad_bits": message.pad_bits,
     }
 
@@ -228,7 +227,7 @@ def _message_bits_from_payload(payload: object) -> MessageBits:
     if type(pad) is not int or pad not in (0, 1):
         raise TranscriptInvalid(f"pad_bits {pad!r} is not the integer 0 or 1")
     try:
-        return MessageBits(bits=tuple(bits.encode("ascii").translate(_DIGIT_BITS)), pad_bits=pad)
+        return MessageBits(bits=bits.encode("ascii").translate(_DIGIT_BITS), pad_bits=pad)
     except ValueError as exc:  # an odd number of bits, or pad_bits past them
         raise TranscriptInvalid(f"decoded message: {exc}") from exc
 
@@ -439,12 +438,11 @@ class Session:
         self._bob_msg = bob_msg
         self.phase = Phase.INIT
         self.survivors: list[int] = []
-        self.decoys: frozenset[int] = frozenset()
         self._decoy_at: list[int] = []  # each decoy's place among the survivors, ascending
-        # each survivor's op codes and announced Bell index, in survivor order
-        self._alice_codes: list[int] = []
-        self._bob_codes: list[int] = []
-        self._bell_codes: list[int] = []
+        # each survivor's op codes and announced Bell index, as byte columns in survivor order
+        self._alice_codes = b""
+        self._bob_codes = b""
+        self._bell_codes = bytearray()
         self._states: dict[int, TwoQubitState] = {}  # the pairs still in play, by index
         self._stats: dict = {}
         self._rec = _Recorder(config.n_pairs)
@@ -514,10 +512,11 @@ class Session:
         if not passed:
             self._abort("anticorrelation check failed")
             return False
-        consumed = set(chosen)
-        self.survivors = [i for i in range(cfg.n_pairs) if i not in consumed]
+        kept = bytearray(b"\1" * cfg.n_pairs)
         for i in chosen:  # the check consumed these pairs
             del self._states[i]
+            kept[i] = 0
+        self.survivors = list(compress(range(cfg.n_pairs), kept))
         return True
 
     def alice_encode(self) -> None:
@@ -531,17 +530,17 @@ class Session:
         cfg = self.config
         if cfg.check_count_2 > 0:
             self._decoy_at = sorted(self._alice_rng.choice(len(self.survivors), cfg.check_count_2))
-            self.decoys = frozenset(self.survivors[k] for k in self._decoy_at)
-        message_count = len(self.survivors) - len(self.decoys)
-        next_pair = iter(_padded_pairs(self._alice_msg, message_count))
-        rng, decoys, states = self._alice_rng, self.decoys, self._states
-        slot = QubitSlot.M
-        codes = self._alice_codes
-        for i in self.survivors:
-            code = rng.integers(4) if i in decoys else next(next_pair)
+        message = _padded_pairs(self._alice_msg, len(self.survivors) - len(self._decoy_at))
+        # the message pairs in survivor order, with each decoy's op drawn in its place
+        codes = self._alice_codes = bytearray()
+        for d, k in enumerate(self._decoy_at):  # d decoys and k - d message pairs before place k
+            codes += message[len(codes) - d : k - d]
+            codes.append(self._alice_rng.integers(4))
+        codes += message[len(codes) - len(self._decoy_at) :]
+        states, slot = self._states, QubitSlot.M
+        for i, code in zip(self.survivors, codes):
             states[i] = apply_pauli(states[i], _OPS[code], slot)
-            codes.append(code)
-        self._rec.record(bytes(map(_ALICE_PAULI_SHAPE.__getitem__, codes)), self.survivors)
+        self._rec.record(codes.translate(_ALICE_PAULI_SHAPE), self.survivors)
 
     def bob_encode_measure_announce(self) -> None:
         """Bob's encoding, joint measurement, and public announcement.
@@ -551,19 +550,21 @@ class Session:
         Results are announced for all survivors at once, in index order.
         """
         self._advance(Phase.BELL_ANNOUNCE)
-        codes = self._bob_codes = _padded_pairs(self._bob_msg, len(self.survivors))
+        n = len(self.survivors)
+        codes = self._bob_codes = _padded_pairs(self._bob_msg, n)
         # each pair's side (0: the C photon, 1: the M photon) and Bell draw, in bulk
-        sides, draws = self._bob_rng.bits_and_randoms(len(self.survivors))
+        sides, draws = self._bob_rng.bits_and_randoms(n)
         states, results = self._states, self._bell_codes
-        shapes, pairs = bytearray(), []
         for i, code, side, draw in zip(self.survivors, codes, sides, draws):
             encoded = apply_pauli(states[i], _OPS[code], _SIDE_SLOT[side])
-            index = bell_measure(encoded, draw)._value_  # its Bell index, read directly
-            shapes.append(_BOB_PAULI_SHAPE[code][side])
-            shapes.append(_BELL_SHAPE[index])
-            pairs += (i, i)
-            results.append(index)
+            results.append(bell_measure(encoded, draw)._value_)  # its Bell index, read directly
         states.clear()  # the Bell measurements consumed every pair
+        # each pair's pauli then bell_measure record; a pauli's shape is by code * 2 + side
+        shapes, pairs = bytearray(2 * n), [0] * (2 * n)
+        paulis = int.from_bytes(codes, "big") << 1 | int.from_bytes(bytes(sides), "big")
+        shapes[0::2] = paulis.to_bytes(n, "big").translate(_BOB_PAULI_SHAPE)
+        shapes[1::2] = results.translate(_BELL_SHAPE)
+        pairs[0::2] = pairs[1::2] = self.survivors
         self._rec.record(shapes, pairs)
         self._rec.send(
             "bob",
@@ -620,15 +621,12 @@ class Session:
         beyond each sender's recorded payload length is stripped.
         Returns the verdict that carries both decoded messages.
         """
-        bell, decoys = self._bell_codes, self.decoys
-        # Bob XORs each announced index with his own op code, Alice with hers
-        alice_sent_pairs = [
-            index ^ code
-            for i, index, code in zip(self.survivors, bell, self._bob_codes)
-            if i not in decoys
-        ]
+        # Bob XORs each announced index with his own op code and drops the decoys, Alice with hers
+        bell, n = int.from_bytes(self._bell_codes, "big"), len(self._bell_codes)
+        bob_view = (bell ^ int.from_bytes(self._bob_codes, "big")).to_bytes(n, "big")
+        alice_sent_pairs = b"".join(bob_view[a + 1 : b] for a, b in pairwise((-1, *self._decoy_at, n)))
+        bob_sent_pairs = (bell ^ int.from_bytes(self._alice_codes, "big")).to_bytes(n, "big")
         bob_decoded = MessageBits.from_pairs(alice_sent_pairs, self._alice_msg.payload_bits)
-        bob_sent_pairs = list(map(xor, bell, self._alice_codes))
         alice_decoded = MessageBits.from_pairs(bob_sent_pairs, self._bob_msg.payload_bits)
         self._advance(Phase.DONE)
         return Completed(alice_decoded, bob_decoded)
@@ -691,11 +689,12 @@ _OP_NAME = tuple(op.name for op in _OPS)
 _SIDE_SLOT = (QubitSlot.C, QubitSlot.M)
 _BELL_NAME = tuple(bell.name.lower() for bell in BellState)
 _PREPARE_SHAPE = _SHAPE_ID["prepare", "alice"]
-_ALICE_PAULI_SHAPE = tuple(_SHAPE_ID["pauli", "alice", op.name, "M"] for op in _OPS)
-_BOB_PAULI_SHAPE = tuple(
-    tuple(_SHAPE_ID["pauli", "bob", op.name, slot.value] for slot in _SIDE_SLOT) for op in _OPS
-)
-_BELL_SHAPE = tuple(_SHAPE_ID["bell_measure", "bob", name] for name in _BELL_NAME)
+# translate tables: an op code, an op code * 2 + side, or a Bell index -> its record's shape
+_ALICE_PAULI_SHAPE = bytes(_SHAPE_ID["pauli", "alice", op.name, "M"] for op in _OPS).ljust(256, b"\xff")
+_BOB_PAULI_SHAPE = bytes(
+    _SHAPE_ID["pauli", "bob", op.name, slot.value] for op in _OPS for slot in _SIDE_SLOT
+).ljust(256, b"\xff")
+_BELL_SHAPE = bytes(_SHAPE_ID["bell_measure", "bob", name] for name in _BELL_NAME).ljust(256, b"\xff")
 # (actor, slot) -> measure shape codes by basis code, then outcome
 _MEASURE_SHAPE = {
     (actor, slot): tuple(
@@ -725,11 +724,11 @@ _LEG_SHAPES = {
 }
 
 
-def _padded_pairs(message: MessageBits, needed: int) -> list[int]:
-    pairs = list(message.pairs())
+def _padded_pairs(message: MessageBits, needed: int) -> bytes:
+    pairs = message.pairs()
     if len(pairs) > needed:
         raise InternalFault("message longer than encoding positions")  # capacity checked earlier
-    return pairs + [0] * (needed - len(pairs))
+    return pairs + bytes(needed - len(pairs))
 
 
 def run_protocol(

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,7 @@ from qduplex.adversary import (
     predicted_first_check_violation_rate,
     transit,
     wilson_interval,
+    _SAMPLE_TABLE,
     _eve_guesses,
     _run_samples,
 )
@@ -46,7 +48,7 @@ from qduplex.qsim import (
     product_state,
     project_qubit,
 )
-from qduplex.records import Event, TranscriptInvalid
+from qduplex.records import _BULK_SCHEMA, Event, TranscriptInvalid
 from qduplex.session import ProtocolConfig, Transcript, audit_custody, run_protocol
 from qduplex.stream import Stream
 
@@ -562,6 +564,107 @@ def test_run_samples_name_the_first_pair_without_its_pauli_record(actor):
     with pytest.raises(TranscriptInvalid) as raised:
         _run_samples(damaged)
     assert str(raised.value) == f"pair {needed[3]} is Bell-measured with no {actor} pauli record"
+
+
+def dict_and_counter_run_samples(transcript: Transcript) -> tuple[Counter, Counter, Counter]:
+    """_run_samples in its dict-and-Counter form, the reference for its byte columns:
+    one loop stores each selected record's value in its class's per-pair dict, and
+    each joint count is Counter(zip(...)) of its cells."""
+    codes, pairs = transcript.events.select(_SAMPLE_TABLE)
+    by_class: list[dict[int, int]] = [{} for _ in range(5)]
+    for code, pair in zip(codes, pairs):
+        by_class[code >> 2][pair] = code & 3
+    alice, bob, announced, first_hits, second_hits = by_class
+    decoys = set(transcript.stats.get("second_check", {}).get("decoy_indices", ()))
+    guesses = _eve_guesses(first_hits, second_hits)
+    message_set = announced.keys() - decoys
+    for actor, ops, needed in (("alice", alice, message_set), ("bob", bob, announced.keys())):
+        if not ops.keys() >= needed:
+            pair = min(needed - ops.keys())
+            raise TranscriptInvalid(f"pair {pair} is Bell-measured with no {actor} pauli record")
+    message = sorted(message_set)
+    every = sorted(announced)
+    alice_ops = list(map(alice.__getitem__, message))
+    return (
+        Counter(zip(map(guesses.get, message, repeat(0)), alice_ops)),
+        Counter(zip(map(announced.__getitem__, message), alice_ops)),
+        Counter(zip(map(announced.__getitem__, every), map(bob.__getitem__, every))),
+    )
+
+
+def counts_or_error(function, transcript: Transcript):
+    """A samples function's three counts as their (cell, count) items in order, or its
+    TranscriptInvalid message."""
+    try:
+        return [list(joint.items()) for joint in function(transcript)]
+    except TranscriptInvalid as exc:
+        return f"TranscriptInvalid: {exc}"
+
+
+def any_run(attack: str, attack_prob: float, seed: int, n_pairs: int, check_count_2: int) -> Transcript:
+    """A run under the attack, completed or aborted at either check."""
+    config = ProtocolConfig(
+        n_pairs=n_pairs, check_fraction_1=1 / n_pairs, check_count_2=check_count_2, seed=seed,
+        abort_threshold=n_pairs, eve=EveStrategy.from_name(attack, attack_prob=attack_prob),
+    )
+    return run_protocol(
+        config,
+        random_message(config.alice_capacity_bits, np.random.default_rng(seed)),
+        random_message(config.bob_capacity_bits, np.random.default_rng(seed + 1)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    attack=st.sampled_from([kind.value for kind in AttackKind]),
+    attack_prob=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+    seed=st.integers(0, 2**32),
+    n_pairs=st.integers(3, 96),
+    check_count_2=st.integers(0, 4),
+)
+def test_run_samples_equal_the_dict_and_counter_form_on_live_runs(
+    attack, attack_prob, seed, n_pairs, check_count_2
+):
+    transcript = any_run(attack, attack_prob, seed, n_pairs, min(check_count_2, n_pairs - 2))
+    expected = counts_or_error(dict_and_counter_run_samples, transcript)
+    assert counts_or_error(_run_samples, transcript) == expected
+    assert not isinstance(expected, str)
+
+
+DAMAGE_BASES = [
+    completed_run("intercept-rand", 1.0, 3, 24),  # eve_touch records on both legs
+    completed_run("intercept-x", 0.5, 6, 24),
+    completed_run("none", 1.0, 5, 24, check_count_2=4),  # decoys in the stats record
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_run_samples_equal_the_dict_and_counter_form_on_damaged_logs(data):
+    """One pair's pauli, bell_measure or eve_touch record duplicated (its copy
+    maybe with another value), dropped or moved, anywhere between the config
+    and the stats record."""
+    events = list(data.draw(st.sampled_from(DAMAGE_BASES)).events)
+    at = data.draw(st.sampled_from(
+        [i for i, e in enumerate(events) if e.kind in ("pauli", "bell_measure", "eve_touch")]
+    ))
+    record = events[at]
+    damage = data.draw(st.sampled_from(["duplicate", "drop", "move"]))
+    if damage != "duplicate":
+        del events[at]
+    if damage != "drop":
+        payload = dict(record.payload)
+        if damage == "duplicate":
+            for name, values in _BULK_SCHEMA[record.kind][1].items():
+                if values is not None and data.draw(st.booleans()):
+                    payload[name] = data.draw(st.sampled_from(values))
+        stats_at = next(i for i, e in enumerate(events) if e.kind == "stats")
+        events.insert(data.draw(st.integers(1, stats_at)), Event(0, record.actor, record.kind, payload))
+    transcript = Transcript(
+        events=[Event(seq, e.actor, e.kind, e.payload) for seq, e in enumerate(events)],
+    )
+    expected = counts_or_error(dict_and_counter_run_samples, transcript)
+    assert counts_or_error(_run_samples, transcript) == expected
 
 
 def test_eve_information_is_exactly_zero_without_an_attack():

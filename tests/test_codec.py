@@ -91,9 +91,9 @@ def test_decode_known_values():
 
 def test_pack_bits_msb_first():
     message = pack_bits(bytes([0xA5]))
-    assert message.bits == (1, 0, 1, 0, 0, 1, 0, 1)
+    assert message.bits == bytes((1, 0, 1, 0, 0, 1, 0, 1))
     assert message.pad_bits == 0
-    assert message.pairs() == (2, 2, 1, 1)
+    assert message.pairs() == bytes((2, 2, 1, 1))
 
 
 @settings(max_examples=80, deadline=None)
@@ -107,14 +107,14 @@ def test_pack_unpack_round_trip(data):
 def test_bits_to_pairs_round_trip(bits):
     message = MessageBits.from_bits(bits)
     assert message.payload_bits == len(bits)
-    assert message.bits[: len(bits)] == tuple(bits)
+    assert message.bits[: len(bits)] == bytes(bits)
     rebuilt = MessageBits.from_pairs(message.pairs(), payload_bits=len(bits))
     assert rebuilt == message
 
 
 def test_odd_length_is_padded_and_recorded():
     message = MessageBits.from_bits([1, 0, 1])
-    assert message.bits == (1, 0, 1, 0)
+    assert message.bits == bytes((1, 0, 1, 0))
     assert message.pad_bits == 1
     assert message.payload_bits == 3
     assert len(message.pairs()) == 2
@@ -140,8 +140,7 @@ def test_odd_length_is_padded_and_recorded():
 def test_from_bits_accepts_and_rejects_what_the_constructor_does(bits, expected):
     if isinstance(expected, tuple):
         message = MessageBits.from_bits(bits)
-        assert message.bits == expected
-        assert all(type(bit) is int for bit in message.bits)
+        assert type(message.bits) is bytes and message.bits == bytes(expected)
     else:
         with pytest.raises(expected):
             MessageBits.from_bits(bits)
@@ -178,15 +177,34 @@ def test_message_bits_validation():
         ((0, 1), 1.5, ValueError),
         ((0, 1), 1.0, ValueError),
         (None, 0, TypeError),  # bits that are not iterable
+        (4, 0, TypeError),  # not four zero bits
+        (np.array([1, 0]), 0, None),  # its two values, not the 16 bytes of its memory
+        (np.array([1, 2]), 0, ValueError),
+        (b"\x01\x00", 0, None),
+        (bytearray(b"\x01\x00"), 0, None),
+        (b"10", 0, ValueError),  # the bytes 0x31 and 0x30
     ],
 )
 def test_message_bits_accepts_and_rejects_exactly_these(bits, pad_bits, error):
     if error is None:
         message = MessageBits(bits=bits, pad_bits=pad_bits)
-        assert message.bits == bits and message.pad_bits == pad_bits
+        assert type(message.bits) is bytes and message.bits == bytes(map(int, bits))
+        assert message.pad_bits == pad_bits
     else:
         with pytest.raises(error):
             MessageBits(bits=bits, pad_bits=pad_bits)
+
+
+def test_equal_bits_from_a_tuple_bytes_or_an_array_are_one_message():
+    messages = [
+        MessageBits(bits=(1, 0, 0, 1), pad_bits=1),
+        MessageBits(bits=b"\x01\x00\x00\x01", pad_bits=1),
+        MessageBits(bits=np.array([1, 0, 0, 1]), pad_bits=1),
+        MessageBits(bits=[True, False, np.int64(0), np.uint8(1)], pad_bits=1),
+    ]
+    assert all(message == messages[0] for message in messages)
+    assert len({hash(message) for message in messages}) == 1
+    assert MessageBits(bits=(1, 0, 0, 1)) != messages[0]  # another pad
 
 
 @pytest.mark.parametrize(
@@ -213,7 +231,7 @@ def test_message_bits_accepts_and_rejects_exactly_these(bits, pad_bits, error):
 def test_from_pairs_values_and_errors(pairs, payload_bits, expected):
     if isinstance(expected, tuple):
         message = MessageBits.from_pairs(pairs, payload_bits)
-        assert message.bits == expected
+        assert message.bits == bytes(expected)
         assert message.payload_bits == payload_bits
     elif isinstance(expected, Exception):
         with pytest.raises(type(expected), match=str(expected)):
@@ -242,7 +260,7 @@ def test_pack_and_unpack_every_byte_value():
         assert pack_bits(bytes([byte])) == MessageBits(bits=bits)
         assert unpack_bits(MessageBits(bits=bits)) == bytes([byte])
     every = bytes(range(256))
-    assert pack_bits(every).bits == sum((pack_bits(bytes([b])).bits for b in every), ())
+    assert pack_bits(every).bits == b"".join(pack_bits(bytes([b])).bits for b in every)
     assert unpack_bits(pack_bits(every)) == every
     assert pack_bits(b"") == MessageBits()
     assert unpack_bits(MessageBits()) == b""
@@ -251,7 +269,7 @@ def test_pack_and_unpack_every_byte_value():
 def test_empty_message():
     message = MessageBits.from_bits([])
     assert message.payload_bits == 0
-    assert message.pairs() == ()
+    assert message.pairs() == b""
     assert unpack_bits(message) == b""
 
 
@@ -260,7 +278,7 @@ def test_random_message_is_from_bits_of_one_integers_draw(n):
     rng, reference = np.random.default_rng(n), np.random.default_rng(n)
     message = random_message(n, rng)
     assert message == MessageBits.from_bits(reference.integers(0, 2, size=n).tolist())
-    assert all(type(bit) is int for bit in message.bits)
+    assert type(message.bits) is bytes
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
@@ -270,7 +288,7 @@ def test_random_message_is_seeded_and_sized():
     assert first == second
     assert first.payload_bits == 21
     assert len(first.bits) == 22
-    assert random_message(0, np.random.default_rng(0)).bits == ()
+    assert random_message(0, np.random.default_rng(0)).bits == b""
 
 
 def test_random_message_of_negative_length_is_refused():

@@ -268,3 +268,35 @@ def test_sampler_draws_are_found():
         "np.random.default_rng\n"
         "random()\n"
     ) == [".random() (line 4)", "RandomStream (line 2)", "RandomStream (line 3)"]
+
+
+def calls_without_byteorder(source: str) -> list[str]:
+    """Each from_bytes or to_bytes call a source makes without its byteorder, with its
+    line: before Python 3.11 the byteorder has no default, so such a call raises there."""
+    return [
+        f".{node.func.attr}() (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("from_bytes", "to_bytes")
+        and len(node.args) < 2
+        and not any(keyword.arg == "byteorder" for keyword in node.keywords)
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_every_bytes_int_conversion_names_its_byteorder(path):
+    assert calls_without_byteorder(path.read_text(encoding="utf-8")) == []
+
+
+def test_calls_without_byteorder_are_found():
+    assert calls_without_byteorder(
+        "a = int.from_bytes(b'\\x01')\n"
+        "b = int.from_bytes(b'\\x01', 'big')\n"
+        "c = int.from_bytes(b'\\x01', byteorder='little')\n"
+        "d = (5).to_bytes(2)\n"
+        "e = (5).to_bytes(2, 'big')\n"
+        "f = (5).to_bytes(length=2, byteorder='big')\n"
+        "g = (5).to_bytes()\n"
+        "h = (5).to_bytes(2, signed=True)\n"
+    ) == [".from_bytes() (line 1)", ".to_bytes() (line 4)", ".to_bytes() (line 7)", ".to_bytes() (line 8)"]

@@ -180,8 +180,8 @@ def test_round_trip_with_empty_messages():
     empty = MessageBits.from_bits([])
     transcript = run_protocol(config, empty, empty)
     assert transcript.completed
-    assert transcript.verdict.alice_decoded.bits == ()
-    assert transcript.verdict.bob_decoded.bits == ()
+    assert transcript.verdict.alice_decoded.bits == b""
+    assert transcript.verdict.bob_decoded.bits == b""
 
 
 def test_round_trip_large_block():
@@ -727,7 +727,7 @@ def test_survivor_and_decoy_bookkeeping():
     }
     assert len(checked) == config.first_check_count
     assert sorted(session.survivors) == [i for i in range(32) if i not in checked]
-    decoys = session.decoys
+    decoys = {session.survivors[k] for k in session._decoy_at}
     assert len(decoys) == 5
     assert decoys <= set(session.survivors)
     stats = transcript.stats["second_check"]
