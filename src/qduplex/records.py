@@ -6,8 +6,8 @@ pair, is its row: a shape code and a pair; the row of every other record
 points to its Event.  A record that fits no row of FORMAT.md's record-kind
 table is rejected where it enters the log.  This module owns the
 canonical JSONL line of every record, reads it back, states the frame of
-every transcript, and holds the one copy of the custody rules that a
-Session enforces as it records and audit_custody replays.
+every transcript, and holds the one copy of the custody rules, stepping
+a list of states indexed by pair as a Session records and audit_custody replays.
 """
 
 from __future__ import annotations
@@ -455,23 +455,23 @@ _CUSTODY_STEP: tuple[int | None, ...] = tuple(
 
 
 def _apply_custody(
-    custody: dict[int, int], seq: int, shapes: bytes, pairs: Sequence[int]
+    custody: list[int] | dict[int, int], seq: int, shapes: bytes, pairs: Sequence[int]
 ) -> list[tuple[int, str]]:
     """Apply the bulk records seq, seq + 1, ..., given as shape codes and pairs,
-    in order to custody, each pair's custody state if prepared or touched,
+    in order to custody, which holds a custody state for every pair given,
     and return their violations as (seq, message) in record order.
 
     The custody rules are FORMAT.md's, from _custody_rule and the table
-    built from it.  A Session applies every custody record to its own dict
-    as it records it, and audit_custody replays a log through a fresh one,
-    so both enforce the same rules.  A photon whose rule breaks does not
-    move, and an _EVENT row moves nothing.
+    built from it.  A Session applies every custody record to its own list,
+    indexed by pair, as it records it, and audit_custody replays a log
+    through a fresh list or dict, so both enforce the same rules.  A photon
+    whose rule breaks does not move, and an _EVENT row moves nothing.
     """
-    get, step = custody.get, _CUSTODY_STEP
+    step = _CUSTODY_STEP
     out: list[tuple[int, str]] = []
     rest = iter(shapes)
     for shape, pair in zip(rest, pairs):
-        now = get(pair, 0)
+        now = custody[pair]
         after = step[now + shape]
         if after is None:
             at = seq + len(shapes) - operator.length_hint(rest) - 1  # the record's seq, from its index

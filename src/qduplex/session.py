@@ -16,6 +16,7 @@ import os
 import stat
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
+from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import compress, islice, pairwise
 from operator import itemgetter, lt
@@ -346,7 +347,7 @@ class _Recorder:
         self.events = EventLog()
         self._n_pairs = n_pairs
         self._msg_seq = 0
-        self._custody: dict[int, int] = {}  # pair -> custody state, if prepared or touched
+        self._custody = [0] * n_pairs  # pair -> custody state
 
     def emit(self, actor: str, kind: str, payload: dict) -> None:
         """Append one record; a record off FORMAT.md's record-kind table or a
@@ -361,11 +362,18 @@ class _Recorder:
     def record(self, shapes: bytes, pairs: Sequence[int]) -> None:
         """Append bulk records, given as shape codes and pairs, with the next seqs.
 
-        A custody violation raises before its record enters the log, once
-        the records before it have.
+        A pair outside 0..n_pairs-1 raises before any record of the batch enters;
+        a custody violation, before its record enters, once those before it have.
         """
         seq = len(self.events)
-        violations = _apply_custody(self._custody, seq, shapes, pairs)
+        low = min(pairs[0], pairs[-1]) if type(pairs) is range and pairs else min(pairs, default=0)
+        try:
+            if low < 0:  # the list would read it from its end
+                raise IndexError(low)
+            violations = _apply_custody(self._custody, seq, shapes, pairs)
+        except IndexError:  # or a pair past the end of the list
+            i, pair = next((i, p) for i, p in enumerate(pairs) if not 0 <= p < self._n_pairs)
+            raise InternalFault(f"seq {seq + i}: custody record on pair {pair} outside pair range") from None
         if violations:
             first, message = violations[0]
             self.events._extend(shapes[: first - seq], pairs[: first - seq])
@@ -398,10 +406,17 @@ def audit_custody(transcript: Transcript) -> list[str]:
     consumption by Bell measurement, with the rules a Session enforces as
     it records.  Returns human-readable violations; an empty list means the
     transcript respects custody everywhere.  Every custody record fits its
-    shape, as the log admits no other, so the audit never raises.
+    shape, as the log admits no other, so the audit never raises.  The states
+    are a list sized by the log if every pair cell (a pair, or an Event row's
+    index) is in range(len(log)), as in any log a Session writes, and else a
+    dict: a read pair may be any integer, so it must never size the list.
     """
     log = transcript.events
-    return [message for _, message in _apply_custody({}, 0, log._shapes, log._pairs)]
+    shapes, pairs = log._shapes, log._pairs
+    if min(pairs, default=0) >= 0:
+        with suppress(IndexError):  # a pair at or past len(log)
+            return [message for _, message in _apply_custody([0] * len(log), 0, shapes, pairs)]
+    return [message for _, message in _apply_custody(dict.fromkeys(pairs, 0), 0, shapes, pairs)]
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ from qduplex.records import (
     _BULK_SCHEMA,
     _EVENT,
     _KIND_ACTORS,
+    _SHAPE_ID,
     _STATE_HOLDERS,
     _apply_custody,
     _record_shape,
@@ -1681,7 +1682,7 @@ def test_ledger_steps_every_reachable_custody_state_like_the_reference():
                 records = [*prefix, (actor, kind, {"pair": pair, **fields})]
                 holder: dict = {}
                 expected = reference_custody([Event(i, *r) for i, r in enumerate(records)], holder)
-                custody: dict[int, int] = {}
+                custody = [0] * (pair + 1)  # a state for every pair up to this one
                 shapes = bytes(
                     _record_shape(i, *r, TranscriptInvalid) for i, r in enumerate(records)
                 )
@@ -1689,7 +1690,7 @@ def test_ledger_steps_every_reachable_custody_state_like_the_reference():
                 assert [message for _, message in found] == expected
                 assert all(message.startswith(f"seq {seq}: ") for seq, message in found)
                 after = holder.get((pair, "C")), holder.get((pair, "M"))
-                assert _STATE_HOLDERS[custody.get(pair, 0)] == after
+                assert _STATE_HOLDERS[custody[pair]] == after
                 steps += 1
                 if after not in prefixes:
                     prefixes[after] = records
@@ -1880,7 +1881,8 @@ def test_a_log_of_events_and_bulk_records_reads_as_its_event_list(items, data):
         assert log == events and not log != events
         assert log != events[:-1] or n == 0
         assert "".join(line + "\n" for line in log.lines()) == canonical_jsonl(events)
-        assert reference_custody(log) == [] == _apply_custody({}, 0, log._shapes, log._pairs)
+        custody = [0] * n  # every cell, a pair or an Event's index, is below len(log)
+        assert reference_custody(log) == [] == _apply_custody(custody, 0, log._shapes, log._pairs)
     assert recorder.events == EventLog(events)
 
 
@@ -2001,6 +2003,24 @@ def test_the_recorder_names_the_first_index_out_of_range(message_type, fields, b
     assert len(recorder.events) == 0
 
 
+@pytest.mark.parametrize(
+    "pairs, at",
+    [([1, -1, 2], 1), ([0, 3, 4, -2], 2), ([2, 10**17], 1), (range(5), 4), (range(-1, 3), 0)],
+    ids=["pair -1", "pair n_pairs", "pair 10**17", "range(n_pairs + 1)", "range from -1"],
+)
+def test_the_recorder_names_the_first_custody_pair_out_of_range(pairs, at):
+    """A bulk record on a pair outside 0..n_pairs-1 stops its whole batch,
+    naming the first such pair in batch order, before any record enters."""
+    recorder = _Recorder(n_pairs=4)
+    recorder.emit("session", "config", {})
+    recorder.record(bytes((_SHAPE_ID["prepare", "alice"],)) * 4, range(4))
+    before = len(recorder.events)
+    message = f"seq {before + at}: custody record on pair {pairs[at]} outside pair range"
+    with pytest.raises(InternalFault, match=f"^{re.escape(message)}$"):
+        recorder.record(bytes((_SHAPE_ID["send", "alice", "C", "bob"],)) * len(pairs), pairs)
+    assert len(recorder.events) == before
+
+
 def test_audit_moves_no_photon_on_an_event_row_whose_index_is_a_live_pair():
     """A message Event's row holds its index in the log's Events, here 1, 2
     and 3 after the config record's 0, while pairs 1, 2 and 3 have their C
@@ -2025,6 +2045,37 @@ def test_audit_moves_no_photon_on_an_event_row_whose_index_is_a_live_pair():
     assert expected == ["seq 16: receive on pair 1 slot C held by bob, expected channel"]
     assert audit_custody(Transcript(events=log)) == expected
     assert audit_custody(Transcript.from_jsonl(canonical_jsonl(events))) == expected
+
+
+@pytest.mark.parametrize("shift", [-5, 10**17])
+@pytest.mark.parametrize("name", GOLDEN_TRANSCRIPTS)
+def test_the_audit_of_a_log_whose_pairs_fall_outside_it_equals_the_reference(name, shift):
+    """A golden transcript with every bulk record's pair shifted below 0, or
+    far past the log's length, audited clean and with one custody record
+    duplicated: the audit keys its states by pair and equals the reference.
+    A list sized by a pair's value would need petabytes for the 10**17 shift."""
+    lines = (GOLDEN_DIR / name).read_text(encoding="utf-8").splitlines()
+    records = [(e["actor"], e["kind"], e["payload"]) for e in map(json.loads, lines)]
+    records = [
+        (actor, kind, {**payload, "pair": payload["pair"] + shift} if kind in _BULK_SCHEMA else payload)
+        for actor, kind, payload in records
+    ]
+    send = next(i for i, r in enumerate(records) if r[1] == "send")
+    for rows in (records, [*records[: send + 1], *records[send:]]):
+        events = [Event(seq, *row) for seq, row in enumerate(rows)]
+        expected = reference_custody(events)
+        assert audit_custody(Transcript(events=events)) == expected
+        assert audit_custody(Transcript.from_jsonl(canonical_jsonl(events))) == expected
+    pair = records[send][2]["pair"]
+    assert expected == [f"seq {send + 1}: send on pair {pair} slot C held by channel, expected alice"]
+
+
+def test_the_audit_keeps_a_negative_pair_apart_from_the_list_cell_it_would_wrap_to():
+    """In a log of five records, pair -1 would index the same list cell as pair 4."""
+    prepare = ("alice", "prepare")
+    events = framed([(*prepare, {"pair": -1}), (*prepare, {"pair": 4})])
+    assert len(events) == 5 and reference_custody(events) == []
+    assert audit_custody(Transcript(events=events)) == []
 
 
 def test_bulk_records_build_no_event_on_the_run_write_read_audit_and_estimator_paths(monkeypatch):
