@@ -7,7 +7,8 @@ points to its Event.  A record that fits no row of FORMAT.md's record-kind
 table is rejected where it enters the log.  This module owns the
 canonical JSONL line of every record, reads it back, states the frame of
 every transcript, and holds the one copy of the custody rules, stepping
-a list of states indexed by pair as a Session records and audit_custody replays.
+a container of states indexed by pair (a Session's list, audit_custody's
+dict) as a Session records and audit_custody replays.
 """
 
 from __future__ import annotations
@@ -464,7 +465,7 @@ def _apply_custody(
     The custody rules are FORMAT.md's, from _custody_rule and the table
     built from it.  A Session applies every custody record to its own list,
     indexed by pair, as it records it, and audit_custody replays a log
-    through a fresh list or dict, so both enforce the same rules.  A photon
+    through a fresh dict, so both enforce the same rules.  A photon
     whose rule breaks does not move, and an _EVENT row moves nothing.
     """
     step = _CUSTODY_STEP

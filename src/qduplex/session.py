@@ -16,7 +16,6 @@ import os
 import stat
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
-from contextlib import suppress
 from dataclasses import dataclass, field
 from itertools import compress, islice, pairwise
 from operator import itemgetter, lt
@@ -372,8 +371,10 @@ class _Recorder:
                 raise IndexError(low)
             violations = _apply_custody(self._custody, seq, shapes, pairs)
         except IndexError:  # or a pair past the end of the list
-            i, pair = next((i, p) for i, p in enumerate(pairs) if not 0 <= p < self._n_pairs)
-            raise InternalFault(f"seq {seq + i}: custody record on pair {pair} outside pair range") from None
+            bad = next(((i, p) for i, p in enumerate(pairs) if not 0 <= p < self._n_pairs), None)
+            if bad is None:  # not a pair's IndexError: let it show
+                raise
+            raise InternalFault(f"seq {seq + bad[0]}: custody record on pair {bad[1]} outside pair range") from None
         if violations:
             first, message = violations[0]
             self.events._extend(shapes[: first - seq], pairs[: first - seq])
@@ -407,16 +408,10 @@ def audit_custody(transcript: Transcript) -> list[str]:
     it records.  Returns human-readable violations; an empty list means the
     transcript respects custody everywhere.  Every custody record fits its
     shape, as the log admits no other, so the audit never raises.  The states
-    are a list sized by the log if every pair cell (a pair, or an Event row's
-    index) is in range(len(log)), as in any log a Session writes, and else a
-    dict: a read pair may be any integer, so it must never size the list.
+    are a dict keyed by the log's pair cells, as a read pair may be any integer.
     """
-    log = transcript.events
-    shapes, pairs = log._shapes, log._pairs
-    if min(pairs, default=0) >= 0:
-        with suppress(IndexError):  # a pair at or past len(log)
-            return [message for _, message in _apply_custody([0] * len(log), 0, shapes, pairs)]
-    return [message for _, message in _apply_custody(dict.fromkeys(pairs, 0), 0, shapes, pairs)]
+    pairs = transcript.events._pairs
+    return [m for _, m in _apply_custody(dict.fromkeys(pairs, 0), 0, transcript.events._shapes, pairs)]
 
 
 # ---------------------------------------------------------------------------

@@ -1881,7 +1881,7 @@ def test_a_log_of_events_and_bulk_records_reads_as_its_event_list(items, data):
         assert log == events and not log != events
         assert log != events[:-1] or n == 0
         assert "".join(line + "\n" for line in log.lines()) == canonical_jsonl(events)
-        custody = [0] * n  # every cell, a pair or an Event's index, is below len(log)
+        custody = [0] * max(n, 4)  # pairs are below the recorder's 4, Event indices below len(log)
         assert reference_custody(log) == [] == _apply_custody(custody, 0, log._shapes, log._pairs)
     assert recorder.events == EventLog(events)
 
@@ -2021,6 +2021,21 @@ def test_the_recorder_names_the_first_custody_pair_out_of_range(pairs, at):
     assert len(recorder.events) == before
 
 
+def test_an_index_error_on_pairs_in_range_is_not_taken_for_a_pair_out_of_range(monkeypatch):
+    """The recorder turns an IndexError into a pair's InternalFault only when
+    some pair of the batch is out of range; any other shows as itself."""
+    import qduplex.session as session_module
+
+    def faulty(*args):
+        raise IndexError("not a pair")
+
+    monkeypatch.setattr(session_module, "_apply_custody", faulty)
+    recorder = _Recorder(n_pairs=4)
+    with pytest.raises(IndexError, match="^not a pair$"):
+        recorder.record(bytes((_SHAPE_ID["prepare", "alice"],)) * 4, [0, 1, 2, 3])
+    assert len(recorder.events) == 0
+
+
 def test_audit_moves_no_photon_on_an_event_row_whose_index_is_a_live_pair():
     """A message Event's row holds its index in the log's Events, here 1, 2
     and 3 after the config record's 0, while pairs 1, 2 and 3 have their C
@@ -2053,7 +2068,7 @@ def test_the_audit_of_a_log_whose_pairs_fall_outside_it_equals_the_reference(nam
     """A golden transcript with every bulk record's pair shifted below 0, or
     far past the log's length, audited clean and with one custody record
     duplicated: the audit keys its states by pair and equals the reference.
-    A list sized by a pair's value would need petabytes for the 10**17 shift."""
+    A list indexed by a pair's value would need petabytes for the 10**17 shift."""
     lines = (GOLDEN_DIR / name).read_text(encoding="utf-8").splitlines()
     records = [(e["actor"], e["kind"], e["payload"]) for e in map(json.loads, lines)]
     records = [
@@ -2071,7 +2086,8 @@ def test_the_audit_of_a_log_whose_pairs_fall_outside_it_equals_the_reference(nam
 
 
 def test_the_audit_keeps_a_negative_pair_apart_from_the_list_cell_it_would_wrap_to():
-    """In a log of five records, pair -1 would index the same list cell as pair 4."""
+    """In a log of five records, pair -1 would index the same cell of a
+    log-sized list as pair 4: the audit keeps them apart."""
     prepare = ("alice", "prepare")
     events = framed([(*prepare, {"pair": -1}), (*prepare, {"pair": 4})])
     assert len(events) == 5 and reference_custody(events) == []
