@@ -6,9 +6,11 @@ pair, is its row: a shape code and a pair; the row of every other record
 points to its Event.  A record that fits no row of FORMAT.md's record-kind
 table is rejected where it enters the log.  This module owns the
 canonical JSONL line of every record, reads it back, states the frame of
-every transcript, and holds the one copy of the custody rules, stepping
-a container of states indexed by pair (a Session's list, audit_custody's
-dict) as a Session records and audit_custody replays.
+every transcript, and holds the one copy of the custody rules with the
+byte tables built from them.  A Session's recorder steps its bytearray of
+states, indexed by pair, one run of pairs at a time with a table's
+translate, and one record at a time where that does not apply;
+audit_custody replays a log one record at a time through a dict.
 """
 
 from __future__ import annotations
@@ -435,49 +437,74 @@ def _custody_rule(holders: tuple[object, object], shape: int) -> tuple[tuple, tu
     return tuple(after), tuple(broken)
 
 
-# A pair's custody state stands for the holders of its C and M photons, each None (not
-# prepared) or a holder some rule moves a photon to; state 0 is an unprepared pair.  A
-# state is a multiple of _ROW, the number of shape codes, so state + shape is one index.
-_ROW = _EVENT + 1
+# A pair's custody state is its index into _STATE_HOLDERS: the holders of its C and M
+# photons, each None (not prepared) or a holder some rule moves a photon to.  State 0 is
+# an unprepared pair, and every state fits a byte, so a run's ledger is a bytearray.
 _HOLDERS = (None, "alice", "channel", "bob", "consumed")
-_STATE_HOLDERS = {_ROW * k: holders for k, holders in enumerate(product(_HOLDERS, repeat=2))}
-_STATE = {holders: state for state, holders in _STATE_HOLDERS.items()}
+_STATE_HOLDERS = tuple(product(_HOLDERS, repeat=2))
+_STATE = {holders: state for state, holders in enumerate(_STATE_HOLDERS)}
 
-# state + shape -> the state after a record of that shape, or None where
-# the record breaks a rule.  _EVENT's entry is the state itself: an Event
-# row's pair cell is an index into EventLog._events, which may equal a live
-# pair, and the row writes back the state it reads for it.
-_CUSTODY_STEP: tuple[int | None, ...] = tuple(
-    None if broken else _STATE[after]
-    for holders in _STATE_HOLDERS.values()
-    for shape in range(_ROW)
-    for after, broken in (_custody_rule(holders, shape) if shape < _EVENT else (holders, ()),)
-)
+# A custody class is the shapes of one kind, actor and slot, which the rules treat alike.
+# Its step table, for bytes.translate, maps a state to the state after a record of the
+# class, or to 0xFF where the record breaks a rule; 0xFF maps to itself, so translating
+# one table by another composes them.  Each is built once, from its class's first shape.
+_CLASS_STEP: dict[tuple, bytes] = {}
+_CLASS_SHAPES: dict[tuple, bytes] = {}  # class -> its shape codes
+_SHAPE_CLASS_KEY = [(kind, actor, payload.get("slot")) for kind, actor, payload in _SHAPE_RECORD]
+for _shape, _key in enumerate(_SHAPE_CLASS_KEY):
+    if _key not in _CLASS_STEP:
+        _rules = (_custody_rule(holders, _shape) for holders in _STATE_HOLDERS)
+        _CLASS_STEP[_key] = bytes(0xFF if broken else _STATE[after] for after, broken in _rules).ljust(256, b"\xff")
+    _CLASS_SHAPES[_key] = _CLASS_SHAPES.get(_key, b"") + bytes((_shape,))
+# shape -> its class's step table and shapes.  _EVENT's table moves nothing: an Event
+# row's pair cell is an index into EventLog._events, which may equal a live pair.
+_SHAPE_STEP = (*(_CLASS_STEP[key] for key in _SHAPE_CLASS_KEY), bytes(range(256)))
+# the same over the 25 states as tuples, which index faster than bytes
+_RECORD_STEP = tuple(tuple(step[: len(_STATE_HOLDERS)]) for step in _SHAPE_STEP)
+_SHAPE_CLASS = (*(_CLASS_SHAPES[key] for key in _SHAPE_CLASS_KEY), bytes((_EVENT,)))
+# Bob's two records on a pair: his pauli on either photon, then his bell_measure.  A
+# state maps to the state after both where the two photons give the same, else to 0xFF.
+_BOB_PAULIS = _CLASS_SHAPES["pauli", "bob", "C"] + _CLASS_SHAPES["pauli", "bob", "M"]
+_BELLS = _CLASS_SHAPES["bell_measure", "bob", None]
+_via_c, _via_m = (_CLASS_STEP["pauli", "bob", slot].translate(_SHAPE_STEP[_BELLS[0]]) for slot in _SLOT_NAMES)
+_BELL_STEP = bytes(c if c == m else 0xFF for c, m in zip(_via_c, _via_m))
 
 
 def _apply_custody(
-    custody: list[int] | dict[int, int], seq: int, shapes: bytes, pairs: Sequence[int]
+    custody: bytearray | dict[int, int], seq: int, shapes: bytes, pairs: Sequence[int]
 ) -> list[tuple[int, str]]:
     """Apply the bulk records seq, seq + 1, ..., given as shape codes and pairs,
     in order to custody, which holds a custody state for every pair given,
     and return their violations as (seq, message) in record order.
 
-    The custody rules are FORMAT.md's, from _custody_rule and the table
-    built from it.  A Session applies every custody record to its own list,
-    indexed by pair, as it records it, and audit_custody replays a log
-    through a fresh dict, so both enforce the same rules.  A photon
-    whose rule breaks does not move, and an _EVENT row moves nothing.
+    The custody rules are FORMAT.md's, from _custody_rule and the tables
+    built from it.  This per-record step is the one that names violations:
+    a Session's recorder steps its bytearray this way for a batch it cannot
+    step by runs, and audit_custody replays a log through a fresh dict.  A
+    photon whose rule breaks does not move, and an _EVENT row moves nothing.
     """
-    step = _CUSTODY_STEP
+    steps = _RECORD_STEP
     out: list[tuple[int, str]] = []
     rest = iter(shapes)
     for shape, pair in zip(rest, pairs):
         now = custody[pair]
-        after = step[now + shape]
-        if after is None:
+        after = steps[shape][now]
+        if after == 0xFF:
             at = seq + len(shapes) - operator.length_hint(rest) - 1  # the record's seq, from its index
             moved, broken = _custody_rule(_STATE_HOLDERS[now], shape)
             after = _STATE[moved]
             out += [(at, message % (at, pair)) for message in broken]
         custody[pair] = after
     return out
+
+
+def _run_step(shapes: bytes, width: int) -> bytes | None:
+    """The table that steps each pair of a batch, width records a pair, through
+    its records: its class's where all are of one class, _BELL_STEP where they
+    are Bob's pauli then bell_measure on every pair, and otherwise None."""
+    if width == 1 and not shapes.translate(None, _SHAPE_CLASS[shapes[0]]):
+        return _SHAPE_STEP[shapes[0]]
+    if width == 2 and not (shapes[0::2].translate(None, _BOB_PAULIS) or shapes[1::2].translate(None, _BELLS)):
+        return _BELL_STEP
+    return None
+

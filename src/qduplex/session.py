@@ -17,7 +17,7 @@ import stat
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from itertools import compress, islice, pairwise
+from itertools import chain, islice, pairwise
 from operator import itemgetter, lt
 from pathlib import Path
 from typing import Union
@@ -37,7 +37,8 @@ from .qsim import (
     make_singlet,
     measure_qubit,
 )
-from .records import _SHAPE_ID, Event, EventLog, TranscriptInvalid, _apply_custody, _record_shape, check_frame
+from .records import _SHAPE_ID, _SHAPE_STEP, Event, EventLog, TranscriptInvalid, check_frame
+from .records import _apply_custody, _record_shape, _run_step
 from .stream import Stream
 
 
@@ -340,13 +341,15 @@ def _verdict_from_payload(payload: dict) -> Verdict:
 
 
 class _Recorder:
-    """Appends records with dense sequence numbers, numbers the wire, keeps custody."""
+    """Appends records with dense sequence numbers, numbers the wire, keeps custody:
+    a ledger of one state a pair that, after any batch, is the replay of the log."""
 
     def __init__(self, n_pairs: int) -> None:
         self.events = EventLog()
         self._n_pairs = n_pairs
         self._msg_seq = 0
-        self._custody = [0] * n_pairs  # pair -> custody state
+        self._custody = bytearray(n_pairs)  # pair -> custody state
+        self._pair_ints = list(range(n_pairs))  # the log's pair cells share these
 
     def emit(self, actor: str, kind: str, payload: dict) -> None:
         """Append one record; a record off FORMAT.md's record-kind table or a
@@ -359,27 +362,65 @@ class _Recorder:
             self.record(bytes((shape,)), (payload["pair"],))
 
     def record(self, shapes: bytes, pairs: Sequence[int]) -> None:
-        """Append bulk records, given as shape codes and pairs, with the next seqs.
+        """Append bulk records, given as shape codes and pairs, with the next seqs,
+        stepping the ledger one record at a time.
 
         A pair outside 0..n_pairs-1 raises before any record of the batch enters;
         a custody violation, before its record enters, once those before it have.
         """
-        seq = len(self.events)
-        low = min(pairs[0], pairs[-1]) if type(pairs) is range and pairs else min(pairs, default=0)
-        try:
-            if low < 0:  # the list would read it from its end
-                raise IndexError(low)
-            violations = _apply_custody(self._custody, seq, shapes, pairs)
-        except IndexError:  # or a pair past the end of the list
-            bad = next(((i, p) for i, p in enumerate(pairs) if not 0 <= p < self._n_pairs), None)
-            if bad is None:  # not a pair's IndexError: let it show
-                raise
-            raise InternalFault(f"seq {seq + bad[0]}: custody record on pair {bad[1]} outside pair range") from None
-        if violations:
-            first, message = violations[0]
-            self.events._extend(shapes[: first - seq], pairs[: first - seq])
-            raise InternalFault(message)
+        seq, n = len(self.events), self._n_pairs
+        if len(shapes) != len(pairs):
+            raise InternalFault(f"seq {seq}: {len(shapes)} custody records on {len(pairs)} pairs")
+        if pairs and not (0 <= min(pairs) and max(pairs) < n):
+            at, pair = next((i, p) for i, p in enumerate(pairs) if not 0 <= p < n)
+            raise InternalFault(f"seq {seq + at}: custody record on pair {pair} outside pair range")
+        custody = self._custody
+        before = custody[:]
+        violations = _apply_custody(custody, seq, shapes, pairs)
+        if violations:  # admit the records before the first, and only their moves
+            shapes, pairs = shapes[: violations[0][0] - seq], pairs[: violations[0][0] - seq]
+            custody[:] = before
+            _apply_custody(custody, seq, shapes, pairs)
         self.events._extend(shapes, pairs)
+        if violations:
+            raise InternalFault(violations[0][1])
+
+    def record_runs(self, shapes: bytes | int, ends: list[int]) -> None:
+        """Append bulk records on each pair of the runs [ends[0], ends[1]),
+        [ends[2], ends[3]), ..., pair by pair in run order, with the next seqs.
+
+        ends ascend within 0..n_pairs.  shapes holds the same number of records
+        for each pair, or is the shape code of one record on each.  A batch of
+        one class, or of Bob's pauli then bell_measure on each pair, steps the
+        ledger with one translate a run; any other batch, and one that breaks a
+        rule, goes through record, which names the violation.
+        """
+        n = self._n_pairs
+        if not (ends and len(ends) % 2 == 0 and 0 <= ends[0] and ends[-1] <= n and ends == sorted(ends)):
+            raise InternalFault(f"seq {len(self.events)}: custody runs {ends} do not ascend within 0..{n}")
+        ints = self._pair_ints
+        pairs = ints[ends[0] : ends[1]]
+        for k in range(2, len(ends), 2):
+            pairs += ints[ends[k] : ends[k + 1]]
+        if type(shapes) is int:  # one shape, so one class: nothing to check
+            step, shapes = _SHAPE_STEP[shapes], bytes((shapes,)) * len(pairs)
+        else:
+            width = len(shapes) // len(pairs) if pairs and not len(shapes) % len(pairs) else 0
+            step = _run_step(shapes, width)
+            if width > 1:  # a pair's cell for each of its records
+                cells, pairs = pairs, [0] * len(shapes)
+                for k in range(width):
+                    pairs[k::width] = cells
+        if step is not None:
+            custody, bounds = self._custody, iter(ends)
+            before = custody[:]
+            for a, b in zip(bounds, bounds):
+                custody[a:b] = custody[a:b].translate(step)
+            if custody.find(0xFF, ends[0], ends[-1]) < 0:  # every record keeps the rules
+                self.events._extend(shapes, pairs)
+                return
+            custody[:] = before
+        self.record(shapes, pairs)
 
     def send(self, sender: str, type: str, **fields: object) -> None:
         """Put one classical message on the wire; fields are already in wire form."""
@@ -408,7 +449,8 @@ def audit_custody(transcript: Transcript) -> list[str]:
     it records.  Returns human-readable violations; an empty list means the
     transcript respects custody everywhere.  Every custody record fits its
     shape, as the log admits no other, so the audit never raises.  The states
-    are a dict keyed by the log's pair cells, as a read pair may be any integer.
+    are a dict keyed by the log's pair cells, as a read pair may be any integer,
+    stepped one record at a time by the function a run's recorder falls back to.
     """
     pairs = transcript.events._pairs
     return [m for _, m in _apply_custody(dict.fromkeys(pairs, 0), 0, transcript.events._shapes, pairs)]
@@ -448,6 +490,7 @@ class Session:
         self._bob_msg = bob_msg
         self.phase = Phase.INIT
         self.survivors: list[int] = []
+        self._survivor_ends: list[int] = []  # the survivors' runs, for _Recorder.record_runs
         self._decoy_at: list[int] = []  # each decoy's place among the survivors, ascending
         # each survivor's op codes and announced Bell index, as byte columns in survivor order
         self._alice_codes = b""
@@ -466,7 +509,7 @@ class Session:
         states = self._states
         for i in range(n):
             states[i] = make_singlet()
-        self._rec.record(bytes((_PREPARE_SHAPE,)) * n, range(n))
+        self._rec.record_runs(_PREPARE_SHAPE, [0, n])
 
     def transmit(self, leg: Leg) -> None:
         """Send one leg's photons from Alice to Bob through Eve's channel.
@@ -476,18 +519,18 @@ class Session:
         """
         if leg is Leg.SECOND:
             self._advance(Phase.SECOND_TRANSMISSION)
-            indices = self.survivors
+            ends = self._survivor_ends
         else:
-            indices = range(self.config.n_pairs)
+            ends = [0, self.config.n_pairs]
         sent, touched, received = _LEG_SHAPES[leg]
-        self._rec.record(bytes((sent,)) * len(indices), indices)
+        self._rec.record_runs(sent, ends)
         self._states, record = transit(self._states, leg, self.config.eve, self._eve_rng)
         touches = record.touches
         self._rec.record(
             bytes(touched[_BASES.index(t.basis)][t.outcome] for t in touches),
             [t.pair_index for t in touches],
         )
-        self._rec.record(bytes((received,)) * len(indices), indices)
+        self._rec.record_runs(received, ends)
 
     def first_check(self) -> bool:
         """Anticorrelation test on a random sample of travelled photons.
@@ -522,11 +565,12 @@ class Session:
         if not passed:
             self._abort("anticorrelation check failed")
             return False
-        kept = bytearray(b"\1" * cfg.n_pairs)
-        for i in chosen:  # the check consumed these pairs
+        ends = [0]
+        for i in chosen:  # the check consumed these pairs, which bound the survivors' runs
             del self._states[i]
-            kept[i] = 0
-        self.survivors = list(compress(range(cfg.n_pairs), kept))
+            ends += (i, i + 1)
+        ends = self._survivor_ends = [*ends, cfg.n_pairs]
+        self.survivors = list(chain.from_iterable(map(range, ends[0::2], ends[1::2])))
         return True
 
     def alice_encode(self) -> None:
@@ -550,7 +594,7 @@ class Session:
         states, slot = self._states, QubitSlot.M
         for i, code in zip(self.survivors, codes):
             states[i] = apply_pauli(states[i], _OPS[code], slot)
-        self._rec.record(codes.translate(_ALICE_PAULI_SHAPE), self.survivors)
+        self._rec.record_runs(codes.translate(_ALICE_PAULI_SHAPE), self._survivor_ends)
 
     def bob_encode_measure_announce(self) -> None:
         """Bob's encoding, joint measurement, and public announcement.
@@ -570,12 +614,11 @@ class Session:
             results.append(bell_measure(encoded, draw)._value_)  # its Bell index, read directly
         states.clear()  # the Bell measurements consumed every pair
         # each pair's pauli then bell_measure record; a pauli's shape is by code * 2 + side
-        shapes, pairs = bytearray(2 * n), [0] * (2 * n)
+        shapes = bytearray(2 * n)
         paulis = int.from_bytes(codes, "big") << 1 | int.from_bytes(bytes(sides), "big")
         shapes[0::2] = paulis.to_bytes(n, "big").translate(_BOB_PAULI_SHAPE)
         shapes[1::2] = results.translate(_BELL_SHAPE)
-        pairs[0::2] = pairs[1::2] = self.survivors
-        self._rec.record(shapes, pairs)
+        self._rec.record_runs(shapes, self._survivor_ends)
         self._rec.send(
             "bob",
             "bell_results",

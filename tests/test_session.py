@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from qduplex.adversary import EveStrategy, Leg
 from qduplex.codec import MessageBits, decode_alice, decode_bob, pack_bits, random_message
 from qduplex.qsim import BellState, InternalFault, PauliOp
+import qduplex.session as session_module
 from qduplex.session import (
     LOG_BYTES_PER_PAIR,
     MAX_LOG_BYTES,
@@ -39,13 +40,25 @@ from qduplex.session import (
     run_protocol,
 )
 from qduplex.records import (
+    _BELL_STEP,
+    _BELLS,
+    _BOB_PAULIS,
     _BULK_SCHEMA,
+    _CLASS_SHAPES,
     _EVENT,
     _KIND_ACTORS,
+    _RECORD_STEP,
     _SHAPE_ID,
+    _SHAPE_RECORD,
+    _SLOT_NAMES,
+    _SHAPE_STEP,
+    _STATE,
     _STATE_HOLDERS,
     _apply_custody,
+    _bulk_event,
+    _custody_rule,
     _record_shape,
+    _run_step,
     shape_table,
 )
 
@@ -1682,7 +1695,7 @@ def test_ledger_steps_every_reachable_custody_state_like_the_reference():
                 records = [*prefix, (actor, kind, {"pair": pair, **fields})]
                 holder: dict = {}
                 expected = reference_custody([Event(i, *r) for i, r in enumerate(records)], holder)
-                custody = [0] * (pair + 1)  # a state for every pair up to this one
+                custody = bytearray(pair + 1)  # a state for every pair up to this one
                 shapes = bytes(
                     _record_shape(i, *r, TranscriptInvalid) for i, r in enumerate(records)
                 )
@@ -1881,7 +1894,7 @@ def test_a_log_of_events_and_bulk_records_reads_as_its_event_list(items, data):
         assert log == events and not log != events
         assert log != events[:-1] or n == 0
         assert "".join(line + "\n" for line in log.lines()) == canonical_jsonl(events)
-        custody = [0] * max(n, 4)  # pairs are below the recorder's 4, Event indices below len(log)
+        custody = bytearray(max(n, 4))  # pairs are below the recorder's 4, Event indices below len(log)
         assert reference_custody(log) == [] == _apply_custody(custody, 0, log._shapes, log._pairs)
     assert recorder.events == EventLog(events)
 
@@ -2021,19 +2034,239 @@ def test_the_recorder_names_the_first_custody_pair_out_of_range(pairs, at):
     assert len(recorder.events) == before
 
 
-def test_an_index_error_on_pairs_in_range_is_not_taken_for_a_pair_out_of_range(monkeypatch):
-    """The recorder turns an IndexError into a pair's InternalFault only when
-    some pair of the batch is out of range; any other shows as itself."""
+@pytest.mark.parametrize(
+    "shapes, ends",
+    [
+        (_SHAPE_ID["send", "alice", "C", "bob"], [0, 5]),
+        (_SHAPE_ID["send", "alice", "C", "bob"], [-1, 3]),
+        (bytes((_SHAPE_ID["send", "alice", "C", "bob"],)) * 4, [0, 1, 2, 5]),
+        (bytes((_SHAPE_ID["pauli", "bob", "U0", "C"], _SHAPE_ID["bell_measure", "bob", "phi_plus"])) * 3,
+         [1, 2, 3, 5]),
+        (_SHAPE_ID["send", "alice", "C", "bob"], [2, 1]),
+        (bytes((_SHAPE_ID["send", "alice", "C", "bob"],)) * 3, [0, 3, 2, 4]),
+        (_SHAPE_ID["send", "alice", "C", "bob"], [0, 1, 2]),
+        (b"", []),
+    ],
+    ids=["one run past n_pairs", "one run from -1", "runs past n_pairs", "two records a pair",
+         "a run that falls", "runs that overlap", "an odd number of ends", "no ends"],
+)
+def test_runs_outside_the_pairs_or_out_of_order_are_refused_whole(shapes, ends):
+    """A batch of runs checks its pairs by the runs' ends alone, in O(runs):
+    ends that do not ascend within 0..n_pairs stop the batch before any
+    record enters or any photon moves."""
+    recorder = _Recorder(n_pairs=4)
+    recorder.emit("session", "config", {})
+    recorder.record_runs(_SHAPE_ID["prepare", "alice"], [0, 4])
+    message = f"seq 5: custody runs {list(ends)} do not ascend within 0..4"
+    with pytest.raises(InternalFault, match=f"^{re.escape(message)}$"):
+        recorder.record_runs(shapes, ends)
+    assert len(recorder.events) == 5 and recorder._custody == bytes((_STATE["alice", "alice"],)) * 4
+
+
+@pytest.mark.parametrize("path", ["record", "record_runs"])
+def test_an_index_error_on_pairs_in_range_is_not_taken_for_a_pair_out_of_range(monkeypatch, path):
+    """An IndexError from the custody step, per record or in picking a batch's
+    run table, shows as itself and is not taken for a pair out of range."""
     import qduplex.session as session_module
 
     def faulty(*args):
         raise IndexError("not a pair")
 
     monkeypatch.setattr(session_module, "_apply_custody", faulty)
+    monkeypatch.setattr(session_module, "_run_step", faulty)
     recorder = _Recorder(n_pairs=4)
+    prepare = _SHAPE_ID["prepare", "alice"]
     with pytest.raises(IndexError, match="^not a pair$"):
-        recorder.record(bytes((_SHAPE_ID["prepare", "alice"],)) * 4, [0, 1, 2, 3])
+        if path == "record":
+            recorder.record(bytes((prepare,)) * 4, [0, 1, 2, 3])
+        else:
+            recorder.record_runs(bytes((prepare,)) * 4, [0, 4])
     assert len(recorder.events) == 0
+
+
+def replayed_ledger(log: EventLog, n_pairs: int) -> bytearray:
+    """The custody states that a log's bulk records leave, replayed from unprepared pairs."""
+    custody = bytearray(n_pairs)
+    bulk = [(shape, pair) for shape, pair in zip(log._shapes, log._pairs) if shape != _EVENT]
+    assert _apply_custody(custody, 0, bytes(s for s, _ in bulk), [p for _, p in bulk]) == []
+    return custody
+
+
+def test_a_batch_refused_for_a_pair_out_of_range_moves_no_custody():
+    """Prepare pairs 0-3; a send on pairs 0, 1 and 5 is refused whole, so
+    pair 0's C photon is still alice's to send."""
+    send = _SHAPE_ID["send", "alice", "C", "bob"]
+    recorder = _Recorder(n_pairs=4)
+    recorder.record_runs(_SHAPE_ID["prepare", "alice"], [0, 4])
+    before = list(recorder.events)
+    with pytest.raises(InternalFault, match="^seq 6: custody record on pair 5 outside pair range$"):
+        recorder.record(bytes((send,)) * 3, [0, 1, 5])
+    assert list(recorder.events) == before
+    assert recorder._custody == replayed_ledger(recorder.events, 4)
+    recorder.record(bytes((send,)), [0])
+    assert len(recorder.events) == 5 and recorder._custody == replayed_ledger(recorder.events, 4)
+
+
+@pytest.mark.parametrize("path", ["record", "record_runs"])
+def test_a_violation_mid_batch_leaves_the_ledger_at_the_replay_of_the_log(path):
+    """Pairs 0-3 prepared, only 0 and 1 sent: Bob's receive on all four
+    admits pairs 0 and 1, stops at pair 2, and moves no photon after."""
+    recorder = _Recorder(n_pairs=4)
+    recorder.record_runs(_SHAPE_ID["prepare", "alice"], [0, 4])
+    recorder.record_runs(_SHAPE_ID["send", "alice", "C", "bob"], [0, 2])
+    receive = _SHAPE_ID["receive", "bob", "C"]
+    message = "seq 8: receive on pair 2 slot C held by alice, expected channel"
+    with pytest.raises(InternalFault, match=f"^{message}$"):
+        if path == "record":
+            recorder.record(bytes((receive,)) * 4, range(4))
+        else:
+            recorder.record_runs(receive, [0, 4])
+    assert len(recorder.events) == 8
+    assert recorder._custody == replayed_ledger(recorder.events, 4)
+    assert [_STATE_HOLDERS[state] for state in recorder._custody] == [
+        ("bob", "alice"), ("bob", "alice"), ("alice", "alice"), ("alice", "alice")
+    ]
+
+
+def test_every_step_table_entry_is_the_custody_rule():
+    """Each shape's table, shared by its class, gives the state _custody_rule
+    gives for that very shape, or 0xFF where the record breaks a rule; 0xFF
+    and every code past the states map to 0xFF.  Bob's two-record table
+    gives a state only where his pauli on either photon, then his
+    bell_measure, step through the per-record loop to that state with no
+    violation."""
+    for shape in range(_EVENT):
+        for state, holders in enumerate(_STATE_HOLDERS):
+            after, broken = _custody_rule(holders, shape)
+            assert _SHAPE_STEP[shape][state] == (0xFF if broken else _STATE[after])
+        assert _SHAPE_STEP[shape][len(_STATE_HOLDERS):] == b"\xff" * (256 - len(_STATE_HOLDERS))
+    assert _SHAPE_STEP[_EVENT] == bytes(range(256))
+    assert _RECORD_STEP == tuple(tuple(step[: len(_STATE_HOLDERS)]) for step in _SHAPE_STEP)
+    for state in range(len(_STATE_HOLDERS)):
+        results = set()
+        for pauli, bell in itertools.product(_BOB_PAULIS, _BELLS):
+            custody = bytearray((state,))
+            results.add(None if _apply_custody(custody, 0, bytes((pauli, bell)), [0, 0]) else custody[0])
+        assert _BELL_STEP[state] == (results.pop() if len(results) == 1 and None not in results else 0xFF)
+    assert _BELL_STEP[len(_STATE_HOLDERS):] == b"\xff" * (256 - len(_STATE_HOLDERS))
+
+
+def test_run_step_takes_only_a_batch_of_one_class_or_bobs_pairs():
+    """A batch has a run table where its records are of one class, or Bob's
+    pauli then bell_measure on every pair; any other goes to the per-record loop."""
+    alice_pauli = bytes(_SHAPE_ID["pauli", "alice", op, "M"] for op in ("U0", "U1", "U2", "U3"))
+    bob = bytes((_SHAPE_ID["pauli", "bob", "U1", "M"], _SHAPE_ID["bell_measure", "bob", "psi_plus"]))
+    assert _run_step(alice_pauli, 1) == _SHAPE_STEP[alice_pauli[0]]
+    assert _run_step(alice_pauli + bytes((_SHAPE_ID["pauli", "alice", "U0", "C"],)), 1) is None
+    assert _run_step(bob * 3, 2) == _BELL_STEP
+    assert _run_step(bob[::-1] * 3, 2) is None
+    assert _run_step(bob * 2, 4) is None
+    assert _run_step(bob * 2, 0) is None
+
+
+# Every custody class's shape codes, and Bob's pauli then bell_measure as a two-record class.
+RUN_CLASSES = [(shapes,) for shapes in _CLASS_SHAPES.values()] + [(_BOB_PAULIS, _BELLS)]
+
+
+@st.composite
+def run_batches(draw):
+    """A ledger over all 25 states, and a batch of runs on it: ascending,
+    disjoint runs, with each pair's records drawn from one run class, or
+    now and then from any shape, which _run_step refuses."""
+    n = draw(st.integers(1, 12))
+    start = bytearray(draw(st.lists(st.integers(0, len(_STATE_HOLDERS) - 1), min_size=n, max_size=n)))
+    ends = sorted(draw(st.lists(st.integers(0, n), min_size=1, max_size=8)))
+    ends = ends[: len(ends) & ~1] or [0, n]
+    members = draw(st.sampled_from(RUN_CLASSES))
+    any_shape = draw(st.integers(0, 9)) == 0
+    if any_shape:
+        members = (bytes(range(_EVENT)),) * len(members)
+    count = sum(b - a for a, b in zip(ends[0::2], ends[1::2]))
+    shapes = bytes(draw(st.sampled_from(m)) for _ in range(count) for m in members)
+    if len(members) == 1 and count and draw(st.booleans()):
+        shapes = bytes((shapes[0],)) * count  # one shape for every record
+    return start, ends, shapes, len(members), any_shape
+
+
+@settings(max_examples=400, deadline=None)
+@given(run_batches())
+def test_the_run_step_equals_the_per_record_step(batch):
+    """From any states, a batch of runs leaves the ledger, the log and the
+    fault that the per-record loop and reference_custody give the same
+    records, and every batch of one run class has a run table."""
+    start, ends, shapes, width, members_any = batch
+    pairs = [p for a, b in zip(ends[0::2], ends[1::2]) for p in range(a, b) for _ in range(width)]
+    expected = bytearray(start)
+    violations = _apply_custody(expected, 5, shapes, pairs)
+    holder = {(p, slot): h for p, state in enumerate(start)
+              for slot, h in zip(_SLOT_NAMES, _STATE_HOLDERS[state]) if h is not None}
+    events = [_bulk_event(shape, pair, seq) for seq, (shape, pair) in enumerate(zip(shapes, pairs), 5)]
+    assert [m for _, m in violations] == reference_custody(events, holder)
+    assert all(m.startswith(f"seq {seq}: ") for seq, m in violations)
+    step = _run_step(shapes, width) if shapes else None
+    assert step is not None or members_any or not shapes
+    if step is not None:  # each run's translate breaks a rule exactly where a record does
+        stepped = bytearray(start)
+        for a, b in zip(ends[0::2], ends[1::2]):
+            stepped[a:b] = stepped[a:b].translate(step)
+        assert (0xFF in stepped) == bool(violations)
+        assert stepped == expected or violations
+    recorder = _Recorder(n_pairs=len(start))
+    for _ in range(5):
+        recorder.emit("bob", "message", {})
+    recorder._custody[:] = start
+    one_shape = width == 1 and shapes and shapes == bytes((shapes[0],)) * len(shapes)
+    per_record = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(session_module, "_apply_custody", lambda *a: per_record.append(a) or _apply_custody(*a))
+        try:
+            recorder.record_runs(shapes[0] if one_shape else shapes, ends)
+        except InternalFault as fault:
+            assert violations and str(fault) == violations[0][1]
+        else:
+            assert not violations
+    # no silent fallback: the per-record loop sees a record only where a run table cannot step it
+    assert any(call[2] for call in per_record) == bool(violations or (shapes and step is None))
+    admitted = (violations[0][0] if violations else 5 + len(shapes)) - 5
+    assert list(recorder.events)[5:] == events[:admitted]
+    replay = bytearray(start)
+    assert _apply_custody(replay, 5, shapes[:admitted], pairs[:admitted]) == []
+    assert recorder._custody == replay
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        ProtocolConfig(n_pairs=1024, check_fraction_1=1 / 64, check_count_2=8, seed=3),
+        *(
+            ProtocolConfig(
+                n_pairs=16, check_fraction_1=0.5, check_count_2=0, seed=seed,
+                eve=EveStrategy.from_name("intercept-rand", 1.0),
+            )
+            for seed in (0, 4)
+        ),
+    ],
+    ids=["info-quiet-1024", "detect-intercept-16 aborted", "detect-intercept-16 completed"],
+)
+def test_no_batch_of_runs_falls_back_to_the_per_record_step(monkeypatch, config):
+    """Every batch a Session records over runs steps by its table, so the
+    per-record loop takes only the batches over scattered pairs: Eve's
+    touches and the first check's measure records.  A table that disagreed
+    with the rules would still record right, through that loop, so only
+    this count shows it."""
+    per_record: list[set[str]] = []
+
+    def counted_apply(custody, seq, shapes, pairs):
+        if shapes:
+            per_record.append({_SHAPE_RECORD[shape][0] for shape in shapes})
+        return _apply_custody(custody, seq, shapes, pairs)
+
+    monkeypatch.setattr(session_module, "_apply_custody", counted_apply)
+    transcript = run_protocol(config, *fixed_messages(config))
+    past_first_check = "second_check" in transcript.stats
+    assert transcript.completed == past_first_check
+    touches = [{"eve_touch"}] * (2 if past_first_check else 1) if config.eve.active else []
+    assert sorted(per_record, key=sorted) == sorted([{"measure"}, {"measure"}, *touches], key=sorted)
 
 
 def test_audit_moves_no_photon_on_an_event_row_whose_index_is_a_live_pair():
