@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -81,10 +82,18 @@ _CONFIG_BYTES = 1 << 16  # the largest --config file; it is read no further than
 _ECHO_CHARS = 40  # how much of a config line, key or value an error message repeats
 
 
+def _read_head(path: str, size: int) -> bytes:
+    """The first size bytes of a file.  It is opened non-blocking, as
+    Transcript.read_jsonl opens one, so that a FIFO no process writes to reads
+    as empty at once; its reads block, so a pipe with data reads in full."""
+    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
+        os.set_blocking(fh.fileno(), True)
+        return fh.read(size)
+
+
 def _parse_config_file(path: str) -> dict[str, object]:
     try:
-        with open(path, "rb") as fh:
-            data = fh.read(_CONFIG_BYTES + 1)
+        data = _read_head(path, _CONFIG_BYTES + 1)
         if len(data) > _CONFIG_BYTES:
             raise CliError(f"config file {path} is over {_CONFIG_BYTES} bytes")
         text = data.decode("utf-8")
@@ -145,8 +154,7 @@ def _parse_message(text: object, capacity_bits: int, seed: int, label: int) -> M
     text = str(text)
     if text.startswith("@"):
         try:
-            with open(text[1:], "rb") as fh:
-                data = fh.read(capacity_bits // 8 + 1)
+            data = _read_head(text[1:], capacity_bits // 8 + 1)
         except OSError as exc:
             raise CliError(f"cannot read message file: {exc}")
     else:

@@ -1,4 +1,4 @@
-"""Transcript records: the record format, the columnar event log, and custody.
+"""Transcript records: the record format, the columnar event log, custody, and the recorder.
 
 A transcript is a sequence of records (seq, actor, kind, payload), kept
 as one row per record in two columns.  A custody record, about eight per
@@ -6,11 +6,14 @@ pair, is its row: a shape code and a pair; the row of every other record
 points to its Event.  A record that fits no row of FORMAT.md's record-kind
 table is rejected where it enters the log.  This module owns the
 canonical JSONL line of every record, reads it back, states the frame of
-every transcript, and holds the one copy of the custody rules with the
-byte tables built from them.  A Session's recorder steps its bytearray of
-states, indexed by pair, one run of pairs at a time with a table's
-translate, and one record at a time where that does not apply;
-audit_custody replays a log one record at a time through a dict.
+every transcript, and is the only module that spells a record shape: a
+Session takes its shape codes from shape_codes.  It holds the one copy of
+the custody rules with the byte tables built from them, and the recorder
+that enforces them as a Session appends its records and numbers the wire.
+The recorder steps its bytearray of states, indexed by pair, one run of
+pairs at a time with a table's translate, and one record at a time where
+that does not apply; replay_custody replays a log one record at a time
+through a dict.
 """
 
 from __future__ import annotations
@@ -18,9 +21,12 @@ from __future__ import annotations
 import json
 import operator
 import re
+from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import compress, count, product
+from itertools import compress, count, islice, product
+
+from .qsim import InternalFault
 
 
 class TranscriptInvalid(ValueError):
@@ -173,6 +179,20 @@ def shape_table(value: Callable[[str, str, dict], int | None]) -> bytes:
                 raise ValueError(f"selection value {kept!r} for {kind} by {actor} outside 0..254")
             table[code] = kept
     return bytes(table)
+
+
+def shape_codes(kind: str, actor: str, **fixed: object) -> bytes:
+    """A translate table from a value to the shape code of a kind's record by actor.
+
+    The value's digits are the kind's fields other than the pair and those
+    fixed, in _BULK_SCHEMA's order with the last field lowest, and each digit
+    is the index of the field's value in the schema; every other byte maps to 0xFF.
+    """
+    fields = _BULK_SCHEMA[kind][1].items()
+    choices = [(fixed.pop(name),) if name in fixed else values for name, values in fields if values is not None]
+    if fixed:
+        raise ValueError(f"{kind} records have no field {', '.join(fixed)} to fix")
+    return bytes(_SHAPE_ID[(kind, actor, *values)] for values in product(*choices)).ljust(256, b"\xff")
 
 
 # Splits a line that may be a canonical bulk record into the text before
@@ -479,9 +499,9 @@ def _apply_custody(
 
     The custody rules are FORMAT.md's, from _custody_rule and the tables
     built from it.  This per-record step is the one that names violations:
-    a Session's recorder steps its bytearray this way for a batch it cannot
-    step by runs, and audit_custody replays a log through a fresh dict.  A
-    photon whose rule breaks does not move, and an _EVENT row moves nothing.
+    _Recorder steps its bytearray this way for a batch it cannot step by
+    runs, and replay_custody replays a log through a fresh dict.  A photon
+    whose rule breaks does not move, and an _EVENT row moves nothing.
     """
     steps = _RECORD_STEP
     out: list[tuple[int, str]] = []
@@ -508,3 +528,135 @@ def _run_step(shapes: bytes, width: int) -> bytes | None:
         return _BELL_STEP
     return None
 
+
+def replay_custody(log: EventLog) -> list[str]:
+    """Replay the event log and flag any op on a photon outside custody.
+
+    Tracks each (pair, slot) through prepare, send, channel, receive, and
+    consumption by Bell measurement, under the rules _Recorder enforces.
+    Returns human-readable violations; an empty list means the log respects
+    custody everywhere.  Every custody record fits its shape, as the log
+    admits no other, so the replay never raises.  The states are a dict
+    keyed by the log's pair cells, as a read pair may be any integer.
+    """
+    return [m for _, m in _apply_custody(dict.fromkeys(log._pairs, 0), 0, log._shapes, log._pairs)]
+
+
+# ---------------------------------------------------------------------------
+# Recording
+
+
+# Each FORMAT.md message `type` and the payload field that lists pair
+# indices, or None.  This table is the only definition of the wire; an
+# indexed field holds bare indices or [index, value] entries.
+_MESSAGE_INDEX_FIELD: dict[str, str | None] = {
+    "check_indices": "indices",
+    "basis_announce": "bases",
+    "outcome_announce": "outcomes",
+    "check_verdict": None,
+    "second_check_indices": "indices",
+    "second_check_reveal": "ops",
+    "bell_results": "results",
+    "abort": None,
+}
+
+
+class _Recorder:
+    """Appends records with dense sequence numbers, numbers the wire, keeps custody:
+    a ledger of one state a pair that, after any batch, is the replay of the log."""
+
+    def __init__(self, n_pairs: int) -> None:
+        self.events = EventLog()
+        self._n_pairs = n_pairs
+        self._msg_seq = 0
+        self._custody = bytearray(n_pairs)  # pair -> custody state
+        self._pair_ints = list(range(n_pairs))  # the log's pair cells share these
+
+    def emit(self, actor: str, kind: str, payload: dict) -> None:
+        """Append one record; a record off FORMAT.md's record-kind table or a
+        custody violation raises InternalFault before it enters the log."""
+        seq = len(self.events)
+        shape = _record_shape(seq, actor, kind, payload, InternalFault)
+        if shape is None:
+            self.events._add(Event(seq=seq, actor=actor, kind=kind, payload=payload))
+        else:
+            self.record(bytes((shape,)), (payload["pair"],))
+
+    def record(self, shapes: bytes, pairs: Sequence[int]) -> None:
+        """Append bulk records, given as shape codes and pairs, with the next seqs,
+        stepping the ledger one record at a time.
+
+        A pair outside 0..n_pairs-1 raises before any record of the batch enters;
+        a custody violation, before its record enters, once those before it have.
+        """
+        seq, n = len(self.events), self._n_pairs
+        if len(shapes) != len(pairs):
+            raise InternalFault(f"seq {seq}: {len(shapes)} custody records on {len(pairs)} pairs")
+        if pairs and not (0 <= min(pairs) and max(pairs) < n):
+            at, pair = next((i, p) for i, p in enumerate(pairs) if not 0 <= p < n)
+            raise InternalFault(f"seq {seq + at}: custody record on pair {pair} outside pair range")
+        custody = self._custody
+        before = custody[:]
+        violations = _apply_custody(custody, seq, shapes, pairs)
+        if violations:  # admit the records before the first, and only their moves
+            shapes, pairs = shapes[: violations[0][0] - seq], pairs[: violations[0][0] - seq]
+            custody[:] = before
+            _apply_custody(custody, seq, shapes, pairs)
+        self.events._extend(shapes, pairs)
+        if violations:
+            raise InternalFault(violations[0][1])
+
+    def record_runs(self, shapes: bytes | int, ends: list[int]) -> None:
+        """Append bulk records on each pair of the runs [ends[0], ends[1]),
+        [ends[2], ends[3]), ..., pair by pair in run order, with the next seqs.
+
+        ends ascend within 0..n_pairs.  shapes holds the same number of records
+        for each pair, or is the shape code of one record on each.  A batch of
+        one class, or of Bob's pauli then bell_measure on each pair, steps the
+        ledger with one translate a run; any other batch, and one that breaks a
+        rule, goes through record, which names the violation.
+        """
+        n = self._n_pairs
+        if not (ends and len(ends) % 2 == 0 and 0 <= ends[0] and ends[-1] <= n and ends == sorted(ends)):
+            raise InternalFault(f"seq {len(self.events)}: custody runs {ends} do not ascend within 0..{n}")
+        ints = self._pair_ints
+        pairs = ints[ends[0] : ends[1]]
+        for k in range(2, len(ends), 2):
+            pairs += ints[ends[k] : ends[k + 1]]
+        if type(shapes) is int:  # one shape, so one class: nothing to check
+            step, shapes = _SHAPE_STEP[shapes], bytes((shapes,)) * len(pairs)
+        else:
+            width = len(shapes) // len(pairs) if pairs and not len(shapes) % len(pairs) else 0
+            step = _run_step(shapes, width)
+            if width > 1:  # a pair's cell for each of its records
+                cells, pairs = pairs, [0] * len(shapes)
+                for k in range(width):
+                    pairs[k::width] = cells
+        if step is not None:
+            custody, bounds = self._custody, iter(ends)
+            before = custody[:]
+            for a, b in zip(bounds, bounds):
+                custody[a:b] = custody[a:b].translate(step)
+            if custody.find(0xFF, ends[0], ends[-1]) < 0:  # every record keeps the rules
+                self.events._extend(shapes, pairs)
+                return
+            custody[:] = before
+        self.record(shapes, pairs)
+
+    def send(self, sender: str, type: str, **fields: object) -> None:
+        """Put one classical message on the wire; fields are already in wire form."""
+        if type not in _MESSAGE_INDEX_FIELD:
+            raise InternalFault(f"unknown message type {type!r}")
+        index_field = _MESSAGE_INDEX_FIELD[type]
+        if index_field:
+            entries = fields[index_field]
+            indices = entries if index_field == "indices" else list(map(operator.itemgetter(0), entries))
+            if not all(map(operator.lt, indices, islice(indices, 1, None))):
+                raise InternalFault("message indices must be strictly increasing")
+            # increasing, so the first index out of range is the first or the first past the end
+            if indices and not (0 <= indices[0] and indices[-1] < self._n_pairs):
+                i = indices[0] if indices[0] < 0 else indices[bisect_left(indices, self._n_pairs)]
+                raise InternalFault(f"message index {i} outside pair range")
+        payload = {"msg_seq": self._msg_seq, "sender": sender, "type": type, **fields}
+        self._msg_seq += 1
+        self.emit(sender, "message", payload)

@@ -1,11 +1,13 @@
-"""Two-party protocol engine: state machine, classical wire, transcripts, custody.
+"""Two-party protocol engine: the state machine, the transcript and its verdict.
 
 One Session runs the whole exchange between an in-process Alice and Bob:
 pair preparation, the travelling-photon leg with Eve on the channel, the
 anticorrelation check, both parties' encodings, Bob's Bell measurements
 and announcement, the decoy check, and decoding.  Everything observable
-lands in an append-only event log whose serialized form replays byte for
-byte under a fixed config, seed, and message pair.
+goes through records._Recorder, which numbers the wire and keeps custody,
+as shape codes from records.shape_codes, into an append-only event log
+whose serialized form replays byte for byte under a fixed config, seed,
+and message pair.
 """
 
 from __future__ import annotations
@@ -14,11 +16,9 @@ import enum
 import math
 import os
 import stat
-from bisect import bisect_left
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain, islice, pairwise
-from operator import itemgetter, lt
+from itertools import chain, pairwise
 from pathlib import Path
 from typing import Union
 
@@ -37,8 +37,7 @@ from .qsim import (
     make_singlet,
     measure_qubit,
 )
-from .records import _SHAPE_ID, _SHAPE_STEP, Event, EventLog, TranscriptInvalid, check_frame
-from .records import _apply_custody, _record_shape, _run_step
+from .records import Event, EventLog, TranscriptInvalid, _Recorder, check_frame, replay_custody, shape_codes
 from .stream import Stream
 
 
@@ -140,29 +139,6 @@ class ProtocolConfig:
             "seed": self.seed,
             "eve": self.eve.to_payload(),
         }
-
-
-# ---------------------------------------------------------------------------
-# Classical wire
-
-
-# Each FORMAT.md message `type` and the payload field that lists pair
-# indices, or None.  This table is the only definition of the wire; an
-# indexed field holds bare indices or [index, value] entries.
-_MESSAGE_INDEX_FIELD: dict[str, str | None] = {
-    "check_indices": "indices",
-    "basis_announce": "bases",
-    "outcome_announce": "outcomes",
-    "check_verdict": None,
-    "second_check_indices": "indices",
-    "second_check_reveal": "ops",
-    "bell_results": "results",
-    "abort": None,
-}
-
-
-# ---------------------------------------------------------------------------
-# Parties
 
 
 class Phase(enum.Enum):
@@ -340,120 +316,9 @@ def _verdict_from_payload(payload: dict) -> Verdict:
     return Aborted(phase=Phase(phase), reason=reason)
 
 
-class _Recorder:
-    """Appends records with dense sequence numbers, numbers the wire, keeps custody:
-    a ledger of one state a pair that, after any batch, is the replay of the log."""
-
-    def __init__(self, n_pairs: int) -> None:
-        self.events = EventLog()
-        self._n_pairs = n_pairs
-        self._msg_seq = 0
-        self._custody = bytearray(n_pairs)  # pair -> custody state
-        self._pair_ints = list(range(n_pairs))  # the log's pair cells share these
-
-    def emit(self, actor: str, kind: str, payload: dict) -> None:
-        """Append one record; a record off FORMAT.md's record-kind table or a
-        custody violation raises InternalFault before it enters the log."""
-        seq = len(self.events)
-        shape = _record_shape(seq, actor, kind, payload, InternalFault)
-        if shape is None:
-            self.events._add(Event(seq=seq, actor=actor, kind=kind, payload=payload))
-        else:
-            self.record(bytes((shape,)), (payload["pair"],))
-
-    def record(self, shapes: bytes, pairs: Sequence[int]) -> None:
-        """Append bulk records, given as shape codes and pairs, with the next seqs,
-        stepping the ledger one record at a time.
-
-        A pair outside 0..n_pairs-1 raises before any record of the batch enters;
-        a custody violation, before its record enters, once those before it have.
-        """
-        seq, n = len(self.events), self._n_pairs
-        if len(shapes) != len(pairs):
-            raise InternalFault(f"seq {seq}: {len(shapes)} custody records on {len(pairs)} pairs")
-        if pairs and not (0 <= min(pairs) and max(pairs) < n):
-            at, pair = next((i, p) for i, p in enumerate(pairs) if not 0 <= p < n)
-            raise InternalFault(f"seq {seq + at}: custody record on pair {pair} outside pair range")
-        custody = self._custody
-        before = custody[:]
-        violations = _apply_custody(custody, seq, shapes, pairs)
-        if violations:  # admit the records before the first, and only their moves
-            shapes, pairs = shapes[: violations[0][0] - seq], pairs[: violations[0][0] - seq]
-            custody[:] = before
-            _apply_custody(custody, seq, shapes, pairs)
-        self.events._extend(shapes, pairs)
-        if violations:
-            raise InternalFault(violations[0][1])
-
-    def record_runs(self, shapes: bytes | int, ends: list[int]) -> None:
-        """Append bulk records on each pair of the runs [ends[0], ends[1]),
-        [ends[2], ends[3]), ..., pair by pair in run order, with the next seqs.
-
-        ends ascend within 0..n_pairs.  shapes holds the same number of records
-        for each pair, or is the shape code of one record on each.  A batch of
-        one class, or of Bob's pauli then bell_measure on each pair, steps the
-        ledger with one translate a run; any other batch, and one that breaks a
-        rule, goes through record, which names the violation.
-        """
-        n = self._n_pairs
-        if not (ends and len(ends) % 2 == 0 and 0 <= ends[0] and ends[-1] <= n and ends == sorted(ends)):
-            raise InternalFault(f"seq {len(self.events)}: custody runs {ends} do not ascend within 0..{n}")
-        ints = self._pair_ints
-        pairs = ints[ends[0] : ends[1]]
-        for k in range(2, len(ends), 2):
-            pairs += ints[ends[k] : ends[k + 1]]
-        if type(shapes) is int:  # one shape, so one class: nothing to check
-            step, shapes = _SHAPE_STEP[shapes], bytes((shapes,)) * len(pairs)
-        else:
-            width = len(shapes) // len(pairs) if pairs and not len(shapes) % len(pairs) else 0
-            step = _run_step(shapes, width)
-            if width > 1:  # a pair's cell for each of its records
-                cells, pairs = pairs, [0] * len(shapes)
-                for k in range(width):
-                    pairs[k::width] = cells
-        if step is not None:
-            custody, bounds = self._custody, iter(ends)
-            before = custody[:]
-            for a, b in zip(bounds, bounds):
-                custody[a:b] = custody[a:b].translate(step)
-            if custody.find(0xFF, ends[0], ends[-1]) < 0:  # every record keeps the rules
-                self.events._extend(shapes, pairs)
-                return
-            custody[:] = before
-        self.record(shapes, pairs)
-
-    def send(self, sender: str, type: str, **fields: object) -> None:
-        """Put one classical message on the wire; fields are already in wire form."""
-        if type not in _MESSAGE_INDEX_FIELD:
-            raise InternalFault(f"unknown message type {type!r}")
-        index_field = _MESSAGE_INDEX_FIELD[type]
-        if index_field:
-            entries = fields[index_field]
-            indices = entries if index_field == "indices" else list(map(itemgetter(0), entries))
-            if not all(map(lt, indices, islice(indices, 1, None))):
-                raise InternalFault("message indices must be strictly increasing")
-            # increasing, so the first index out of range is the first or the first past the end
-            if indices and not (0 <= indices[0] and indices[-1] < self._n_pairs):
-                i = indices[0] if indices[0] < 0 else indices[bisect_left(indices, self._n_pairs)]
-                raise InternalFault(f"message index {i} outside pair range")
-        payload = {"msg_seq": self._msg_seq, "sender": sender, "type": type, **fields}
-        self._msg_seq += 1
-        self.emit(sender, "message", payload)
-
-
 def audit_custody(transcript: Transcript) -> list[str]:
-    """Replay the event log and flag any op on a photon outside custody.
-
-    Tracks each (pair, slot) through prepare, send, channel, receive, and
-    consumption by Bell measurement, with the rules a Session enforces as
-    it records.  Returns human-readable violations; an empty list means the
-    transcript respects custody everywhere.  Every custody record fits its
-    shape, as the log admits no other, so the audit never raises.  The states
-    are a dict keyed by the log's pair cells, as a read pair may be any integer,
-    stepped one record at a time by the function a run's recorder falls back to.
-    """
-    pairs = transcript.events._pairs
-    return [m for _, m in _apply_custody(dict.fromkeys(pairs, 0), 0, transcript.events._shapes, pairs)]
+    """The custody violations of a transcript's log, from records.replay_custody."""
+    return replay_custody(transcript.events)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +392,7 @@ class Session:
         self._states, record = transit(self._states, leg, self.config.eve, self._eve_rng)
         touches = record.touches
         self._rec.record(
-            bytes(touched[_BASES.index(t.basis)][t.outcome] for t in touches),
+            bytes(touched[_BASES.index(t.basis) << 1 | t.outcome] for t in touches),
             [t.pair_index for t in touches],
         )
         self._rec.record_runs(received, ends)
@@ -556,11 +421,7 @@ class Session:
         alice_outcomes = self._measure("alice", self._alice_rng, chosen, QubitSlot.M, bases)
         violations = sum(a == b for a, b in zip(alice_outcomes, bob_outcomes))
         passed = violations <= cfg.abort_threshold
-        self._stats["first_check"] = {
-            "sampled": count,
-            "violations": violations,
-            "passed": passed,
-        }
+        self._stats["first_check"] = {"sampled": count, "violations": violations, "passed": passed}
         self._rec.send("alice", "check_verdict", passed=passed, violations=violations)
         if not passed:
             self._abort("anticorrelation check failed")
@@ -722,7 +583,7 @@ class Session:
             outcome, states[i] = measure_qubit(states[i], slot, _BASES[basis], rng.random())
             outcomes.append(outcome)
         shape = _MEASURE_SHAPE[actor, slot]
-        self._rec.record(bytes(shape[b][o] for b, o in zip(bases, outcomes)), pairs)
+        self._rec.record(bytes(shape[b << 1 | o] for b, o in zip(bases, outcomes)), pairs)
         return outcomes
 
     def _abort(self, reason: str) -> None:
@@ -741,36 +602,19 @@ _OPS = tuple(PauliOp)
 _OP_NAME = tuple(op.name for op in _OPS)
 _SIDE_SLOT = (QubitSlot.C, QubitSlot.M)
 _BELL_NAME = tuple(bell.name.lower() for bell in BellState)
-_PREPARE_SHAPE = _SHAPE_ID["prepare", "alice"]
+_PREPARE_SHAPE = shape_codes("prepare", "alice")[0]
 # translate tables: an op code, an op code * 2 + side, or a Bell index -> its record's shape
-_ALICE_PAULI_SHAPE = bytes(_SHAPE_ID["pauli", "alice", op.name, "M"] for op in _OPS).ljust(256, b"\xff")
-_BOB_PAULI_SHAPE = bytes(
-    _SHAPE_ID["pauli", "bob", op.name, slot.value] for op in _OPS for slot in _SIDE_SLOT
-).ljust(256, b"\xff")
-_BELL_SHAPE = bytes(_SHAPE_ID["bell_measure", "bob", name] for name in _BELL_NAME).ljust(256, b"\xff")
-# (actor, slot) -> measure shape codes by basis code, then outcome
-_MEASURE_SHAPE = {
-    (actor, slot): tuple(
-        tuple(
-            _SHAPE_ID["measure", actor, basis.value, outcome, slot.value] for outcome in (0, 1)
-        )
-        for basis in _BASES
-    )
-    for actor in ("alice", "bob")
-    for slot in _SIDE_SLOT
-}
-# leg -> its send shape, its eve_touch shapes by basis code then outcome, and its receive shape
+_ALICE_PAULI_SHAPE = shape_codes("pauli", "alice", slot="M")
+_BOB_PAULI_SHAPE = shape_codes("pauli", "bob")
+_BELL_SHAPE = shape_codes("bell_measure", "bob")
+# (actor, slot) -> a translate table from basis code * 2 + outcome to the measure shape
+_MEASURE_SHAPE = {(a, s): shape_codes("measure", a, slot=s.value) for a in ("alice", "bob") for s in _SIDE_SLOT}
+# leg -> its send shape, a table like _MEASURE_SHAPE's to its eve_touch shape, and its receive shape
 _LEG_SHAPES = {
     leg: (
-        _SHAPE_ID["send", "alice", slot, "bob"],
-        tuple(
-            tuple(
-                _SHAPE_ID["eve_touch", "eve", basis.value, leg.value, outcome, slot]
-                for outcome in (0, 1)
-            )
-            for basis in _BASES
-        ),
-        _SHAPE_ID["receive", "bob", slot],
+        shape_codes("send", "alice", slot=slot, to="bob")[0],
+        shape_codes("eve_touch", "eve", leg=leg.value, slot=slot),
+        shape_codes("receive", "bob", slot=slot)[0],
     )
     for leg in Leg
     for slot in (leg_slot(leg).value,)

@@ -222,6 +222,26 @@ def test_config_file_may_be_a_pipe(capsys):
     assert "16/16 combinations" in out
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+@pytest.mark.parametrize(
+    "argv, code, line",
+    [
+        (["--config", "{fifo}"], 2, "error: mode must be one of "
+         "roundtrip, table-check, security-sweep, info-estimate; got None"),
+        (["--mode", "roundtrip", "--pairs", "16", "--alice-msg", "@{fifo}"], 0, "alice -> bob: (empty) (match)"),
+    ],
+    ids=["config", "message"],
+)
+def test_a_fifo_no_process_writes_to_reads_as_empty(tmp_path, capped_child, argv, code, line):
+    """--config and an @file message open a FIFO that has no writer without
+    waiting for one, and read it as empty; a child that waits is killed."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    proc = capped_child(CLI_MAIN, *(arg.format(fifo=fifo) for arg in argv), timeout=30)
+    assert proc.returncode == code, proc.stderr
+    assert line in (proc.stdout + proc.stderr).splitlines()
+
+
 def test_config_file_errors_repeat_only_the_start_of_a_long_line(capsys, tmp_path):
     """A line, key or value of 60,000 characters is echoed by its first 40 at most."""
     long = "x" * 60_000

@@ -1,8 +1,9 @@
 """Every module of the package uses each name it imports, every name it defines at
 module level is read by another module, README's library example or the benchmark,
-the top level exports exactly the names of that example, and the modules a run
-goes through name no numpy Generator or bit generator state, and qsim draws
-nothing itself."""
+the top level exports exactly the names of that example, the modules a run
+goes through name no numpy Generator or bit generator state, qsim draws
+nothing itself, and session.py reaches the custody ledger only through
+records.py's recorder and shape_codes."""
 
 from __future__ import annotations
 
@@ -300,3 +301,43 @@ def test_calls_without_byteorder_are_found():
         "g = (5).to_bytes()\n"
         "h = (5).to_bytes(2, signed=True)\n"
     ) == [".from_bytes() (line 1)", ".to_bytes() (line 4)", ".to_bytes() (line 7)", ".to_bytes() (line 8)"]
+
+
+# records.py's shape tables and custody step, and EventLog's columns and appends
+_RECORDS_INTERNALS = {
+    "_SHAPE_ID", "_SHAPE_STEP", "_RECORD_STEP", "_apply_custody", "_run_step", "_record_shape"
+}
+_LOG_INTERNALS = {"_pairs", "_shapes", "_add", "_extend"}
+
+
+def records_internals_read(source: str) -> list[str]:
+    """Each custody internal a source imports from records.py and each EventLog
+    internal it reads as an attribute, with its line: a module that runs the
+    protocol hands the recorder shape codes and leaves the ledger to records.py."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, "records"), (0, "qduplex.records")):
+            found += [f"{a.name} (line {node.lineno})" for a in node.names if a.name in _RECORDS_INTERNALS]
+        elif isinstance(node, ast.Attribute) and node.attr in _LOG_INTERNALS:
+            found.append(f".{node.attr} (line {node.lineno})")
+    return found
+
+
+def test_session_reads_no_custody_internal_of_records():
+    path = Path(qduplex.__file__).parent / "session.py"
+    assert records_internals_read(path.read_text(encoding="utf-8")) == []
+
+
+def test_records_internals_read_are_found():
+    assert records_internals_read(
+        "from .records import _SHAPE_ID, EventLog\n"
+        "from .records import (\n    _Recorder,\n    _run_step,\n)\n"
+        "from qduplex.records import _RECORD_STEP\n"
+        "from .codec import _SHAPE_STEP\n"
+        "from records import _apply_custody\n"
+        "log._extend(shapes, log._pairs)\n"
+        "pairs = self._pair_ints\n"
+    ) == [
+        "_SHAPE_ID (line 1)", "_run_step (line 2)", "_RECORD_STEP (line 6)",
+        "._extend (line 9)", "._pairs (line 9)",
+    ]

@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qduplex.adversary import EveStrategy, Leg
+from qduplex.adversary import _BASES, EveStrategy, Leg, leg_slot
 from qduplex.codec import MessageBits, decode_alice, decode_bob, pack_bits, random_message
-from qduplex.qsim import BellState, InternalFault, PauliOp
+from qduplex.qsim import BellState, InternalFault, PauliOp, QubitSlot
+import qduplex.records as records_module
 import qduplex.session as session_module
 from qduplex.session import (
     LOG_BYTES_PER_PAIR,
@@ -33,8 +34,6 @@ from qduplex.session import (
     Session,
     Transcript,
     TranscriptInvalid,
-    _MESSAGE_INDEX_FIELD,
-    _Recorder,
     _verdict_payload,
     audit_custody,
     run_protocol,
@@ -47,6 +46,7 @@ from qduplex.records import (
     _CLASS_SHAPES,
     _EVENT,
     _KIND_ACTORS,
+    _MESSAGE_INDEX_FIELD,
     _RECORD_STEP,
     _SHAPE_ID,
     _SHAPE_RECORD,
@@ -54,11 +54,13 @@ from qduplex.records import (
     _SHAPE_STEP,
     _STATE,
     _STATE_HOLDERS,
+    _Recorder,
     _apply_custody,
     _bulk_event,
     _custody_rule,
     _record_shape,
     _run_step,
+    shape_codes,
     shape_table,
 )
 
@@ -2067,13 +2069,11 @@ def test_runs_outside_the_pairs_or_out_of_order_are_refused_whole(shapes, ends):
 def test_an_index_error_on_pairs_in_range_is_not_taken_for_a_pair_out_of_range(monkeypatch, path):
     """An IndexError from the custody step, per record or in picking a batch's
     run table, shows as itself and is not taken for a pair out of range."""
-    import qduplex.session as session_module
-
     def faulty(*args):
         raise IndexError("not a pair")
 
-    monkeypatch.setattr(session_module, "_apply_custody", faulty)
-    monkeypatch.setattr(session_module, "_run_step", faulty)
+    monkeypatch.setattr(records_module, "_apply_custody", faulty)
+    monkeypatch.setattr(records_module, "_run_step", faulty)
     recorder = _Recorder(n_pairs=4)
     prepare = _SHAPE_ID["prepare", "alice"]
     with pytest.raises(IndexError, match="^not a pair$"):
@@ -2151,6 +2151,64 @@ def test_every_step_table_entry_is_the_custody_rule():
     assert _BELL_STEP[len(_STATE_HOLDERS):] == b"\xff" * (256 - len(_STATE_HOLDERS))
 
 
+def hand_shape_tables() -> dict[str, object]:
+    """session.py's shape tables spelled out field by field, as they were written
+    by hand before shape_codes: each table's shape codes, by value, in a list."""
+    ops, sides, bells = tuple(PauliOp), (QubitSlot.C, QubitSlot.M), [b.name.lower() for b in BellState]
+    draws = [(basis.value, outcome) for basis in _BASES for outcome in (0, 1)]  # by basis code * 2 + outcome
+    return {
+        "_PREPARE_SHAPE": _SHAPE_ID["prepare", "alice"],
+        "_ALICE_PAULI_SHAPE": [_SHAPE_ID["pauli", "alice", op.name, "M"] for op in ops],
+        "_BOB_PAULI_SHAPE": [_SHAPE_ID["pauli", "bob", op.name, slot.value] for op in ops for slot in sides],
+        "_BELL_SHAPE": [_SHAPE_ID["bell_measure", "bob", name] for name in bells],
+        "_MEASURE_SHAPE": {
+            (actor, slot): [_SHAPE_ID["measure", actor, basis, outcome, slot.value] for basis, outcome in draws]
+            for actor in ("alice", "bob")
+            for slot in sides
+        },
+        "_LEG_SHAPES": {
+            leg: (
+                _SHAPE_ID["send", "alice", slot, "bob"],
+                [_SHAPE_ID["eve_touch", "eve", basis, leg.value, outcome, slot] for basis, outcome in draws],
+                _SHAPE_ID["receive", "bob", slot],
+            )
+            for leg in Leg
+            for slot in (leg_slot(leg).value,)
+        },
+    }
+
+
+def test_shape_codes_give_the_hand_spelled_shapes_and_one_class_a_table():
+    """Each value of a table session.py builds from shape_codes maps to the shape
+    its fields spell, every other byte to 0xFF; the shapes of a table a batch of
+    one record a pair takes form one custody class, and Bob's pauli and
+    bell_measure tables compose to his two-record step, so a valid run never
+    falls back to the per-record loop."""
+    hand = hand_shape_tables()
+
+    def check(table: bytes, shapes: list[int], one_class: bool = True) -> None:
+        assert table == bytes(shapes) + b"\xff" * (256 - len(shapes))
+        if one_class:
+            assert _run_step(bytes(shapes), 1) == _SHAPE_STEP[shapes[0]]
+
+    assert session_module._PREPARE_SHAPE == hand["_PREPARE_SHAPE"]
+    check(session_module._ALICE_PAULI_SHAPE, hand["_ALICE_PAULI_SHAPE"])
+    check(session_module._BOB_PAULI_SHAPE, hand["_BOB_PAULI_SHAPE"], one_class=False)
+    check(session_module._BELL_SHAPE, hand["_BELL_SHAPE"])
+    bob = itertools.product(hand["_BOB_PAULI_SHAPE"], hand["_BELL_SHAPE"])
+    assert _run_step(bytes(itertools.chain.from_iterable(bob)), 2) == _BELL_STEP
+    assert session_module._MEASURE_SHAPE.keys() == hand["_MEASURE_SHAPE"].keys()
+    for key, shapes in hand["_MEASURE_SHAPE"].items():
+        check(session_module._MEASURE_SHAPE[key], shapes)
+    assert session_module._LEG_SHAPES.keys() == hand["_LEG_SHAPES"].keys()
+    for leg, (send, touches, receive) in hand["_LEG_SHAPES"].items():
+        table = session_module._LEG_SHAPES[leg]
+        assert (table[0], table[2]) == (send, receive)
+        check(table[1], touches)
+    with pytest.raises(ValueError, match="^send records have no field sloot to fix$"):
+        shape_codes("send", "alice", sloot="C", to="bob")
+
+
 def test_run_step_takes_only_a_batch_of_one_class_or_bobs_pairs():
     """A batch has a run table where its records are of one class, or Bob's
     pauli then bell_measure on every pair; any other goes to the per-record loop."""
@@ -2218,7 +2276,7 @@ def test_the_run_step_equals_the_per_record_step(batch):
     one_shape = width == 1 and shapes and shapes == bytes((shapes[0],)) * len(shapes)
     per_record = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(session_module, "_apply_custody", lambda *a: per_record.append(a) or _apply_custody(*a))
+        patch.setattr(records_module, "_apply_custody", lambda *a: per_record.append(a) or _apply_custody(*a))
         try:
             recorder.record_runs(shapes[0] if one_shape else shapes, ends)
         except InternalFault as fault:
@@ -2261,7 +2319,7 @@ def test_no_batch_of_runs_falls_back_to_the_per_record_step(monkeypatch, config)
             per_record.append({_SHAPE_RECORD[shape][0] for shape in shapes})
         return _apply_custody(custody, seq, shapes, pairs)
 
-    monkeypatch.setattr(session_module, "_apply_custody", counted_apply)
+    monkeypatch.setattr(records_module, "_apply_custody", counted_apply)
     transcript = run_protocol(config, *fixed_messages(config))
     past_first_check = "second_check" in transcript.stats
     assert transcript.completed == past_first_check
@@ -2329,7 +2387,6 @@ def test_the_audit_keeps_a_negative_pair_apart_from_the_list_cell_it_would_wrap_
 
 def test_bulk_records_build_no_event_on_the_run_write_read_audit_and_estimator_paths(monkeypatch):
     """Only config, message, stats and verdict records become Events or parsed dicts."""
-    import qduplex.records as records_module
     import qduplex.session as session_module
     from qduplex.adversary import estimate_information
 
