@@ -32,7 +32,7 @@ from .records import TranscriptInvalid, shape_table
 from .stream import Stream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from .session import ProtocolConfig, Transcript
+    from .session import ProtocolConfig, Session, Transcript
 
 
 class Leg(enum.Enum):
@@ -215,8 +215,8 @@ class DetectionStats:
 
 def _trials(
     strategy: EveStrategy, config: "ProtocolConfig", trials: int, rng: np.random.Generator
-) -> Iterator["Transcript"]:
-    """Run config under strategy `trials` times; yield each run's transcript.
+) -> Iterator[tuple["Session", "Transcript"]]:
+    """Run config under strategy `trials` times; yield each run's Session and transcript.
 
     Per trial the stream gives, in this order, the run's 64-bit seed, then
     Alice's and Bob's random full-capacity messages.
@@ -229,7 +229,8 @@ def _trials(
         cfg = replace(config, seed=int(rng.integers(1 << 63)), eve=strategy)
         alice_msg = random_message(cfg.alice_capacity_bits, rng)
         bob_msg = random_message(cfg.bob_capacity_bits, rng)
-        yield Session(cfg, alice_msg, bob_msg).run()
+        session = Session(cfg, alice_msg, bob_msg)
+        yield session, session.run()
 
 
 def estimate_detection(
@@ -247,7 +248,7 @@ def estimate_detection(
     checked = 0
     violations = 0
     aborted = 0
-    for transcript in _trials(strategy, config, trials, rng):
+    for _, transcript in _trials(strategy, config, trials, rng):
         first = transcript.stats["first_check"]
         checked += first["sampled"]
         violations += first["violations"]
@@ -381,6 +382,17 @@ def _run_samples(transcript: "Transcript") -> tuple[Counter, Counter, Counter]:
     )
 
 
+def _session_samples(session: "Session") -> tuple[Counter, Counter, Counter]:
+    """_run_samples' three joint counts for a completed live run, from the
+    Session's own columns (Session.sample_columns) in place of its log."""
+    message, alice_ops, message_bells, bells, bob_ops, first, second = session.sample_columns()
+    # each leg's touches as pair -> 2 for the X basis plus the outcome, as _eve_guesses reads them
+    hits = ({t.pair_index: (t.basis is Basis.X) << 1 | t.outcome for t in touches} for touches in (first, second))
+    guesses = _eve_guesses(*hits)
+    guessed = bytes(map(guesses.get, message, repeat(0))) if guesses else bytes(len(message))
+    return _joint(guessed, alice_ops), _joint(message_bells, alice_ops), _joint(bells, bob_ops)
+
+
 def eve_information(transcript: "Transcript") -> float:
     """Empirical MI between Eve's op guesses and Alice's true pairs, in bits.
 
@@ -425,17 +437,19 @@ def estimate_information(
     """Run the protocol repeatedly and pool all three leakage estimates.
 
     Each trial gets a fresh seed and fresh random full-capacity messages.
+    A completed trial's samples come from its Session's own columns, not
+    from a re-read of its log; they are the counts _run_samples reads.
     Raises InsufficientSamples when no run survives its own checks, the
     common case for aggressive strategies.  Merged in trial order, the
     joint counts sum their cells as the pooled samples would.
     """
     joints = eve, alice, bob = Counter(), Counter(), Counter()
     completed = 0
-    for transcript in _trials(strategy, config, trials, rng):
+    for session, transcript in _trials(strategy, config, trials, rng):
         if not transcript.completed:
             continue
         completed += 1
-        for total, trial in zip(joints, _run_samples(transcript)):
+        for total, trial in zip(joints, _session_samples(session)):
             total.update(trial)
     if not completed:
         raise InsufficientSamples(f"0 completed runs out of {trials}, need 1")

@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .adversary import _BASES, EveStrategy, Leg, leg_slot, transit
+from .adversary import _BASES, EveStrategy, EveTouch, Leg, leg_slot, transit
 from .codec import _BIT_DIGIT, MessageBits
 from .qsim import (
     BellState,
@@ -361,6 +361,7 @@ class Session:
         self._alice_codes = b""
         self._bob_codes = b""
         self._bell_codes = bytearray()
+        self._touches: dict[Leg, list[EveTouch]] = {}  # Eve's touches on each leg, as transit returned them
         self._states: dict[int, TwoQubitState] = {}  # the pairs still in play, by index
         self._stats: dict = {}
         self._rec = _Recorder(config.n_pairs)
@@ -390,7 +391,7 @@ class Session:
         sent, touched, received = _LEG_SHAPES[leg]
         self._rec.record_runs(sent, ends)
         self._states, record = transit(self._states, leg, self.config.eve, self._eve_rng)
-        touches = record.touches
+        touches = self._touches[leg] = record.touches
         self._rec.record(
             bytes(touched[_BASES.index(t.basis) << 1 | t.outcome] for t in touches),
             [t.pair_index for t in touches],
@@ -538,12 +539,33 @@ class Session:
         # Bob XORs each announced index with his own op code and drops the decoys, Alice with hers
         bell, n = int.from_bytes(self._bell_codes, "big"), len(self._bell_codes)
         bob_view = (bell ^ int.from_bytes(self._bob_codes, "big")).to_bytes(n, "big")
-        alice_sent_pairs = b"".join(bob_view[a + 1 : b] for a, b in pairwise((-1, *self._decoy_at, n)))
+        alice_sent_pairs = b"".join(_cut(bob_view, self._decoy_at))
         bob_sent_pairs = (bell ^ int.from_bytes(self._alice_codes, "big")).to_bytes(n, "big")
         bob_decoded = MessageBits.from_pairs(alice_sent_pairs, self._alice_msg.payload_bits)
         alice_decoded = MessageBits.from_pairs(bob_sent_pairs, self._bob_msg.payload_bits)
         self._advance(Phase.DONE)
         return Completed(alice_decoded, bob_decoded)
+
+    def sample_columns(self) -> tuple[list[int], bytes, bytes, bytes, bytes, list[EveTouch], list[EveTouch]]:
+        """A completed run's leakage samples, read from its own columns in survivor order.
+
+        Returns the message pairs, Alice's op codes and the Bell indices on
+        them, then every Bell index and Bob's op codes, decoys included, then
+        Eve's touches on the first and on the second leg as transit returned
+        them: the values the run's pauli, bell_measure and eve_touch records carry.
+        """
+        if self.phase is not Phase.DONE:
+            raise ValueError(f"sample columns need a completed run, not one in phase {self.phase.value}")
+        at, bell = self._decoy_at, bytes(self._bell_codes)
+        return (
+            list(chain.from_iterable(_cut(self.survivors, at))),
+            b"".join(_cut(self._alice_codes, at)),
+            b"".join(_cut(bell, at)),
+            bell,
+            self._bob_codes,
+            self._touches[Leg.FIRST],
+            self._touches[Leg.SECOND],
+        )
 
     def run(self) -> Transcript:
         self.prepare_pairs()
@@ -619,6 +641,11 @@ _LEG_SHAPES = {
     for leg in Leg
     for slot in (leg_slot(leg).value,)
 }
+
+
+def _cut(column, at: list[int]) -> list:
+    """The slices of a column between its places at (ascending): the column without them, in runs."""
+    return [column[a + 1 : b] for a, b in pairwise((-1, *at, len(column)))]
 
 
 def _padded_pairs(message: MessageBits, needed: int) -> bytes:

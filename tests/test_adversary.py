@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
 
@@ -18,10 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qduplex import adversary
 from qduplex.adversary import (
     AttackKind,
     EveStrategy,
     EveTouch,
+    InformationStats,
     InsufficientSamples,
     Leg,
     estimate_detection,
@@ -35,6 +38,7 @@ from qduplex.adversary import (
     _SAMPLE_TABLE,
     _eve_guesses,
     _run_samples,
+    _session_samples,
 )
 from qduplex.codec import random_message
 from qduplex.qsim import (
@@ -48,8 +52,8 @@ from qduplex.qsim import (
     product_state,
     project_qubit,
 )
-from qduplex.records import _BULK_SCHEMA, Event, TranscriptInvalid
-from qduplex.session import ProtocolConfig, Transcript, audit_custody, run_protocol
+from qduplex.records import _BULK_SCHEMA, Event, EventLog, TranscriptInvalid
+from qduplex.session import ProtocolConfig, Session, Transcript, audit_custody, run_protocol
 from qduplex.stream import Stream
 
 
@@ -190,8 +194,6 @@ def test_substitute_forwards_fresh_zero_on_each_leg():
 
 
 def test_substitution_measures_each_substituted_photon_exactly_once(monkeypatch):
-    from qduplex import adversary
-
     calls = []
     measure = adversary.measure_qubit
     monkeypatch.setattr(
@@ -601,17 +603,20 @@ def counts_or_error(function, transcript: Transcript):
         return f"TranscriptInvalid: {exc}"
 
 
-def any_run(attack: str, attack_prob: float, seed: int, n_pairs: int, check_count_2: int) -> Transcript:
-    """A run under the attack, completed or aborted at either check."""
+def any_run(
+    attack: str, attack_prob: float, seed: int, n_pairs: int, check_count_2: int
+) -> tuple[Session, Transcript]:
+    """A run under the attack, completed or aborted at either check: its Session and transcript."""
     config = ProtocolConfig(
         n_pairs=n_pairs, check_fraction_1=1 / n_pairs, check_count_2=check_count_2, seed=seed,
         abort_threshold=n_pairs, eve=EveStrategy.from_name(attack, attack_prob=attack_prob),
     )
-    return run_protocol(
+    session = Session(
         config,
         random_message(config.alice_capacity_bits, np.random.default_rng(seed)),
         random_message(config.bob_capacity_bits, np.random.default_rng(seed + 1)),
     )
+    return session, session.run()
 
 
 @settings(max_examples=80, deadline=None)
@@ -625,10 +630,16 @@ def any_run(attack: str, attack_prob: float, seed: int, n_pairs: int, check_coun
 def test_run_samples_equal_the_dict_and_counter_form_on_live_runs(
     attack, attack_prob, seed, n_pairs, check_count_2
 ):
-    transcript = any_run(attack, attack_prob, seed, n_pairs, min(check_count_2, n_pairs - 2))
+    session, transcript = any_run(attack, attack_prob, seed, n_pairs, min(check_count_2, n_pairs - 2))
     expected = counts_or_error(dict_and_counter_run_samples, transcript)
     assert counts_or_error(_run_samples, transcript) == expected
     assert not isinstance(expected, str)
+    # the estimator counts a completed run from the Session's own columns: the same cells in the same order
+    if transcript.completed:
+        assert [list(joint.items()) for joint in _session_samples(session)] == expected
+    else:
+        with pytest.raises(ValueError, match="^sample columns need a completed run"):
+            session.sample_columns()
 
 
 DAMAGE_BASES = [
@@ -837,6 +848,59 @@ def test_a_saved_run_without_stats_is_not_read(tmp_path):
     write_records(path, records)
     with pytest.raises(TranscriptInvalid, match="^transcript has no stats record$"):
         Transcript.read_jsonl(path)
+
+
+def pooled_run_samples(
+    strategy: EveStrategy, config: ProtocolConfig, trials: int, rng: np.random.Generator
+) -> InformationStats:
+    """estimate_information over _run_samples: each trial's seed and messages drawn from
+    the stream as the estimator draws them, and each completed run's log re-read."""
+    joints = eve, alice, bob = Counter(), Counter(), Counter()
+    completed = 0
+    for _ in range(trials):
+        cfg = replace(config, seed=int(rng.integers(1 << 63)), eve=strategy)
+        alice_msg = random_message(cfg.alice_capacity_bits, rng)
+        transcript = run_protocol(cfg, alice_msg, random_message(cfg.bob_capacity_bits, rng))
+        if transcript.completed:
+            completed += 1
+            for total, trial in zip(joints, _run_samples(transcript)):
+                total.update(trial)
+    return InformationStats(
+        trials=trials,
+        completed_runs=completed,
+        message_pairs=sum(alice.values()),
+        announced_vs_alice_bits=mutual_information_bits(alice),
+        announced_vs_bob_bits=mutual_information_bits(bob),
+        eve_guess_vs_alice_bits=mutual_information_bits(eve),
+    )
+
+
+# with decoys; the high abort threshold keeps the first check from ending the attacked runs
+ESTIMATOR_CASES = [("none", 1.0), ("intercept-rand", 0.5), ("substitute", 0.25)]
+ESTIMATOR_CONFIG = ProtocolConfig(n_pairs=24, check_fraction_1=1 / 24, check_count_2=2, abort_threshold=24)
+
+
+@pytest.mark.parametrize("attack, attack_prob", ESTIMATOR_CASES)
+def test_estimate_information_equals_run_samples_pooled_over_the_same_trials(attack, attack_prob):
+    strategy = EveStrategy.from_name(attack, attack_prob)
+    stats = estimate_information(strategy, ESTIMATOR_CONFIG, 60, np.random.default_rng(8))
+    assert stats == pooled_run_samples(strategy, ESTIMATOR_CONFIG, 60, np.random.default_rng(8))
+    if strategy.active:  # the decoy check ended some runs, and Eve learned something in the rest
+        assert 0 < stats.completed_runs < stats.trials
+        assert stats.eve_guess_vs_alice_bits > 0.0
+
+
+@pytest.mark.parametrize("attack, attack_prob", ESTIMATOR_CASES)
+def test_estimate_information_reads_no_trial_log(monkeypatch, attack, attack_prob):
+    def refuse(*args):
+        raise AssertionError("the estimator re-read a trial's log")
+
+    monkeypatch.setattr(adversary, "_run_samples", refuse)
+    monkeypatch.setattr(EventLog, "select", refuse)
+    stats = estimate_information(
+        EveStrategy.from_name(attack, attack_prob), ESTIMATOR_CONFIG, 20, np.random.default_rng(9)
+    )
+    assert stats.completed_runs > 0
 
 
 def test_undetected_intercept_z_reports_positive_information():

@@ -2,8 +2,9 @@
 module level is read by another module, README's library example or the benchmark,
 the top level exports exactly the names of that example, the modules a run
 goes through name no numpy Generator or bit generator state, qsim draws
-nothing itself, and session.py reaches the custody ledger only through
-records.py's recorder and shape_codes."""
+nothing itself, session.py reaches the custody ledger only through
+records.py's recorder and shape_codes, and adversary.py reads a live run
+only through Session.run and Session.sample_columns."""
 
 from __future__ import annotations
 
@@ -340,4 +341,59 @@ def test_records_internals_read_are_found():
     ) == [
         "_SHAPE_ID (line 1)", "_run_step (line 2)", "_RECORD_STEP (line 6)",
         "._extend (line 9)", "._pairs (line 9)",
+    ]
+
+
+# what adversary.py may read of a Session: the run and the completed run's sample columns
+_SESSION_READS = {"run", "sample_columns"}
+
+
+def session_attributes() -> set[str]:
+    """Every attribute a Session has: its methods and what its methods assign to self."""
+    tree = ast.parse((Path(qduplex.__file__).parent / "session.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Session")
+    names = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if isinstance(node.value, ast.Name) and node.value.id == "self":
+                names.add(node.attr)
+    return names
+
+
+def session_internals_read(source: str) -> list[str]:
+    """Each Session attribute a source reads other than run and sample_columns, with
+    its line: the estimator counts a live run from the columns sample_columns returns,
+    not from the private columns and kept touches they are cut from."""
+    attributes = session_attributes() - _SESSION_READS
+    reads = [
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in attributes
+    ]
+    return [f".{node.attr} (line {node.lineno})" for node in sorted(reads, key=lambda n: (n.lineno, n.col_offset))]
+
+
+def test_session_attributes_cover_the_columns_the_samples_are_cut_from():
+    assert {"_alice_codes", "_bob_codes", "_bell_codes", "_decoy_at", "_touches", "survivors"} <= (
+        session_attributes() - _SESSION_READS
+    )
+
+
+def test_adversary_reads_a_live_run_only_through_its_sample_columns():
+    source = (Path(qduplex.__file__).parent / "adversary.py").read_text(encoding="utf-8")
+    assert session_internals_read(source) == []
+    assert ".sample_columns()" in source
+
+
+def test_session_internals_read_are_found():
+    assert session_internals_read(
+        "codes = session._alice_codes\n"
+        "ops, bell = s._bob_codes, s._bell_codes[k]\n"
+        "session.sample_columns()\n"
+        "transcript = session.run()\n"
+        "cut = session._decoy_at\n"
+        "hits = session._touches[Leg.FIRST]\n"
+        "pairs = session.survivors; x = session._codes\n"
+    ) == [
+        "._alice_codes (line 1)", "._bob_codes (line 2)", "._bell_codes (line 2)",
+        "._decoy_at (line 5)", "._touches (line 6)", ".survivors (line 7)",
     ]
