@@ -68,6 +68,7 @@ class EveStrategy:
         p = self.attack_prob
         if isinstance(p, bool) or not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
             raise ValueError(f"attack_prob must be a number in [0, 1], got {p!r}")
+        object.__setattr__(self, "attack_prob", float(p))  # so 1 and 1.0 write the same payload
 
     @classmethod
     def none(cls) -> "EveStrategy":
@@ -90,20 +91,13 @@ class EveStrategy:
         return {"kind": self.kind.value, "attack_prob": self.attack_prob}
 
 
-@dataclass(frozen=True, slots=True)
-class EveTouch:
-    """One intercepted photon: its pair, Eve's basis, and what she saw."""
-
-    pair_index: int
-    basis: Basis
-    outcome: int
-
-
 @dataclass
 class EveRecord:
-    """Eve's touches on one leg, as transit returns them."""
+    """Eve's touches on one leg, as transit returns them: each touch's pair, in
+    touch order, and its code, her basis's code into _BASES times 2 plus her outcome."""
 
-    touches: list[EveTouch] = field(default_factory=list)
+    touches: list[int] = field(default_factory=list)
+    codes: bytearray = field(default_factory=bytearray)
 
 
 def transit(
@@ -128,9 +122,9 @@ def transit(
     kind, attack_prob = strategy.kind, strategy.attack_prob
     partial = attack_prob < 1.0
     random_basis = kind is AttackKind.INTERCEPT_RESEND_RANDOM
-    basis = Basis.X if kind is AttackKind.INTERCEPT_RESEND_X else Basis.Z
+    basis = int(kind is AttackKind.INTERCEPT_RESEND_X)  # a code into _BASES
     substitute = kind is AttackKind.SUBSTITUTE_FRESH
-    touches = record.touches
+    touches, codes = record.touches, record.codes
     out: dict[int, TwoQubitState] = {}
     for index in sorted(pair_states):
         state = pair_states[index]
@@ -138,8 +132,8 @@ def transit(
             out[index] = state
             continue
         if random_basis:
-            basis = _BASES[rng.bit()]
-        outcome, state = measure_qubit(state, slot, basis, rng.random())
+            basis = rng.bit()
+        outcome, state = measure_qubit(state, slot, _BASES[basis], rng.random())
         if substitute:
             # Eve keeps the photon and sends a fresh |0> on.  The kept photon
             # never comes back, so for every later measurement the partner
@@ -147,7 +141,8 @@ def transit(
             # collapses it, and the pair becomes the fresh |0> times the
             # partner's residual state.
             state = substitute_fresh(state, slot, outcome)
-        touches.append(EveTouch(index, basis, outcome))
+        touches.append(index)
+        codes.append(basis << 1 | outcome)
         out[index] = state
     return out, record
 
@@ -374,21 +369,19 @@ def _run_samples(transcript: "Transcript") -> tuple[Counter, Counter, Counter]:
         except KeyError as lost:
             raise TranscriptInvalid(f"pair {lost} is Bell-measured with no {actor} pauli record") from None
     alice_ops, bob_ops = ops
+    message_bells, bells = (bytes(map(announced.__getitem__, needed)) for needed in (message, every))
+    return _samples(message, alice_ops, message_bells, bells, bob_ops, first_hits, second_hits)
+
+
+def _samples(
+    message: list[int], alice_ops: bytes, message_bells: bytes, bells: bytes, bob_ops: bytes,
+    first_hits: dict[int, int], second_hits: dict[int, int],
+) -> tuple[Counter, Counter, Counter]:
+    """A completed run's three joint counts, from its columns as Session.sample_columns
+    returns them and _run_samples reads them off a log: the message pairs, Alice's ops
+    and the Bell indices on them, every Bell index and Bob's ops, and Eve's hits on
+    each leg as pair -> code."""
     guesses = _eve_guesses(first_hits, second_hits)
-    return (
-        _joint(bytes(map(guesses.get, message, repeat(0))), alice_ops),
-        _joint(bytes(map(announced.__getitem__, message)), alice_ops),
-        _joint(bytes(map(announced.__getitem__, every)), bob_ops),
-    )
-
-
-def _session_samples(session: "Session") -> tuple[Counter, Counter, Counter]:
-    """_run_samples' three joint counts for a completed live run, from the
-    Session's own columns (Session.sample_columns) in place of its log."""
-    message, alice_ops, message_bells, bells, bob_ops, first, second = session.sample_columns()
-    # each leg's touches as pair -> 2 for the X basis plus the outcome, as _eve_guesses reads them
-    hits = ({t.pair_index: (t.basis is Basis.X) << 1 | t.outcome for t in touches} for touches in (first, second))
-    guesses = _eve_guesses(*hits)
     guessed = bytes(map(guesses.get, message, repeat(0))) if guesses else bytes(len(message))
     return _joint(guessed, alice_ops), _joint(message_bells, alice_ops), _joint(bells, bob_ops)
 
@@ -449,7 +442,7 @@ def estimate_information(
         if not transcript.completed:
             continue
         completed += 1
-        for total, trial in zip(joints, _session_samples(session)):
+        for total, trial in zip(joints, _samples(*session.sample_columns())):
             total.update(trial)
     if not completed:
         raise InsufficientSamples(f"0 completed runs out of {trials}, need 1")

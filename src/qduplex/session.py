@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .adversary import _BASES, EveStrategy, EveTouch, Leg, leg_slot, transit
+from .adversary import _BASES, EveRecord, EveStrategy, Leg, leg_slot, transit
 from .codec import _BIT_DIGIT, MessageBits
 from .qsim import (
     BellState,
@@ -361,7 +361,7 @@ class Session:
         self._alice_codes = b""
         self._bob_codes = b""
         self._bell_codes = bytearray()
-        self._touches: dict[Leg, list[EveTouch]] = {}  # Eve's touches on each leg, as transit returned them
+        self._touches: dict[Leg, EveRecord] = {}  # Eve's touches on each leg, as transit returned them
         self._states: dict[int, TwoQubitState] = {}  # the pairs still in play, by index
         self._stats: dict = {}
         self._rec = _Recorder(config.n_pairs)
@@ -391,11 +391,8 @@ class Session:
         sent, touched, received = _LEG_SHAPES[leg]
         self._rec.record_runs(sent, ends)
         self._states, record = transit(self._states, leg, self.config.eve, self._eve_rng)
-        touches = self._touches[leg] = record.touches
-        self._rec.record(
-            bytes(touched[_BASES.index(t.basis) << 1 | t.outcome] for t in touches),
-            [t.pair_index for t in touches],
-        )
+        self._touches[leg] = record
+        self._rec.record(record.codes.translate(touched), record.touches)
         self._rec.record_runs(received, ends)
 
     def first_check(self) -> bool:
@@ -412,15 +409,16 @@ class Session:
         chosen = sorted(self._bob_rng.choice(cfg.n_pairs, count))
         self._rec.send("bob", "check_indices", indices=chosen)
         bases = [self._bob_rng.bit() for _ in chosen]  # codes into _BASES
-        bob_outcomes = self._measure("bob", self._bob_rng, chosen, QubitSlot.C, bases)
+        bob_seen = self._measure("bob", self._bob_rng, chosen, QubitSlot.C, bases)
         self._rec.send(
             "bob", "basis_announce", bases=[[i, _BASES[b].value] for i, b in zip(chosen, bases)]
         )
         self._rec.send(
-            "bob", "outcome_announce", outcomes=[list(e) for e in zip(chosen, bob_outcomes)]
+            "bob", "outcome_announce", outcomes=[[i, c & 1] for i, c in zip(chosen, bob_seen)]
         )
-        alice_outcomes = self._measure("alice", self._alice_rng, chosen, QubitSlot.M, bases)
-        violations = sum(a == b for a, b in zip(alice_outcomes, bob_outcomes))
+        alice_seen = self._measure("alice", self._alice_rng, chosen, QubitSlot.M, bases)
+        # one basis a pair, so equal codes are equal outcomes
+        violations = sum(a == b for a, b in zip(alice_seen, bob_seen))
         passed = violations <= cfg.abort_threshold
         self._stats["first_check"] = {"sampled": count, "violations": violations, "passed": passed}
         self._rec.send("alice", "check_verdict", passed=passed, violations=violations)
@@ -546,13 +544,13 @@ class Session:
         self._advance(Phase.DONE)
         return Completed(alice_decoded, bob_decoded)
 
-    def sample_columns(self) -> tuple[list[int], bytes, bytes, bytes, bytes, list[EveTouch], list[EveTouch]]:
+    def sample_columns(self) -> tuple[list[int], bytes, bytes, bytes, bytes, dict[int, int], dict[int, int]]:
         """A completed run's leakage samples, read from its own columns in survivor order.
 
         Returns the message pairs, Alice's op codes and the Bell indices on
         them, then every Bell index and Bob's op codes, decoys included, then
-        Eve's touches on the first and on the second leg as transit returned
-        them: the values the run's pauli, bell_measure and eve_touch records carry.
+        Eve's hits on the first and on the second leg as pair -> code: the
+        values the run's pauli, bell_measure and eve_touch records carry.
         """
         if self.phase is not Phase.DONE:
             raise ValueError(f"sample columns need a completed run, not one in phase {self.phase.value}")
@@ -563,8 +561,7 @@ class Session:
             b"".join(_cut(bell, at)),
             bell,
             self._bob_codes,
-            self._touches[Leg.FIRST],
-            self._touches[Leg.SECOND],
+            *(dict(zip(record.touches, record.codes)) for record in map(self._touches.__getitem__, Leg)),
         )
 
     def run(self) -> Transcript:
@@ -594,19 +591,19 @@ class Session:
         pairs: list[int],
         slot: QubitSlot,
         bases: list[int],
-    ) -> list[int]:
+    ) -> bytearray:
         """One party measures its photon of each pair in that pair's basis and logs the outcomes.
 
-        bases holds each pair's basis as a code into _BASES.
+        bases holds each pair's basis as a code into _BASES.  Returns each
+        measurement's code, the basis code times 2 plus the outcome.
         """
         states = self._states
-        outcomes = []
+        codes = bytearray()
         for i, basis in zip(pairs, bases):
             outcome, states[i] = measure_qubit(states[i], slot, _BASES[basis], rng.random())
-            outcomes.append(outcome)
-        shape = _MEASURE_SHAPE[actor, slot]
-        self._rec.record(bytes(shape[b << 1 | o] for b, o in zip(bases, outcomes)), pairs)
-        return outcomes
+            codes.append(basis << 1 | outcome)
+        self._rec.record(codes.translate(_MEASURE_SHAPE[actor, slot]), pairs)
+        return codes
 
     def _abort(self, reason: str) -> None:
         self._rec.send("alice", "abort", reason=reason)

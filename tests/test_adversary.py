@@ -23,7 +23,6 @@ from qduplex import adversary
 from qduplex.adversary import (
     AttackKind,
     EveStrategy,
-    EveTouch,
     InformationStats,
     InsufficientSamples,
     Leg,
@@ -38,7 +37,7 @@ from qduplex.adversary import (
     _SAMPLE_TABLE,
     _eve_guesses,
     _run_samples,
-    _session_samples,
+    _samples,
 )
 from qduplex.codec import random_message
 from qduplex.qsim import (
@@ -149,7 +148,7 @@ def test_transit_none_leaves_states_untouched():
     states = {0: make_singlet(), 3: product_state(1, 0)}
     out, record = transit(states, Leg.FIRST, EveStrategy.none(), stream(0))
     assert out == states
-    assert record.touches == []
+    assert (record.touches, record.codes) == ([], b"")
 
 
 def test_intercept_z_collapses_to_anticorrelated_product():
@@ -158,9 +157,10 @@ def test_intercept_z_collapses_to_anticorrelated_product():
         out, record = transit(
             {0: make_singlet()}, Leg.FIRST, EveStrategy.from_name("intercept-z"), rng
         )
-        (touch,) = record.touches
-        assert touch.basis is Basis.Z
-        expected = product_state(touch.outcome, 1 - touch.outcome)
+        assert record.touches == [0]
+        (code,) = record.codes
+        assert code >> 1 == 0  # the Z basis
+        expected = product_state(code & 1, 1 - (code & 1))
         assert overlap_mag(out[0], expected) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -168,7 +168,7 @@ def test_intercept_x_uses_x_basis():
     out, record = transit(
         {0: make_singlet()}, Leg.FIRST, EveStrategy.from_name("intercept-x"), stream(1)
     )
-    assert record.touches[0].basis is Basis.X
+    assert record.codes[0] >> 1 == 1  # the X basis
     # collapsed to an X-basis product: Z outcomes of both photons are coin flips
     p0, _ = project_qubit(out[0], QubitSlot.C, Basis.Z, 0)
     assert p0 == pytest.approx(0.5, abs=1e-12)
@@ -179,16 +179,17 @@ def test_substitute_forwards_fresh_zero_on_each_leg():
     out, record = transit(
         {0: make_singlet()}, Leg.FIRST, EveStrategy.from_name("substitute"), rng
     )
-    (touch,) = record.touches
+    (code,) = record.codes
+    assert code >> 1 == 0  # measured in Z
     # C slot now |0>, partner keeps the anticorrelated residual
-    assert overlap_mag(out[0], product_state(0, 1 - touch.outcome)) == pytest.approx(
+    assert overlap_mag(out[0], product_state(0, 1 - (code & 1))) == pytest.approx(
         1.0, abs=1e-12
     )
     out, record = transit(
         {0: make_singlet()}, Leg.SECOND, EveStrategy.from_name("substitute"), rng
     )
-    (touch,) = record.touches
-    assert overlap_mag(out[0], product_state(1 - touch.outcome, 0)) == pytest.approx(
+    (code,) = record.codes
+    assert overlap_mag(out[0], product_state(1 - (code & 1), 0)) == pytest.approx(
         1.0, abs=1e-12
     )
 
@@ -230,12 +231,31 @@ def test_attack_probability_validation():
     assert not EveStrategy.from_name("intercept-z", attack_prob=0.0).active
 
 
+@pytest.mark.parametrize("whole", [0, 1])
+def test_an_integer_attack_prob_writes_the_bytes_of_its_float(whole):
+    """Equal configs write equal transcripts: attack_prob 1 and 1.0 are one strategy."""
+    texts = []
+    for attack_prob in (whole, float(whole)):
+        config = ProtocolConfig(
+            n_pairs=16, check_count_2=2, seed=3, abort_threshold=16,
+            eve=EveStrategy(AttackKind.INTERCEPT_RESEND_Z, attack_prob),
+        )
+        transcript = run_protocol(
+            config,
+            random_message(config.alice_capacity_bits, np.random.default_rng(0)),
+            random_message(config.bob_capacity_bits, np.random.default_rng(1)),
+        )
+        texts.append(transcript.to_jsonl())
+    assert texts[0] == texts[1]
+    assert f'"attack_prob":{float(whole)}' in texts[0]
+
+
 def test_transit_is_deterministic_under_a_fixed_stream():
     states = {i: make_singlet() for i in range(32)}
     strategy = EveStrategy.from_name("intercept-rand", attack_prob=0.7)
     out1, rec1 = transit(states, Leg.FIRST, strategy, stream(99))
     out2, rec2 = transit(states, Leg.FIRST, strategy, stream(99))
-    assert rec1.touches == rec2.touches
+    assert (rec1.touches, rec1.codes) == (rec2.touches, rec2.codes)
     for i in states:
         assert np.array_equal(out1[i].amplitudes, out2[i].amplitudes)
 
@@ -243,18 +263,20 @@ def test_transit_is_deterministic_under_a_fixed_stream():
 def reference_transit(
     pair_states: dict[int, TwoQubitState], leg: Leg, strategy: EveStrategy,
     rng: np.random.Generator,
-) -> tuple[dict[int, TwoQubitState], list[EveTouch]]:
+) -> tuple[dict[int, TwoQubitState], list[int], bytearray]:
     """transit written out.  Pairs go in ascending order.  A pair is attacked
     on one uniform draw below attack_prob, made only when 0 < attack_prob < 1.
     intercept-rand then draws its basis with integers(2), 0 for Z.  One uniform
     draw against the Born probability of outcome 0 picks Eve's outcome.  A
     substitution then keeps the collapsed pair's amplitudes with the photon in
-    its outcome and puts them where the photon reads 0."""
+    its outcome and puts them where the photon reads 0.  Returns the states,
+    then each touch's pair and its code, 2 for the X basis plus the outcome."""
     slot = QubitSlot.C if leg is Leg.FIRST else QubitSlot.M
     out = dict(pair_states)
-    touches: list[EveTouch] = []
+    pairs: list[int] = []
+    codes = bytearray()
     if strategy.kind is AttackKind.NONE or strategy.attack_prob == 0.0:
-        return out, touches
+        return out, pairs, codes
     for pair in sorted(pair_states):
         if 0.0 < strategy.attack_prob < 1.0 and not rng.random() < strategy.attack_prob:
             continue
@@ -274,8 +296,9 @@ def reference_transit(
                 fresh[:, 0] = kept[:, outcome]
             state = TwoQubitState(fresh.reshape(4))
         out[pair] = state
-        touches.append(EveTouch(pair, basis, outcome))
-    return out, touches
+        pairs.append(pair)
+        codes.append((basis is Basis.X) << 1 | outcome)
+    return out, pairs, codes
 
 
 def transit_inputs() -> dict[int, TwoQubitState]:
@@ -297,8 +320,8 @@ def test_transit_equals_the_reference(kind, attack_prob, leg, seed):
     strategy = EveStrategy(kind=kind, attack_prob=attack_prob)
     rng, ref_rng = stream(seed), np.random.default_rng(np.random.SeedSequence(seed))
     out, record = transit(states, leg, strategy, rng)
-    ref_out, ref_touches = reference_transit(states, leg, strategy, ref_rng)
-    assert record.touches == ref_touches
+    ref_out, ref_pairs, ref_codes = reference_transit(states, leg, strategy, ref_rng)
+    assert (record.touches, record.codes) == (ref_pairs, ref_codes)
     assert out.keys() == ref_out.keys()
     for pair in ref_out:
         assert out[pair].amplitudes.tobytes() == ref_out[pair].amplitudes.tobytes()
@@ -306,7 +329,7 @@ def test_transit_equals_the_reference(kind, attack_prob, leg, seed):
     after = (rng.bit(), rng.random(), rng.integers(4))
     assert after == (int(ref_rng.integers(2)), ref_rng.random(), int(ref_rng.integers(4)))
     if kind is not AttackKind.NONE and attack_prob > 0.0:
-        assert ref_touches
+        assert ref_pairs
 
 
 # ---------------------------------------------------------------------------
@@ -634,9 +657,24 @@ def test_run_samples_equal_the_dict_and_counter_form_on_live_runs(
     expected = counts_or_error(dict_and_counter_run_samples, transcript)
     assert counts_or_error(_run_samples, transcript) == expected
     assert not isinstance(expected, str)
+    # each leg's eve_touch records, counted and as pair -> 2 for the X basis plus the outcome
+    records: Counter = Counter()
+    hits: dict[str, dict[int, int]] = {leg.value: {} for leg in Leg}
+    for event in transcript.events:
+        if event.kind == "eve_touch":
+            payload = event.payload
+            records[payload["leg"]] += 1
+            hits[payload["leg"]][payload["pair"]] = (payload["basis"] == "X") << 1 | payload["outcome"]
+    # each leg transmitted (the second only past the first check) kept one touch a record
+    legs = list(Leg)[: 1 + transcript.stats["first_check"]["passed"]]
+    touched = {leg.value: len(record.touches) for leg, record in session._touches.items()}
+    assert touched == {leg.value: records[leg.value] for leg in legs}
+    assert records.keys() <= touched.keys()
     # the estimator counts a completed run from the Session's own columns: the same cells in the same order
     if transcript.completed:
-        assert [list(joint.items()) for joint in _session_samples(session)] == expected
+        columns = session.sample_columns()
+        assert list(columns[5:]) == [hits[leg.value] for leg in Leg]
+        assert [list(joint.items()) for joint in _samples(*columns)] == expected
     else:
         with pytest.raises(ValueError, match="^sample columns need a completed run"):
             session.sample_columns()
