@@ -5,26 +5,28 @@ as one row per record in two columns.  A custody record, about eight per
 pair, is its row: a shape code and a pair; the row of every other record
 points to its Event.  A record that fits no row of FORMAT.md's record-kind
 table is rejected where it enters the log.  This module owns the
-canonical JSONL line of every record, reads it back, states the frame of
-every transcript, and is the only module that spells a record shape: a
-Session takes its shape codes from shape_codes.  It holds the one copy of
-the custody rules with the byte tables built from them, and the recorder
-that enforces them as a Session appends its records and numbers the wire.
-The recorder steps its bytearray of states, indexed by pair, one run of
-pairs at a time with a table's translate, and one record at a time where
-that does not apply; replay_custody replays a log one record at a time
-through a dict.
+canonical JSONL line of every record, writes the lines and reads them back
+a chunk at a time (a bulk line by its masked template, any other line
+through json.loads), states the frame of every transcript, and is the only
+module that spells a record shape: a Session takes its shape codes from
+shape_codes.  It holds the one copy of the custody rules with the byte
+tables built from them, and the recorder that enforces them as a Session
+appends its records and numbers the wire.  The recorder steps its
+bytearray of states, indexed by pair, one run of pairs at a time with a
+table's translate, and one record at a time where that does not apply;
+replay_custody replays a log one record at a time through a dict.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-import re
 from bisect import bisect_left
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress, count, islice, product
+
+import numpy as np
 
 from .qsim import InternalFault
 
@@ -135,7 +137,6 @@ def _canonical_line(record: dict) -> str:
 # pair.  The log stores a bulk record as its shape code and its pair.
 _SHAPE_ID: dict[tuple, int] = {}  # (kind, actor, *values in field order) -> code
 _SHAPE_LINE: list[str] = []  # code -> canonical line, a %-format over (pair, seq)
-_SHAPE_BY_TEXT: dict[tuple[str, str], int] = {}  # line text around the pair -> code
 _SHAPE_RECORD: list[tuple[str, str, dict]] = []  # code -> kind, actor, payload (pair None)
 for _kind, (_actors, _fields) in _BULK_SCHEMA.items():
     _coded = [name for name, values in _fields.items() if values is not None]
@@ -146,8 +147,7 @@ for _kind, (_actors, _fields) in _BULK_SCHEMA.items():
             _record = {"actor": _actor, "kind": _kind, "payload": {**_payload, "pair": "%d"}}
             # the placeholders lose their quotes; no schema value holds a %
             _line = _canonical_line({**_record, "seq": "%d"}).replace('"%d"', "%d")
-            _head, _mid, _ = _line.split("%d")
-            _SHAPE_ID[(_kind, _actor, *_values)] = _SHAPE_BY_TEXT[_head, _mid] = len(_SHAPE_LINE)
+            _SHAPE_ID[(_kind, _actor, *_values)] = len(_SHAPE_LINE)
             _SHAPE_LINE.append(_line)
             _SHAPE_RECORD.append((_kind, _actor, _payload))
 # The shape code of a row that holds an Event rather than a bulk record: its
@@ -195,15 +195,84 @@ def shape_codes(kind: str, actor: str, **fixed: object) -> bytes:
     return bytes(_SHAPE_ID[(kind, actor, *values)] for values in product(*choices)).ljust(256, b"\xff")
 
 
-# Splits a line that may be a canonical bulk record into the text before
-# its pair, the pair, the text between pair and seq, and the seq.  The line
-# is one if and only if both texts around the pair are those of one shape
-# (_SHAPE_BY_TEXT): then it is that shape's line, with a canonical pair and
-# seq short enough for int() at any digit limit.
-_BULK_LINE = re.compile(
-    r'(\{"actor":"[a-z]+","kind":"[a-z_]+","payload":\{[^{}]*?"pair":)(0|-?[1-9][0-9]{0,17})'
-    r'([^{}]*\},"seq":)(0|[1-9][0-9]{0,17})\}\Z'
-)
+# The reader takes a canonical bulk line apart by its template.  Masking every
+# ASCII digit to 0xFF turns a shape's line into its head, one 0xFF per pair
+# digit, its mid, one 0xFF per seq digit, and "}".  The shapes whose lines
+# differ only in one digit of the head, the U0-U3 op or the outcome, form a
+# class, keyed by the line with its digits deleted; that digit picks the shape.
+_MASK = bytes(0xFF if 0x30 <= b <= 0x39 else b for b in range(256))
+_MAX_DIGITS = 18  # a number of up to 18 digits fits an int64
+# digit-free line -> the masked head and mid, the offset of the head's value
+# byte (0, its "{", where it has no digit), and the class's row of _CLASS_SHAPE
+_LINE_CLASS: dict[bytes, tuple[bytes, bytes, int, int]] = {}
+_class_rows: list[bytearray] = []
+for _code, _line in enumerate(_SHAPE_LINE):
+    _head, _mid, _tail = (part.encode("ascii").translate(_MASK) for part in _line.split("%d"))
+    assert _head.count(0xFF) <= 1 and 0xFF not in _mid + _tail, "one value digit a shape, in its head"
+    _key = (_head + _mid + _tail).translate(None, b"\xff")
+    if _key not in _LINE_CLASS:
+        _LINE_CLASS[_key] = (_head, _mid, max(_head.find(0xFF), 0), len(_class_rows))
+        _class_rows.append(bytearray(b"\xff" * 256))
+    _, _, _at, _row = _LINE_CLASS[_key]
+    _class_rows[_row][_line.encode("ascii")[_at]] = _code
+# class row, byte at its value offset -> shape code, or 0xFF where it names no shape
+_CLASS_SHAPE = np.frombuffer(b"".join(_class_rows), np.uint8).reshape(len(_class_rows), 256)
+# lines read, or rows written, at a time: the reader's buffers stay a few hundred KB
+_CHUNK = 4096
+
+
+def _template(masked: bytes) -> tuple[int, int, int, int, int]:
+    """A masked line's class row, value offset, pair end and digits, and seq digits,
+    where it is its class's template with numbers of 1 to 18 digits; else row -1."""
+    found = _LINE_CLASS.get(masked.translate(None, b"\xff"))
+    if found is not None and masked.startswith(found[0]):
+        head, mid, at, row = found
+        rest = masked[len(head) :]
+        pair = len(rest) - len(rest.lstrip(b"\xff"))
+        seq = len(rest) - pair - len(mid) - 1
+        if 0 < pair <= _MAX_DIGITS and 0 < seq <= _MAX_DIGITS and rest[pair:] == mid + b"\xff" * seq + b"}":
+            return row, at, len(head) + pair, pair, seq
+    return -1, 0, 0, 0, 0
+
+
+def _decimals(text: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The numbers whose 1 to 18 ASCII digits in text end before ends, and
+    whether each is canonical: a lone 0 or no leading zero."""
+    value = np.zeros(ends.size, np.int64)
+    for k in range(int(widths.max()), 0, -1):  # the k-th byte before each end, where it is a digit
+        value = value * 10 + (text[ends - k] - 0x30) * (widths >= k)
+    return value, (widths == 1) | (text[ends - widths] != 0x30)
+
+
+def _read_chunk(lines: list[str], first: int) -> tuple[bytes, list[int]]:
+    """The shape code and pair of each line that is the canonical line of a bulk
+    record whose seq is its line number, first + its index; 0xFF and 0 for
+    every other line.
+
+    The lines are read as one ASCII text, where a character that is not ASCII
+    reads as "?", and each distinct masked line is matched against its class's
+    template once.  Numbers are read with numpy.
+    """
+    text = "\n".join(lines).encode("ascii", "replace")
+    masked = text.translate(_MASK).split(b"\n")
+    index = {line: k for k, line in enumerate(dict.fromkeys(masked))}
+    forms = np.array([_template(line) for line in index], np.intp)[
+        np.fromiter(map(index.__getitem__, masked), np.intp, len(masked))
+    ]
+    shapes, pairs = np.full(len(lines), 0xFF, np.uint8), np.zeros(len(lines), np.int64)
+    fit = np.flatnonzero(forms[:, 0] >= 0)
+    if fit.size:
+        data = np.frombuffer(text, np.uint8)
+        breaks = np.flatnonzero(data == 0x0A)
+        starts = np.concatenate(([0], breaks + 1))[fit]
+        ends = np.concatenate((breaks, [data.size]))[fit]
+        row, at, pair_end, pair_digits, seq_digits = forms[fit].T
+        shape = _CLASS_SHAPE[row, data[starts + at]]
+        pair, pair_ok = _decimals(data, starts + pair_end, pair_digits)
+        seq, seq_ok = _decimals(data, ends - 1, seq_digits)
+        read = (shape != 0xFF) & pair_ok & seq_ok & (seq == fit + first)
+        shapes[fit[read]], pairs[fit[read]] = shape[read], pair[read]
+    return shapes.tobytes(), pairs.tolist()
 
 
 def _record_shape(
@@ -252,6 +321,23 @@ def _bulk_event(shape: int, pair: int, seq: int) -> Event:
     payload = dict(template)
     payload["pair"] = pair
     return Event(seq=seq, actor=actor, kind=kind, payload=payload)
+
+
+def _line_event(lineno: int, line: str) -> Event:
+    """The Event of a line that json.loads reads as an object with exactly seq,
+    actor, kind and payload; TranscriptInvalid for any other line."""
+    if not line.strip():
+        raise TranscriptInvalid(f"blank record at line {lineno}")
+    try:
+        raw = json.loads(line)
+    # not JSON, an integer past int()'s digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
+        raise TranscriptInvalid(f"line {lineno}: {exc}") from exc
+    if not isinstance(raw, dict) or raw.keys() != {"seq", "actor", "kind", "payload"}:
+        raise TranscriptInvalid(
+            f"line {lineno}: expected an object with exactly seq, actor, kind and payload"
+        )
+    return Event(**raw)
 
 
 def _dense_error(lineno: int, seq: object) -> TranscriptInvalid:
@@ -312,33 +398,22 @@ class EventLog(Sequence):
         is not an object with exactly seq, actor, kind and payload, a seq
         other than its line number, or a record that fits no row of
         FORMAT.md's record-kind table.
+
+        The lines are read _CHUNK at a time.  A canonical bulk line whose seq
+        is its line number goes into the columns from its class's template
+        (_read_chunk); every other line is read by json.loads, in line order.
         """
         log = cls()
-        add_shape, add_pair = log._shapes.append, log._pairs.append
-        for lineno, line in enumerate(text.splitlines()):
-            # a canonical bulk line goes straight into the columns
-            match = _BULK_LINE.match(line)
-            if match is not None:
-                head, pair, mid, seq = match.groups()
-                shape = _SHAPE_BY_TEXT.get((head, mid))
-                if shape is not None:
-                    if int(seq) != lineno:
-                        raise _dense_error(lineno, int(seq))
-                    add_shape(shape)
-                    add_pair(int(pair))
-                    continue
-            if not line.strip():
-                raise TranscriptInvalid(f"blank record at line {lineno}")
-            try:
-                raw = json.loads(line)
-            # not JSON, an integer past int()'s digit limit, or nesting past the recursion limit
-            except (ValueError, RecursionError) as exc:
-                raise TranscriptInvalid(f"line {lineno}: {exc}") from exc
-            if not isinstance(raw, dict) or raw.keys() != {"seq", "actor", "kind", "payload"}:
-                raise TranscriptInvalid(
-                    f"line {lineno}: expected an object with exactly seq, actor, kind and payload"
-                )
-            log._append(Event(**raw))
+        lines = text.splitlines()
+        for first in range(0, len(lines), _CHUNK):
+            chunk = lines[first : first + _CHUNK]
+            shapes, pairs = _read_chunk(chunk, first)
+            done = 0
+            while (k := shapes.find(0xFF, done)) >= 0:  # a line the template did not read
+                log._extend(shapes[done:k], pairs[done:k])
+                log._append(_line_event(first + k, chunk[k]))
+                done = k + 1
+            log._extend(shapes[done:], pairs[done:])
         return log
 
     # -- reading
@@ -346,14 +421,20 @@ class EventLog(Sequence):
     def _row(self, shape: int, cell: int, seq: int) -> Event:
         return self._events[cell] if shape == _EVENT else _bulk_event(shape, cell, seq)
 
-    def lines(self) -> list[str]:
-        """Each record's canonical JSON line, in log order."""
-        out = list(map(
-            operator.mod, map(_ROW_LINE.__getitem__, self._shapes), zip(self._pairs, count())
-        ))
-        for event in self._events:
-            out[event.seq] = _canonical_line(event.to_record())
+    def lines(self, start: int = 0, stop: int | None = None) -> list[str]:
+        """The canonical JSON line of each record from seq start to before stop, in log order."""
+        shapes, pairs = self._shapes[start:stop], self._pairs[start:stop]
+        out = list(map(operator.mod, map(_ROW_LINE.__getitem__, shapes), zip(pairs, count(start))))
+        at = shapes.find(_EVENT)
+        while at >= 0:
+            out[at] = _canonical_line(self._events[pairs[at]].to_record())
+            at = shapes.find(_EVENT, at + 1)
         return out
+
+    def texts(self) -> Iterator[str]:
+        """The log's JSONL text, one newline-ended line a record, in pieces of _CHUNK records."""
+        for start in range(0, len(self), _CHUNK):
+            yield "\n".join(self.lines(start, start + _CHUNK)) + "\n"
 
     def select(self, table: bytes) -> tuple[bytes, list[int]]:
         """The bulk records a selection table keeps, in log order: their values and their pairs.

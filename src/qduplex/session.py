@@ -252,10 +252,12 @@ class Transcript:
         return self._events[-2].payload
 
     def to_jsonl(self) -> str:
-        return "\n".join(self._events.lines()) + "\n"
+        return "".join(self._events.texts())
 
     def write_jsonl(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_jsonl(), encoding="utf-8")
+        """Write to_jsonl's text as UTF-8, a chunk of records at a time."""
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(self._events.texts())
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Transcript":

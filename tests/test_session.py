@@ -1604,11 +1604,63 @@ _BULK = '{"actor":"alice","kind":"send","payload":{"pair":%s,"slot":"C","to":"bo
         '{"actor":"bob","kind":"prepare","payload":{"pair":5},"seq":1}',
         '{"actor":"bob","kind":"prepare","payload":{},"seq":1}',
         "",
+        _BULK % ("9" * 18),
+        _BULK % ("1" * 19),
+        '{"actor":"bob","kind":"pauli","payload":{"op":"U9","pair":5,"slot":"C"},"seq":1}',
+        _BULK.replace('"slot":"C"', '"slot":"\u00c7"') % "3",
+        _BULK.replace('"to":"bob"', '"to":"b\u2028ob"') % "3",
     ],
 )
 def test_reader_equals_per_line_json_loads_on_near_canonical_lines(line):
     frame_end = [_STATS % (_FIRST_CHECK, 2), _VERDICT % 3]
     assert_reads_like_the_reference("\n".join([_VALID_HEAD, line, *frame_end]) + "\n")
+
+
+@pytest.fixture(scope="module")
+def chunked_run() -> Transcript:
+    """A Session-written transcript of about 10,400 lines: three reader chunks."""
+    config = ProtocolConfig(n_pairs=1360, check_fraction_1=0.125, check_count_2=4, seed=1)
+    return run_protocol(config, *fixed_messages(config))
+
+
+_SEND = '{"actor":"alice","kind":"send","payload":{"pair":%s,"slot":"C","to":"bob"},"seq":%d}'
+# a line at a seq: canonical, or one edit away from a canonical bulk line
+_SEQ_LINES = {
+    "canonical": lambda seq: _SEND % (3, seq),
+    "18-digit pair": lambda seq: _SEND % ("9" * 18, seq),
+    "19-digit pair": lambda seq: _SEND % ("1" * 19, seq),
+    "seq one ahead": lambda seq: _SEND % (3, seq + 1),
+    "op U9": lambda seq: '{"actor":"alice","kind":"pauli","payload":{"op":"U9","pair":3,"slot":"C"},"seq":%d}' % seq,
+    "outcome 2": lambda seq: (
+        '{"actor":"bob","kind":"measure","payload":{"basis":"Z","outcome":2,"pair":3,"slot":"C"},"seq":%d}' % seq
+    ),
+    "non-ASCII letter": lambda seq: _SEND.replace("alice", "alic\u00e9") % (3, seq),
+    "u2028": lambda seq: _SEND.replace('"to":"bob"', '"to":"b\u2028ob"') % (3, seq),
+}
+_CHUNK = records_module._CHUNK
+# each chunk's first and last line, and each step in the seq's digit count
+_EDIT_SEQS = [_CHUNK - 1, _CHUNK, 2 * _CHUNK - 1, 2 * _CHUNK, 9, 10, 99, 100, 999, 1000, 9999, 10000]
+
+
+@pytest.mark.parametrize("seq", _EDIT_SEQS)
+@pytest.mark.parametrize("edit", list(_SEQ_LINES))
+def test_reader_equals_per_line_json_loads_on_near_canonical_lines_across_chunks(chunked_run, edit, seq):
+    lines = chunked_run.to_jsonl().splitlines()
+    assert len(lines) > max(_EDIT_SEQS) + 2 and len(lines) > 2 * _CHUNK + 2
+    lines[seq] = _SEQ_LINES[edit](seq)
+    assert_reads_like_the_reference("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("name", [*GOLDEN_TRANSCRIPTS, None])
+def test_write_jsonl_writes_the_bytes_of_to_jsonl(chunked_run, tmp_path, name):
+    """write_jsonl writes a chunk of records at a time: a golden file's bytes, and
+    on a run of several chunks the bytes to_jsonl encodes to."""
+    transcript = chunked_run if name is None else Transcript.read_jsonl(GOLDEN_DIR / name)
+    path = tmp_path / "out.jsonl"
+    transcript.write_jsonl(path)
+    assert path.read_bytes() == transcript.to_jsonl().encode()
+    if name is not None:
+        assert path.read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
 
 def reference_custody(events, holder: dict | None = None) -> list[str]:
@@ -2405,13 +2457,14 @@ def test_bulk_records_build_no_event_on_the_run_write_read_audit_and_estimator_p
     for module in (session_module, records_module):
         monkeypatch.setattr(module, "Event", counting_event)
     monkeypatch.setattr(records_module.json, "loads", counting_loads)
-    config = ProtocolConfig(n_pairs=64, check_fraction_1=0.125, check_count_2=4, seed=1)
+    config = ProtocolConfig(n_pairs=2048, check_fraction_1=0.125, check_count_2=4, seed=1)
     transcript = run_protocol(config, *fixed_messages(config))
     text = transcript.to_jsonl()
+    assert text.count("\n") > 2 * records_module._CHUNK  # the reader takes several chunks
     back = Transcript.from_jsonl(text)
     assert audit_custody(back) == []
     assert (len(back.events), back.config["n_pairs"], back.completed) == (
-        text.count("\n"), 64, True
+        text.count("\n"), 2048, True
     )
     assert back.stats["second_check"]["passed"]
     estimate_information(EveStrategy.none(), config, 2, np.random.default_rng(0))
