@@ -14,7 +14,8 @@ tables built from them, and the recorder that enforces them as a Session
 appends its records and numbers the wire.  The recorder steps its
 bytearray of states, indexed by pair, one run of pairs at a time with a
 table's translate, and one record at a time where that does not apply;
-replay_custody replays a log one record at a time through a dict.
+replay_custody replays a log one record at a time through a list indexed
+by pair, or a dict where a pair cell falls outside the log's length.
 """
 
 from __future__ import annotations
@@ -156,8 +157,9 @@ for _kind, (_actors, _fields) in _BULK_SCHEMA.items():
 # index as a pair; it must leave such a row's pair as it finds it.
 _EVENT = len(_SHAPE_LINE)
 assert _EVENT <= 0xFF, "shape codes must fit in a byte"
-# code -> canonical line over (pair, seq); an Event row's line is written apart
-_ROW_LINE = (*_SHAPE_LINE, "%.0s%.0s")
+# code -> canonical line and newline, a %-format over (pair, seq); an Event row
+# drops its pair cell and writes its seq's argument, which EventLog.text sets to its line
+_ROW_LINE = (*(line + "\n" for line in _SHAPE_LINE), "%.0s%s\n")
 
 # a selection's value -> 1 where it keeps the record, 0 where it skips it (0xFF)
 _KEPT = bytes(value != 0xFF for value in range(256))
@@ -219,6 +221,11 @@ for _code, _line in enumerate(_SHAPE_LINE):
 _CLASS_SHAPE = np.frombuffer(b"".join(_class_rows), np.uint8).reshape(len(_class_rows), 256)
 # lines read, or rows written, at a time: the reader's buffers stay a few hundred KB
 _CHUNK = 4096
+_SCAN = 1 << 20  # bytes searched for line ends at a time
+# str.splitlines' line breaks other than "\n": a text that holds one is rejoined with
+# "\n" before it is read, so that its lines are those of str.splitlines
+_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+_ASCII_BREAKS = tuple(brk.encode("ascii") for brk in _BREAKS if brk.isascii())
 
 
 def _template(masked: bytes) -> tuple[int, int, int, int, int]:
@@ -244,32 +251,29 @@ def _decimals(text: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> tuple[n
     return value, (widths == 1) | (text[ends - widths] != 0x30)
 
 
-def _read_chunk(lines: list[str], first: int) -> tuple[bytes, list[int]]:
-    """The shape code and pair of each line that is the canonical line of a bulk
-    record whose seq is its line number, first + its index; 0xFF and 0 for
-    every other line.
+def _read_chunk(data: bytes, starts: np.ndarray, ends: np.ndarray, first: int) -> tuple[bytes, list[int]]:
+    """The shape code and pair of each line of data, from starts to before ends,
+    that is the canonical line of a bulk record whose seq is its line number,
+    first + its index; 0xFF and 0 for every other line.
 
-    The lines are read as one ASCII text, where a character that is not ASCII
-    reads as "?", and each distinct masked line is matched against its class's
-    template once.  Numbers are read with numpy.
+    The lines are consecutive, "\\n" apart, and data is ASCII.  Their byte range
+    is masked and split once, and each distinct masked line is matched against
+    its class's template once.  Numbers are read with numpy.
     """
-    text = "\n".join(lines).encode("ascii", "replace")
-    masked = text.translate(_MASK).split(b"\n")
+    masked = data[starts[0] : ends[-1]].translate(_MASK).split(b"\n")
     index = {line: k for k, line in enumerate(dict.fromkeys(masked))}
     forms = np.array([_template(line) for line in index], np.intp)[
         np.fromiter(map(index.__getitem__, masked), np.intp, len(masked))
     ]
-    shapes, pairs = np.full(len(lines), 0xFF, np.uint8), np.zeros(len(lines), np.int64)
+    shapes, pairs = np.full(len(masked), 0xFF, np.uint8), np.zeros(len(masked), np.int64)
     fit = np.flatnonzero(forms[:, 0] >= 0)
     if fit.size:
-        data = np.frombuffer(text, np.uint8)
-        breaks = np.flatnonzero(data == 0x0A)
-        starts = np.concatenate(([0], breaks + 1))[fit]
-        ends = np.concatenate((breaks, [data.size]))[fit]
+        text = np.frombuffer(data, np.uint8)
+        starts, ends = starts[fit], ends[fit]
         row, at, pair_end, pair_digits, seq_digits = forms[fit].T
-        shape = _CLASS_SHAPE[row, data[starts + at]]
-        pair, pair_ok = _decimals(data, starts + pair_end, pair_digits)
-        seq, seq_ok = _decimals(data, ends - 1, seq_digits)
+        shape = _CLASS_SHAPE[row, text[starts + at]]
+        pair, pair_ok = _decimals(text, starts + pair_end, pair_digits)
+        seq, seq_ok = _decimals(text, ends - 1, seq_digits)
         read = (shape != 0xFF) & pair_ok & seq_ok & (seq == fit + first)
         shapes[fit[read]], pairs[fit[read]] = shape[read], pair[read]
     return shapes.tobytes(), pairs.tolist()
@@ -390,28 +394,49 @@ class EventLog(Sequence):
         self._pairs.extend(pairs)
 
     @classmethod
-    def parse(cls, text: str) -> "EventLog":
+    def parse(cls, text: str | bytes) -> "EventLog":
         """Read one JSON record per line; seqs must be dense from 0.
 
-        Raises TranscriptInvalid on a blank line, a line json.loads rejects
+        text is the transcript's text, or its bytes where they are ASCII; the
+        lines are those of str.splitlines.  Raises TranscriptInvalid on bytes
+        that are not ASCII, a blank line, a line json.loads rejects
         (including an over-long integer or over-deep nesting), a line that
         is not an object with exactly seq, actor, kind and payload, a seq
         other than its line number, or a record that fits no row of
         FORMAT.md's record-kind table.
 
-        The lines are read _CHUNK at a time.  A canonical bulk line whose seq
+        The lines are read as ASCII bytes, where a character that is not
+        ASCII reads as "?", _CHUNK at a time.  A canonical bulk line whose seq
         is its line number goes into the columns from its class's template
         (_read_chunk); every other line is read by json.loads, in line order.
         """
+        if not isinstance(text, str):
+            if not text.isascii():
+                raise TranscriptInvalid("transcript bytes are not ASCII: pass the decoded text")
+            if any(brk in text for brk in _ASCII_BREAKS):
+                text = text.decode("ascii")
+        if isinstance(text, str):
+            if any(brk in text for brk in _BREAKS):  # so that "\n" alone ends each line
+                text = "\n".join(text.splitlines()) + "\n"
+            data = text.encode("ascii", "replace")  # one byte a character
+        else:
+            data = text
+        # every "\n", found _SCAN bytes at a time so that no mask is as large as the text
+        codes = np.frombuffer(data, np.uint8)
+        found = [np.flatnonzero(codes[at : at + _SCAN] == 0x0A) + at for at in range(0, codes.size, _SCAN)]
+        ends = np.concatenate(found) if found else np.empty(0, np.intp)
+        if data and not data.endswith(b"\n"):  # a last line with no newline
+            ends = np.append(ends, len(data))
+        starts = np.concatenate(([0], ends[:-1] + 1))
         log = cls()
-        lines = text.splitlines()
-        for first in range(0, len(lines), _CHUNK):
-            chunk = lines[first : first + _CHUNK]
-            shapes, pairs = _read_chunk(chunk, first)
+        for first in range(0, ends.size, _CHUNK):
+            chunk = slice(first, first + _CHUNK)
+            shapes, pairs = _read_chunk(data, starts[chunk], ends[chunk], first)
             done = 0
             while (k := shapes.find(0xFF, done)) >= 0:  # a line the template did not read
                 log._extend(shapes[done:k], pairs[done:k])
-                log._append(_line_event(first + k, chunk[k]))
+                line = text[starts[first + k] : ends[first + k]]
+                log._append(_line_event(first + k, line if isinstance(line, str) else line.decode("ascii")))
                 done = k + 1
             log._extend(shapes[done:], pairs[done:])
         return log
@@ -421,20 +446,23 @@ class EventLog(Sequence):
     def _row(self, shape: int, cell: int, seq: int) -> Event:
         return self._events[cell] if shape == _EVENT else _bulk_event(shape, cell, seq)
 
-    def lines(self, start: int = 0, stop: int | None = None) -> list[str]:
-        """The canonical JSON line of each record from seq start to before stop, in log order."""
+    def text(self, start: int = 0, stop: int | None = None) -> str:
+        """The canonical JSON line of each record from seq start to before stop, in
+        log order, each ended by a newline: one % over the rows' joined formats."""
+        start, stop, _ = slice(start, stop).indices(len(self))
         shapes, pairs = self._shapes[start:stop], self._pairs[start:stop]
-        out = list(map(operator.mod, map(_ROW_LINE.__getitem__, shapes), zip(pairs, count(start))))
+        args = pairs * 2  # pair and seq of each row, interleaved; an Event row's seq is its line
+        args[0::2], args[1::2] = pairs, range(start, stop)
         at = shapes.find(_EVENT)
         while at >= 0:
-            out[at] = _canonical_line(self._events[pairs[at]].to_record())
+            args[2 * at + 1] = _canonical_line(self._events[pairs[at]].to_record())
             at = shapes.find(_EVENT, at + 1)
-        return out
+        return "".join(map(_ROW_LINE.__getitem__, shapes)) % tuple(args)
 
     def texts(self) -> Iterator[str]:
         """The log's JSONL text, one newline-ended line a record, in pieces of _CHUNK records."""
         for start in range(0, len(self), _CHUNK):
-            yield "\n".join(self.lines(start, start + _CHUNK)) + "\n"
+            yield self.text(start, start + _CHUNK)
 
     def select(self, table: bytes) -> tuple[bytes, list[int]]:
         """The bulk records a selection table keeps, in log order: their values and their pairs.
@@ -572,7 +600,7 @@ _BELL_STEP = bytes(c if c == m else 0xFF for c, m in zip(_via_c, _via_m))
 
 
 def _apply_custody(
-    custody: bytearray | dict[int, int], seq: int, shapes: bytes, pairs: Sequence[int]
+    custody: bytearray | list[int] | dict[int, int], seq: int, shapes: bytes, pairs: Sequence[int]
 ) -> list[tuple[int, str]]:
     """Apply the bulk records seq, seq + 1, ..., given as shape codes and pairs,
     in order to custody, which holds a custody state for every pair given,
@@ -581,7 +609,7 @@ def _apply_custody(
     The custody rules are FORMAT.md's, from _custody_rule and the tables
     built from it.  This per-record step is the one that names violations:
     _Recorder steps its bytearray this way for a batch it cannot step by
-    runs, and replay_custody replays a log through a fresh dict.  A photon
+    runs, and replay_custody replays a log through a fresh list or dict.  A photon
     whose rule breaks does not move, and an _EVENT row moves nothing.
     """
     steps = _RECORD_STEP
@@ -617,10 +645,15 @@ def replay_custody(log: EventLog) -> list[str]:
     consumption by Bell measurement, under the rules _Recorder enforces.
     Returns human-readable violations; an empty list means the log respects
     custody everywhere.  Every custody record fits its shape, as the log
-    admits no other, so the replay never raises.  The states are a dict
-    keyed by the log's pair cells, as a read pair may be any integer.
+    admits no other, so the replay never raises.  The states are a list
+    indexed by pair where every pair cell is in 0..len(log)-1, as in a log a
+    Session wrote, and otherwise a dict keyed by the cells, as a read pair
+    may be any integer.
     """
-    return [m for _, m in _apply_custody(dict.fromkeys(log._pairs, 0), 0, log._shapes, log._pairs)]
+    pairs = log._pairs
+    dense = not pairs or (min(pairs) >= 0 and max(pairs) < len(pairs))
+    custody = [0] * len(pairs) if dense else dict.fromkeys(pairs, 0)
+    return [m for _, m in _apply_custody(custody, 0, log._shapes, pairs)]
 
 
 # ---------------------------------------------------------------------------

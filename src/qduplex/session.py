@@ -260,28 +260,30 @@ class Transcript:
             fh.writelines(self._events.texts())
 
     @classmethod
-    def from_jsonl(cls, text: str) -> "Transcript":
+    def from_jsonl(cls, text: str | bytes) -> "Transcript":
+        """Read a transcript's text, or its bytes where they are ASCII (EventLog.parse)."""
         return cls(EventLog.parse(text))
 
     @classmethod
     def read_jsonl(cls, path: str | Path) -> "Transcript":
         """Raises TranscriptInvalid for a path that is not a regular file or a
         file over MAX_LOG_BYTES, before reading any of it, and for a file that
-        is not UTF-8.  A missing path or a directory raises OSError."""
+        is not UTF-8.  A missing path or a directory raises OSError.  An ASCII
+        file is read as its bytes, and never decoded whole."""
         # non-blocking, so that opening a FIFO with no writer returns
-        with open(
-            path, encoding="utf-8", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)
-        ) as fh:
+        with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
             status = os.fstat(fh.fileno())
             if not stat.S_ISREG(status.st_mode):
                 raise TranscriptInvalid(f"transcript {str(path)!r} is not a regular file")
             if (size := status.st_size) > MAX_LOG_BYTES:
                 raise TranscriptInvalid(f"transcript is {size} bytes, over MAX_LOG_BYTES = {MAX_LOG_BYTES}")
+            data = fh.read()
+        if not data.isascii():
             try:
-                text = fh.read()
+                data = data.decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise TranscriptInvalid(f"transcript is not UTF-8: {exc.reason}") from None
-        return cls.from_jsonl(text)
+        return cls.from_jsonl(data)
 
 
 def _verdict_payload(verdict: Verdict) -> dict:

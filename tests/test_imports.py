@@ -3,8 +3,9 @@ module level is read by another module, README's library example or the benchmar
 the top level exports exactly the names of that example, the modules a run
 goes through name no numpy Generator or bit generator state, qsim draws
 nothing itself, session.py reaches the custody ledger only through
-records.py's recorder and shape_codes, and adversary.py reads a live run
-only through Session.run and Session.sample_columns."""
+records.py's recorder and shape_codes, adversary.py reads a live run
+only through Session.run and Session.sample_columns, and every file the
+package opens is opened with an encoding or in a binary mode."""
 
 from __future__ import annotations
 
@@ -396,4 +397,56 @@ def test_session_internals_read_are_found():
     ) == [
         "._alice_codes (line 1)", "._bob_codes (line 2)", "._bell_codes (line 2)",
         "._decoy_at (line 5)", "._touches (line 6)", ".survivors (line 7)",
+    ]
+
+
+def opens_without_encoding(source: str) -> list[str]:
+    """Each open(), .open(), .read_text() or .write_text() call a source makes with
+    neither an encoding= nor a constant binary mode, with its line: such a call reads
+    or writes in the locale's encoding, which would change the transcript and CSV bytes.
+    os.open, which opens a descriptor, is not such a call."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            name, mode_at = "open", 1
+        elif isinstance(func, ast.Attribute) and func.attr in ("open", "read_text", "write_text"):
+            if func.attr == "open" and isinstance(func.value, ast.Name) and func.value.id == "os":
+                continue
+            name, mode_at = f".{func.attr}", 0 if func.attr == "open" else None
+        else:
+            continue
+        keywords = {keyword.arg: keyword.value for keyword in node.keywords}
+        mode = node.args[mode_at] if mode_at is not None and len(node.args) > mode_at else keywords.get("mode")
+        binary = isinstance(mode, ast.Constant) and isinstance(mode.value, str) and "b" in mode.value
+        if "encoding" not in keywords and not binary:
+            found.append(f"{name}() (line {node.lineno})")
+    return found
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_every_open_names_its_encoding_or_a_binary_mode(path):
+    assert opens_without_encoding(path.read_text(encoding="utf-8")) == []
+
+
+def test_opens_without_encoding_are_found():
+    assert opens_without_encoding(
+        "a = open(path)\n"
+        "b = open(path, 'rb')\n"
+        "c = open(path, 'w', encoding='utf-8', newline='')\n"
+        "d = open(path, mode='wb')\n"
+        "e = open(path, 'w')\n"
+        "f = Path(p).read_text()\n"
+        "g = Path(p).read_text(encoding='utf-8')\n"
+        "h = out.write_text(text)\n"
+        "i = out.write_text(text, encoding='utf-8')\n"
+        "j = Path(p).open('rb')\n"
+        "k = Path(p).open()\n"
+        "fd = os.open(name, os.O_RDONLY)\n"
+        "m = open(path, fmode)\n"
+    ) == [
+        "open() (line 1)", "open() (line 5)", ".read_text() (line 6)", ".write_text() (line 8)",
+        ".open() (line 11)", "open() (line 13)",
     ]

@@ -315,6 +315,13 @@ def test_transcript_file_that_is_not_utf8_is_invalid(tmp_path):
         Transcript.read_jsonl(path)
 
 
+def test_transcript_bytes_that_are_not_ascii_are_invalid():
+    text = (GOLDEN_DIR / GOLDEN_TRANSCRIPTS[0]).read_text(encoding="utf-8")
+    assert Transcript.from_jsonl(text.encode("ascii")) == Transcript.from_jsonl(text)
+    with pytest.raises(TranscriptInvalid, match="^transcript bytes are not ASCII"):
+        Transcript.from_jsonl(text.encode("ascii") + "\u00e9\n".encode("utf-8"))
+
+
 def test_transcript_lines_are_canonical_json():
     config = ProtocolConfig(n_pairs=4, check_fraction_1=0.25, check_count_2=1, seed=0)
     transcript = run_protocol(config, *fixed_messages(config))
@@ -341,10 +348,10 @@ def test_every_bulk_shape_writes_the_json_dumps_line_of_its_event():
             Event(seq=seq, actor=actor, kind=kind, payload={**payload, "pair": pair})
             for seq, pair in enumerate((0, 7, 4095, 123_456_789, 2**62))
         ]
-        assert EventLog(events).lines() == [
-            json.dumps(event.to_record(), sort_keys=True, separators=(",", ":"))
+        assert EventLog(events).text() == "".join(
+            json.dumps(event.to_record(), sort_keys=True, separators=(",", ":")) + "\n"
             for event in events
-        ], (kind, actor, payload)
+        ), (kind, actor, payload)
 
 
 def test_from_jsonl_rejects_sparse_sequence_numbers():
@@ -1663,6 +1670,65 @@ def test_write_jsonl_writes_the_bytes_of_to_jsonl(chunked_run, tmp_path, name):
         assert path.read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
 
+_FRAME = [_VALID_HEAD, _BULK % "3", _STATS % (_FIRST_CHECK, 2), _VERDICT % 3]
+_IN_BULK = '{"actor":"alice",%s"kind":"send","payload":{"pair":3,"slot":"C","to":"bob"},"seq":1}'
+# a file's text, and whether the reference accepts it
+_FILE_TEXTS = {
+    "LF": ("\n".join(_FRAME) + "\n", True),
+    "CRLF": ("\r\n".join(_FRAME) + "\r\n", True),
+    "CRLF, no break at the end": ("\r\n".join(_FRAME), True),
+    "lone CR": ("\r".join(_FRAME) + "\r", True),
+    "VT between records": ("\x0b".join(_FRAME) + "\n", True),
+    "FS between records": ("\x1c".join(_FRAME) + "\n", True),
+    "raw U+0085 between records": ("\x85".join(_FRAME) + "\n", True),
+    "raw U+2028 between records": ("\u2028".join(_FRAME) + "\n", True),
+    "CR inside a bulk line": ("\n".join([_FRAME[0], _IN_BULK % "\r", *_FRAME[2:]]) + "\n", False),
+    "VT inside a bulk line": ("\n".join([_FRAME[0], _IN_BULK % "\x0b", *_FRAME[2:]]) + "\n", False),
+    "FS inside a bulk line": ("\n".join([_FRAME[0], _IN_BULK % "\x1c", *_FRAME[2:]]) + "\n", False),
+    "raw U+0085 inside a bulk line": ("\n".join([_FRAME[0], _IN_BULK % "\x85", *_FRAME[2:]]) + "\n", False),
+    "raw U+2028 inside a bulk line": ("\n".join([_FRAME[0], _IN_BULK % "\u2028", *_FRAME[2:]]) + "\n", False),
+    "tab inside a bulk line": ("\n".join([_FRAME[0], _IN_BULK % "\t", *_FRAME[2:]]) + "\n", True),
+    "non-ASCII letter in the verdict": ("\n".join(_FRAME).replace('"x"', '"\u00e9"') + "\n", True),
+    "non-ASCII letter in a bulk line": ("\n".join(_FRAME).replace('"C"', '"\u00c7"') + "\n", False),
+    "empty": ("", False),
+    "only a newline": ("\n", False),
+    "only CRLF": ("\r\n", False),
+}
+
+
+def assert_file_reads_like_the_reference(path: Path) -> bool:
+    """read_jsonl on a file equals reference_read of its text, read in text mode with
+    universal newlines: record for record, or by both rejecting it.  True if read."""
+    expected = reference_read(path.read_text(encoding="utf-8"))
+    if expected is None:
+        with pytest.raises(TranscriptInvalid):
+            Transcript.read_jsonl(path)
+        return False
+    transcript = Transcript.read_jsonl(path)
+    assert list(transcript.events) == expected
+    assert transcript.to_jsonl() == canonical_jsonl(expected)
+    return True
+
+
+@pytest.mark.parametrize("name", list(_FILE_TEXTS))
+def test_read_jsonl_equals_the_reference_on_the_file_text(tmp_path, name):
+    text, accepted = _FILE_TEXTS[name]
+    path = tmp_path / "run.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    assert assert_file_reads_like_the_reference(path) is accepted
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r", "\x1e", "\u2029"])
+def test_read_jsonl_equals_the_reference_on_a_several_chunk_file_with_other_line_ends(
+    chunked_run, tmp_path, end
+):
+    lines = chunked_run.to_jsonl().splitlines()
+    lines[_CHUNK] = lines[_CHUNK].replace('"actor"', '"actor" ', 1)  # one line the template does not read
+    path = tmp_path / "run.jsonl"
+    path.write_bytes((end.join(lines) + end).encode("utf-8"))
+    assert assert_file_reads_like_the_reference(path)
+
+
 def reference_custody(events, holder: dict | None = None) -> list[str]:
     """FORMAT.md's custody table, applied one record at a time, with the code's messages.
 
@@ -1947,7 +2013,9 @@ def test_a_log_of_events_and_bulk_records_reads_as_its_event_list(items, data):
         assert list(reversed(log)) == events[::-1]
         assert log == events and not log != events
         assert log != events[:-1] or n == 0
-        assert "".join(line + "\n" for line in log.lines()) == canonical_jsonl(events)
+        assert log.text() == canonical_jsonl(events)
+        split = data.draw(st.integers(0, n))
+        assert log.text(0, split) + log.text(split) == canonical_jsonl(events)
         custody = bytearray(max(n, 4))  # pairs are below the recorder's 4, Event indices below len(log)
         assert reference_custody(log) == [] == _apply_custody(custody, 0, log._shapes, log._pairs)
     assert recorder.events == EventLog(events)
