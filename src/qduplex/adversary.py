@@ -13,22 +13,13 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import compress, filterfalse, repeat
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
 from .codec import random_message
-from .qsim import (
-    Basis,
-    BellState,
-    PauliOp,
-    QubitSlot,
-    TwoQubitState,
-    measure_qubit,
-    substitute_fresh,
-)
-from .records import TranscriptInvalid, shape_table
+from .qsim import Basis, QubitSlot, TwoQubitState, measure_qubit, substitute_fresh
 from .stream import Stream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -286,27 +277,6 @@ def mutual_information_bits(joint: Counter) -> float:
     return max(0.0, info)
 
 
-# The samples read four kinds of record, as one selection from the event log
-# (EventLog.select).  Each such record's sample code is its class times 4
-# plus a value 0..3: Alice's or Bob's op code, the announced Bell index, or
-# for Eve's touch on either leg, 2 for the X basis plus her outcome.
-_ALICE_OP, _BOB_OP, _BELL, _EVE_FIRST, _EVE_SECOND = _CLASSES = range(5)
-
-
-def _sample_code(kind: str, actor: str, payload: dict) -> int | None:
-    if kind == "pauli":
-        return (_ALICE_OP if actor == "alice" else _BOB_OP) << 2 | PauliOp[payload["op"]].code
-    if kind == "bell_measure":
-        return _BELL << 2 | BellState[payload["result"].upper()].index
-    if kind == "eve_touch":
-        leg = _EVE_FIRST if payload["leg"] == Leg.FIRST.value else _EVE_SECOND
-        return leg << 2 | (payload["basis"] == Basis.X.value) << 1 | payload["outcome"]
-    return None
-
-
-_SAMPLE_TABLE = shape_table(_sample_code)
-
-
 def _eve_guesses(first: dict[int, int], second: dict[int, int]) -> dict[int, int]:
     """Eve's best 2-bit guess of Alice's op per doubly-hit pair, from her touches
     on each leg (pair -> 2 for the X basis plus her outcome).
@@ -328,11 +298,6 @@ def _eve_guesses(first: dict[int, int], second: dict[int, int]) -> dict[int, int
     return guesses
 
 
-# a sample code -> 1 where it is of a class (one table per class), and -> its value
-_IN_CLASS = tuple(bytes(code >> 2 == c for code in range(256)) for c in _CLASSES)
-_VALUE = bytes(code & 3 for code in range(256))
-
-
 def _joint(xs: bytes, ys: bytes) -> Counter:
     """Counter(zip(xs, ys)) of two columns of values 0..3, counted from their cells x << 2 | y."""
     cells = (int.from_bytes(xs, "big") << 2 | int.from_bytes(ys, "big")).to_bytes(len(xs), "big")
@@ -340,47 +305,19 @@ def _joint(xs: bytes, ys: bytes) -> Counter:
     return Counter({(cell >> 2, cell & 3): cells.count(cell) for _, cell in seen})
 
 
-def _run_samples(transcript: "Transcript") -> tuple[Counter, Counter, Counter]:
-    """One completed run's MI samples, read from the eve_touch, pauli and bell_measure records.
-
-    Returns the joint counts of (Eve's guess, Alice's op) and of (announced
-    Bell index, Alice's op) over the message pairs, then of (announced Bell
-    index, Bob's op) over every announced pair, decoys included; each count
-    meets its cells in pair order.  Where a pair has more than one record
-    of a kind by one actor, the last one counts.  Only the log is read, so
-    a saved transcript gives the samples of its live run.  Raises
-    TranscriptInvalid, naming the pair, when an announced pair lacks the
-    pauli record its sample needs.
-    """
-    codes, pairs = transcript.events.select(_SAMPLE_TABLE)
-    values = codes.translate(_VALUE)
-    alice, bob, announced, first_hits, second_hits = (
-        dict(zip(compress(pairs[at], mask[at]), compress(values[at], mask[at])))
-        for mask in map(codes.translate, _IN_CLASS)
-        for at in (slice(mask.find(1), mask.rfind(1) + 1),)  # first record to last (none: -1 to 0)
-    )
-    decoys = set(transcript.stats.get("second_check", {}).get("decoy_indices", ()))
-    every = sorted(announced)
-    message = list(filterfalse(decoys.__contains__, every))
-    ops = []
-    for actor, found, needed in (("alice", alice, message), ("bob", bob, every)):
-        try:  # in pair order, so the first pair missing is the smallest
-            ops.append(bytes(map(found.__getitem__, needed)))
-        except KeyError as lost:
-            raise TranscriptInvalid(f"pair {lost} is Bell-measured with no {actor} pauli record") from None
-    alice_ops, bob_ops = ops
-    message_bells, bells = (bytes(map(announced.__getitem__, needed)) for needed in (message, every))
-    return _samples(message, alice_ops, message_bells, bells, bob_ops, first_hits, second_hits)
-
-
 def _samples(
     message: list[int], alice_ops: bytes, message_bells: bytes, bells: bytes, bob_ops: bytes,
     first_hits: dict[int, int], second_hits: dict[int, int],
 ) -> tuple[Counter, Counter, Counter]:
     """A completed run's three joint counts, from its columns as Session.sample_columns
-    returns them and _run_samples reads them off a log: the message pairs, Alice's ops
-    and the Bell indices on them, every Bell index and Bob's ops, and Eve's hits on
-    each leg as pair -> code."""
+    returns them: the message pairs, Alice's ops and the Bell indices on them, every
+    Bell index and Bob's ops, and Eve's hits on each leg as pair -> code.
+
+    The counts are of (Eve's guess, Alice's op) and of (announced Bell index,
+    Alice's op) over the message pairs, then of (announced Bell index, Bob's
+    op) over every announced pair, decoys included; each meets its cells in
+    pair order.
+    """
     guesses = _eve_guesses(first_hits, second_hits)
     guessed = bytes(map(guesses.get, message, repeat(0))) if guesses else bytes(len(message))
     return _joint(guessed, alice_ops), _joint(message_bells, alice_ops), _joint(bells, bob_ops)
@@ -392,11 +329,16 @@ def eve_information(transcript: "Transcript") -> float:
     Only completed runs carry announcements to correlate against, and each
     non-decoy surviving pair contributes one sample; fewer than two raise
     InsufficientSamples.  A strategy that never touched a photon guesses a
-    constant and lands on exactly 0.
+    constant and lands on exactly 0.  The samples are the columns of the
+    transcript's replay (session.replay), so a transcript whose re-run
+    differs from its log raises TranscriptInvalid, naming the first
+    differing seq.
     """
+    from .session import replay  # deferred: session imports this module
+
     if not transcript.completed:
         raise ValueError("eve_information needs a completed (non-aborted) run")
-    joint, _, _ = _run_samples(transcript)
+    joint, _, _ = _samples(*replay(transcript).sample_columns())
     pairs = sum(joint.values())
     if pairs < 2:
         raise InsufficientSamples(f"{pairs} message pairs available, need at least 2")
@@ -431,7 +373,7 @@ def estimate_information(
 
     Each trial gets a fresh seed and fresh random full-capacity messages.
     A completed trial's samples come from its Session's own columns, not
-    from a re-read of its log; they are the counts _run_samples reads.
+    from a re-read or a replay of its log.
     Raises InsufficientSamples when no run survives its own checks, the
     common case for aggressive strategies.  Merged in trial order, the
     joint counts sum their cells as the pooled samples would.

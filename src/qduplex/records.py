@@ -165,24 +165,6 @@ _ROW_LINE = (*(line + "\n" for line in _SHAPE_LINE), "%.0s%s\n")
 _KEPT = bytes(value != 0xFF for value in range(256))
 
 
-def shape_table(value: Callable[[str, str, dict], int | None]) -> bytes:
-    """A selection table for EventLog.select, built from the bulk record shapes.
-
-    Each shape's code maps to value(kind, actor, payload), where payload
-    holds the shape's fields with the pair None; a shape for which value
-    gives None, and every unused code, maps to 0xFF, skip.  A value must be
-    an integer in 0..254.
-    """
-    table = bytearray(b"\xff" * 256)
-    for code, (kind, actor, payload) in enumerate(_SHAPE_RECORD):
-        kept = value(kind, actor, dict(payload))
-        if kept is not None:
-            if not 0 <= kept < 0xFF:
-                raise ValueError(f"selection value {kept!r} for {kind} by {actor} outside 0..254")
-            table[code] = kept
-    return bytes(table)
-
-
 def shape_codes(kind: str, actor: str, **fixed: object) -> bytes:
     """A translate table from a value to the shape code of a kind's record by actor.
 
@@ -446,29 +428,32 @@ class EventLog(Sequence):
     def _row(self, shape: int, cell: int, seq: int) -> Event:
         return self._events[cell] if shape == _EVENT else _bulk_event(shape, cell, seq)
 
-    def text(self, start: int = 0, stop: int | None = None) -> str:
+    def text(self, start: int = 0, stop: int | None = None, lines: Sequence[str] = ()) -> str:
         """The canonical JSON line of each record from seq start to before stop, in
-        log order, each ended by a newline: one % over the rows' joined formats."""
+        log order, each ended by a newline: one % over the rows' joined formats.
+        lines, where given, holds the line of every Event in _events, formatted already."""
         start, stop, _ = slice(start, stop).indices(len(self))
         shapes, pairs = self._shapes[start:stop], self._pairs[start:stop]
         args = pairs * 2  # pair and seq of each row, interleaved; an Event row's seq is its line
         args[0::2], args[1::2] = pairs, range(start, stop)
         at = shapes.find(_EVENT)
         while at >= 0:
-            args[2 * at + 1] = _canonical_line(self._events[pairs[at]].to_record())
+            args[2 * at + 1] = lines[pairs[at]] if lines else _canonical_line(self._events[pairs[at]].to_record())
             at = shapes.find(_EVENT, at + 1)
         return "".join(map(_ROW_LINE.__getitem__, shapes)) % tuple(args)
 
     def texts(self) -> Iterator[str]:
-        """The log's JSONL text, one newline-ended line a record, in pieces of _CHUNK records."""
-        for start in range(0, len(self), _CHUNK):
-            yield self.text(start, start + _CHUNK)
+        """The log's JSONL text, one newline-ended line a record, in pieces of _CHUNK records.
+        Every Event's line is formatted before this returns, so a payload json.dumps
+        rejects raises here, before any piece is taken."""
+        lines = [_canonical_line(event.to_record()) for event in self._events]
+        return (self.text(start, start + _CHUNK, lines) for start in range(0, len(self), _CHUNK))
 
     def select(self, table: bytes) -> tuple[bytes, list[int]]:
         """The bulk records a selection table keeps, in log order: their values and their pairs.
 
-        table (from shape_table) maps each shape code to a small value, or to
-        0xFF to skip records of that shape.  A row that holds an Event is
+        table maps each shape code to a small value, or to 0xFF to skip records
+        of that shape.  A row that holds an Event is
         skipped whatever its table entry.
         """
         table = table[:_EVENT] + b"\xff" + table[_EVENT + 1 :]

@@ -18,7 +18,7 @@ import os
 import stat
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain, pairwise
+from itertools import chain, compress, pairwise
 from pathlib import Path
 from typing import Union
 
@@ -140,6 +140,23 @@ class ProtocolConfig:
             "eve": self.eve.to_payload(),
         }
 
+    @classmethod
+    def from_payload(cls, payload: object) -> "ProtocolConfig":
+        """The config of a payload of FORMAT.md's config record, the inverse of to_payload:
+        exactly its fields, eve exactly kind and attack_prob, and values a config takes.
+        Raises TranscriptInvalid for any other payload."""
+        eve = payload.get("eve") if type(payload) is dict else None
+        fields = cls.__dataclass_fields__.keys()  # those to_payload writes
+        if type(eve) is not dict or payload.keys() != fields or eve.keys() != {"kind", "attack_prob"}:
+            raise TranscriptInvalid(
+                "a config needs exactly n_pairs, check_fraction_1, check_count_2, abort_threshold, "
+                "seed and eve, and an eve of exactly kind and attack_prob"
+            )
+        try:
+            return cls(**{**payload, "eve": EveStrategy.from_name(eve["kind"], eve["attack_prob"])})
+        except (ConfigInvalid, ValueError) as exc:
+            raise TranscriptInvalid(f"config: {exc}") from None
+
 
 class Phase(enum.Enum):
     INIT = "init"
@@ -255,9 +272,12 @@ class Transcript:
         return "".join(self._events.texts())
 
     def write_jsonl(self, path: str | Path) -> None:
-        """Write to_jsonl's text as UTF-8, a chunk of records at a time."""
+        """Write to_jsonl's text as UTF-8, a chunk of records at a time.  Every line
+        that is not a bulk record's is formatted before the file is opened, so a
+        payload json.dumps rejects raises and leaves the path as it was."""
+        texts = self._events.texts()
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(self._events.texts())
+            fh.writelines(texts)
 
     @classmethod
     def from_jsonl(cls, text: str | bytes) -> "Transcript":
@@ -269,15 +289,22 @@ class Transcript:
         """Raises TranscriptInvalid for a path that is not a regular file or a
         file over MAX_LOG_BYTES, before reading any of it, and for a file that
         is not UTF-8.  A missing path or a directory raises OSError.  An ASCII
-        file is read as its bytes, and never decoded whole."""
+        file is read as its bytes, and never decoded whole.  A file that grows
+        after its size is taken is read to one byte past MAX_LOG_BYTES at most,
+        and refused past it."""
         # non-blocking, so that opening a FIFO with no writer returns
         with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
             status = os.fstat(fh.fileno())
             if not stat.S_ISREG(status.st_mode):
                 raise TranscriptInvalid(f"transcript {str(path)!r} is not a regular file")
-            if (size := status.st_size) > MAX_LOG_BYTES:
+            if (size := status.st_size) <= MAX_LOG_BYTES:
+                data = fh.read(size + 1)  # one byte more shows a file that grew since
+                if len(data) > size:
+                    data += fh.read(MAX_LOG_BYTES - size)
+                    if len(data) > MAX_LOG_BYTES:
+                        size = fh.seek(0, os.SEEK_END)
+            if size > MAX_LOG_BYTES:
                 raise TranscriptInvalid(f"transcript is {size} bytes, over MAX_LOG_BYTES = {MAX_LOG_BYTES}")
-            data = fh.read()
         if not data.isascii():
             try:
                 data = data.decode("utf-8")
@@ -642,6 +669,12 @@ _LEG_SHAPES = {
     for leg in Leg
     for slot in (leg_slot(leg).value,)
 }
+# actor -> a selection table for EventLog.select: each of the actor's pauli shapes -> its op code
+_OP_TABLE = {
+    actor: bytes(codes.find(shape) >> 1 if shape in codes else 0xFF for shape in range(256))
+    for actor in ("alice", "bob")
+    for codes in (shape_codes("pauli", actor)[:8],)  # op code * 2 + slot -> shape
+}
 
 
 def _cut(column, at: list[int]) -> list:
@@ -665,3 +698,39 @@ def run_protocol(
     protocol-level aborts are reported in the verdict, not raised.
     """
     return Session(config, alice_msg, bob_msg).run()
+
+
+def replay(transcript: Transcript) -> Session:
+    """Re-run a transcript from its own records, and return the Session of the re-run.
+
+    The config is its config record's (ProtocolConfig.from_payload).  Alice's
+    message is her pauli ops on the survivors that are not decoys, Bob's his
+    ops on every survivor, both in log order, each as long as a completed
+    verdict decoded it, and otherwise its full capacity, on which an aborted
+    run's records do not depend.  Raises TranscriptInvalid for a config off
+    FORMAT.md, and before running for a log too short for its pairs; after
+    it, naming the first differing seq, where the re-run's log differs from
+    the transcript's by value (EventLog.__eq__).
+    """
+    config = ProtocolConfig.from_payload(transcript.config)
+    log, n = transcript.events, config.n_pairs
+    if len(log) < 3 * n:  # every run writes a prepare, a send and a receive a pair
+        raise TranscriptInvalid(f"{len(log)} records are too few for a run of {n} pairs, which writes at least {3 * n}")
+    decoys = set(transcript.stats.get("second_check", {}).get("decoy_indices", ()))
+    alice_ops, pairs = log.select(_OP_TABLE["alice"])
+    ops = bytes(compress(alice_ops, [pair not in decoys for pair in pairs])), log.select(_OP_TABLE["bob"])[0]
+    capacities = config.alice_capacity_bits, config.bob_capacity_bits
+    verdict = transcript.verdict  # a completed one holds each party's message as the other decoded it
+    decoded = (verdict.bob_decoded, verdict.alice_decoded) if isinstance(verdict, Completed) else ()
+    lengths = [message.payload_bits for message in decoded] or capacities
+    # ops past a capacity or a payload length cannot be the run's: they are cut, and the logs then differ
+    session = Session(config, *(
+        MessageBits.from_pairs(codes, min(length, 2 * len(codes), bits))
+        for codes, bits, length in zip(ops, capacities, lengths)
+    ))
+    replayed = session.run().events
+    if replayed != log:
+        differ = (seq for seq, (ours, theirs) in enumerate(zip(replayed, log)) if ours != theirs)
+        seq = next(differ, min(len(replayed), len(log)))
+        raise TranscriptInvalid(f"seq {seq}: the record differs from the replayed run's")
+    return session

@@ -11,7 +11,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import replace
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qduplex import adversary
+from qduplex import adversary, session
 from qduplex.adversary import (
     AttackKind,
     EveStrategy,
@@ -34,9 +33,7 @@ from qduplex.adversary import (
     predicted_first_check_violation_rate,
     transit,
     wilson_interval,
-    _SAMPLE_TABLE,
     _eve_guesses,
-    _run_samples,
     _samples,
 )
 from qduplex.codec import random_message
@@ -51,8 +48,8 @@ from qduplex.qsim import (
     product_state,
     project_qubit,
 )
-from qduplex.records import _BULK_SCHEMA, Event, EventLog, TranscriptInvalid
-from qduplex.session import ProtocolConfig, Session, Transcript, audit_custody, run_protocol
+from qduplex.records import Event, EventLog, TranscriptInvalid
+from qduplex.session import MAX_PAIRS, ProtocolConfig, Session, Transcript, audit_custody, replay, run_protocol
 from qduplex.stream import Stream
 
 
@@ -459,8 +456,11 @@ def test_eve_guess_logic_over_eve_touch_records():
 def reference_samples(
     transcript: Transcript,
 ) -> tuple[list[tuple[int, int]], list[tuple[int, int]], list[tuple[int, int]]]:
-    """_run_samples written out over the log's Events: for each pair the last
-    record of a kind by one actor counts, and the decoys come from stats."""
+    """A completed run's three sample columns read off its log's Events, the reference
+    the replayed run's columns are held to: the (Eve's guess, Alice's op) and
+    (announced Bell index, Alice's op) samples of the message pairs, then the
+    (announced Bell index, Bob's op) samples of every announced pair, in pair order,
+    with the decoys from stats."""
     ops: dict[str, dict[int, int]] = {"alice": {}, "bob": {}}
     announced: dict[int, int] = {}
     hits: dict[str, dict[int, tuple[str, int]]] = {"first": {}, "second": {}}
@@ -480,10 +480,6 @@ def reference_samples(
     decoys = set(transcript.stats.get("second_check", {}).get("decoy_indices", []))
     pairs = sorted(announced)
     message = [pair for pair in pairs if pair not in decoys]
-    for actor, needed in (("alice", message), ("bob", pairs)):
-        for pair in needed:
-            if pair not in ops[actor]:
-                raise TranscriptInvalid(f"pair {pair} is Bell-measured with no {actor} pauli record")
     return (
         [(guesses.get(pair, 0), ops["alice"][pair]) for pair in message],
         [(announced[pair], ops["alice"][pair]) for pair in message],
@@ -491,22 +487,15 @@ def reference_samples(
     )
 
 
-def run_counts(transcript: Transcript) -> list[list]:
-    """_run_samples' three joint counts, each as its (cell, count) items in order."""
-    return [list(joint.items()) for joint in _run_samples(transcript)]
+def replayed_counts(transcript: Transcript) -> list[list]:
+    """The three joint counts eve_information takes from a transcript's replay, each
+    as its (cell, count) items in order."""
+    return [list(joint.items()) for joint in _samples(*replay(transcript).sample_columns())]
 
 
 def reference_counts(transcript: Transcript) -> list[list]:
     """reference_samples counted the same way: each cell where its samples first show it."""
     return [list(Counter(samples).items()) for samples in reference_samples(transcript)]
-
-
-def outcome_of(function, transcript: Transcript):
-    """What a counts function gives for a transcript: its counts, or its TranscriptInvalid."""
-    try:
-        return function(transcript)
-    except TranscriptInvalid as exc:
-        return f"TranscriptInvalid: {exc}"
 
 
 def completed_run(attack: str, attack_prob: float, seed: int, n_pairs: int,
@@ -532,117 +521,19 @@ def completed_run(attack: str, attack_prob: float, seed: int, n_pairs: int,
     seed=st.integers(0, 2**32),
     n_pairs=st.integers(2, 96),
 )
-def test_run_samples_equal_the_reference_on_live_runs(attack, attack_prob, seed, n_pairs):
+def test_eve_information_counts_equal_the_reference_on_live_runs(attack, attack_prob, seed, n_pairs):
     transcript = completed_run(attack, attack_prob, seed, n_pairs)
-    assert run_counts(transcript) == reference_counts(transcript)
+    saved = Transcript.from_jsonl(transcript.to_jsonl())
+    assert replayed_counts(saved) == reference_counts(transcript)
+    guesses = Counter(reference_samples(transcript)[0])
+    if sum(guesses.values()) < 2:
+        with pytest.raises(InsufficientSamples):
+            eve_information(saved)
+    else:
+        assert eve_information(saved) == mutual_information_bits(guesses)
 
 
-RESHUFFLE_BASES = [
-    completed_run("intercept-rand", 1.0, 3, 24),
-    completed_run("intercept-z", 0.25, 4, 24),
-    completed_run("none", 1.0, 5, 24, check_count_2=4),  # decoys in the stats record
-]
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_run_samples_equal_the_reference_on_reordered_and_duplicated_records(data):
-    """The pauli and bell_measure records of a completed run, reordered, some
-    dropped and some repeated with another value, go back in before the stats."""
-    base = data.draw(st.sampled_from(RESHUFFLE_BASES))
-    events = list(base.events)
-    moved = [e for e in events if e.kind in ("pauli", "bell_measure")]
-    kept = [e for e in events if e.kind not in ("pauli", "bell_measure")]
-    records = data.draw(st.lists(st.sampled_from(moved), max_size=2 * len(moved)))
-    if data.draw(st.booleans()):
-        records = data.draw(st.permutations(moved)) + records
-    values = {"pauli": ("op", ["U0", "U1", "U2", "U3"]),
-              "bell_measure": ("result", ["psi_minus", "psi_plus", "phi_minus", "phi_plus"])}
-    rewritten = []
-    for event in records:
-        name, choices = values[event.kind]
-        value = data.draw(st.sampled_from(choices))
-        rewritten.append(Event(0, event.actor, event.kind, {**event.payload, name: value}))
-    stats_at = next(i for i, e in enumerate(kept) if e.kind == "stats")
-    events = kept[:stats_at] + rewritten + kept[stats_at:]
-    transcript = Transcript(
-        events=[Event(seq, e.actor, e.kind, e.payload) for seq, e in enumerate(events)],
-    )
-    assert outcome_of(run_counts, transcript) == outcome_of(reference_counts, transcript)
-
-
-@pytest.mark.parametrize("actor", ["alice", "bob"])
-def test_run_samples_name_the_first_pair_without_its_pauli_record(actor):
-    transcript = completed_run("none", 1.0, 5, 24, check_count_2=4)
-    decoys = set(transcript.stats["second_check"]["decoy_indices"])
-    measured = sorted(e.payload["pair"] for e in transcript.events if e.kind == "bell_measure")
-    # Alice's records are needed for the message pairs, Bob's for every announced pair
-    needed = [pair for pair in measured if actor == "bob" or pair not in decoys]
-    dropped = {needed[3], needed[7]}
-    events = [
-        e for e in transcript.events
-        if not (e.kind == "pauli" and e.actor == actor and e.payload["pair"] in dropped)
-    ]
-    damaged = Transcript(
-        events=[Event(seq, e.actor, e.kind, e.payload) for seq, e in enumerate(events)],
-    )
-    with pytest.raises(TranscriptInvalid) as raised:
-        _run_samples(damaged)
-    assert str(raised.value) == f"pair {needed[3]} is Bell-measured with no {actor} pauli record"
-
-
-def dict_and_counter_run_samples(transcript: Transcript) -> tuple[Counter, Counter, Counter]:
-    """_run_samples in its dict-and-Counter form, the reference for its byte columns:
-    one loop stores each selected record's value in its class's per-pair dict, and
-    each joint count is Counter(zip(...)) of its cells."""
-    codes, pairs = transcript.events.select(_SAMPLE_TABLE)
-    by_class: list[dict[int, int]] = [{} for _ in range(5)]
-    for code, pair in zip(codes, pairs):
-        by_class[code >> 2][pair] = code & 3
-    alice, bob, announced, first_hits, second_hits = by_class
-    decoys = set(transcript.stats.get("second_check", {}).get("decoy_indices", ()))
-    guesses = _eve_guesses(first_hits, second_hits)
-    message_set = announced.keys() - decoys
-    for actor, ops, needed in (("alice", alice, message_set), ("bob", bob, announced.keys())):
-        if not ops.keys() >= needed:
-            pair = min(needed - ops.keys())
-            raise TranscriptInvalid(f"pair {pair} is Bell-measured with no {actor} pauli record")
-    message = sorted(message_set)
-    every = sorted(announced)
-    alice_ops = list(map(alice.__getitem__, message))
-    return (
-        Counter(zip(map(guesses.get, message, repeat(0)), alice_ops)),
-        Counter(zip(map(announced.__getitem__, message), alice_ops)),
-        Counter(zip(map(announced.__getitem__, every), map(bob.__getitem__, every))),
-    )
-
-
-def counts_or_error(function, transcript: Transcript):
-    """A samples function's three counts as their (cell, count) items in order, or its
-    TranscriptInvalid message."""
-    try:
-        return [list(joint.items()) for joint in function(transcript)]
-    except TranscriptInvalid as exc:
-        return f"TranscriptInvalid: {exc}"
-
-
-def any_run(
-    attack: str, attack_prob: float, seed: int, n_pairs: int, check_count_2: int
-) -> tuple[Session, Transcript]:
-    """A run under the attack, completed or aborted at either check: its Session and transcript."""
-    config = ProtocolConfig(
-        n_pairs=n_pairs, check_fraction_1=1 / n_pairs, check_count_2=check_count_2, seed=seed,
-        abort_threshold=n_pairs, eve=EveStrategy.from_name(attack, attack_prob=attack_prob),
-    )
-    session = Session(
-        config,
-        random_message(config.alice_capacity_bits, np.random.default_rng(seed)),
-        random_message(config.bob_capacity_bits, np.random.default_rng(seed + 1)),
-    )
-    return session, session.run()
-
-
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     attack=st.sampled_from([kind.value for kind in AttackKind]),
     attack_prob=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
@@ -650,14 +541,21 @@ def any_run(
     n_pairs=st.integers(3, 96),
     check_count_2=st.integers(0, 4),
 )
-def test_run_samples_equal_the_dict_and_counter_form_on_live_runs(
+def test_sample_columns_hold_the_touches_the_eve_touch_records_log(
     attack, attack_prob, seed, n_pairs, check_count_2
 ):
-    session, transcript = any_run(attack, attack_prob, seed, n_pairs, min(check_count_2, n_pairs - 2))
-    expected = counts_or_error(dict_and_counter_run_samples, transcript)
-    assert counts_or_error(_run_samples, transcript) == expected
-    assert not isinstance(expected, str)
-    # each leg's eve_touch records, counted and as pair -> 2 for the X basis plus the outcome
+    """Each leg's eve_touch records are the touches transit returned, and a completed
+    run's sample columns give each leg's hits as pair -> 2 for the X basis plus the outcome."""
+    config = ProtocolConfig(
+        n_pairs=n_pairs, check_fraction_1=1 / n_pairs, check_count_2=min(check_count_2, n_pairs - 2),
+        seed=seed, abort_threshold=n_pairs, eve=EveStrategy.from_name(attack, attack_prob=attack_prob),
+    )
+    session = Session(
+        config,
+        random_message(config.alice_capacity_bits, np.random.default_rng(seed)),
+        random_message(config.bob_capacity_bits, np.random.default_rng(seed + 1)),
+    )
+    transcript = session.run()
     records: Counter = Counter()
     hits: dict[str, dict[int, int]] = {leg.value: {} for leg in Leg}
     for event in transcript.events:
@@ -670,50 +568,13 @@ def test_run_samples_equal_the_dict_and_counter_form_on_live_runs(
     touched = {leg.value: len(record.touches) for leg, record in session._touches.items()}
     assert touched == {leg.value: records[leg.value] for leg in legs}
     assert records.keys() <= touched.keys()
-    # the estimator counts a completed run from the Session's own columns: the same cells in the same order
     if transcript.completed:
         columns = session.sample_columns()
         assert list(columns[5:]) == [hits[leg.value] for leg in Leg]
-        assert [list(joint.items()) for joint in _samples(*columns)] == expected
+        assert [list(joint.items()) for joint in _samples(*columns)] == reference_counts(transcript)
     else:
         with pytest.raises(ValueError, match="^sample columns need a completed run"):
             session.sample_columns()
-
-
-DAMAGE_BASES = [
-    completed_run("intercept-rand", 1.0, 3, 24),  # eve_touch records on both legs
-    completed_run("intercept-x", 0.5, 6, 24),
-    completed_run("none", 1.0, 5, 24, check_count_2=4),  # decoys in the stats record
-]
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_run_samples_equal_the_dict_and_counter_form_on_damaged_logs(data):
-    """One pair's pauli, bell_measure or eve_touch record duplicated (its copy
-    maybe with another value), dropped or moved, anywhere between the config
-    and the stats record."""
-    events = list(data.draw(st.sampled_from(DAMAGE_BASES)).events)
-    at = data.draw(st.sampled_from(
-        [i for i, e in enumerate(events) if e.kind in ("pauli", "bell_measure", "eve_touch")]
-    ))
-    record = events[at]
-    damage = data.draw(st.sampled_from(["duplicate", "drop", "move"]))
-    if damage != "duplicate":
-        del events[at]
-    if damage != "drop":
-        payload = dict(record.payload)
-        if damage == "duplicate":
-            for name, values in _BULK_SCHEMA[record.kind][1].items():
-                if values is not None and data.draw(st.booleans()):
-                    payload[name] = data.draw(st.sampled_from(values))
-        stats_at = next(i for i, e in enumerate(events) if e.kind == "stats")
-        events.insert(data.draw(st.integers(1, stats_at)), Event(0, record.actor, record.kind, payload))
-    transcript = Transcript(
-        events=[Event(seq, e.actor, e.kind, e.payload) for seq, e in enumerate(events)],
-    )
-    expected = counts_or_error(dict_and_counter_run_samples, transcript)
-    assert counts_or_error(_run_samples, transcript) == expected
 
 
 def test_eve_information_is_exactly_zero_without_an_attack():
@@ -819,11 +680,11 @@ def test_reading_a_saved_run_rejects_an_out_of_schema_custody_value(
 
 
 @pytest.mark.parametrize("actor, other", [("alice", "bob"), ("bob", "alice")])
-def test_eve_information_raises_transcript_invalid_on_a_pair_without_its_pauli(
+def test_eve_information_refuses_a_saved_run_with_a_pauli_of_the_other_party(
     tmp_path, actor, other
 ):
     """A saved run with one pauli line re-attributed to the other party reads and
-    audits, but a Bell-measured pair then lacks the pauli record its sample needs."""
+    audits, with the violation named, but does not replay from that record on."""
     text = completed_intercept_z_run().to_jsonl()
     line = next(
         line for line in text.splitlines() if f'"actor":"{actor}","kind":"pauli"' in line
@@ -839,9 +700,79 @@ def test_eve_information_raises_transcript_invalid_on_a_pair_without_its_pauli(
     assert f"seq {record['seq']}: pauli on pair {pair} slot {slot} held by {actor}, " \
         f"expected {other}" in audit_custody(saved)
     with pytest.raises(
-        TranscriptInvalid, match=f"pair {pair} is Bell-measured with no {actor} pauli record"
+        TranscriptInvalid, match=f"^seq {record['seq']}: the record differs from the replayed run's$"
     ):
         eve_information(saved)
+
+
+def forged(transcript: Transcript, pick, field: str, value) -> tuple[Transcript, int]:
+    """A copy of a transcript with one field of its first record that pick accepts
+    set to value (a function of the old one), and that record's seq."""
+    events = list(transcript.events)
+    event = next(e for e in events if pick(e))
+    events[event.seq] = Event(event.seq, event.actor, event.kind, {**event.payload, field: value(event.payload[field])})
+    return Transcript(events), event.seq
+
+
+# a completed run without Eve, with decoys and every pair of Alice's message payload,
+# and one whose pairs intercept-z touched on both legs
+QUIET_RUN = completed_run("none", 1.0, 5, 24, check_count_2=4)
+DECOYS = set(QUIET_RUN.stats["second_check"]["decoy_indices"])
+INTERCEPT_Z_RUN = completed_intercept_z_run()
+NEXT_OP = {"U0": "U1", "U1": "U2", "U2": "U3", "U3": "U0"}.get
+
+
+@pytest.mark.parametrize(
+    "base, pick, field, value, surfaces",
+    [
+        (QUIET_RUN, lambda e: e.kind == "measure", "basis", {"Z": "X", "X": "Z"}.get, None),
+        (QUIET_RUN, lambda e: e.kind == "measure", "outcome", lambda b: 1 - b, None),
+        (INTERCEPT_Z_RUN, lambda e: e.kind == "eve_touch", "outcome", lambda b: 1 - b, None),
+        (
+            QUIET_RUN, lambda e: e.kind == "pauli" and e.actor == "alice" and e.payload["pair"] in DECOYS,
+            "op", NEXT_OP, None,
+        ),
+        (
+            QUIET_RUN, lambda e: e.kind == "pauli" and e.actor == "alice" and e.payload["pair"] not in DECOYS,
+            "op", NEXT_OP, "bell_measure",
+        ),
+        (
+            QUIET_RUN, lambda e: e.kind == "bell_measure", "result",
+            {"psi_minus": "psi_plus", "psi_plus": "phi_minus", "phi_minus": "phi_plus", "phi_plus": "psi_minus"}.get,
+            None,
+        ),
+    ],
+    ids=["measure basis", "measure outcome", "eve_touch outcome", "pauli on a decoy", "pauli on a message pair",
+         "bell_measure result"],
+)
+def test_eve_information_refuses_a_forged_record_that_keeps_custody(base, pick, field, value, surfaces):
+    """An edited value keeps custody, so the audit finds nothing, but the replay differs
+    at that record, or for Alice's op on a message pair, which her message is rebuilt
+    from, at that pair's bell_measure."""
+    transcript, seq = forged(base, pick, field, value)
+    assert audit_custody(transcript) == []
+    if surfaces:
+        pair = transcript.events[seq].payload["pair"]
+        seq = next(e.seq for e in transcript.events if e.kind == surfaces and e.payload["pair"] == pair)
+    with pytest.raises(TranscriptInvalid, match=f"^seq {seq}: the record differs from the replayed run's$"):
+        eve_information(transcript)
+    assert eve_information(base) >= 0.0
+
+
+def test_eve_information_refuses_a_short_log_whose_config_claims_max_pairs_without_running(monkeypatch):
+    events = list(QUIET_RUN.events)
+    events[0] = Event(0, "session", "config", {**events[0].payload, "n_pairs": MAX_PAIRS})
+    transcript = Transcript(events)
+
+    def refuse(*args):
+        raise AssertionError("the replay ran a block")
+
+    monkeypatch.setattr(session, "Session", refuse)
+    with pytest.raises(
+        TranscriptInvalid,
+        match=f"^{len(events)} records are too few for a run of {MAX_PAIRS} pairs, which writes at least {3 * MAX_PAIRS}$",
+    ):
+        eve_information(transcript)
 
 
 GOLDEN_SEED7 = Path(__file__).parent / "golden" / "transcript_n8_seed7.jsonl"
@@ -888,11 +819,11 @@ def test_a_saved_run_without_stats_is_not_read(tmp_path):
         Transcript.read_jsonl(path)
 
 
-def pooled_run_samples(
+def pooled_reference_samples(
     strategy: EveStrategy, config: ProtocolConfig, trials: int, rng: np.random.Generator
 ) -> InformationStats:
-    """estimate_information over _run_samples: each trial's seed and messages drawn from
-    the stream as the estimator draws them, and each completed run's log re-read."""
+    """estimate_information over reference_samples: each trial's seed and messages drawn
+    from the stream as the estimator draws them, and each completed run's Events read."""
     joints = eve, alice, bob = Counter(), Counter(), Counter()
     completed = 0
     for _ in range(trials):
@@ -901,7 +832,7 @@ def pooled_run_samples(
         transcript = run_protocol(cfg, alice_msg, random_message(cfg.bob_capacity_bits, rng))
         if transcript.completed:
             completed += 1
-            for total, trial in zip(joints, _run_samples(transcript)):
+            for total, trial in zip(joints, reference_samples(transcript)):
                 total.update(trial)
     return InformationStats(
         trials=trials,
@@ -919,21 +850,21 @@ ESTIMATOR_CONFIG = ProtocolConfig(n_pairs=24, check_fraction_1=1 / 24, check_cou
 
 
 @pytest.mark.parametrize("attack, attack_prob", ESTIMATOR_CASES)
-def test_estimate_information_equals_run_samples_pooled_over_the_same_trials(attack, attack_prob):
+def test_estimate_information_equals_the_reference_pooled_over_the_same_trials(attack, attack_prob):
     strategy = EveStrategy.from_name(attack, attack_prob)
     stats = estimate_information(strategy, ESTIMATOR_CONFIG, 60, np.random.default_rng(8))
-    assert stats == pooled_run_samples(strategy, ESTIMATOR_CONFIG, 60, np.random.default_rng(8))
+    assert stats == pooled_reference_samples(strategy, ESTIMATOR_CONFIG, 60, np.random.default_rng(8))
     if strategy.active:  # the decoy check ended some runs, and Eve learned something in the rest
         assert 0 < stats.completed_runs < stats.trials
         assert stats.eve_guess_vs_alice_bits > 0.0
 
 
 @pytest.mark.parametrize("attack, attack_prob", ESTIMATOR_CASES)
-def test_estimate_information_reads_no_trial_log(monkeypatch, attack, attack_prob):
+def test_estimate_information_neither_reads_nor_replays_a_trial_log(monkeypatch, attack, attack_prob):
     def refuse(*args):
-        raise AssertionError("the estimator re-read a trial's log")
+        raise AssertionError("the estimator re-read or replayed a trial's log")
 
-    monkeypatch.setattr(adversary, "_run_samples", refuse)
+    monkeypatch.setattr(session, "replay", refuse)
     monkeypatch.setattr(EventLog, "select", refuse)
     stats = estimate_information(
         EveStrategy.from_name(attack, attack_prob), ESTIMATOR_CONFIG, 20, np.random.default_rng(9)

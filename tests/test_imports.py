@@ -4,8 +4,9 @@ the top level exports exactly the names of that example, the modules a run
 goes through name no numpy Generator or bit generator state, qsim draws
 nothing itself, session.py reaches the custody ledger only through
 records.py's recorder and shape_codes, adversary.py reads a live run
-only through Session.run and Session.sample_columns, and every file the
-package opens is opened with an encoding or in a binary mode."""
+only through Session.run and Session.sample_columns and imports nothing
+from records.py, and every file the package opens is opened with an
+encoding or in a binary mode."""
 
 from __future__ import annotations
 
@@ -397,6 +398,46 @@ def test_session_internals_read_are_found():
     ) == [
         "._alice_codes (line 1)", "._bob_codes (line 2)", "._bell_codes (line 2)",
         "._decoy_at (line 5)", "._touches (line 6)", ".survivors (line 7)",
+    ]
+
+
+def records_imports(source: str) -> list[str]:
+    """Each import of records.py or of a name from it that a source makes, with its line:
+    adversary.py counts a saved transcript through session.replay, so only records.py
+    and session.py know the record format."""
+    found = []
+    imports = (node for node in ast.walk(ast.parse(source)) if isinstance(node, (ast.Import, ast.ImportFrom)))
+    for node in sorted(imports, key=lambda node: node.lineno):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".records", "qduplex.records"):
+                found += [f"{a.name} (line {node.lineno})" for a in node.names]
+            elif module in (".", "qduplex"):
+                found += [f"{a.name} (line {node.lineno})" for a in node.names if a.name == "records"]
+        else:
+            found += [f"{a.name} (line {node.lineno})" for a in node.names if a.name == "qduplex.records"]
+    return found
+
+
+def test_adversary_imports_nothing_from_records():
+    source = (Path(qduplex.__file__).parent / "adversary.py").read_text(encoding="utf-8")
+    assert records_imports(source) == []
+
+
+def test_records_imports_are_found():
+    assert records_imports(
+        "from .records import TranscriptInvalid, shape_codes\n"
+        "from . import records\n"
+        "from .session import replay\n"
+        "import qduplex.records as log\n"
+        "def f():\n"
+        "    from qduplex.records import EventLog\n"
+        "from . import codec, records as r\n"
+        "from .recordsx import y\n"
+        "import records\n"
+    ) == [
+        "TranscriptInvalid (line 1)", "shape_codes (line 1)", "records (line 2)",
+        "qduplex.records (line 4)", "EventLog (line 6)", "records (line 7)",
     ]
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qduplex.adversary import _BASES, EveStrategy, Leg, leg_slot
+from qduplex.adversary import _BASES, AttackKind, EveStrategy, Leg, leg_slot
 from qduplex.codec import MessageBits, decode_alice, decode_bob, pack_bits, random_message
 from qduplex.qsim import BellState, InternalFault, PauliOp, QubitSlot
 import qduplex.records as records_module
@@ -36,6 +37,7 @@ from qduplex.session import (
     TranscriptInvalid,
     _verdict_payload,
     audit_custody,
+    replay,
     run_protocol,
 )
 from qduplex.records import (
@@ -61,7 +63,6 @@ from qduplex.records import (
     _record_shape,
     _run_step,
     shape_codes,
-    shape_table,
 )
 
 try:
@@ -1361,21 +1362,16 @@ def test_select_equals_a_filter_over_the_events(run, table):
     assert log.select(table) == selected_by_filter(log, table)
 
 
-def test_shape_table_values_each_record_by_its_kind_actor_and_payload():
-    def bob_op(kind: str, actor: str, payload: dict) -> int | None:
-        return int(payload["op"][1]) if (kind, actor) == ("pauli", "bob") else None
-
-    table = shape_table(bob_op)
-    assert len(table) == 256
+@pytest.mark.parametrize("actor", ["alice", "bob"])
+def test_select_with_the_op_table_equals_a_filter_over_the_pauli_events(actor):
+    """replay reads each party's ops with one selection through its op table."""
     for transcript in SELECT_RUNS:
         expected = [
-            (int(e.payload["op"][1]), e.payload["pair"])
-            for e in transcript.events if e.kind == "pauli" and e.actor == "bob"
+            (PauliOp[e.payload["op"]].code, e.payload["pair"])
+            for e in transcript.events if e.kind == "pauli" and e.actor == actor
         ]
-        values, pairs = transcript.events.select(table)
+        values, pairs = transcript.events.select(session_module._OP_TABLE[actor])
         assert list(zip(values, pairs)) == expected
-    with pytest.raises(ValueError, match="selection value 255"):
-        shape_table(lambda kind, actor, payload: 255)
 
 
 _EITHER, _SLOT, _BASIS, _BIT = ("alice", "bob"), ("C", "M"), ("Z", "X"), (0, 1)
@@ -2581,3 +2577,286 @@ def test_format_md_record_kind_table_matches_the_bulk_schema():
         for name, values in documented:
             expected = fields[name]
             assert re.findall(r"`([^`]+)`", values) == [str(v) for v in expected or ()], (kind, name)
+
+
+# ---------------------------------------------------------------------------
+# writing and reading a file: a failed write, and a file that grows while it is read
+
+
+def test_a_write_jsonl_that_raises_leaves_the_file_at_its_path_as_it_was(tmp_path):
+    """A hand-built transcript whose message payload json.dumps rejects raises before
+    the file is opened, so an existing file keeps its bytes."""
+    events = list(Transcript.read_jsonl(GOLDEN_DIR / GOLDEN_TRANSCRIPTS[0]).events)
+    at = max(i for i, e in enumerate(events) if e.kind == "message")
+    events[at] = Event(at, events[at].actor, "message", {**events[at].payload, "note": {1}})
+    path = tmp_path / "run.jsonl"
+    path.write_bytes(b"old bytes\n")
+    with pytest.raises(TypeError, match="set is not JSON serializable"):
+        Transcript(events).write_jsonl(path)
+    assert path.read_bytes() == b"old bytes\n"
+
+
+def grow_after_fstat(monkeypatch, path: Path, extra: bytes) -> None:
+    """Make os.fstat append extra to path once it has taken the file's status, as a
+    writer that appends between read_jsonl's size check and its read would."""
+    fstat = os.fstat
+
+    def fstat_then_grow(fd: int) -> os.stat_result:
+        status = fstat(fd)
+        with open(path, "ab") as fh:
+            fh.write(extra)
+        return status
+
+    monkeypatch.setattr(os, "fstat", fstat_then_grow)
+
+
+def test_read_jsonl_refuses_a_file_that_grows_past_max_log_bytes_after_its_size_is_taken(tmp_path, monkeypatch):
+    """The file is read to one byte past MAX_LOG_BYTES, however far it grew."""
+    data = (GOLDEN_DIR / GOLDEN_TRANSCRIPTS[0]).read_bytes()
+    path = tmp_path / "run.jsonl"
+    path.write_bytes(data)
+    monkeypatch.setattr(session_module, "MAX_LOG_BYTES", len(data) + 10)
+    grow_after_fstat(monkeypatch, path, b"\n" * 100_000)
+    read = []
+
+    class CountingReader(io.BufferedReader):
+        def read(self, size=-1):
+            read.append(len(chunk := super().read(size)))
+            return chunk
+
+    def counting_open(file, mode, opener):
+        assert mode == "rb"
+        return CountingReader(io.FileIO(file, mode, opener=opener))
+
+    monkeypatch.setattr(session_module, "open", counting_open, raising=False)
+    with pytest.raises(
+        TranscriptInvalid, match=f"^transcript is {len(data) + 100_000} bytes, over MAX_LOG_BYTES = {len(data) + 10}$"
+    ):
+        Transcript.read_jsonl(path)
+    assert sum(read) == len(data) + 11
+
+
+def test_read_jsonl_reads_on_through_a_file_that_grows_within_max_log_bytes(tmp_path, monkeypatch):
+    data = (GOLDEN_DIR / GOLDEN_TRANSCRIPTS[0]).read_bytes()
+    last = data.rindex(b"\n", 0, len(data) - 1) + 1  # where the verdict line starts
+    path = tmp_path / "run.jsonl"
+    path.write_bytes(data[:last])
+    grow_after_fstat(monkeypatch, path, data[last:])
+    assert Transcript.read_jsonl(path).to_jsonl().encode() == data
+
+
+# ---------------------------------------------------------------------------
+# replay: the config record read back, and a saved run re-run from its own records
+
+
+def test_from_payload_is_the_inverse_of_to_payload():
+    for config in (ABORT_FIRST_CONFIG, ABORT_SECOND_CONFIG, ProtocolConfig(n_pairs=8, seed=2**64 - 1)):
+        assert ProtocolConfig.from_payload(config.to_payload()) == config
+        assert ProtocolConfig.from_payload(json.loads(json.dumps(config.to_payload()))) == config
+
+
+_CONFIG_RECORD = (
+    "^a config needs exactly n_pairs, check_fraction_1, check_count_2, abort_threshold, seed and eve, "
+    "and an eve of exactly kind and attack_prob$"
+)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda p: p.pop("seed"), _CONFIG_RECORD),
+        (lambda p: p.update(note=1), _CONFIG_RECORD),
+        (lambda p: p.update(eve="intercept-z"), _CONFIG_RECORD),
+        (lambda p: p["eve"].pop("attack_prob"), _CONFIG_RECORD),
+        (lambda p: p["eve"].update(leg="first"), _CONFIG_RECORD),
+        (lambda p: p.update(n_pairs=True), "^config: n_pairs must be an integer, not a bool$"),
+        (lambda p: p.update(n_pairs=MAX_PAIRS + 1), f"^config: n_pairs must be at most {MAX_PAIRS}"),
+        (lambda p: p.update(check_fraction_1="0.5"), "^config: check_fraction_1 must be a number"),
+        (lambda p: p["eve"].update(kind="tap"), "^config: unknown eve strategy 'tap'"),
+        (lambda p: p["eve"].update(kind=["none"]), r"^config: unknown eve strategy \['none'\]"),
+        (lambda p: p["eve"].update(attack_prob=2), "^config: attack_prob must be a number in"),
+    ],
+)
+def test_from_payload_refuses_a_payload_off_the_config_record(damage, message):
+    payload = json.loads(json.dumps(ABORT_FIRST_CONFIG.to_payload()))
+    damage(payload)
+    with pytest.raises(TranscriptInvalid, match=message):
+        ProtocolConfig.from_payload(payload)
+
+
+@pytest.mark.parametrize("payload", [None, [], "config", [ABORT_FIRST_CONFIG.to_payload()]])
+def test_from_payload_refuses_a_payload_that_is_not_an_object(payload):
+    with pytest.raises(TranscriptInvalid, match=_CONFIG_RECORD):
+        ProtocolConfig.from_payload(payload)
+
+
+VERDICTS = ["completed", "first_check", "second_check"]
+# each verdict -> the first-check fraction (None: one pair), the abort threshold (None:
+# n_pairs) and the decoys of a config under which a run under attack may reach it
+_REACHING = {"completed": (None, None, 2), "first_check": (0.5, 0, 2), "second_check": (None, None, 4)}
+
+
+def verdict_name(transcript: Transcript) -> str:
+    return "completed" if transcript.completed else transcript.verdict.phase.value
+
+
+def run_reaching(
+    verdict: str, attack: str, attack_prob: float, seed: int, n_pairs: int, fill: float
+) -> tuple[Session, Transcript]:
+    """The first run, from seed on, under the attack that ends in the verdict: its Session
+    and transcript.  Each message is random, fill of its party's capacity long."""
+    fraction, threshold, decoys = _REACHING[verdict]
+    for seed in range(seed, seed + 500):
+        config = ProtocolConfig(
+            n_pairs=n_pairs, check_fraction_1=fraction or 1 / n_pairs, check_count_2=decoys,
+            abort_threshold=n_pairs if threshold is None else threshold, seed=seed,
+            eve=EveStrategy.from_name(attack, attack_prob=attack_prob),
+        )
+        rng = np.random.default_rng(seed)
+        session = Session(
+            config,
+            random_message(int(fill * config.alice_capacity_bits), rng),
+            random_message(int(fill * config.bob_capacity_bits), rng),
+        )
+        transcript = session.run()
+        if verdict_name(transcript) == verdict:
+            return session, transcript
+    raise AssertionError(f"no run from seed {seed - 499} on ends in {verdict}")
+
+
+# every attack at two probabilities and every verdict it can reach: no check fails without Eve
+REPLAY_CASES = [
+    (kind.value, attack_prob, verdict)
+    for kind in AttackKind for attack_prob in (0.25, 1.0) for verdict in VERDICTS
+    if kind is not AttackKind.NONE or verdict == "completed"
+]
+
+
+@pytest.mark.parametrize("attack, attack_prob, verdict", REPLAY_CASES)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32), n_pairs=st.integers(8, 64), fill=st.floats(0, 1))
+def test_replay_reproduces_the_log_of_a_saved_run_under_every_attack_and_verdict(
+    attack, attack_prob, verdict, seed, n_pairs, fill
+):
+    session, transcript = run_reaching(verdict, attack, attack_prob, seed, n_pairs, fill)
+    again = replay(Transcript.from_jsonl(transcript.to_jsonl()))
+    assert again.phase is session.phase
+    if transcript.completed:
+        assert again.sample_columns() == session.sample_columns()
+
+
+@pytest.mark.parametrize("name", GOLDEN_TRANSCRIPTS)
+def test_every_golden_transcript_replays(name):
+    saved = Transcript.read_jsonl(GOLDEN_DIR / name)
+    assert replay(saved).phase is (Phase.DONE if saved.completed else Phase.ABORTED)
+
+
+def reference_replay(transcript: Transcript) -> str:
+    """replay written out over the log's Events, as the message it raises, or "replays":
+    the config from its record; each party's message from its pauli Events in log
+    order, Alice's without the decoys, cut to the capacity and to the decoded payload
+    length of a completed verdict; the re-run's Events compared one by one."""
+    payload = transcript.config
+    eve = EveStrategy.from_name(payload["eve"]["kind"], payload["eve"]["attack_prob"])
+    config = ProtocolConfig(**{**payload, "eve": eve})
+    decoys = transcript.stats.get("second_check", {}).get("decoy_indices", [])
+    ops: dict[str, list[int]] = {"alice": [], "bob": []}
+    for event in transcript.events:
+        if event.kind == "pauli" and not (event.actor == "alice" and event.payload["pair"] in decoys):
+            ops[event.actor].append(PauliOp[event.payload["op"]].code)
+    messages = []
+    for actor, capacity, decoded in (
+        ("alice", config.alice_capacity_bits, "bob_decoded"), ("bob", config.bob_capacity_bits, "alice_decoded")
+    ):
+        bits = [bit for op in ops[actor][: capacity // 2] for bit in (op >> 1, op & 1)]
+        length = min(getattr(transcript.verdict, decoded).payload_bits, len(bits)) if transcript.completed else len(bits)
+        messages.append(MessageBits(bits=bits[: length + length % 2], pad_bits=length % 2))
+    replayed, events = list(run_protocol(config, *messages).events), list(transcript.events)
+    if replayed == events:
+        return "replays"
+    seq = next((k for k, (a, b) in enumerate(zip(replayed, events)) if a != b), min(len(replayed), len(events)))
+    return f"seq {seq}: the record differs from the replayed run's"
+
+
+def replay_outcome(transcript: Transcript) -> str:
+    try:
+        replay(transcript)
+    except TranscriptInvalid as exc:
+        return str(exc)
+    return "replays"
+
+
+def renumbered(events: list[Event]) -> Transcript:
+    return Transcript([Event(seq, e.actor, e.kind, e.payload) for seq, e in enumerate(events)])
+
+
+DAMAGE_BASES = [
+    run_reaching("completed", "intercept-rand", 1.0, 3, 24, 1.0)[1],  # eve_touch records on both legs
+    run_reaching("completed", "intercept-x", 0.5, 6, 24, 0.7)[1],  # a payload shorter than the capacity
+    run_reaching("completed", "none", 1.0, 5, 24, 1.0)[1],
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_replay_equals_the_reference_on_reordered_and_repeated_records(data):
+    """The pauli and bell_measure records of a completed run, reordered, some
+    dropped and some repeated with another value, go back in before the stats."""
+    base = data.draw(st.sampled_from(DAMAGE_BASES))
+    events = list(base.events)
+    moved = [e for e in events if e.kind in ("pauli", "bell_measure")]
+    kept = [e for e in events if e.kind not in ("pauli", "bell_measure")]
+    records = data.draw(st.lists(st.sampled_from(moved), max_size=2 * len(moved)))
+    if data.draw(st.booleans()):
+        records = data.draw(st.permutations(moved)) + records
+    rewritten = []
+    for event in records:
+        name = "op" if event.kind == "pauli" else "result"
+        value = data.draw(st.sampled_from(_BULK_SCHEMA[event.kind][1][name]))
+        rewritten.append(Event(0, event.actor, event.kind, {**event.payload, name: value}))
+    stats_at = next(i for i, e in enumerate(kept) if e.kind == "stats")
+    transcript = renumbered(kept[:stats_at] + rewritten + kept[stats_at:])
+    assert replay_outcome(transcript) == reference_replay(transcript)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_replay_equals_the_reference_on_damaged_logs(data):
+    """One pair's pauli, bell_measure or eve_touch record duplicated (its copy
+    maybe with another value), dropped or moved, anywhere between the config
+    and the stats record."""
+    base = data.draw(st.sampled_from(DAMAGE_BASES))
+    events = list(base.events)
+    at = data.draw(st.sampled_from(
+        [i for i, e in enumerate(events) if e.kind in ("pauli", "bell_measure", "eve_touch")]
+    ))
+    record = events[at]
+    damage = data.draw(st.sampled_from(["duplicate", "drop", "move"]))
+    if damage != "duplicate":
+        del events[at]
+    if damage != "drop":
+        payload = dict(record.payload)
+        if damage == "duplicate":
+            for name, values in _BULK_SCHEMA[record.kind][1].items():
+                if values is not None and data.draw(st.booleans()):
+                    payload[name] = data.draw(st.sampled_from(values))
+        stats_at = next(i for i, e in enumerate(events) if e.kind == "stats")
+        events.insert(data.draw(st.integers(1, stats_at)), Event(0, record.actor, record.kind, payload))
+    transcript = renumbered(events)
+    outcome = replay_outcome(transcript)
+    assert outcome == reference_replay(transcript)
+    assert (outcome == "replays") == (transcript.events == base.events)  # one that replays is its run
+
+
+@pytest.mark.parametrize("actor", ["alice", "bob"])
+def test_replay_names_the_first_dropped_pauli_record(actor):
+    base = DAMAGE_BASES[2]
+    decoys = set(base.stats["second_check"]["decoy_indices"])
+    paulis = [
+        e for e in base.events
+        if e.kind == "pauli" and e.actor == actor and (actor == "bob" or e.payload["pair"] not in decoys)
+    ]
+    dropped = {paulis[3].seq, paulis[7].seq}
+    damaged = renumbered([e for e in base.events if e.seq not in dropped])
+    with pytest.raises(TranscriptInvalid, match=f"^seq {paulis[3].seq}: the record differs from the replayed run's$"):
+        replay(damaged)
