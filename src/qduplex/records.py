@@ -428,17 +428,16 @@ class EventLog(Sequence):
     def _row(self, shape: int, cell: int, seq: int) -> Event:
         return self._events[cell] if shape == _EVENT else _bulk_event(shape, cell, seq)
 
-    def text(self, start: int = 0, stop: int | None = None, lines: Sequence[str] = ()) -> str:
+    def _text(self, start: int, stop: int, lines: Sequence[str]) -> str:
         """The canonical JSON line of each record from seq start to before stop, in
         log order, each ended by a newline: one % over the rows' joined formats.
-        lines, where given, holds the line of every Event in _events, formatted already."""
-        start, stop, _ = slice(start, stop).indices(len(self))
+        lines holds the line of every Event in _events, formatted already."""
         shapes, pairs = self._shapes[start:stop], self._pairs[start:stop]
         args = pairs * 2  # pair and seq of each row, interleaved; an Event row's seq is its line
-        args[0::2], args[1::2] = pairs, range(start, stop)
+        args[0::2], args[1::2] = pairs, range(start, start + len(pairs))
         at = shapes.find(_EVENT)
         while at >= 0:
-            args[2 * at + 1] = lines[pairs[at]] if lines else _canonical_line(self._events[pairs[at]].to_record())
+            args[2 * at + 1] = lines[pairs[at]]
             at = shapes.find(_EVENT, at + 1)
         return "".join(map(_ROW_LINE.__getitem__, shapes)) % tuple(args)
 
@@ -447,7 +446,7 @@ class EventLog(Sequence):
         Every Event's line is formatted before this returns, so a payload json.dumps
         rejects raises here, before any piece is taken."""
         lines = [_canonical_line(event.to_record()) for event in self._events]
-        return (self.text(start, start + _CHUNK, lines) for start in range(0, len(self), _CHUNK))
+        return (self._text(start, start + _CHUNK, lines) for start in range(0, len(self), _CHUNK))
 
     def select(self, table: bytes) -> tuple[bytes, list[int]]:
         """The bulk records a selection table keeps, in log order: their values and their pairs.

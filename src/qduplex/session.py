@@ -58,6 +58,7 @@ LOG_BYTES_PER_PAIR = 2048
 (about 700 without Eve, about 1070 with every surviving pair but one a decoy and Eve on both legs)."""
 
 MAX_LOG_BYTES = 2**31
+_READ_PIECE = 2**20  # most bytes read_jsonl asks for at once past a file's size at its fstat
 
 MAX_PAIRS = MAX_LOG_BYTES // LOG_BYTES_PER_PAIR
 """Largest block a config may ask for: its transcript stays under MAX_LOG_BYTES."""
@@ -299,8 +300,11 @@ class Transcript:
                 raise TranscriptInvalid(f"transcript {str(path)!r} is not a regular file")
             if (size := status.st_size) <= MAX_LOG_BYTES:
                 data = fh.read(size + 1)  # one byte more shows a file that grew since
-                if len(data) > size:
-                    data += fh.read(MAX_LOG_BYTES - size)
+                if len(data) > size:  # read on a piece at a time, to one byte past MAX_LOG_BYTES
+                    grown = bytearray(data)
+                    while (left := MAX_LOG_BYTES + 1 - len(grown)) and (piece := fh.read(min(left, _READ_PIECE))):
+                        grown += piece
+                    data = bytes(grown)
                     if len(data) > MAX_LOG_BYTES:
                         size = fh.seek(0, os.SEEK_END)
             if size > MAX_LOG_BYTES:

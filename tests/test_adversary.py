@@ -533,7 +533,7 @@ def test_eve_information_counts_equal_the_reference_on_live_runs(attack, attack_
         assert eve_information(saved) == mutual_information_bits(guesses)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     attack=st.sampled_from([kind.value for kind in AttackKind]),
     attack_prob=st.sampled_from([0.0, 0.25, 0.5, 1.0]),

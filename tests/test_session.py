@@ -9,6 +9,7 @@ import math
 import os
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -349,7 +350,7 @@ def test_every_bulk_shape_writes_the_json_dumps_line_of_its_event():
             Event(seq=seq, actor=actor, kind=kind, payload={**payload, "pair": pair})
             for seq, pair in enumerate((0, 7, 4095, 123_456_789, 2**62))
         ]
-        assert EventLog(events).text() == "".join(
+        assert "".join(EventLog(events).texts()) == "".join(
             json.dumps(event.to_record(), sort_keys=True, separators=(",", ":")) + "\n"
             for event in events
         ), (kind, actor, payload)
@@ -2009,9 +2010,9 @@ def test_a_log_of_events_and_bulk_records_reads_as_its_event_list(items, data):
         assert list(reversed(log)) == events[::-1]
         assert log == events and not log != events
         assert log != events[:-1] or n == 0
-        assert log.text() == canonical_jsonl(events)
-        split = data.draw(st.integers(0, n))
-        assert log.text(0, split) + log.text(split) == canonical_jsonl(events)
+        chunk = data.draw(st.integers(1, n + 1))
+        with mock.patch.object(records_module, "_CHUNK", chunk):
+            assert list(log.texts()) == [canonical_jsonl(events[i : i + chunk]) for i in range(0, n, chunk)]
         custody = bytearray(max(n, 4))  # pairs are below the recorder's 4, Event indices below len(log)
         assert reference_custody(log) == [] == _apply_custody(custody, 0, log._shapes, log._pairs)
     assert recorder.events == EventLog(events)
@@ -2610,18 +2611,14 @@ def grow_after_fstat(monkeypatch, path: Path, extra: bytes) -> None:
     monkeypatch.setattr(os, "fstat", fstat_then_grow)
 
 
-def test_read_jsonl_refuses_a_file_that_grows_past_max_log_bytes_after_its_size_is_taken(tmp_path, monkeypatch):
-    """The file is read to one byte past MAX_LOG_BYTES, however far it grew."""
-    data = (GOLDEN_DIR / GOLDEN_TRANSCRIPTS[0]).read_bytes()
-    path = tmp_path / "run.jsonl"
-    path.write_bytes(data)
-    monkeypatch.setattr(session_module, "MAX_LOG_BYTES", len(data) + 10)
-    grow_after_fstat(monkeypatch, path, b"\n" * 100_000)
-    read = []
+def count_reads(monkeypatch) -> list[tuple[int, int]]:
+    """Make read_jsonl's open count each read: the list it returns gets the size
+    asked for and the bytes returned of every read."""
+    reads = []
 
     class CountingReader(io.BufferedReader):
         def read(self, size=-1):
-            read.append(len(chunk := super().read(size)))
+            reads.append((size, len(chunk := super().read(size))))
             return chunk
 
     def counting_open(file, mode, opener):
@@ -2629,20 +2626,41 @@ def test_read_jsonl_refuses_a_file_that_grows_past_max_log_bytes_after_its_size_
         return CountingReader(io.FileIO(file, mode, opener=opener))
 
     monkeypatch.setattr(session_module, "open", counting_open, raising=False)
+    return reads
+
+
+def test_read_jsonl_refuses_a_file_that_grows_past_max_log_bytes_after_its_size_is_taken(tmp_path, monkeypatch):
+    """The file is read to one byte past MAX_LOG_BYTES, however far it grew."""
+    data = (GOLDEN_DIR / GOLDEN_TRANSCRIPTS[0]).read_bytes()
+    path = tmp_path / "run.jsonl"
+    path.write_bytes(data)
+    monkeypatch.setattr(session_module, "MAX_LOG_BYTES", len(data) + 10)
+    grow_after_fstat(monkeypatch, path, b"\n" * 100_000)
+    reads = count_reads(monkeypatch)
     with pytest.raises(
         TranscriptInvalid, match=f"^transcript is {len(data) + 100_000} bytes, over MAX_LOG_BYTES = {len(data) + 10}$"
     ):
         Transcript.read_jsonl(path)
-    assert sum(read) == len(data) + 11
+    assert sum(got for _, got in reads) == len(data) + 11
 
 
-def test_read_jsonl_reads_on_through_a_file_that_grows_within_max_log_bytes(tmp_path, monkeypatch):
+@pytest.mark.parametrize("piece", [None, 7])
+def test_read_jsonl_reads_on_through_a_file_that_grows_within_max_log_bytes(tmp_path, monkeypatch, piece):
+    """Past the size the file had at its fstat, no read asks for more than _READ_PIECE
+    bytes, so a file that grew by a line costs no allocation of MAX_LOG_BYTES."""
     data = (GOLDEN_DIR / GOLDEN_TRANSCRIPTS[0]).read_bytes()
     last = data.rindex(b"\n", 0, len(data) - 1) + 1  # where the verdict line starts
     path = tmp_path / "run.jsonl"
     path.write_bytes(data[:last])
+    if piece is not None:
+        monkeypatch.setattr(session_module, "_READ_PIECE", piece)
     grow_after_fstat(monkeypatch, path, data[last:])
+    reads = count_reads(monkeypatch)
     assert Transcript.read_jsonl(path).to_jsonl().encode() == data
+    assert reads[0] == (last + 1, last + 1)
+    assert all(0 < asked <= session_module._READ_PIECE for asked, _ in reads[1:])
+    assert sum(got for _, got in reads) == len(data)
+    assert len(reads) >= 1 + (len(data) - last - 1) // session_module._READ_PIECE
 
 
 # ---------------------------------------------------------------------------
