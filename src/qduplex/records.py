@@ -8,14 +8,14 @@ table is rejected where it enters the log.  This module owns the
 canonical JSONL line of every record, writes the lines and reads them back
 a chunk at a time (a bulk line by its masked template, any other line
 through json.loads), states the frame of every transcript, and is the only
-module that spells a record shape: a Session takes its shape codes from
-shape_codes.  It holds the one copy of the custody rules with the byte
-tables built from them, and the recorder that enforces them as a Session
-appends its records and numbers the wire.  The recorder steps its
-bytearray of states, indexed by pair, one run of pairs at a time with a
-table's translate, and one record at a time where that does not apply;
-replay_custody replays a log one record at a time through a list indexed
-by pair, or a dict where a pair cell falls outside the log's length.
+module that spells a record shape or a value: a Session passes shape codes
+from shape_codes, and message codes.  It holds the one copy of the custody
+rules with the byte tables built from them, and the recorder that enforces
+them as a Session appends its records and numbers the wire.  The recorder
+steps its bytearray of states, indexed by pair, one run of pairs at a time
+with a table's translate, and one record at a time where that does not
+apply; replay_custody replays a log one record at a time through a list
+indexed by pair, or a dict where a pair cell falls outside the log's length.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ class Event:
 _SLOT_NAMES = ("C", "M")
 _BASES = ("Z", "X")
 _BITS = (0, 1)
+_OPS = ("U0", "U1", "U2", "U3")  # by op code
+_BELL_STATES = ("psi_minus", "psi_plus", "phi_minus", "phi_plus")  # by Bell index
 _PARTIES = ("alice", "bob")
 
 # The custody kinds of FORMAT.md's record-kind table: for each, the actors
@@ -73,10 +75,8 @@ _BULK_SCHEMA: dict[str, tuple[tuple[str, ...], dict[str, tuple | None]]] = {
     ),
     "receive": (("bob",), {"pair": None, "slot": _SLOT_NAMES}),
     "measure": (_PARTIES, {"basis": _BASES, "outcome": _BITS, "pair": None, "slot": _SLOT_NAMES}),
-    "pauli": (_PARTIES, {"op": ("U0", "U1", "U2", "U3"), "pair": None, "slot": _SLOT_NAMES}),
-    "bell_measure": (
-        ("bob",), {"pair": None, "result": ("psi_minus", "psi_plus", "phi_minus", "phi_plus")}
-    ),
+    "pauli": (_PARTIES, {"op": _OPS, "pair": None, "slot": _SLOT_NAMES}),
+    "bell_measure": (("bob",), {"pair": None, "result": _BELL_STATES}),
 }
 # Every kind of FORMAT.md's record-kind table, with the actors that write it.
 # The kinds outside _BULK_SCHEMA are kept as Events; all but a stats record
@@ -158,7 +158,7 @@ for _kind, (_actors, _fields) in _BULK_SCHEMA.items():
 _EVENT = len(_SHAPE_LINE)
 assert _EVENT <= 0xFF, "shape codes must fit in a byte"
 # code -> canonical line and newline, a %-format over (pair, seq); an Event row
-# drops its pair cell and writes its seq's argument, which EventLog.text sets to its line
+# drops its pair cell and writes its seq's argument, which EventLog._text sets to its line
 _ROW_LINE = (*(line + "\n" for line in _SHAPE_LINE), "%.0s%s\n")
 
 # a selection's value -> 1 where it keeps the record, 0 where it skips it (0xFF)
@@ -338,11 +338,12 @@ class EventLog(Sequence):
     Every record is one row of two columns, at its seq.  A record of a
     custody kind is its shape code in _BULK_SCHEMA and its pair; every other
     record is the code _EVENT and its index in _events, which keeps its
-    Event.  A record enters only if its seq is its position and it fits a
-    row of FORMAT.md's record-kind table (see _record_shape); otherwise
-    building the log raises TranscriptInvalid.  The Event of a bulk record
-    is built only when it is asked for.  len() is O(1), iteration goes in
-    seq order, and the log compares equal to the list of Events it represents.
+    Event.  A record enters only if its seq is its position, it fits a row of
+    FORMAT.md's record-kind table (see _record_shape), and, built by hand,
+    json.dumps takes its payload; otherwise building the log raises
+    TranscriptInvalid.  The Event of a bulk record is built only when it is asked
+    for.  len() is O(1), iteration goes in seq order, and the log compares equal
+    to the list of Events it represents.
     """
 
     __slots__ = ("_shapes", "_pairs", "_events")
@@ -353,6 +354,12 @@ class EventLog(Sequence):
         self._events: list[Event] = []  # every record that is not a bulk record, in log order
         for event in events:
             self._append(event)
+            if self._shapes[-1] == _EVENT:  # a hand-built Event: its line must format
+                try:
+                    _canonical_line(event.to_record())
+                except (TypeError, ValueError, RecursionError) as exc:  # ValueError: a circular payload
+                    message = f"seq {event.seq}: {event.kind} record with a payload JSON cannot hold: {exc}"
+                    raise TranscriptInvalid(message) from exc
 
     # -- building
 
@@ -644,18 +651,18 @@ def replay_custody(log: EventLog) -> list[str]:
 # Recording
 
 
-# Each FORMAT.md message `type` and the payload field that lists pair
-# indices, or None.  This table is the only definition of the wire; an
-# indexed field holds bare indices or [index, value] entries.
-_MESSAGE_INDEX_FIELD: dict[str, str | None] = {
-    "check_indices": "indices",
-    "basis_announce": "bases",
-    "outcome_announce": "outcomes",
-    "check_verdict": None,
-    "second_check_indices": "indices",
-    "second_check_reveal": "ops",
-    "bell_results": "results",
-    "abort": None,
+# Each FORMAT.md message `type`: its payload field that lists pair indices, or None, and
+# the spelling of each index's value by code, or None for bare indices.  This table is the
+# only definition of the wire; a spelled field holds [index, spelling[code]] entries.
+_WIRE: dict[str, tuple[str | None, tuple | None]] = {
+    "check_indices": ("indices", None),
+    "basis_announce": ("bases", _BASES),
+    "outcome_announce": ("outcomes", _BITS),
+    "check_verdict": (None, None),
+    "second_check_indices": ("indices", None),
+    "second_check_reveal": ("ops", _OPS),
+    "bell_results": ("results", _BELL_STATES),
+    "abort": (None, None),
 }
 
 
@@ -741,20 +748,28 @@ class _Recorder:
             custody[:] = before
         self.record(shapes, pairs)
 
-    def send(self, sender: str, type: str, **fields: object) -> None:
-        """Put one classical message on the wire; fields are already in wire form."""
-        if type not in _MESSAGE_INDEX_FIELD:
+    def send(self, sender: str, type: str, indices: Sequence[int] = (), codes: bytes = b"", **fields) -> None:
+        """Put one message on the wire: its pair indices, the code of each index's value where _WIRE
+        spells one, a byte each, and its other fields in wire form; one off _WIRE raises InternalFault."""
+        if type not in _WIRE:
             raise InternalFault(f"unknown message type {type!r}")
-        index_field = _MESSAGE_INDEX_FIELD[type]
-        if index_field:
-            entries = fields[index_field]
-            indices = entries if index_field == "indices" else list(map(operator.itemgetter(0), entries))
+        index_field, spelling = _WIRE[type]
+        if index_field is None:
+            if indices or codes:
+                raise InternalFault(f"{type} message takes no indices")
+        else:
             if not all(map(operator.lt, indices, islice(indices, 1, None))):
                 raise InternalFault("message indices must be strictly increasing")
             # increasing, so the first index out of range is the first or the first past the end
             if indices and not (0 <= indices[0] and indices[-1] < self._n_pairs):
                 i = indices[0] if indices[0] < 0 else indices[bisect_left(indices, self._n_pairs)]
                 raise InternalFault(f"message index {i} outside pair range")
+            if len(codes) != (needed := len(indices) if spelling else 0):
+                raise InternalFault(f"{type} message needs {needed} codes, not {len(codes)}")
+            try:  # a code is a byte, so only one past the spelling falls outside it
+                fields[index_field] = [[i, spelling[code]] for i, code in zip(indices, codes)] if codes else indices
+            except IndexError:
+                raise InternalFault(f"{type} message with a code outside 0..{len(spelling) - 1}") from None
         payload = {"msg_seq": self._msg_seq, "sender": sender, "type": type, **fields}
         self._msg_seq += 1
         self.emit(sender, "message", payload)

@@ -4,10 +4,10 @@ One Session runs the whole exchange between an in-process Alice and Bob:
 pair preparation, the travelling-photon leg with Eve on the channel, the
 anticorrelation check, both parties' encodings, Bob's Bell measurements
 and announcement, the decoy check, and decoding.  Everything observable
-goes through records._Recorder, which numbers the wire and keeps custody,
-as shape codes from records.shape_codes, into an append-only event log
-whose serialized form replays byte for byte under a fixed config, seed,
-and message pair.
+goes through records._Recorder, which numbers and spells the wire and keeps
+custody, as message codes and shape codes from records.shape_codes, into an
+append-only event log whose serialized form replays byte for byte under a
+fixed config, seed, and message pair.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 from .adversary import _BASES, EveRecord, EveStrategy, Leg, leg_slot, transit
 from .codec import _BIT_DIGIT, MessageBits
 from .qsim import (
-    BellState,
     InternalFault,
     PauliOp,
     QubitSlot,
@@ -442,15 +441,11 @@ class Session:
         cfg = self.config
         count = cfg.first_check_count
         chosen = sorted(self._bob_rng.choice(cfg.n_pairs, count))
-        self._rec.send("bob", "check_indices", indices=chosen)
-        bases = [self._bob_rng.bit() for _ in chosen]  # codes into _BASES
+        self._rec.send("bob", "check_indices", chosen)
+        bases = bytes([self._bob_rng.bit() for _ in chosen])  # codes into _BASES
         bob_seen = self._measure("bob", self._bob_rng, chosen, QubitSlot.C, bases)
-        self._rec.send(
-            "bob", "basis_announce", bases=[[i, _BASES[b].value] for i, b in zip(chosen, bases)]
-        )
-        self._rec.send(
-            "bob", "outcome_announce", outcomes=[[i, c & 1] for i, c in zip(chosen, bob_seen)]
-        )
+        self._rec.send("bob", "basis_announce", chosen, bases)
+        self._rec.send("bob", "outcome_announce", chosen, bytes([c & 1 for c in bob_seen]))
         alice_seen = self._measure("alice", self._alice_rng, chosen, QubitSlot.M, bases)
         # one basis a pair, so equal codes are equal outcomes
         violations = sum(a == b for a, b in zip(alice_seen, bob_seen))
@@ -514,11 +509,7 @@ class Session:
         shapes[0::2] = paulis.to_bytes(n, "big").translate(_BOB_PAULI_SHAPE)
         shapes[1::2] = results.translate(_BELL_SHAPE)
         self._rec.record_runs(shapes, self._survivor_ends)
-        self._rec.send(
-            "bob",
-            "bell_results",
-            results=[[i, _BELL_NAME[index]] for i, index in zip(self.survivors, results)],
-        )
+        self._rec.send("bob", "bell_results", self.survivors, results)
 
     def second_check(self) -> bool:
         """Decoy verification of the announced results.
@@ -536,17 +527,11 @@ class Session:
         alice, bob, bell = self._alice_codes, self._bob_codes, self._bell_codes
         mismatches = 0
         if decoys:
-            self._rec.send("alice", "second_check_indices", indices=decoys)
-            self._rec.send(
-                "bob", "second_check_reveal",
-                ops=[[i, _OP_NAME[bob[k]]] for i, k in zip(decoys, at)],
-            )
+            self._rec.send("alice", "second_check_indices", decoys)
+            self._rec.send("bob", "second_check_reveal", decoys, bytes(bob[k] for k in at))
             # the XOR law: both encodings carry the singlet to Bell index a ^ b
             mismatches = sum(bell[k] != alice[k] ^ bob[k] for k in at)
-            self._rec.send(
-                "alice", "second_check_reveal",
-                ops=[[i, _OP_NAME[alice[k]]] for i, k in zip(decoys, at)],
-            )
+            self._rec.send("alice", "second_check_reveal", decoys, bytes(alice[k] for k in at))
             self._rec.send(
                 "alice", "check_verdict", passed=mismatches == 0, violations=mismatches
             )
@@ -625,7 +610,7 @@ class Session:
         rng: Stream,
         pairs: list[int],
         slot: QubitSlot,
-        bases: list[int],
+        bases: bytes,
     ) -> bytearray:
         """One party measures its photon of each pair in that pair's basis and logs the outcomes.
 
@@ -653,9 +638,7 @@ class Session:
 # Lookup tables of the per-pair loops, indexed by integer codes: an op's
 # code, a basis code, a side bit (0: C, 1: M), a Bell index or an outcome.
 _OPS = tuple(PauliOp)
-_OP_NAME = tuple(op.name for op in _OPS)
 _SIDE_SLOT = (QubitSlot.C, QubitSlot.M)
-_BELL_NAME = tuple(bell.name.lower() for bell in BellState)
 _PREPARE_SHAPE = shape_codes("prepare", "alice")[0]
 # translate tables: an op code, an op code * 2 + side, or a Bell index -> its record's shape
 _ALICE_PAULI_SHAPE = shape_codes("pauli", "alice", slot="M")

@@ -3,9 +3,10 @@ module level is read by another module, README's library example or the benchmar
 the top level exports exactly the names of that example, the modules a run
 goes through name no numpy Generator or bit generator state, qsim draws
 nothing itself, session.py reaches the custody ledger only through
-records.py's recorder and shape_codes, adversary.py reads a live run
-only through Session.run and Session.sample_columns and imports nothing
-from records.py, and every file the package opens is opened with an
+records.py's recorder and shape_codes, session.py and adversary.py spell no
+value of the wire table, which records.py spells once, adversary.py reads a
+live run only through Session.run and Session.sample_columns and imports
+nothing from records.py, and every file the package opens is opened with an
 encoding or in a binary mode."""
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import pytest
 
 import qduplex
 from qduplex import pack_bits
+from qduplex.records import _WIRE
 
 PACKAGE = sorted(Path(qduplex.__file__).parent.glob("*.py"))
 MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
@@ -343,6 +345,52 @@ def test_records_internals_read_are_found():
     ) == [
         "_SHAPE_ID (line 1)", "_run_step (line 2)", "_RECORD_STEP (line 6)",
         "._extend (line 9)", "._pairs (line 9)",
+    ]
+
+
+# the strings _WIRE spells an entry's value with: the basis, op and Bell-state names,
+# which are _BULK_SCHEMA's values of those fields
+_WIRE_STRINGS = {value for _, spelling in _WIRE.values() for value in spelling or () if type(value) is str}
+
+
+def wire_spellings(source: str) -> list[str]:
+    """Each .name attribute a source reads and each string constant it holds that
+    _WIRE spells, with its line: only records.py spells a transcript value, so a
+    run's codes reach the wire unnamed and no spelling follows a qsim member's name."""
+    found = [
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "name"
+        or isinstance(node, ast.Constant) and type(node.value) is str and node.value in _WIRE_STRINGS
+    ]
+    return [
+        f".name (line {node.lineno})" if isinstance(node, ast.Attribute) else f"{node.value!r} (line {node.lineno})"
+        for node in sorted(found, key=lambda node: (node.lineno, node.col_offset))
+    ]
+
+
+@pytest.mark.parametrize("name", ["session.py", "adversary.py"])
+def test_a_run_spells_no_wire_value(name):
+    assert wire_spellings((Path(qduplex.__file__).parent / name).read_text(encoding="utf-8")) == []
+
+
+def test_records_spells_each_wire_value_once():
+    """records.py writes each string _WIRE spells once, so _WIRE and _BULK_SCHEMA share one
+    spelling; the identity of their tuples cannot show this, as CPython merges equal constants."""
+    found = wire_spellings((Path(qduplex.__file__).parent / "records.py").read_text(encoding="utf-8"))
+    assert sorted(item.partition(" (line")[0] for item in found) == sorted(map(repr, _WIRE_STRINGS))
+
+
+def test_wire_spellings_are_found():
+    assert {"Z", "X", "U0", "U3", "psi_minus", "phi_plus"} <= _WIRE_STRINGS
+    assert wire_spellings(
+        "ops = tuple(op.name for op in PauliOp)\n"
+        "bell = BellState.PSI_MINUS.name.lower()\n"
+        "entry = [i, 'psi_plus']; doc = 'U0 is the identity'\n"
+        "bases = {'basis': 'Z', 'X': 1}\n"
+        "code = op.value; name = 'U2'[1:]\n"
+        "slot, outcome = 'C', 1\n"
+    ) == [
+        ".name (line 1)", ".name (line 2)", "'psi_plus' (line 3)", "'Z' (line 4)", "'X' (line 4)", "'U2' (line 5)",
     ]
 
 

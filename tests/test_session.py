@@ -49,7 +49,6 @@ from qduplex.records import (
     _CLASS_SHAPES,
     _EVENT,
     _KIND_ACTORS,
-    _MESSAGE_INDEX_FIELD,
     _RECORD_STEP,
     _SHAPE_ID,
     _SHAPE_RECORD,
@@ -57,6 +56,7 @@ from qduplex.records import (
     _SHAPE_STEP,
     _STATE,
     _STATE_HOLDERS,
+    _WIRE,
     _Recorder,
     _apply_custody,
     _bulk_event,
@@ -2099,40 +2099,62 @@ def test_a_session_whose_log_breaks_the_frame_builds_no_transcript():
 
 
 @pytest.mark.parametrize(
-    "message_type, fields, message",
+    "message_type, indices, codes, message",
     [
-        ("greeting", {}, "unknown message type 'greeting'"),
-        ("check_indices", {"indices": [1, 1]}, "message indices must be strictly increasing"),
-        ("basis_announce", {"bases": [[2, "Z"], [0, "X"]]}, "message indices must be strictly increasing"),
-        ("check_indices", {"indices": [0, 4]}, "message index 4 outside pair range"),
-        ("outcome_announce", {"outcomes": [[-1, 0]]}, "message index -1 outside pair range"),
+        ("greeting", [], b"", "unknown message type 'greeting'"),
+        ("check_indices", [1, 1], b"", "message indices must be strictly increasing"),
+        ("basis_announce", [2, 0], b"\0\1", "message indices must be strictly increasing"),
+        ("check_indices", [0, 4], b"", "message index 4 outside pair range"),
+        ("outcome_announce", [-1], b"\0", "message index -1 outside pair range"),
+        ("bell_results", [0, 1, 3], b"\0\4\2", "bell_results message with a code outside 0..3"),
+        ("basis_announce", [1], b"\2", "basis_announce message with a code outside 0..1"),
+        ("second_check_reveal", [0, 2], b"\1", "second_check_reveal message needs 2 codes, not 1"),
+        ("check_indices", [0, 2], b"\1\0", "check_indices message needs 0 codes, not 2"),
+        ("check_verdict", [0], b"", "check_verdict message takes no indices"),
     ],
-    ids=["unknown type", "repeated index", "decreasing entries", "index past the pairs", "negative index"],
+    ids=[
+        "unknown type", "repeated index", "decreasing entries", "index past the pairs", "negative index",
+        "code past the spelling", "code past two bases", "a code short", "codes on bare indices", "indices on no field",
+    ],
 )
-def test_the_recorder_puts_no_message_off_the_wire_table_on_the_wire(message_type, fields, message):
+def test_the_recorder_puts_no_message_off_the_wire_table_on_the_wire(message_type, indices, codes, message):
     recorder = _Recorder(n_pairs=4)
     with pytest.raises(InternalFault, match=f"^{re.escape(message)}$"):
-        recorder.send("bob", message_type, **fields)
+        recorder.send("bob", message_type, indices, codes)
     assert len(recorder.events) == 0
-    recorder.send("bob", "check_indices", indices=[0, 3])  # the wire is still numbered from 0
+    recorder.send("bob", "check_indices", [0, 3])  # the wire is still numbered from 0
     assert recorder.events[0].payload["msg_seq"] == 0
 
 
 @pytest.mark.parametrize(
-    "message_type, fields, bad",
+    "message_type, indices, codes, bad",
     [
-        ("check_indices", {"indices": [0, 4, 5]}, 4),
-        ("check_indices", {"indices": [1, 2, 3, 6, 9]}, 6),
-        ("bell_results", {"results": [[-3, "psi_minus"], [-1, "phi_plus"], [2, "psi_plus"]]}, -3),
-        ("second_check_reveal", {"ops": [[2, "U0"], [3, "U1"], [7, "U2"], [8, "U3"]]}, 7),
+        ("check_indices", [0, 4, 5], b"", 4),
+        ("check_indices", [1, 2, 3, 6, 9], b"", 6),
+        ("bell_results", [-3, -1, 2], b"\0\3\1", -3),
+        ("second_check_reveal", [2, 3, 7, 8], b"\0\1\2\3", 7),
     ],
 )
-def test_the_recorder_names_the_first_index_out_of_range(message_type, fields, bad):
+def test_the_recorder_names_the_first_index_out_of_range(message_type, indices, codes, bad):
     """The check that stops a message names the first index, in message order, outside the pairs."""
     recorder = _Recorder(n_pairs=4)
     with pytest.raises(InternalFault, match=f"^message index {bad} outside pair range$"):
-        recorder.send("bob", message_type, **fields)
+        recorder.send("bob", message_type, indices, codes)
     assert len(recorder.events) == 0
+
+
+def test_the_recorder_spells_each_entry_from_its_code():
+    """Each spelled field's entry is [index, the wire table's spelling of its code]."""
+    recorder = _Recorder(n_pairs=4)
+    recorder.send("bob", "bell_results", [0, 1, 2, 3], bytearray([3, 0, 2, 1]))
+    recorder.send("bob", "basis_announce", [1, 3], b"\1\0")
+    recorder.send("alice", "check_verdict", passed=True, violations=0)
+    assert [event.payload for event in recorder.events] == [
+        {"msg_seq": 0, "sender": "bob", "type": "bell_results",
+         "results": [[0, "phi_plus"], [1, "psi_minus"], [2, "phi_minus"], [3, "psi_plus"]]},
+        {"msg_seq": 1, "sender": "bob", "type": "basis_announce", "bases": [[1, "X"], [3, "Z"]]},
+        {"msg_seq": 2, "sender": "alice", "type": "check_verdict", "passed": True, "violations": 0},
+    ]
 
 
 @pytest.mark.parametrize(
@@ -2541,15 +2563,26 @@ def test_bulk_records_build_no_event_on_the_run_write_read_audit_and_estimator_p
 
 
 def test_format_md_message_table_matches_the_wire_table():
-    """FORMAT.md's classical-message table lists exactly the types of
-    _MESSAGE_INDEX_FIELD, each with the field that lists pair indices, or none."""
+    """FORMAT.md's classical-message table lists exactly the types of _WIRE, each
+    with the field that lists pair indices, or none, and each entry field with
+    _WIRE's spelling of its values by code; _WIRE's spellings are the very
+    tuples _BULK_SCHEMA holds for the same values."""
     text = (Path(__file__).parents[1] / "FORMAT.md").read_text(encoding="utf-8")
     table = text.split("### Classical messages", 1)[1].split("###", 1)[0].split("\n|-", 1)[1]
     rows = re.findall(r"^\| `(\w+)` *\| ([^|]+) \|$", table, re.MULTILINE)
-    assert [message_type for message_type, _ in rows] == list(_MESSAGE_INDEX_FIELD)
+    assert [message_type for message_type, _ in rows] == list(_WIRE)
     # a field that lists pair indices reads "`name`: pair indices" or "`name`: `[pair, ...]` entries"
     documented = {t: re.findall(r"`(\w+)`: (?:pair indices|`\[pair, )", fields) for t, fields in rows}
-    assert documented == {t: [name] if name else [] for t, name in _MESSAGE_INDEX_FIELD.items()}
+    assert documented == {t: [name] if name else [] for t, (name, _) in _WIRE.items()}
+    # an entry field's spellings follow "by code:" as backquoted items, in code order
+    spelled = {t: re.findall(r"`([^`]+)`", fields.partition("by code:")[2]) for t, fields in rows}
+    assert spelled == {t: [str(value) for value in spelling or ()] for t, (_, spelling) in _WIRE.items()}
+    # each entry field spells the values of one custody field, by the same tuple wherever it appears
+    schema_field = {"bases": "basis", "outcomes": "outcome", "ops": "op", "results": "result"}
+    for field, spelling in _WIRE.values():
+        if spelling is not None:
+            held = [fields[schema_field[field]] for _, fields in _BULK_SCHEMA.values() if schema_field[field] in fields]
+            assert held and all(values is spelling for values in held), field
 
 
 def test_format_md_record_kind_table_matches_the_bulk_schema():
@@ -2585,16 +2618,29 @@ def test_format_md_record_kind_table_matches_the_bulk_schema():
 
 
 def test_a_write_jsonl_that_raises_leaves_the_file_at_its_path_as_it_was(tmp_path):
-    """A hand-built transcript whose message payload json.dumps rejects raises before
-    the file is opened, so an existing file keeps its bytes."""
-    events = list(Transcript.read_jsonl(GOLDEN_DIR / GOLDEN_TRANSCRIPTS[0]).events)
-    at = max(i for i, e in enumerate(events) if e.kind == "message")
-    events[at] = Event(at, events[at].actor, "message", {**events[at].payload, "note": {1}})
+    """A transcript whose message payload json.dumps rejects, changed in place after it
+    was built, raises before the file is opened, so an existing file keeps its bytes."""
+    transcript = Transcript.read_jsonl(GOLDEN_DIR / GOLDEN_TRANSCRIPTS[0])
+    message = [e for e in transcript.events if e.kind == "message"][-1]
+    message.payload["note"] = {1}
     path = tmp_path / "run.jsonl"
     path.write_bytes(b"old bytes\n")
     with pytest.raises(TypeError, match="set is not JSON serializable"):
-        Transcript(events).write_jsonl(path)
+        transcript.write_jsonl(path)
     assert path.read_bytes() == b"old bytes\n"
+
+
+@pytest.mark.parametrize("note", [{1}, b"1", None], ids=["set", "bytes", "self-containing dict"])
+def test_a_hand_built_transcript_refuses_a_payload_json_cannot_hold(note):
+    """A hand-built Event whose payload json.dumps rejects raises TranscriptInvalid, naming
+    its seq, where it enters the log, as its line could never be written or read back."""
+    events = list(Transcript.read_jsonl(GOLDEN_DIR / GOLDEN_TRANSCRIPTS[0]).events)
+    at = max(i for i, e in enumerate(events) if e.kind == "message")
+    payload = {**events[at].payload}
+    payload["note"] = payload if note is None else note
+    events[at] = Event(at, events[at].actor, "message", payload)
+    with pytest.raises(TranscriptInvalid, match=f"^seq {at}: message record with a payload JSON cannot hold: "):
+        Transcript(events)
 
 
 def grow_after_fstat(monkeypatch, path: Path, extra: bytes) -> None:
