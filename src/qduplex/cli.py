@@ -36,7 +36,7 @@ from .qsim import (
     bell_probabilities,
     make_singlet,
 )
-from .session import CapacityExceeded, ConfigInvalid, ProtocolConfig, run_protocol
+from .session import CapacityExceeded, ConfigInvalid, ProtocolConfig, _open_nonblocking, run_protocol
 
 # Each key of the run spec: its type, its default, and its --help text, in
 # which {} stands for the default.  The flags, the config-file keys and the
@@ -83,10 +83,10 @@ _ECHO_CHARS = 40  # how much of a config line, key or value an error message rep
 
 
 def _read_head(path: str, size: int) -> bytes:
-    """The first size bytes of a file.  It is opened non-blocking, as
-    Transcript.read_jsonl opens one, so that a FIFO no process writes to reads
-    as empty at once; its reads block, so a pipe with data reads in full."""
-    with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
+    """The first size bytes of a file, opened as Transcript.read_jsonl opens one, so
+    that a FIFO no process writes to reads as empty at once; its reads block, so a
+    pipe with data reads in full."""
+    with _open_nonblocking(path) as fh:
         os.set_blocking(fh.fileno(), True)
         return fh.read(size)
 

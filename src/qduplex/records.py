@@ -184,7 +184,9 @@ def shape_codes(kind: str, actor: str, **fixed: object) -> bytes:
 # digit, its mid, one 0xFF per seq digit, and "}".  The shapes whose lines
 # differ only in one digit of the head, the U0-U3 op or the outcome, form a
 # class, keyed by the line with its digits deleted; that digit picks the shape.
-_MASK = bytes(0xFF if 0x30 <= b <= 0x39 else b for b in range(256))
+# Every byte past ASCII masks to 0x80, which no template holds, so that a raw
+# 0xFF reads as no digit and a line that holds one goes to json.loads.
+_MASK = bytes(0xFF if 0x30 <= b <= 0x39 else min(b, 0x80) for b in range(256))
 _MAX_DIGITS = 18  # a number of up to 18 digits fits an int64
 # digit-free line -> the masked head and mid, the offset of the head's value
 # byte (0, its "{", where it has no digit), and the class's row of _CLASS_SHAPE
@@ -203,11 +205,6 @@ for _code, _line in enumerate(_SHAPE_LINE):
 _CLASS_SHAPE = np.frombuffer(b"".join(_class_rows), np.uint8).reshape(len(_class_rows), 256)
 # lines read, or rows written, at a time: the reader's buffers stay a few hundred KB
 _CHUNK = 4096
-_SCAN = 1 << 20  # bytes searched for line ends at a time
-# str.splitlines' line breaks other than "\n": a text that holds one is rejoined with
-# "\n" before it is read, so that its lines are those of str.splitlines
-_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
-_ASCII_BREAKS = tuple(brk.encode("ascii") for brk in _BREAKS if brk.isascii())
 
 
 def _template(masked: bytes) -> tuple[int, int, int, int, int]:
@@ -238,9 +235,10 @@ def _read_chunk(data: bytes, starts: np.ndarray, ends: np.ndarray, first: int) -
     that is the canonical line of a bulk record whose seq is its line number,
     first + its index; 0xFF and 0 for every other line.
 
-    The lines are consecutive, "\\n" apart, and data is ASCII.  Their byte range
-    is masked and split once, and each distinct masked line is matched against
-    its class's template once.  Numbers are read with numpy.
+    The lines are consecutive, "\\n" apart, and data is UTF-8, whose bytes past
+    ASCII mask to one no template holds.  Their byte range is masked and split
+    once, and each distinct masked line is matched against its class's template
+    once.  Numbers are read with numpy.
     """
     masked = data[starts[0] : ends[-1]].translate(_MASK).split(b"\n")
     index = {line: k for k, line in enumerate(dict.fromkeys(masked))}
@@ -309,14 +307,14 @@ def _bulk_event(shape: int, pair: int, seq: int) -> Event:
     return Event(seq=seq, actor=actor, kind=kind, payload=payload)
 
 
-def _line_event(lineno: int, line: str) -> Event:
-    """The Event of a line that json.loads reads as an object with exactly seq,
-    actor, kind and payload; TranscriptInvalid for any other line."""
+def _line_event(lineno: int, line: bytes) -> Event:
+    """The Event of a line that is UTF-8 and that json.loads reads as an object with
+    exactly seq, actor, kind and payload; TranscriptInvalid for any other line."""
     if not line.strip():
         raise TranscriptInvalid(f"blank record at line {lineno}")
     try:
-        raw = json.loads(line)
-    # not JSON, an integer past int()'s digit limit, or nesting past the recursion limit
+        raw = json.loads(line.decode("utf-8"))  # decoded strictly: json.loads would take UTF-16 or a BOM
+    # not UTF-8, not JSON, an integer past int()'s digit limit, or nesting past the recursion limit
     except (ValueError, RecursionError) as exc:
         raise TranscriptInvalid(f"line {lineno}: {exc}") from exc
     if not isinstance(raw, dict) or raw.keys() != {"seq", "actor", "kind", "payload"}:
@@ -383,52 +381,49 @@ class EventLog(Sequence):
         self._pairs.extend(pairs)
 
     @classmethod
-    def parse(cls, text: str | bytes) -> "EventLog":
+    def parse(cls, pieces: Iterable[bytes]) -> "EventLog":
         """Read one JSON record per line; seqs must be dense from 0.
 
-        text is the transcript's text, or its bytes where they are ASCII; the
-        lines are those of str.splitlines.  Raises TranscriptInvalid on bytes
-        that are not ASCII, a blank line, a line json.loads rejects
-        (including an over-long integer or over-deep nesting), a line that
-        is not an object with exactly seq, actor, kind and payload, a seq
-        other than its line number, or a record that fits no row of
-        FORMAT.md's record-kind table.
+        pieces are the transcript's UTF-8 bytes, cut anywhere.  Each line ends
+        at "\\n", and the last may end at the end of the text.  Raises
+        TranscriptInvalid on a blank line, a line that is not UTF-8 or that
+        json.loads rejects (including an over-long integer or over-deep
+        nesting), a line that is not an object with exactly seq, actor, kind
+        and payload, a seq other than its line number, or a record that fits
+        no row of FORMAT.md's record-kind table.
 
-        The lines are read as ASCII bytes, where a character that is not
-        ASCII reads as "?", _CHUNK at a time.  A canonical bulk line whose seq
-        is its line number goes into the columns from its class's template
-        (_read_chunk); every other line is read by json.loads, in line order.
+        The lines a piece ends are read as they arrive, _CHUNK at a time.  A
+        canonical bulk line whose seq is its line number goes into the columns
+        from its class's template (_read_chunk); every other line is read by
+        json.loads, in line order.
         """
-        if not isinstance(text, str):
-            if not text.isascii():
-                raise TranscriptInvalid("transcript bytes are not ASCII: pass the decoded text")
-            if any(brk in text for brk in _ASCII_BREAKS):
-                text = text.decode("ascii")
-        if isinstance(text, str):
-            if any(brk in text for brk in _BREAKS):  # so that "\n" alone ends each line
-                text = "\n".join(text.splitlines()) + "\n"
-            data = text.encode("ascii", "replace")  # one byte a character
-        else:
-            data = text
-        # every "\n", found _SCAN bytes at a time so that no mask is as large as the text
-        codes = np.frombuffer(data, np.uint8)
-        found = [np.flatnonzero(codes[at : at + _SCAN] == 0x0A) + at for at in range(0, codes.size, _SCAN)]
-        ends = np.concatenate(found) if found else np.empty(0, np.intp)
-        if data and not data.endswith(b"\n"):  # a last line with no newline
+        log, held = cls(), []  # held: the pieces of the line not yet ended
+        for piece in pieces:
+            if end := piece.rfind(b"\n") + 1:
+                log._read_lines(b"".join((*held, piece[:end])))
+                held = [piece[end:]]
+            else:
+                held.append(piece)
+        if last := b"".join(held):  # a last line with no newline
+            log._read_lines(last)
+        return log
+
+    def _read_lines(self, data: bytes) -> None:
+        """Append the record of each line of data, the lines after those read,
+        each ended by "\\n" but maybe the last."""
+        ends = np.flatnonzero(np.frombuffer(data, np.uint8) == 0x0A)
+        if not data.endswith(b"\n"):
             ends = np.append(ends, len(data))
         starts = np.concatenate(([0], ends[:-1] + 1))
-        log = cls()
         for first in range(0, ends.size, _CHUNK):
             chunk = slice(first, first + _CHUNK)
-            shapes, pairs = _read_chunk(data, starts[chunk], ends[chunk], first)
+            shapes, pairs = _read_chunk(data, starts[chunk], ends[chunk], len(self))
             done = 0
             while (k := shapes.find(0xFF, done)) >= 0:  # a line the template did not read
-                log._extend(shapes[done:k], pairs[done:k])
-                line = text[starts[first + k] : ends[first + k]]
-                log._append(_line_event(first + k, line if isinstance(line, str) else line.decode("ascii")))
+                self._extend(shapes[done:k], pairs[done:k])
+                self._append(_line_event(len(self), data[starts[first + k] : ends[first + k]]))
                 done = k + 1
-            log._extend(shapes[done:], pairs[done:])
-        return log
+            self._extend(shapes[done:], pairs[done:])
 
     # -- reading
 

@@ -16,11 +16,11 @@ import enum
 import math
 import os
 import stat
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import chain, compress, pairwise
 from pathlib import Path
-from typing import Union
+from typing import BinaryIO, Union
 
 import numpy as np
 
@@ -57,7 +57,7 @@ LOG_BYTES_PER_PAIR = 2048
 (about 700 without Eve, about 1070 with every surviving pair but one a decoy and Eve on both legs)."""
 
 MAX_LOG_BYTES = 2**31
-_READ_PIECE = 2**20  # most bytes read_jsonl asks for at once past a file's size at its fstat
+_PIECE = 2**20  # most transcript bytes read_jsonl reads, or from_jsonl hands the reader, at once
 
 MAX_PAIRS = MAX_LOG_BYTES // LOG_BYTES_PER_PAIR
 """Largest block a config may ask for: its transcript stays under MAX_LOG_BYTES."""
@@ -281,39 +281,41 @@ class Transcript:
 
     @classmethod
     def from_jsonl(cls, text: str | bytes) -> "Transcript":
-        """Read a transcript's text, or its bytes where they are ASCII (EventLog.parse)."""
-        return cls(EventLog.parse(text))
+        """Read a transcript's UTF-8 bytes, or its text UTF-8-encoded, _PIECE bytes at
+        a time (EventLog.parse).  A lone surrogate is encoded as is, so its line is
+        not UTF-8 and is refused."""
+        data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else text
+        return cls(EventLog.parse(data[at : at + _PIECE] for at in range(0, len(data), _PIECE)))
 
     @classmethod
     def read_jsonl(cls, path: str | Path) -> "Transcript":
         """Raises TranscriptInvalid for a path that is not a regular file or a
-        file over MAX_LOG_BYTES, before reading any of it, and for a file that
-        is not UTF-8.  A missing path or a directory raises OSError.  An ASCII
-        file is read as its bytes, and never decoded whole.  A file that grows
-        after its size is taken is read to one byte past MAX_LOG_BYTES at most,
-        and refused past it."""
-        # non-blocking, so that opening a FIFO with no writer returns
-        with open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
+        file over MAX_LOG_BYTES, before reading any of it.  A missing path or a
+        directory raises OSError.  The file goes to EventLog.parse a piece at a
+        time (_file_pieces) and is never held whole."""
+        with _open_nonblocking(path) as fh:
             status = os.fstat(fh.fileno())
             if not stat.S_ISREG(status.st_mode):
                 raise TranscriptInvalid(f"transcript {str(path)!r} is not a regular file")
-            if (size := status.st_size) <= MAX_LOG_BYTES:
-                data = fh.read(size + 1)  # one byte more shows a file that grew since
-                if len(data) > size:  # read on a piece at a time, to one byte past MAX_LOG_BYTES
-                    grown = bytearray(data)
-                    while (left := MAX_LOG_BYTES + 1 - len(grown)) and (piece := fh.read(min(left, _READ_PIECE))):
-                        grown += piece
-                    data = bytes(grown)
-                    if len(data) > MAX_LOG_BYTES:
-                        size = fh.seek(0, os.SEEK_END)
-            if size > MAX_LOG_BYTES:
-                raise TranscriptInvalid(f"transcript is {size} bytes, over MAX_LOG_BYTES = {MAX_LOG_BYTES}")
-        if not data.isascii():
-            try:
-                data = data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise TranscriptInvalid(f"transcript is not UTF-8: {exc.reason}") from None
-        return cls.from_jsonl(data)
+            return cls(EventLog.parse(_file_pieces(fh, status.st_size)))
+
+
+def _open_nonblocking(path: str | Path) -> BinaryIO:
+    """A file opened for binary reading with O_NONBLOCK, so that opening a FIFO
+    no process writes to returns at once."""
+    return open(path, "rb", opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK))
+
+
+def _file_pieces(fh: BinaryIO, size: int) -> Iterator[bytes]:
+    """A file's bytes, _PIECE at a time, given its size at its fstat: none of a file
+    over MAX_LOG_BYTES, else to one byte past it at most; TranscriptInvalid past it."""
+    left = MAX_LOG_BYTES + 1 if size <= MAX_LOG_BYTES else 0
+    while left and (piece := fh.read(min(left, _PIECE))):
+        left -= len(piece)
+        yield piece
+    if not left:
+        size = fh.seek(0, os.SEEK_END)
+        raise TranscriptInvalid(f"transcript is {size} bytes, over MAX_LOG_BYTES = {MAX_LOG_BYTES}")
 
 
 def _verdict_payload(verdict: Verdict) -> dict:

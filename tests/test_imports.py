@@ -6,8 +6,9 @@ nothing itself, session.py reaches the custody ledger only through
 records.py's recorder and shape_codes, session.py and adversary.py spell no
 value of the wire table, which records.py spells once, adversary.py reads a
 live run only through Session.run and Session.sample_columns and imports
-nothing from records.py, and every file the package opens is opened with an
-encoding or in a binary mode."""
+nothing from records.py, every file the package opens is opened with an
+encoding or in a binary mode, and O_NONBLOCK is spelled once, in the opener
+that both the transcript reader and the CLI's file reads use."""
 
 from __future__ import annotations
 
@@ -539,3 +540,32 @@ def test_opens_without_encoding_are_found():
         "open() (line 1)", "open() (line 5)", ".read_text() (line 6)", ".write_text() (line 8)",
         ".open() (line 11)", "open() (line 13)",
     ]
+
+
+def nonblocking_reads(source: str) -> list[str]:
+    """Each O_NONBLOCK a source reads or imports, with its line: the package opens a
+    file that may be a FIFO only through session._open_nonblocking."""
+    lines = [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Attribute) and node.attr == "O_NONBLOCK")
+        or (isinstance(node, ast.Name) and node.id == "O_NONBLOCK")
+        or (isinstance(node, ast.alias) and node.name == "O_NONBLOCK")
+    ]
+    return [f"O_NONBLOCK (line {line})" for line in sorted(lines)]
+
+
+def test_the_package_spells_o_nonblocking_once():
+    found = {path.name: nonblocking_reads(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    assert {name: len(reads) for name, reads in found.items() if reads} == {"session.py": 1}
+
+
+def test_nonblocking_reads_are_found():
+    assert nonblocking_reads(
+        "import os\n"
+        "from os import O_NONBLOCK, O_RDONLY\n"
+        "fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)\n"
+        "flags = O_NONBLOCK\n"
+        "text = 'O_NONBLOCK'  # O_NONBLOCK\n"
+        "fh = open(path, 'rb', opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK))\n"
+    ) == ["O_NONBLOCK (line 2)", "O_NONBLOCK (line 3)", "O_NONBLOCK (line 4)", "O_NONBLOCK (line 6)"]

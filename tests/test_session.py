@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -313,15 +314,19 @@ def test_transcript_path_that_is_missing_or_a_directory_raises_os_error(tmp_path
 def test_transcript_file_that_is_not_utf8_is_invalid(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_bytes(b"\xff\n")
-    with pytest.raises(TranscriptInvalid, match="^transcript is not UTF-8: invalid start byte$"):
+    with pytest.raises(TranscriptInvalid, match="^line 0: 'utf-8' codec can't decode byte 0xff in position 0: invalid"):
         Transcript.read_jsonl(path)
 
 
-def test_transcript_bytes_that_are_not_ascii_are_invalid():
-    text = (GOLDEN_DIR / GOLDEN_TRANSCRIPTS[0]).read_text(encoding="utf-8")
-    assert Transcript.from_jsonl(text.encode("ascii")) == Transcript.from_jsonl(text)
-    with pytest.raises(TranscriptInvalid, match="^transcript bytes are not ASCII"):
-        Transcript.from_jsonl(text.encode("ascii") + "\u00e9\n".encode("utf-8"))
+def test_transcript_utf8_bytes_read_as_their_decoded_text():
+    head, key, tail = (GOLDEN_DIR / ABORTED_GOLDEN).read_text(encoding="utf-8").rpartition('"reason":"')
+    for reason in ("", "\u00e9 \u2028 \x85 "):  # raw U+2028 and U+0085 end no line
+        text = head + key + reason + tail  # in the verdict's line, the last
+        assert Transcript.from_jsonl(text.encode("utf-8")) == Transcript.from_jsonl(text)
+        assert Transcript.from_jsonl(text).events[-1].payload["reason"] == f"{reason}anticorrelation check failed"
+    # a lone surrogate, which UTF-8 cannot hold, in the verdict's line
+    with pytest.raises(TranscriptInvalid, match="^line 47: 'utf-8' codec can't decode byte 0xed"):
+        Transcript.from_jsonl(head + key + "\ud800" + tail)
 
 
 def test_transcript_lines_are_canonical_json():
@@ -1483,9 +1488,18 @@ def fits_verdict_record(payload: object) -> bool:
 def reference_read(text: str) -> list[Event] | None:
     """Event(**json.loads(line)) for every line under FORMAT.md's file rules,
     record-kind table and statistics record, with config first, stats second to
-    last and the verdict last, each only there; None if rejected."""
+    last and the verdict last, each only there; None if rejected.  A line ends
+    at "\\n" alone, and the last may end at the end of the text, which must be
+    one UTF-8 can encode."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        return None
+    lines = text.split("\n")
+    if lines[-1] == "":  # the text ends its last line
+        lines.pop()
     events = []
-    for lineno, line in enumerate(text.splitlines()):
+    for lineno, line in enumerate(lines):
         try:
             raw = json.loads(line)
         except ValueError:
@@ -1674,18 +1688,21 @@ _FILE_TEXTS = {
     "LF": ("\n".join(_FRAME) + "\n", True),
     "CRLF": ("\r\n".join(_FRAME) + "\r\n", True),
     "CRLF, no break at the end": ("\r\n".join(_FRAME), True),
-    "lone CR": ("\r".join(_FRAME) + "\r", True),
-    "VT between records": ("\x0b".join(_FRAME) + "\n", True),
-    "FS between records": ("\x1c".join(_FRAME) + "\n", True),
-    "raw U+0085 between records": ("\x85".join(_FRAME) + "\n", True),
-    "raw U+2028 between records": ("\u2028".join(_FRAME) + "\n", True),
-    "CR inside a bulk line": ("\n".join([_FRAME[0], _IN_BULK % "\r", *_FRAME[2:]]) + "\n", False),
+    "lone CR": ("\r".join(_FRAME) + "\r", False),
+    "VT between records": ("\x0b".join(_FRAME) + "\n", False),
+    "FS between records": ("\x1c".join(_FRAME) + "\n", False),
+    "raw U+0085 between records": ("\x85".join(_FRAME) + "\n", False),
+    "raw U+2028 between records": ("\u2028".join(_FRAME) + "\n", False),
+    "CR inside a bulk line": ("\n".join([_FRAME[0], _IN_BULK % "\r", *_FRAME[2:]]) + "\n", True),
     "VT inside a bulk line": ("\n".join([_FRAME[0], _IN_BULK % "\x0b", *_FRAME[2:]]) + "\n", False),
     "FS inside a bulk line": ("\n".join([_FRAME[0], _IN_BULK % "\x1c", *_FRAME[2:]]) + "\n", False),
     "raw U+0085 inside a bulk line": ("\n".join([_FRAME[0], _IN_BULK % "\x85", *_FRAME[2:]]) + "\n", False),
     "raw U+2028 inside a bulk line": ("\n".join([_FRAME[0], _IN_BULK % "\u2028", *_FRAME[2:]]) + "\n", False),
     "tab inside a bulk line": ("\n".join([_FRAME[0], _IN_BULK % "\t", *_FRAME[2:]]) + "\n", True),
     "non-ASCII letter in the verdict": ("\n".join(_FRAME).replace('"x"', '"\u00e9"') + "\n", True),
+    "raw U+0085 in the verdict": ("\n".join(_FRAME).replace('"x"', '"\x85"') + "\n", True),
+    "raw U+2028 in the verdict": ("\n".join(_FRAME).replace('"x"', '"\u2028"') + "\n", True),
+    "LF, no break at the end": ("\n".join(_FRAME), True),
     "non-ASCII letter in a bulk line": ("\n".join(_FRAME).replace('"C"', '"\u00c7"') + "\n", False),
     "empty": ("", False),
     "only a newline": ("\n", False),
@@ -1694,9 +1711,9 @@ _FILE_TEXTS = {
 
 
 def assert_file_reads_like_the_reference(path: Path) -> bool:
-    """read_jsonl on a file equals reference_read of its text, read in text mode with
-    universal newlines: record for record, or by both rejecting it.  True if read."""
-    expected = reference_read(path.read_text(encoding="utf-8"))
+    """read_jsonl on a file equals reference_read of its decoded bytes (read_text would
+    apply universal newlines): record for record, or by both rejecting it.  True if read."""
+    expected = reference_read(path.read_bytes().decode("utf-8"))
     if expected is None:
         with pytest.raises(TranscriptInvalid):
             Transcript.read_jsonl(path)
@@ -1719,11 +1736,98 @@ def test_read_jsonl_equals_the_reference_on_the_file_text(tmp_path, name):
 def test_read_jsonl_equals_the_reference_on_a_several_chunk_file_with_other_line_ends(
     chunked_run, tmp_path, end
 ):
+    """A file whose records CRLF ends is read, its CR being JSON whitespace; one whose
+    records another end separates is one line, and refused."""
     lines = chunked_run.to_jsonl().splitlines()
     lines[_CHUNK] = lines[_CHUNK].replace('"actor"', '"actor" ', 1)  # one line the template does not read
     path = tmp_path / "run.jsonl"
     path.write_bytes((end.join(lines) + end).encode("utf-8"))
-    assert assert_file_reads_like_the_reference(path)
+    assert assert_file_reads_like_the_reference(path) is (end == "\r\n")
+
+
+# a canonical bulk line of chunked_run, and that line with one byte past ASCII in it
+_LINE_307 = b'{"actor":"alice","kind":"prepare","payload":{"pair":306},"seq":307}'
+_PAST_ASCII = {
+    "0xFF as the pair": _LINE_307.replace(b'"pair":306', b'"pair":\xff'),
+    "0xFF as a seq digit": _LINE_307.replace(b'"seq":307', b'"seq":10\xff'),
+    "a lone continuation byte in the pair": _LINE_307.replace(b'"pair":306', b'"pair":30\x80'),
+}
+
+
+@pytest.mark.parametrize("edit", list(_PAST_ASCII))
+def test_a_byte_past_ascii_in_a_canonical_bulk_line_is_refused_naming_its_line(chunked_run, tmp_path, edit):
+    """Every byte past ASCII masks to one no template holds, so such a line goes to
+    json.loads, which refuses it as not UTF-8; a raw 0xFF must not read as a digit,
+    where "pair":0xFF would read as pair 207 and "seq":10 0xFF as seq 307."""
+    data = chunked_run.to_jsonl().encode()
+    assert data.count(b"\n" + _LINE_307 + b"\n") == 1
+    data = data.replace(_LINE_307, _PAST_ASCII[edit])
+    path = tmp_path / "run.jsonl"
+    path.write_bytes(data)
+    message = r"^line 307: 'utf-8' codec can't decode byte 0x(ff|80) in position \d+: invalid start byte$"
+    with pytest.raises(TranscriptInvalid, match=message):
+        Transcript.from_jsonl(data)
+    with pytest.raises(TranscriptInvalid, match=message):
+        Transcript.read_jsonl(path)
+
+
+_EDGE = 7 * 4096  # a piece edge at every patched piece size
+
+
+def with_pad(data: bytes, length: int, tail: str = "") -> bytes:
+    """data with a field "pad" first in its config record, a string of length bytes:
+    "x"s, then tail.  Every later byte moves on by length + 9."""
+    pad = b"x" * (length - len(tail.encode())) + tail.encode()
+    return data.replace(b'"payload":{', b'"payload":{"pad":"' + pad + b'",', 1)
+
+
+def piece_inputs(chunked_run) -> dict[str, bytes]:
+    """Transcripts to read at several piece sizes, each one the reader accepts."""
+    golden = (GOLDEN_DIR / COMPLETED_GOLDEN).read_bytes()
+    line_5 = b'{"actor":"alice","kind":"prepare","payload":{"pair":4},"seq":5}'
+    respaced_5 = json.dumps(json.loads(line_5)).encode()  # the same record, spaced out
+    respaced = golden.replace(line_5, respaced_5)
+    line_6 = golden.index(line_5) + len(line_5) + 1  # where line 6 starts, in golden
+    pad_at = golden.index(b'"payload":{') + len(b'"payload":{"pad":"')  # where a pad starts
+    inputs = {
+        **{name: (GOLDEN_DIR / name).read_bytes() for name in GOLDEN_TRANSCRIPTS},
+        "several chunks": chunked_run.to_jsonl().encode(),
+        "CRLF": golden.replace(b"\n", b"\r\n"),
+        "no final newline": golden[:-1],
+        "a line longer than a piece": with_pad(golden, 5000),
+        "a piece ends a line": with_pad(golden, _EDGE - line_6 - 9),
+        "a piece cuts a canonical line": with_pad(golden, _EDGE - line_6 - 9 + 30),
+        "a piece cuts a respaced line": with_pad(respaced, _EDGE - line_6 - 9 + 30),
+        "a piece cuts a character": with_pad(golden, _EDGE + 1 - pad_at, "\u00e9"),
+    }
+    assert inputs["a piece ends a line"][_EDGE - 1] == 0x0A
+    for name, line in [("canonical", line_5), ("respaced", respaced_5)]:
+        data = inputs[f"a piece cuts a {name} line"]
+        assert data[data.rindex(b"\n", 0, _EDGE) + 1 : data.index(b"\n", _EDGE)] == line
+    assert inputs["a piece cuts a character"][_EDGE - 1 : _EDGE + 1] == "\u00e9".encode()
+    return inputs
+
+
+@pytest.mark.parametrize("name", [
+    *GOLDEN_TRANSCRIPTS, "several chunks", "CRLF", "no final newline", "a line longer than a piece",
+    "a piece ends a line", "a piece cuts a canonical line", "a piece cuts a respaced line", "a piece cuts a character",
+])
+def test_the_piece_size_changes_no_read(chunked_run, tmp_path, monkeypatch, name):
+    """read_jsonl and from_jsonl give at every piece size the log they give at the
+    default, and read_jsonl asks no read for more than a piece and reads the file once."""
+    data = piece_inputs(chunked_run)[name]
+    path = tmp_path / "run.jsonl"
+    path.write_bytes(data)
+    expected = Transcript.from_jsonl(data)
+    reads = count_reads(monkeypatch)
+    for piece in (None, 1, 2, 7, 64, 4096):
+        if piece is not None:
+            monkeypatch.setattr(session_module, "_PIECE", piece)
+        reads.clear()
+        assert Transcript.read_jsonl(path) == expected
+        assert Transcript.from_jsonl(data) == expected
+        assert all(0 < asked <= session_module._PIECE for asked, _ in reads)
+        assert bytes_read(reads) == len(data)
 
 
 def reference_custody(events, holder: dict | None = None) -> list[str]:
@@ -2657,14 +2761,14 @@ def grow_after_fstat(monkeypatch, path: Path, extra: bytes) -> None:
     monkeypatch.setattr(os, "fstat", fstat_then_grow)
 
 
-def count_reads(monkeypatch) -> list[tuple[int, int]]:
-    """Make read_jsonl's open count each read: the list it returns gets the size
-    asked for and the bytes returned of every read."""
-    reads = []
+def count_reads(monkeypatch) -> Counter:
+    """Make read_jsonl's open count its reads: the Counter it returns counts each
+    pair of the size a read asked for and the bytes it returned."""
+    reads = Counter()
 
     class CountingReader(io.BufferedReader):
         def read(self, size=-1):
-            reads.append((size, len(chunk := super().read(size))))
+            reads[size, len(chunk := super().read(size))] += 1
             return chunk
 
     def counting_open(file, mode, opener):
@@ -2675,38 +2779,53 @@ def count_reads(monkeypatch) -> list[tuple[int, int]]:
     return reads
 
 
+def bytes_read(reads: Counter) -> int:
+    return sum(got * times for (_, got), times in reads.items())
+
+
 def test_read_jsonl_refuses_a_file_that_grows_past_max_log_bytes_after_its_size_is_taken(tmp_path, monkeypatch):
     """The file is read to one byte past MAX_LOG_BYTES, however far it grew."""
     data = (GOLDEN_DIR / GOLDEN_TRANSCRIPTS[0]).read_bytes()
     path = tmp_path / "run.jsonl"
     path.write_bytes(data)
     monkeypatch.setattr(session_module, "MAX_LOG_BYTES", len(data) + 10)
-    grow_after_fstat(monkeypatch, path, b"\n" * 100_000)
+    grow_after_fstat(monkeypatch, path, b" " * 100_000)  # ending no line, so none is refused first
     reads = count_reads(monkeypatch)
     with pytest.raises(
         TranscriptInvalid, match=f"^transcript is {len(data) + 100_000} bytes, over MAX_LOG_BYTES = {len(data) + 10}$"
     ):
         Transcript.read_jsonl(path)
-    assert sum(got for _, got in reads) == len(data) + 11
+    assert bytes_read(reads) == len(data) + 11
+
+
+def test_read_jsonl_refuses_a_bad_line_that_a_file_grew_by_before_its_size(tmp_path, monkeypatch):
+    """The file is parsed as it is read, so a line it grew by that is refused, here
+    a blank one, may be refused before the file reaches past MAX_LOG_BYTES."""
+    data = (GOLDEN_DIR / GOLDEN_TRANSCRIPTS[0]).read_bytes()
+    path = tmp_path / "run.jsonl"
+    path.write_bytes(data)
+    monkeypatch.setattr(session_module, "MAX_LOG_BYTES", len(data) + 10)
+    grow_after_fstat(monkeypatch, path, b"\n" * 100_000)
+    with pytest.raises(TranscriptInvalid, match=f"^blank record at line {data.count(10)}$"):
+        Transcript.read_jsonl(path)
 
 
 @pytest.mark.parametrize("piece", [None, 7])
 def test_read_jsonl_reads_on_through_a_file_that_grows_within_max_log_bytes(tmp_path, monkeypatch, piece):
-    """Past the size the file had at its fstat, no read asks for more than _READ_PIECE
-    bytes, so a file that grew by a line costs no allocation of MAX_LOG_BYTES."""
+    """No read asks for more than _PIECE bytes, the first included, so a file that
+    grew by a line costs no allocation of MAX_LOG_BYTES."""
     data = (GOLDEN_DIR / GOLDEN_TRANSCRIPTS[0]).read_bytes()
     last = data.rindex(b"\n", 0, len(data) - 1) + 1  # where the verdict line starts
     path = tmp_path / "run.jsonl"
     path.write_bytes(data[:last])
     if piece is not None:
-        monkeypatch.setattr(session_module, "_READ_PIECE", piece)
+        monkeypatch.setattr(session_module, "_PIECE", piece)
     grow_after_fstat(monkeypatch, path, data[last:])
     reads = count_reads(monkeypatch)
     assert Transcript.read_jsonl(path).to_jsonl().encode() == data
-    assert reads[0] == (last + 1, last + 1)
-    assert all(0 < asked <= session_module._READ_PIECE for asked, _ in reads[1:])
-    assert sum(got for _, got in reads) == len(data)
-    assert len(reads) >= 1 + (len(data) - last - 1) // session_module._READ_PIECE
+    assert all(0 < asked <= session_module._PIECE for asked, _ in reads)
+    assert bytes_read(reads) == len(data)
+    assert reads.total() >= -(-len(data) // session_module._PIECE)
 
 
 # ---------------------------------------------------------------------------
