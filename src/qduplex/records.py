@@ -9,9 +9,11 @@ canonical JSONL line of every record, writes the lines and reads them back
 a chunk at a time (a bulk line by its masked template, any other line
 through json.loads), states the frame of every transcript, and is the only
 module that spells a record shape or a value: a Session passes shape codes
-from shape_codes, and message codes.  It holds the one copy of the custody
-rules with the byte tables built from them, and the recorder that enforces
-them as a Session appends its records and numbers the wire.  The recorder
+from shape_codes, and message codes.  A message the recorder puts on the
+wire keeps its fields, its pair indices and its codes, and its [pair, value]
+entries are spelled from _WIRE each time it is read.  It holds the one copy
+of the custody rules with the byte tables built from them, and the recorder
+that enforces them as a Session appends its records and numbers the wire.  The recorder
 steps its bytearray of states, indexed by pair, one run of pairs at a time
 with a table's translate, and one record at a time where that does not
 apply; replay_custody replays a log one record at a time through a list
@@ -205,6 +207,9 @@ for _code, _line in enumerate(_SHAPE_LINE):
 _CLASS_SHAPE = np.frombuffer(b"".join(_class_rows), np.uint8).reshape(len(_class_rows), 256)
 # lines read, or rows written, at a time: the reader's buffers stay a few hundred KB
 _CHUNK = 4096
+# bytes of pieces the reader gathers before it reads the lines they end, as each
+# read has a fixed cost of about 70 us that pieces shorter than a line would pay a line
+_GATHER = 1 << 16
 
 
 def _template(masked: bytes) -> tuple[int, int, int, int, int]:
@@ -324,6 +329,28 @@ def _line_event(lineno: int, line: bytes) -> Event:
     return Event(**raw)
 
 
+def _whole_lines(pieces: Iterable[bytes]) -> Iterator[bytes]:
+    """The bytes of pieces, in runs of whole lines, each ended by "\\n", of at least
+    _GATHER bytes where pieces go on, and then a last run that may end a line
+    with no newline.  Where pieces raises TranscriptInvalid, as a reader's cap on
+    the text does, the lines ended so far come first."""
+    held, size = [], 0  # held: the pieces not yet yielded
+    try:
+        for piece in pieces:
+            held.append(piece)
+            size += len(piece)
+            if size >= _GATHER and (end := piece.rfind(b"\n") + 1):
+                yield b"".join((*held[:-1], piece[:end]))
+                held, size = [piece[end:]], len(piece) - end
+    except TranscriptInvalid:
+        data = b"".join(held)
+        if end := data.rfind(b"\n") + 1:
+            yield data[:end]
+        raise
+    if last := b"".join(held):
+        yield last
+
+
 def _dense_error(lineno: int, seq: object) -> TranscriptInvalid:
     return TranscriptInvalid(
         f"sequence numbers must be dense from 0: expected {lineno}, got {seq!r}"
@@ -336,12 +363,13 @@ class EventLog(Sequence):
     Every record is one row of two columns, at its seq.  A record of a
     custody kind is its shape code in _BULK_SCHEMA and its pair; every other
     record is the code _EVENT and its index in _events, which keeps its
-    Event.  A record enters only if its seq is its position, it fits a row of
-    FORMAT.md's record-kind table (see _record_shape), and, built by hand,
-    json.dumps takes its payload; otherwise building the log raises
-    TranscriptInvalid.  The Event of a bulk record is built only when it is asked
-    for.  len() is O(1), iteration goes in seq order, and the log compares equal
-    to the list of Events it represents.
+    Event, or for a message a _Recorder sent, its _Message.  A record enters
+    only if its seq is its position, it fits a row of FORMAT.md's record-kind
+    table (see _record_shape), and, built by hand, json.dumps takes its
+    payload; otherwise building the log raises TranscriptInvalid.  The Event
+    of a bulk record or of a recorded message is built each time it is asked
+    for, and never kept.  len() is O(1), iteration goes in seq order, and the
+    log compares equal to the list of Events it represents.
     """
 
     __slots__ = ("_shapes", "_pairs", "_events")
@@ -349,7 +377,7 @@ class EventLog(Sequence):
     def __init__(self, events: Iterable[Event] = ()) -> None:
         self._shapes = bytearray()  # shape code of each record, or _EVENT
         self._pairs: list[int] = []  # pair of each bulk record, or index in _events
-        self._events: list[Event] = []  # every record that is not a bulk record, in log order
+        self._events: list[Event | _Message] = []  # every record that is not a bulk record, in log order
         for event in events:
             self._append(event)
             if self._shapes[-1] == _EVENT:  # a hand-built Event: its line must format
@@ -371,7 +399,7 @@ class EventLog(Sequence):
         else:
             self._extend((shape,), (event.payload["pair"],))
 
-    def _add(self, event: Event) -> None:
+    def _add(self, event: Event | _Message) -> None:
         self._shapes.append(_EVENT)
         self._pairs.append(len(self._events))
         self._events.append(event)
@@ -392,20 +420,16 @@ class EventLog(Sequence):
         and payload, a seq other than its line number, or a record that fits
         no row of FORMAT.md's record-kind table.
 
-        The lines a piece ends are read as they arrive, _CHUNK at a time.  A
-        canonical bulk line whose seq is its line number goes into the columns
-        from its class's template (_read_chunk); every other line is read by
-        json.loads, in line order.
+        The lines the pieces end are read as they arrive, once _GATHER bytes
+        have come (_whole_lines), _CHUNK at a time.  A canonical bulk line whose
+        seq is its line number goes into the columns from its class's template
+        (_read_chunk); every other line is read by json.loads, in line order.
+        Where pieces raises TranscriptInvalid, the lines it ended are read
+        first, so a bad line among them raises in its place.
         """
-        log, held = cls(), []  # held: the pieces of the line not yet ended
-        for piece in pieces:
-            if end := piece.rfind(b"\n") + 1:
-                log._read_lines(b"".join((*held, piece[:end])))
-                held = [piece[end:]]
-            else:
-                held.append(piece)
-        if last := b"".join(held):  # a last line with no newline
-            log._read_lines(last)
+        log = cls()
+        for data in _whole_lines(pieces):
+            log._read_lines(data)
         return log
 
     def _read_lines(self, data: bytes) -> None:
@@ -428,7 +452,7 @@ class EventLog(Sequence):
     # -- reading
 
     def _row(self, shape: int, cell: int, seq: int) -> Event:
-        return self._events[cell] if shape == _EVENT else _bulk_event(shape, cell, seq)
+        return _spelled(self._events[cell]) if shape == _EVENT else _bulk_event(shape, cell, seq)
 
     def _text(self, start: int, stop: int, lines: Sequence[str]) -> str:
         """The canonical JSON line of each record from seq start to before stop, in
@@ -447,7 +471,7 @@ class EventLog(Sequence):
         """The log's JSONL text, one newline-ended line a record, in pieces of _CHUNK records.
         Every Event's line is formatted before this returns, so a payload json.dumps
         rejects raises here, before any piece is taken."""
-        lines = [_canonical_line(event.to_record()) for event in self._events]
+        lines = [_canonical_line(_spelled(entry).to_record()) for entry in self._events]
         return (self._text(start, start + _CHUNK, lines) for start in range(0, len(self), _CHUNK))
 
     def select(self, table: bytes) -> tuple[bytes, list[int]]:
@@ -479,8 +503,8 @@ class EventLog(Sequence):
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, EventLog):
-            return (self._shapes, self._pairs, self._events) == (
-                other._shapes, other._pairs, other._events
+            return (self._shapes, self._pairs) == (other._shapes, other._pairs) and all(
+                map(operator.eq, map(_spelled, self._events), map(_spelled, other._events))
             )
         if not isinstance(other, Sequence) or isinstance(other, (str, bytes, bytearray)):
             return NotImplemented
@@ -495,7 +519,8 @@ class EventLog(Sequence):
 def check_frame(log: EventLog) -> None:
     """Raise TranscriptInvalid unless a log keeps FORMAT.md's frame: config at
     seq 0, stats directly before the last record, the verdict last, and none
-    of the three anywhere else.  Reads only the Events, about 15 in a run."""
+    of the three anywhere else.  Reads only the seq and kind of the records
+    that are not bulk records, about 15 in a run."""
     events, last = log._events, len(log) - 1
     closed = bool(events) and events[-1].seq == last and events[-1].kind == "verdict"
     places = {  # each kind's place (none for stats in an unclosed log), and the message if not there
@@ -661,6 +686,32 @@ _WIRE: dict[str, tuple[str | None, tuple | None]] = {
 }
 
 
+@dataclass(frozen=True, slots=True)
+class _Message:
+    """A message record as _Recorder.send put it on the wire: its payload but the field
+    _WIRE lists pair indices in, and those indices with their codes.  event() spells
+    the Event anew each time it is read, so the log keeps no entry lists."""
+
+    seq: int
+    head: dict  # msg_seq, sender, type and the other fields, each a scalar
+    indices: tuple[int, ...]
+    codes: bytes
+    kind = "message"
+
+    def event(self) -> Event:
+        payload = dict(self.head)
+        field, spelling = _WIRE[payload["type"]]
+        if field is not None:
+            pairs = self.indices
+            payload[field] = [[i, spelling[code]] for i, code in zip(pairs, self.codes)] if spelling else list(pairs)
+        return Event(seq=self.seq, actor=payload["sender"], kind="message", payload=payload)
+
+
+def _spelled(entry: Event | _Message) -> Event:
+    """The Event of an entry of EventLog._events: a recorded message's, spelled anew, or the one kept."""
+    return entry.event() if type(entry) is _Message else entry
+
+
 class _Recorder:
     """Appends records with dense sequence numbers, numbers the wire, keeps custody:
     a ledger of one state a pair that, after any batch, is the replay of the log."""
@@ -745,7 +796,8 @@ class _Recorder:
 
     def send(self, sender: str, type: str, indices: Sequence[int] = (), codes: bytes = b"", **fields) -> None:
         """Put one message on the wire: its pair indices, the code of each index's value where _WIRE
-        spells one, a byte each, and its other fields in wire form; one off _WIRE raises InternalFault."""
+        spells one, a byte each, and its other fields in wire form; one off _WIRE raises InternalFault.
+        The log keeps a copy of the indices and codes (_Message), not the entries they spell."""
         if type not in _WIRE:
             raise InternalFault(f"unknown message type {type!r}")
         index_field, spelling = _WIRE[type]
@@ -761,10 +813,10 @@ class _Recorder:
                 raise InternalFault(f"message index {i} outside pair range")
             if len(codes) != (needed := len(indices) if spelling else 0):
                 raise InternalFault(f"{type} message needs {needed} codes, not {len(codes)}")
-            try:  # a code is a byte, so only one past the spelling falls outside it
-                fields[index_field] = [[i, spelling[code]] for i, code in zip(indices, codes)] if codes else indices
-            except IndexError:
-                raise InternalFault(f"{type} message with a code outside 0..{len(spelling) - 1}") from None
-        payload = {"msg_seq": self._msg_seq, "sender": sender, "type": type, **fields}
+            if spelling and codes.translate(None, bytes(range(len(spelling)))):  # a code past the spelling
+                raise InternalFault(f"{type} message with a code outside 0..{len(spelling) - 1}")
+        seq = len(self.events)
+        head = {"msg_seq": self._msg_seq, "sender": sender, "type": type, **fields}
+        _record_shape(seq, sender, "message", head, InternalFault)  # a sender outside the message row
+        self.events._add(_Message(seq, head, tuple(indices), bytes(codes)))
         self._msg_seq += 1
-        self.emit(sender, "message", payload)

@@ -18,7 +18,8 @@ import os
 import stat
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import chain, compress, pairwise
+from functools import partial
+from itertools import chain, compress, islice, pairwise
 from pathlib import Path
 from typing import BinaryIO, Union
 
@@ -307,13 +308,17 @@ def _open_nonblocking(path: str | Path) -> BinaryIO:
 
 
 def _file_pieces(fh: BinaryIO, size: int) -> Iterator[bytes]:
-    """A file's bytes, _PIECE at a time, given its size at its fstat: none of a file
-    over MAX_LOG_BYTES, else to one byte past it at most; TranscriptInvalid past it."""
-    left = MAX_LOG_BYTES + 1 if size <= MAX_LOG_BYTES else 0
-    while left and (piece := fh.read(min(left, _PIECE))):
-        left -= len(piece)
-        yield piece
-    if not left:
+    """A file's bytes from its start, _PIECE at a time, given its size at its fstat: none of a
+    file over MAX_LOG_BYTES, else to one byte past it at most; TranscriptInvalid past it.
+    The reads of one size go through a C iterator, as a Python loop step costs
+    more than a read of a short piece."""
+    cap = MAX_LOG_BYTES + 1 if size <= MAX_LOG_BYTES else 0
+    while (left := cap - fh.tell()) > 0:  # the reads of one size that fit in what is left
+        step = min(left, _PIECE)
+        yield from islice(iter(partial(fh.read, step), b""), left // step)
+        if fh.tell() == cap - left:  # the run's first read returned nothing: the end of the file
+            break
+    if fh.tell() == cap:
         size = fh.seek(0, os.SEEK_END)
         raise TranscriptInvalid(f"transcript is {size} bytes, over MAX_LOG_BYTES = {MAX_LOG_BYTES}")
 

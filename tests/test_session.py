@@ -304,6 +304,28 @@ def test_oversized_or_irregular_transcript_file_is_refused_without_reading_it(
     assert proc.stdout == expected
 
 
+@pytest.mark.skipif(resource is None, reason="needs POSIX rlimits")
+def test_a_262144_pair_round_trip_writes_reads_and_audits_its_transcript_in_400_mb(capped_child):
+    """The transcript memory bar: in a child capped at 400 MB of address space, a
+    262,144-pair round trip writes its 176 MB transcript, and read_jsonl and
+    audit_custody take it back (about 111 MB and 189 MB peak RSS in fresh
+    processes on CPython 3.11, 36 MB of each the import)."""
+    proc = capped_child(
+        "import os\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (400 * 10**6, 400 * 10**6))\n"
+        "from qduplex.cli import main\n"
+        "from qduplex.session import Transcript, audit_custody\n"
+        "assert main(['--mode', 'roundtrip', '--pairs', '262144', '--transcript', 'run.jsonl']) == 0\n"
+        "transcript = Transcript.read_jsonl('run.jsonl')\n"
+        "os.remove('run.jsonl')\n"
+        "print(len(transcript.events), transcript.completed, audit_custody(transcript))\n",
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    records, completed, violations = proc.stdout.splitlines()[-1].split(" ", 2)
+    assert (int(records) > 7 * 262144, completed, violations) == (True, "True", "[]")
+
+
 def test_transcript_path_that_is_missing_or_a_directory_raises_os_error(tmp_path):
     with pytest.raises(FileNotFoundError):
         Transcript.read_jsonl(tmp_path / "missing.jsonl")
@@ -2666,6 +2688,56 @@ def test_bulk_records_build_no_event_on_the_run_write_read_audit_and_estimator_p
     assert len(kinds) == sum(loads(line)["kind"] in generic for line in text.splitlines())
 
 
+@pytest.mark.parametrize("estimate", ["estimate_detection", "estimate_information"])
+def test_the_estimators_build_no_message_event(monkeypatch, estimate):
+    """A recorded message keeps its pair indices and codes, and its Event is spelled
+    only where the log is read: an estimator's trial builds the Events of its
+    config, stats and verdict records, one of each, and no message Event, though
+    a completed run's messages carry an entry for every surviving pair."""
+    from qduplex import adversary
+
+    built = Counter()
+
+    def counting_event(*args, **kwargs):
+        event = Event(*args, **kwargs)
+        built[event.kind] += 1
+        return event
+
+    for module in (session_module, records_module):
+        monkeypatch.setattr(module, "Event", counting_event)
+    config = ProtocolConfig(n_pairs=256, check_fraction_1=0.125, check_count_2=4)
+    getattr(adversary, estimate)(EveStrategy.none(), config, 3, np.random.default_rng(0))
+    assert built == {"config": 3, "stats": 3, "verdict": 3}
+    built.clear()  # the counter sees a message Event where one is read
+    transcript = run_protocol(config, *fixed_messages(config))
+    assert built["message"] == 0
+    assert len(message_events(transcript)) == built["message"] == 9
+
+
+def test_a_handed_out_recorded_message_cannot_change_the_log():
+    """Each read of a recorded message spells a new payload, as json.loads would
+    read its line: changing one that was handed out, its entry lists included,
+    changes neither a second read of the record nor the transcript's text."""
+    config = ProtocolConfig(n_pairs=64, check_fraction_1=0.125, check_count_2=4, seed=1)
+    transcript = run_protocol(config, *fixed_messages(config))
+    text = transcript.to_jsonl()
+    lines = text.splitlines()
+    seqs = [event.seq for event in message_events(transcript)]
+    for seq in seqs:
+        payload = transcript.events[seq].payload
+        assert payload == json.loads(lines[seq])["payload"]
+        for value in payload.values():
+            if type(value) is list:
+                for entry in value:
+                    if type(entry) is list:
+                        entry[0] = -1
+                value.append(-1)
+        payload["msg_seq"] = {1}
+    assert [transcript.events[seq].payload for seq in seqs] == [json.loads(lines[seq])["payload"] for seq in seqs]
+    assert transcript.to_jsonl() == text
+    assert Transcript.from_jsonl(text) == transcript
+
+
 def test_format_md_message_table_matches_the_wire_table():
     """FORMAT.md's classical-message table lists exactly the types of _WIRE, each
     with the field that lists pair indices, or none, and each entry field with
@@ -2761,14 +2833,17 @@ def grow_after_fstat(monkeypatch, path: Path, extra: bytes) -> None:
     monkeypatch.setattr(os, "fstat", fstat_then_grow)
 
 
-def count_reads(monkeypatch) -> Counter:
-    """Make read_jsonl's open count its reads: the Counter it returns counts each
-    pair of the size a read asked for and the bytes it returned."""
-    reads = Counter()
+def count_reads(monkeypatch) -> dict[tuple[int, int], int]:
+    """Make read_jsonl's open count its reads: the dict it returns counts each
+    pair of the size a read asked for and the bytes it returned.  A plain dict and
+    a bound read keep the count cheap at the million reads of 1-byte pieces."""
+    reads: dict[tuple[int, int], int] = {}
 
     class CountingReader(io.BufferedReader):
-        def read(self, size=-1):
-            reads[size, len(chunk := super().read(size))] += 1
+        def read(self, size=-1, _read=io.BufferedReader.read):
+            chunk = _read(self, size)
+            key = size, len(chunk)
+            reads[key] = reads.get(key, 0) + 1
             return chunk
 
     def counting_open(file, mode, opener):
@@ -2779,7 +2854,7 @@ def count_reads(monkeypatch) -> Counter:
     return reads
 
 
-def bytes_read(reads: Counter) -> int:
+def bytes_read(reads: dict[tuple[int, int], int]) -> int:
     return sum(got * times for (_, got), times in reads.items())
 
 
@@ -2825,7 +2900,7 @@ def test_read_jsonl_reads_on_through_a_file_that_grows_within_max_log_bytes(tmp_
     assert Transcript.read_jsonl(path).to_jsonl().encode() == data
     assert all(0 < asked <= session_module._PIECE for asked, _ in reads)
     assert bytes_read(reads) == len(data)
-    assert reads.total() >= -(-len(data) // session_module._PIECE)
+    assert sum(reads.values()) >= -(-len(data) // session_module._PIECE)
 
 
 # ---------------------------------------------------------------------------
